@@ -25,6 +25,7 @@ from .analysis import (
 )
 from .arith_perm import (
     CapacityError,
+    InternalInvariantError,
     PermGroup,
     coset_table,
     perm_closure,

@@ -10,7 +10,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import factorial
 
-from .arith_perm import Perm, identity_perm
+from .arith_perm import InternalInvariantError, Perm, identity_perm
 from .datasets import DataSet, parse_dataset, validate
 from .fpgroups import (
     EMPTY,
@@ -123,7 +123,9 @@ def _subgroup_presentation(k: int, subgroup) -> tuple[Presentation, dict[str, Pe
         return p, {name: identity_perm(k) for name in p.generators}, "pmod_sphere"
     ambient = mod_sphere_presentation(k)
     raw, info = reidemeister_schreier_full(ambient, psi, subgroup)
-    assert info.index * subgroup.order == factorial(k)
+    if info.index * subgroup.order != factorial(k):
+        raise InternalInvariantError(
+            f"coset index {info.index} times |H| = {subgroup.order} is not {k}!")
     simplified = tietze_simplify(raw)
     images = {name: info.generator_images[name] for name in simplified.generators}
     return simplified, images, "schreier"
@@ -143,7 +145,11 @@ def analyze(ds: DataSet) -> AnalysisReport:
     v = generating_vector(ds)
     stab = liftable_images(v)
     lmod_p, lmod_images, lmod_kind = _subgroup_presentation(v.k, stab.h1)
-    clmod_p, clmod_images, clmod_kind = _subgroup_presentation(v.k, stab.h2)
+    if stab.index_n_c > 1:
+        clmod_p, clmod_images, clmod_kind = _subgroup_presentation(v.k, stab.h2)
+    else:
+        # H2 <= H1 and |H1| = |H2| * [N:C], so [N:C] = 1 means H1 = H2
+        clmod_p, clmod_images, clmod_kind = lmod_p, lmod_images, lmod_kind
     classification = classify_irreducible(v) if v.k == 3 else None
 
     flags = {

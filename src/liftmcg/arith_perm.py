@@ -31,6 +31,11 @@ class CapacityError(ValueError):
     """Raised when an operation would exceed the desk-scale guards."""
 
 
+class InternalInvariantError(RuntimeError):
+    """Raised when a result fails an internal consistency check: a bug in
+    this package, not bad input."""
+
+
 def units_mod(n: int) -> list[int]:
     """Multiplicative units mod n, ascending.
 

@@ -2,13 +2,15 @@
 table1, verify.
 
 Exit codes: 0 success, 1 usage/parse error, 2 validation or verification
-failure.  JSON output is byte-stable across runs for identical inputs.
+failure, 3 analysis refused (a capacity guard or an input outside the
+analysis scope).  JSON output is byte-stable across runs for identical inputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .analysis import (
@@ -37,6 +39,7 @@ from .genvec import classify_irreducible, generating_vector
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVALID = 2
+EXIT_REFUSED = 3
 
 
 class UsageError(Exception):
@@ -58,8 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Liftable mapping class groups of cyclic branched covers "
                     "of the sphere.",
         epilog="Data sets are written (n,g0;(d1,n1),(d2,n2),...) with an "
-               "optional (d,m)_r repetition suffix. The LIFTABLE_SEED "
-               "environment variable is reserved and unused.")
+               "optional (d,m)_r repetition suffix. Exit codes: 0 success, "
+               "1 usage or parse error, 2 validation or verification failure, "
+               "3 analysis refused (capacity guard or out-of-scope input).")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("validate", parents=[common],
@@ -69,9 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", parents=[common],
                        help="all spherical classes of a given genus, canonical forms")
     p.add_argument("genus", type=int)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility; the scan is sequential "
-                        "and the output order is canonical regardless")
 
     p = sub.add_parser("analyze", parents=[common],
                        help="full analysis of one data set")
@@ -124,8 +125,6 @@ def _cmd_validate(args) -> tuple[str, int]:
 
 
 def _cmd_enumerate(args) -> tuple[str, int]:
-    if args.jobs < 1:
-        raise UsageError("--jobs must be >= 1")
     try:
         found = enumerate_spherical(args.genus)
     except ValueError as exc:
@@ -232,9 +231,18 @@ def main(argv=None) -> int:
     except DataSetParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ValueError as exc:  # CapacityError and analysis refusals
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_REFUSED
     except SystemExit as exc:  # argparse --help exits 0
         return exc.code or EXIT_OK
-    _emit(text, args.out)
+    try:
+        _emit(text, args.out)
+    except BrokenPipeError:
+        # the reader closed early (e.g. `| head`); silence the flush at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

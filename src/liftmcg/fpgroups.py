@@ -5,13 +5,25 @@ and extension presentations.
 Words are freely reduced tuples of (generator name, +-1) letters; the group
 product of a word is its letters composed left to right (rightmost applied
 first under the permutation image, matching arith_perm.compose).
+
+Tietze simplification is deterministic.  Each step picks the relator least by
+(length, list position) among those in which some generator occurs exactly
+once, eliminates the latest-declared such generator by substituting the
+freely reduced rotation of that relator, drops empty relators, and keeps the
+earlier of two relators equal up to rotation and inversion.  ``effort`` caps
+the number of eliminations.  Internally the engine writes letters as signed
+ints and rewrites only the relators that contain the eliminated generator.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from operator import neg
 
 from .arith_perm import (
+    InternalInvariantError,
     Perm,
     PermGroup,
     compose,
@@ -226,24 +238,35 @@ def rename_presentation(p: Presentation, mapping: dict[str, str]) -> Presentatio
     return Presentation(gens, rels, sym)
 
 
-def _cyclic_reduce(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
+def _least_rotation(letters: tuple) -> tuple:
+    if not letters:
+        return letters
+    first = min(letters)
+    doubled = letters + letters
+    n = len(letters)
+    return min(doubled[i:i + n] for i, x in enumerate(letters) if x == first)
+
+
+def _canonical_key(letters: tuple, inv) -> tuple:
+    """The least rotation of the cyclic reduction of ``letters`` or of its
+    inverse; ``inv`` inverts one letter."""
     i, j = 0, len(letters)
-    while j - i >= 2 and letters[i][0] == letters[j - 1][0] \
-            and letters[i][1] == -letters[j - 1][1]:
+    while j - i >= 2 and letters[i] == inv(letters[j - 1]):
         i += 1
         j -= 1
-    return letters[i:j]
+    reduced = letters[i:j]
+    return min(_least_rotation(reduced),
+               _least_rotation(tuple(map(inv, reversed(reduced)))))
+
+
+def _inverse_letter(letter: Letter) -> Letter:
+    return letter[0], -letter[1]
 
 
 def relator_key(w: Word) -> tuple[Letter, ...]:
     """Canonical form of a relator up to conjugation and inversion: the least
     rotation of its cyclic reduction or of the inverse."""
-    reduced = _cyclic_reduce(w.letters)
-    candidates = []
-    for letters in (reduced, Word(reduced).inv().letters):
-        for shift in range(max(1, len(letters))):
-            candidates.append(letters[shift:] + letters[:shift])
-    return min(candidates)
+    return _canonical_key(w.letters, _inverse_letter)
 
 
 def same_relator_sets(p1: Presentation, p2: Presentation,
@@ -385,7 +408,8 @@ def reidemeister_schreier_full(p: Presentation, psi: dict[str, Perm],
                 t_perms[nxt] = compose(t_perms[c], images[gi])
                 tree_edge.add((c, gi))
                 queue.append(nxt)
-    assert all(w is not None for w in t_words), "coset table not connected"
+    if any(w is None for w in t_words):
+        raise InternalInvariantError("coset table not connected")
 
     inv_table = [[0] * ngens for _ in range(index)]
     for c in range(index):
@@ -408,7 +432,9 @@ def reidemeister_schreier_full(p: Presentation, psi: dict[str, Perm],
             gen_words[name] = w
             gen_images[name] = compose(compose(t_perms[c], images[gi]),
                                        inverse(t_perms[table[c][gi]]))
-    assert len(order) == index * ngens - (index - 1), "Schreier rank bookkeeping"
+    if len(order) != index * ngens - (index - 1):
+        raise InternalInvariantError(
+            f"{len(order)} Schreier generators, expected {index * ngens - (index - 1)}")
 
     gi_of = {g: i for i, g in enumerate(p.generators)}
     relators: list[Word] = []
@@ -431,7 +457,8 @@ def reidemeister_schreier_full(p: Presentation, psi: dict[str, Perm],
                     if s is not None:
                         letters.append((s, -1))
                     cur = prev
-            assert cur == c, "relator does not stabilize its coset"
+            if cur != c:
+                raise InternalInvariantError("relator does not stabilize its coset")
             rewritten = Word(tuple(letters))
             if rewritten:
                 relators.append(rewritten)
@@ -449,68 +476,141 @@ def reidemeister_schreier(p: Presentation, psi: dict[str, Perm],
 # Tietze simplification
 
 
-def _cleanup(relators: list[Word]) -> list[Word]:
-    seen = set()
-    out = []
-    for r in relators:
-        if not r:
-            continue
-        key = relator_key(r)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(r)
-    return out
+def _inverse(letters: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(neg, reversed(letters)))
 
 
-def _substitute(w: Word, name: str, repl: Word) -> Word:
-    parts = []
-    for n, e in w.letters:
-        if n == name:
-            parts.append(repl if e == 1 else repl.inv())
-        else:
-            parts.append(Word(((n, e),)))
-    return word(*parts)
+class _TietzeEngine:
+    """Tietze state on signed-int letters: generator i (1-based, declaration
+    order) is written i and its inverse -i.
+
+    Positions are the relators' list positions at entry; a rewritten relator
+    keeps its position, so comparing positions compares list order.
+    """
+
+    def __init__(self, ngens: int, relators: list[tuple[int, ...]]):
+        self.rels: dict[int, tuple[int, ...]] = {}
+        self.key_of: dict[int, tuple] = {}
+        self.holder: dict[tuple, int] = {}    # canonical key -> position holding it
+        self.occurs: list[set[int]] = [set() for _ in range(ngens + 1)]
+        self.once: dict[int, int] = {}        # position -> latest gen occurring once, or 0
+        self.heap: list[tuple[int, int]] = []  # (length, position); stale entries skipped
+        for pos, letters in enumerate(relators):
+            if letters:
+                key = _canonical_key(letters, neg)
+                if key not in self.holder:
+                    self._insert(pos, letters, key)
+
+    def _insert(self, pos: int, letters: tuple[int, ...], key: tuple) -> None:
+        self.rels[pos] = letters
+        self.key_of[pos] = key
+        self.holder[key] = pos
+        counts = Counter(map(abs, letters))
+        for g in counts:
+            self.occurs[g].add(pos)
+        latest = max((g for g, c in counts.items() if c == 1), default=0)
+        self.once[pos] = latest
+        if latest:
+            heappush(self.heap, (len(letters), pos))
+
+    def _remove(self, pos: int) -> tuple[int, ...]:
+        letters = self.rels.pop(pos)
+        del self.holder[self.key_of.pop(pos)]
+        for g in set(map(abs, letters)):
+            self.occurs[g].discard(pos)
+        return letters
+
+    def _shortest_with_once(self) -> int | None:
+        heap, rels = self.heap, self.rels
+        while heap:
+            length, pos = heap[0]
+            if pos in rels and len(rels[pos]) == length and self.once[pos]:
+                return pos
+            heappop(heap)
+        return None
+
+    def eliminate(self) -> int | None:
+        """Eliminate the latest generator occurring once in the shortest such
+        relator; return it, or None when no relator has one."""
+        pos = self._shortest_with_once()
+        if pos is None:
+            return None
+        g = self.once[pos]
+        letters = self._remove(pos)
+        i = letters.index(g) if g in letters else letters.index(-g)
+        # g^e * rest is a rotation of the relator; rest may not be freely
+        # reduced, but the rewrite below reduces on a stack as it substitutes
+        rest = letters[i + 1:] + letters[:i]
+        repl = _inverse(rest) if letters[i] > 0 else rest
+        repl_inv = _inverse(repl)
+
+        touched = sorted(self.occurs[g])
+        rewritten = []
+        for t in touched:
+            out: list[int] = []
+            for x in self._remove(t):
+                if x == g:
+                    seq = repl
+                elif x == -g:
+                    seq = repl_inv
+                else:
+                    if out and out[-1] == -x:
+                        out.pop()
+                    else:
+                        out.append(x)
+                    continue
+                for y in seq:
+                    if out and out[-1] == -y:
+                        out.pop()
+                    else:
+                        out.append(y)
+            rewritten.append(tuple(out))
+        # all old keys are gone; on a key clash the earlier position survives
+        for t, new in zip(touched, rewritten):
+            if not new:
+                continue
+            key = _canonical_key(new, neg)
+            other = self.holder.get(key)
+            if other is not None:
+                if other < t:
+                    continue
+                self._remove(other)
+            self._insert(t, new, key)
+        return g
+
+    def relators(self) -> list[tuple[int, ...]]:
+        return [self.rels[pos] for pos in sorted(self.rels)]
 
 
 def tietze_simplify(p: Presentation, effort: int | None = None) -> Presentation:
     """Eliminate generators that occur exactly once in some relator, dropping
     trivial and duplicate relators along the way.
 
-    ``effort`` caps the number of eliminations (default: one per generator);
-    the result presents an isomorphic group.
+    Each step takes the relator that is least by (length, list position)
+    among those with a generator occurring exactly once in it, eliminates the
+    latest-declared such generator, and substitutes the freely reduced
+    rotation of that relator for it everywhere.  Empty relators are dropped;
+    of two relators equal up to rotation and inversion the earlier in the
+    list survives.  ``effort`` caps the number of eliminations (default: one
+    per generator); the result presents an isomorphic group.
     """
     if p.symbolic_relators:
         raise ValueError("cannot simplify a presentation with symbolic relators")
-    gens = list(p.generators)
-    relators = _cleanup(list(p.relators))
-    budget = len(gens) if effort is None else effort
-    steps = 0
-    while steps < budget:
-        candidate = None
-        for ri in sorted(range(len(relators)), key=lambda i: (len(relators[i]), i)):
-            counts: dict[str, int] = {}
-            for name, _ in relators[ri].letters:
-                counts[name] = counts.get(name, 0) + 1
-            once = [name for name in gens if counts.get(name) == 1]
-            if once:
-                # eliminate the latest-declared candidate, keeping early names
-                candidate = (ri, once[-1])
-                break
-        if candidate is None:
+    names = p.generators
+    code = {name: i for i, name in enumerate(names, start=1)}
+    engine = _TietzeEngine(len(names), [tuple(code[n] * e for n, e in r.letters)
+                                        for r in p.relators])
+    budget = len(names) if effort is None else effort
+    gone = set()
+    while len(gone) < budget:
+        g = engine.eliminate()
+        if g is None:
             break
-        ri, name = candidate
-        letters = relators[ri].letters
-        pos = next(i for i, (n, _) in enumerate(letters) if n == name)
-        rotated = letters[pos + 1:] + letters[:pos]  # relator = rotated * name^e
-        e = letters[pos][1]
-        repl = Word(rotated).inv() if e == 1 else Word(rotated)
-        del relators[ri]
-        relators = [_substitute(r, name, repl) for r in relators]
-        gens.remove(name)
-        relators = _cleanup(relators)
-        steps += 1
-    return Presentation(tuple(gens), tuple(relators))
+        gone.add(g)
+    return Presentation(
+        tuple(name for name, i in code.items() if i not in gone),
+        tuple(Word(tuple((names[abs(x) - 1], 1 if x > 0 else -1) for x in r))
+              for r in engine.relators()))
 
 
 # ---------------------------------------------------------------------------

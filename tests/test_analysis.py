@@ -1,9 +1,15 @@
+import hashlib
 import json
 
 import jsonschema
 import pytest
 
-from liftmcg.arith_perm import perm_closure, perm_from_cycles, transposition
+from liftmcg.arith_perm import (
+    identity_perm,
+    perm_closure,
+    perm_from_cycles,
+    transposition,
+)
 from liftmcg.datasets import (
     balanced_superelliptic,
     dataset,
@@ -11,14 +17,17 @@ from liftmcg.datasets import (
     enumerate_spherical,
     hyperelliptic,
     parse_dataset,
+    render_dataset,
 )
 from liftmcg.fpgroups import (
     EMPTY,
     Presentation,
     abelianization,
     commutator,
+    evaluate_perm,
     gen,
     mod_sphere_presentation,
+    render_presentation,
     same_relator_sets,
 )
 from liftmcg.genvec import cyclic, direct_product, semidirect
@@ -100,6 +109,31 @@ def test_analyze_index_consistency_genus_2_to_4():
             assert rep.stab.h1.order == rep.stab.h2.order * len(rep.stab.units)
             assert rep.stab.index_mod_lmod * rep.stab.h1.order == factorial(ds.k)
             assert rep.genus == genus
+
+
+# sha256 of render_dataset, then the LMod and CLMod presentation renders, one
+# per line, for every spherical class of genus 2-4 in enumeration order
+GENUS_2_TO_4_PRESENTATIONS_SHA256 = (
+    "170269656b98abd3d17ad424f4e8e3cd0655bb73047ea7378346a08eb2309ba2")
+
+
+def test_presentations_pinned_and_killed_by_images_genus_2_to_4():
+    digest = hashlib.sha256()
+    count = 0
+    for genus in (2, 3, 4):
+        for ds in enumerate_spherical(genus):
+            rep = analyze(ds)
+            count += 1
+            for line in (render_dataset(ds), render_presentation(rep.lmod_presentation),
+                         render_presentation(rep.clmod_presentation)):
+                digest.update((line + "\n").encode())
+            k = rep.vector.k
+            for pres, images in ((rep.lmod_presentation, rep.lmod_images),
+                                 (rep.clmod_presentation, rep.clmod_images)):
+                for r in pres.relators:
+                    assert evaluate_perm(r, images, k) == identity_perm(k), (ds, r)
+    assert count == 46
+    assert digest.hexdigest() == GENUS_2_TO_4_PRESENTATIONS_SHA256
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 
@@ -42,8 +45,8 @@ def test_parse_error_exit_1(capsys):
 def test_usage_error_exit_1(capsys):
     code, _, err = run(capsys, "enumerate", "one")
     assert code == 1
-    code, _, err = run(capsys, "enumerate", "2", "--jobs", "0")
-    assert code == 1
+    code, _, err = run(capsys, "enumerate", "2", "--jobs", "4")  # removed flag
+    assert code == 1 and "--jobs" in err
     code, _, err = run(capsys, "enumerate", "99")
     assert code == 1
 
@@ -54,7 +57,7 @@ def test_enumerate_text_and_json(capsys):
     assert "8 classes of genus 2" in out
     assert "(2,0;(1,2)_6)" in out
 
-    code, out, _ = run(capsys, "enumerate", "2", "--format", "json", "--jobs", "4")
+    code, out, _ = run(capsys, "enumerate", "2", "--format", "json")
     payload = json.loads(out)
     jsonschema.validate(payload, schemas.ENUMERATE_SCHEMA)
     assert payload["count"] == 8
@@ -67,6 +70,13 @@ def test_analyze_json_schema_and_byte_stability(capsys):
     jsonschema.validate(json.loads(first), schemas.ANALYSIS_SCHEMA)
     code, second, _ = run(capsys, *args)
     assert first == second
+
+
+def test_analyze_capacity_exit_3(capsys):
+    code, out, err = run(capsys, "analyze", "(2,0;(1,2)_14)")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and "exceeds the cap" in err
+    assert "Traceback" not in err
 
 
 def test_analyze_text_lines(capsys):
@@ -149,14 +159,28 @@ def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
 
 
-def test_json_byte_stable_across_processes():
-    import subprocess
-    import sys
+def _import_root() -> str:
+    import liftmcg
 
+    return str(Path(liftmcg.__file__).resolve().parent.parent)
+
+
+def test_json_byte_stable_across_processes():
     cmd = [sys.executable, "-m", "liftmcg.cli", "analyze",
            "(6,0;(1,2),(1,2),(1,3),(2,3))", "--format", "json"]
     runs = [subprocess.run(cmd, capture_output=True, text=True,
-                           env={"PYTHONHASHSEED": str(seed), "PATH": "/usr/bin:/bin"})
+                           env={"PYTHONHASHSEED": str(seed), "PATH": "/usr/bin:/bin",
+                                "PYTHONPATH": _import_root()})
             for seed in (0, 1)]
     assert runs[0].returncode == 0 and runs[1].returncode == 0
     assert runs[0].stdout == runs[1].stdout
+
+
+def test_closed_stdout_ends_quietly():
+    cmd = [sys.executable, "-m", "liftmcg.cli", "enumerate", "30"]
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": _import_root()})
+    proc.stdout.close()  # the reader is gone before the first write
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err

@@ -245,6 +245,29 @@ def test_tietze_dedupes_and_drops_trivial():
     assert len(t.relators) == 2  # one commutator survives, one a^2
 
 
+def test_tietze_dedup_keeps_earlier_untouched_relator():
+    # c = b turns the later [a,c] into [b,a], the inverse of the earlier [a,b]
+    a, b, c = gen("a"), gen("b"), gen("c")
+    p = Presentation(("a", "b", "c"), (commutator(a, b), c * b.inv(), commutator(a, c)))
+    assert tietze_simplify(p) == Presentation(("a", "b"), (commutator(a, b),))
+
+
+def test_tietze_dedup_keeps_earlier_rewritten_relator():
+    # c = b turns the earlier [c,a] into [b,a], the inverse of the later [a,b]
+    a, b, c = gen("a"), gen("b"), gen("c")
+    p = Presentation(("a", "b", "c"), (commutator(c, a), c * b.inv(), commutator(a, b)))
+    assert tietze_simplify(p) == Presentation(("a", "b"), (commutator(b, a),))
+
+
+def test_tietze_reduces_rotation_of_non_cyclically_reduced_relator():
+    # a*b*c*a^-1 rotates to a^-1*a*b, so c = b^-1
+    a, b, c = gen("a"), gen("b"), gen("c")
+    p = Presentation(("a", "b", "c"), (a * b * c * a.inv(), c * a * c * a * b))
+    t = tietze_simplify(p)
+    assert t == Presentation(("a", "b"), (b.inv() * a * b.inv() * a * b,))
+    assert render_presentation(t) == "<a, b | b^-1*a*b^-1*a*b = 1>"
+
+
 def test_tietze_preserves_abelianization_random():
     rng = random.Random(31)
     names = ("a", "b", "c")
