@@ -105,8 +105,11 @@ def rename_word(w: Word, mapping: dict[str, str]) -> Word:
 
 
 def exponent_sums(w: Word, generators: tuple[str, ...]) -> list[int]:
-    index = {name: i for i, name in enumerate(generators)}
-    row = [0] * len(generators)
+    return _exponent_row(w, {name: i for i, name in enumerate(generators)})
+
+
+def _exponent_row(w: Word, index: dict[str, int]) -> list[int]:
+    row = [0] * len(index)
     for name, e in w.letters:
         row[index[name]] += e
     return row
@@ -623,7 +626,8 @@ def abelianization(p: Presentation) -> tuple[tuple[int, ...], int]:
         raise ValueError("cannot abelianize a presentation with symbolic relators")
     from .arith_perm import smith_normal_form
 
-    rows = [exponent_sums(r, p.generators) for r in p.relators]
+    index = {name: i for i, name in enumerate(p.generators)}
+    rows = [_exponent_row(r, index) for r in p.relators]
     factors, free_rank = smith_normal_form(rows, ncols=len(p.generators))
     return tuple(d for d in factors if d != 1), free_rank
 

@@ -27,6 +27,9 @@ from liftmcg.fpgroups import (
     evaluate_perm,
     gen,
     mod_sphere_presentation,
+    pmod_sphere_presentation,
+    psi_images,
+    reidemeister_schreier_full,
     render_presentation,
     same_relator_sets,
 )
@@ -134,6 +137,31 @@ def test_presentations_pinned_and_killed_by_images_genus_2_to_4():
                     assert evaluate_perm(r, images, k) == identity_perm(k), (ds, r)
     assert count == 46
     assert digest.hexdigest() == GENUS_2_TO_4_PRESENTATIONS_SHA256
+
+
+def _raw_presentation(k, subgroup):
+    """The presentation of the preimage before Tietze: the sphere
+    presentations at index 1 and for the trivial subgroup, else the raw
+    Reidemeister-Schreier output."""
+    if subgroup.is_symmetric:
+        return mod_sphere_presentation(k)
+    if subgroup.order == 1:
+        return pmod_sphere_presentation(k)
+    return reidemeister_schreier_full(mod_sphere_presentation(k), psi_images(k), subgroup)[0]
+
+
+def test_raw_and_simplified_abelianizations_agree_genus_2_to_5():
+    # includes H2 of (4,0;(1,2)_2,(1,4)_2,(3,4)_2), a 1620 x 361 relation matrix
+    count = 0
+    for genus in (2, 3, 4, 5):
+        for ds in enumerate_spherical(genus):
+            rep = analyze(ds)
+            for subgroup, simplified in ((rep.stab.h1, rep.lmod_presentation),
+                                         (rep.stab.h2, rep.clmod_presentation)):
+                raw = _raw_presentation(rep.vector.k, subgroup)
+                assert abelianization(raw) == abelianization(simplified), ds
+                count += 1
+    assert count == 128
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import random
-from math import factorial
+from fractions import Fraction
+from itertools import combinations
+from math import factorial, gcd
 
 import pytest
 
@@ -245,3 +247,78 @@ def test_snf_divisibility_chain():
         factors, free_rank = smith_normal_form(rows)
         assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
         assert free_rank == 4 - len(factors)
+
+
+# independent oracle: d_1 * ... * d_i is the gcd of the i x i minors
+
+
+def _det(m):
+    a = [[Fraction(x) for x in row] for row in m]
+    n, det = len(a), Fraction(1)
+    for t in range(n):
+        p = next((i for i in range(t, n) if a[i][t]), None)
+        if p is None:
+            return 0
+        if p != t:
+            a[t], a[p] = a[p], a[t]
+            det = -det
+        det *= a[t][t]
+        for i in range(t + 1, n):
+            f = a[i][t] / a[t][t]
+            for j in range(t, n):
+                a[i][j] -= f * a[t][j]
+    return int(det)
+
+
+def _snf_by_minors(rows, ncols):
+    factors, prev = [], 1
+    for size in range(1, min(len(rows), ncols) + 1):
+        g = 0
+        for ri in combinations(range(len(rows)), size):
+            for ci in combinations(range(ncols), size):
+                g = gcd(g, _det([[rows[r][c] for c in ci] for r in ri]))
+                if g == prev:  # prev divides every size x size minor
+                    break
+            if g == prev:
+                break
+        if g == 0:
+            break
+        factors.append(g // prev)
+        prev = g
+    return tuple(factors), ncols - len(factors)
+
+
+def _mostly_units(rng, nrows, ncols):
+    def entry():
+        r = rng.random()
+        if r < 0.5:
+            return 0
+        if r < 0.9:
+            return rng.choice((1, -1))
+        return rng.randrange(-4, 5)
+    return [[entry() for _ in range(ncols)] for _ in range(nrows)]
+
+
+@pytest.mark.parametrize("rows, expected", [
+    # a zero column and an all-zero row
+    ([[1, 0, 2], [0, 0, 0], [3, 0, 4]], ((1, 2), 1)),
+    # duplicate rows
+    ([[1, -1, 0], [1, -1, 0], [0, 2, 2]], ((1, 2), 1)),
+    # the second row goes to zero when the first is eliminated
+    ([[1, 2], [2, 4], [0, 3]], ((1, 3), 0)),
+    # pivoting on the +-1 leaves only non-unit entries
+    ([[1, 1], [1, -1]], ((1, 2), 0)),
+    ([[1, 2, 2], [1, 0, 4]], ((1, 2), 1)),
+])
+def test_snf_sparse_elimination_cases(rows, expected):
+    assert _snf_by_minors(rows, len(rows[0])) == expected
+    assert smith_normal_form(rows) == expected
+
+
+def test_snf_matches_determinantal_divisors():
+    rng = random.Random(2024)
+    shapes = [(rng.randrange(1, 6), rng.randrange(1, 7)) for _ in range(150)]
+    shapes += [(rng.randrange(6, 8), rng.randrange(6, 9)) for _ in range(8)]
+    for nrows, ncols in shapes:
+        rows = _mostly_units(rng, nrows, ncols)
+        assert smith_normal_form(rows) == _snf_by_minors(rows, ncols), rows

@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -129,6 +130,13 @@ def test_pmod_sphere_abelianization_all_ones_row():
     # families (i)-(iv) abelianize to zero; only the boundary product remains
     p5 = pmod_sphere_presentation(5)
     assert abelianization(p5) == ((), 5)
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_sphere_abelianization_closed_forms(k):
+    # Mod(S_{0,k})^ab = Z/(k-1)gcd(k,2); PMod(S_{0,k})^ab is free of rank k(k-3)/2
+    assert abelianization(mod_sphere_presentation(k)) == (((k - 1) * gcd(k, 2),), 0)
+    assert abelianization(pmod_sphere_presentation(k)) == ((), k * (k - 3) // 2)
 
 
 def test_pure_generators_as_half_twist_words():
