@@ -2,12 +2,13 @@
 
 The pipeline, bottom to top:
 
-* arith_perm — residues, permutations, small permutation groups, coset
-  tables, Smith normal form;
+* arith_perm — residues, permutations, the reference permutation group,
+  coset tables, Smith normal form;
 * datasets — cyclic data sets: validation, equivalence, canonical forms,
   enumeration, named families, the text grammar;
 * genvec — generating vectors, the (unit, permutation) action, stabilizers,
-  the liftable/centralizer images, the 3-branch-point classification;
+  the liftable/centralizer images as stabilizers of the vector, the
+  3-branch-point classification;
 * fpgroups — words and presentations, sphere mapping-class presentations,
   Reidemeister-Schreier, Tietze simplification, abelianization, extensions;
 * analysis — end-to-end analysis, normalizer/centralizer presentations,
@@ -61,6 +62,7 @@ from .genvec import (
     GeneratingVector,
     GroupDescriptor,
     StabilizerReport,
+    VectorStabilizer,
     act,
     classify_irreducible,
     generating_vector,

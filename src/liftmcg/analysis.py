@@ -158,7 +158,9 @@ def analyze(ds: DataSet) -> AnalysisReport:
         "balanced_superelliptic": balanced_superelliptic_shape(ds),
         "doubled": doubled_shape(ds),
     }
-    assert flags["mod_equals_lmod"] == stab.h1.is_symmetric
+    if flags["mod_equals_lmod"] != stab.h1.is_symmetric:
+        raise InternalInvariantError(
+            f"mod_equals_lmod is {flags['mod_equals_lmod']} but |H1| = {stab.h1.order}")
 
     return AnalysisReport(
         dataset=ds, genus=report.genus, vector=v, stab=stab,
@@ -249,7 +251,8 @@ def _doubled_builtin(rep: AnalysisReport) -> tuple[NormalizerSpec, NormalizerSpe
     computed = [unit_for_perm(rep.vector, psi["s1"], rep.stab.units),
                 unit_for_perm(rep.vector, psi["s3"], rep.stab.units),
                 unit_for_perm(rep.vector, identity_perm(4), rep.stab.units)]
-    assert [_signed_unit(u, n) for u in computed] == [1, -1, 1]
+    if [_signed_unit(u, n) for u in computed] != [1, -1, 1]:
+        raise InternalInvariantError(f"built-in exponents disagree with units {computed}")
     note = "lift data built in for the order-2g+2 glued-rotation family"
     norm = _extension_spec(
         n, lmod_q, [1, -1, 1],
@@ -450,7 +453,8 @@ def table_genus3() -> list[TableRow]:
         ds = parse_dataset(text)
         rep = analyze(ds)
         cls = rep.classification
-        assert cls is not None and rep.genus == 3
+        if cls is None or rep.genus != 3:
+            raise InternalInvariantError(f"{text} is not a genus-3 three-point class")
         rows.append(TableRow(i, ds, cls.normalizer, cls.centralizer, cls.case))
     return rows
 

@@ -1,4 +1,4 @@
-"""Exact modular arithmetic, permutations, small permutation groups, Smith normal form.
+"""Exact modular arithmetic, permutations, coset tables, Smith normal form.
 
 Conventions used throughout the package:
 
@@ -12,6 +12,11 @@ Conventions used throughout the package:
 * Integer matrices are sequences of equal-length int rows; all arithmetic is
   exact (Python big ints).
 
+A coset table is the Schreier graph of the right cosets of a subgroup H,
+built by BFS over canonical coset labels that H supplies (``coset_key``).
+PermGroup, a materialized group, is the reference implementation; the
+analysis uses genvec.VectorStabilizer, which labels cosets without storing H.
+
 The Smith normal form first eliminates +-1 pivots on sparse rows, choosing
 the pivot column met by the fewest rows, and runs a dense full-pivot loop
 only on the block that is left; relation matrices of Reidemeister-Schreier
@@ -20,14 +25,14 @@ presentations are sparse and nearly all +-1, so that block is small.
 
 from __future__ import annotations
 
-from itertools import permutations as _all_perms
 from math import factorial, gcd
+from operator import itemgetter
 
 Perm = tuple[int, ...]
 
-# Degree tops out at 2g+2 branch points for desk-scale genus, so anything past
-# 12 is refused outright; the materialization cap guards subgroups that are
-# individually too large to store.
+# perm_closure stores whole groups, so it refuses degrees past 12; the
+# materialization cap bounds both its element store and the size of a coset
+# table.
 MAX_DEGREE = 12
 MAX_MATERIALIZED = 2_000_000
 
@@ -135,57 +140,50 @@ def parse_perm(text: str, degree: int) -> Perm:
 
 
 # ---------------------------------------------------------------------------
-# permutation groups
+# permutation groups and coset tables
 
 
 class PermGroup:
-    """A subgroup of Sym(degree) with materialized, sorted element list.
+    """A subgroup of Sym(degree) with a materialized, sorted element list.
 
-    ``elements is None`` marks the full symmetric group kept symbolically:
-    closures of hyperelliptic-type generating sets outgrow any sensible
-    element store (12! ~ 4.8e8), but order and membership stay answerable.
+    The reference implementation: perm_closure builds it and tests compare
+    the stabilizer groups of genvec against it.
     """
 
     __slots__ = ("degree", "generators", "elements", "_member_set")
 
     def __init__(self, degree: int, generators: tuple[Perm, ...],
-                 elements: tuple[Perm, ...] | None):
+                 elements: tuple[Perm, ...]):
         self.degree = degree
         self.generators = generators
         self.elements = elements
-        self._member_set = None if elements is None else frozenset(elements)
+        self._member_set = frozenset(elements)
 
     @property
     def order(self) -> int:
-        if self.elements is None:
-            return factorial(self.degree)
         return len(self.elements)
 
     @property
     def is_symmetric(self) -> bool:
-        return self.elements is None or len(self.elements) == factorial(self.degree)
+        return len(self.elements) == factorial(self.degree)
 
     def __contains__(self, p: Perm) -> bool:
-        if len(p) != self.degree:
-            return False
-        if self._member_set is None:
-            return True
         return p in self._member_set
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PermGroup):
             return NotImplemented
-        if self.degree != other.degree:
-            return False
-        if self.elements is None or other.elements is None:
-            return self.is_symmetric and other.is_symmetric
-        return self.elements == other.elements
+        return self.degree == other.degree and self.elements == other.elements
 
     def __hash__(self):
         return hash((self.degree, self.elements))
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self.order})"
+
+    def coset_key(self, g: Perm) -> Perm:
+        """Canonical label of the right coset H*g: its least element."""
+        return min(compose(h, g) for h in self.elements)
 
 
 def _check_degree(degree: int) -> None:
@@ -195,136 +193,70 @@ def _check_degree(degree: int) -> None:
         raise CapacityError(f"degree {degree} exceeds the cap of {MAX_DEGREE}")
 
 
-def _closure(seed: set[Perm], gens: list[Perm]) -> list[Perm]:
-    """Orbit closure of seed (a subgroup or {id}) under right products by gens."""
-    elements = set(seed)
-    frontier = list(seed)
-    while frontier:
-        new = []
-        for p in frontier:
-            for g in gens:
-                q = compose(p, g)
-                if q not in elements:
-                    elements.add(q)
-                    new.append(q)
-                    if len(elements) > MAX_MATERIALIZED:
-                        raise CapacityError(
-                            f"closure exceeds {MAX_MATERIALIZED} elements")
-        frontier = new
-    return sorted(elements)
-
-
 def perm_closure(gens: list[Perm], degree: int) -> PermGroup:
-    """Subgroup generated by gens, with deterministic (sorted) element order."""
+    """Subgroup generated by gens, with deterministic (sorted) element order.
+
+    Dimino's algorithm: the group of the first i generators is the union of
+    right cosets of the group of the first i - 1, and a coset is added whole
+    when a representative times a generator falls outside, so each element
+    is composed once.
+    """
     _check_degree(degree)
     for p in gens:
         if len(p) != degree:
             raise ValueError(f"generator degree {len(p)} != {degree}")
-    elements = _closure({identity_perm(degree)}, list(gens))
-    return PermGroup(degree, tuple(gens), tuple(elements))
-
-
-def extend_group(group: PermGroup, extra_gens: list[Perm],
-                 generators: tuple[Perm, ...] | None = None) -> PermGroup:
-    """Closure of an already-closed group together with extra generators.
-
-    Seeds the closure with the existing element list, which beats restarting
-    from scratch when extra_gens are few.
-    """
-    if group.elements is None:
-        return group  # already everything
-    for p in extra_gens:
-        if len(p) != group.degree:
-            raise ValueError("degree mismatch")
-    if all(p in group for p in extra_gens):
-        gens = generators if generators is not None else group.generators
-        return PermGroup(group.degree, gens, group.elements)
-    gens_for_closure = list(group.generators) + list(extra_gens)
-    elements = _closure(set(group.elements), gens_for_closure)
-    shown = generators if generators is not None else tuple(gens_for_closure)
-    return PermGroup(group.degree, shown, tuple(elements))
-
-
-def symmetric_group(degree: int) -> PermGroup:
-    """Sym(degree); materialized when small enough, symbolic otherwise."""
-    _check_degree(degree)
-    gens = tuple(transposition(i, i + 1, degree) for i in range(1, degree))
-    if factorial(degree) <= MAX_MATERIALIZED:
-        elements = tuple(sorted(_all_perms(range(degree))))
-        return PermGroup(degree, gens, elements)
-    return PermGroup(degree, gens, None)
-
-
-def young_subgroup(blocks: list[list[int]], degree: int) -> PermGroup:
-    """Direct product of full symmetric groups on the given 0-based blocks.
-
-    Equals the closure of all transpositions within each block; built directly
-    because the product structure is known.
-    """
-    _check_degree(degree)
-    seen: set[int] = set()
-    for block in blocks:
-        for x in block:
-            if x in seen or not 0 <= x < degree:
-                raise ValueError(f"bad block decomposition {blocks}")
-            seen.add(x)
-    order = 1
-    for block in blocks:
-        order *= factorial(len(block))
-    if order > MAX_MATERIALIZED:
-        raise CapacityError(f"young subgroup of order {order} too large")
     elements = [identity_perm(degree)]
-    for block in blocks:
-        pts = sorted(block)
-        if len(pts) < 2:
+    members = set(elements)
+    for i, g in enumerate(gens):
+        if g in members:
             continue
-        block_perms = list(_all_perms(pts))
-        new = []
-        for base in elements:
-            for images in block_perms:
-                q = list(base)
-                for src, img in zip(pts, images):
-                    q[src] = base[img]
-                new.append(tuple(q))
-        elements = new
-    gens = []
-    for block in blocks:
-        pts = sorted(block)
-        for a, b in zip(pts, pts[1:]):
-            gens.append(transposition(a + 1, b + 1, degree))
+        sub = elements[:]
+        reps = [elements[0]]
+        for r in reps:  # reps grows while it is walked
+            for s in gens[:i + 1]:
+                e = compose(r, s)
+                if e not in members:
+                    reps.append(e)
+                    right = itemgetter(*e)  # right(h) = compose(h, e)
+                    coset = [right(h) for h in sub]
+                    members.update(coset)
+                    elements += coset
+                    if len(elements) > MAX_MATERIALIZED:
+                        raise CapacityError(
+                            f"closure exceeds {MAX_MATERIALIZED} elements")
     return PermGroup(degree, tuple(gens), tuple(sorted(elements)))
 
 
-# ---------------------------------------------------------------------------
-# coset tables
-
-
-def coset_table(H: PermGroup, acting_gens: list[Perm]) -> list[list[int]]:
+def coset_table(H, acting_gens: list[Perm]) -> list[list[int]]:
     """Right-coset action table for H <= Sym(k) under the acting generators.
 
-    table[c][i] is the index of coset c * acting_gens[i]; coset 0 is H itself
-    and cosets are numbered by BFS from 0 with generators in input order.
+    H is any group with ``degree``, ``order`` and ``coset_key(g)``, a label
+    equal for g and g' exactly when H*g = H*g' (a PermGroup, or a
+    genvec.VectorStabilizer).  table[c][i] is the index of coset
+    c * acting_gens[i]; coset 0 is H itself and cosets are numbered by BFS
+    from 0 with generators in input order.  The table is refused before any
+    work when its predicted size, index k!/|H| times the generator count,
+    exceeds MAX_MATERIALIZED.
     """
     degree = H.degree
     for p in acting_gens:
         if len(p) != degree:
             raise ValueError(f"acting generator degree {len(p)} != {degree}")
-    if H.elements is None:
-        return [[0] * len(acting_gens)]
-
-    def coset_key(g: Perm) -> Perm:
-        # canonical label of the right coset H*g
-        return min(compose(h, g) for h in H.elements)
+    index = factorial(degree) // H.order
+    if index * len(acting_gens) > MAX_MATERIALIZED:
+        raise CapacityError(
+            f"coset table of predicted index {index} with {len(acting_gens)} "
+            f"generators exceeds the cap of {MAX_MATERIALIZED} entries")
 
     reps: list[Perm] = [identity_perm(degree)]
-    index_of: dict[Perm, int] = {coset_key(reps[0]): 0}
+    index_of: dict = {H.coset_key(reps[0]): 0}
     table: list[list[int]] = []
     c = 0
     while c < len(reps):
         row = []
         for g in acting_gens:
             img = compose(reps[c], g)
-            key = coset_key(img)
+            key = H.coset_key(img)
             nxt = index_of.get(key)
             if nxt is None:
                 nxt = len(reps)

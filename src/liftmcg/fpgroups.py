@@ -6,6 +6,10 @@ Words are freely reduced tuples of (generator name, +-1) letters; the group
 product of a word is its letters composed left to right (rightmost applied
 first under the permutation image, matching arith_perm.compose).
 
+Reidemeister-Schreier walks the coset table of arith_perm.coset_table, so a
+subgroup needs only its degree, order, generators and coset labels: the
+analysis passes genvec's vector stabilizers, never a stored group.
+
 Tietze simplification is deterministic.  Each step picks the relator least by
 (length, list position) among those in which some generator occurs exactly
 once, eliminates the latest-declared such generator by substituting the
@@ -25,7 +29,6 @@ from operator import neg
 from .arith_perm import (
     InternalInvariantError,
     Perm,
-    PermGroup,
     compose,
     coset_table,
     identity_perm,
@@ -370,26 +373,23 @@ class SchreierInfo:
     generator_words: dict[str, Word]       # subgroup generator -> word in ambient gens
 
 
-def _image_group(images: list[Perm], degree: int) -> PermGroup:
-    adjacents = {transposition(i, i + 1, degree) for i in range(1, degree)}
-    if adjacents <= set(images):
-        # adjacent transpositions generate everything; skip the k! closure
-        return PermGroup(degree, tuple(images), None)
-    return perm_closure(images, degree)
-
-
 def reidemeister_schreier_full(p: Presentation, psi: dict[str, Perm],
-                               subgroup: PermGroup) -> tuple[Presentation, SchreierInfo]:
+                               subgroup) -> tuple[Presentation, SchreierInfo]:
     """Presentation of the psi-preimage of a subgroup of the image, plus the
-    Schreier bookkeeping (transversal, generator images)."""
+    Schreier bookkeeping (transversal, generator images).
+
+    subgroup is a PermGroup or a genvec.VectorStabilizer; its cosets are
+    enumerated by arith_perm.coset_table.  Containment in the image is
+    checked on the subgroup's generators, and skipped when the images
+    include every adjacent transposition and so generate Sym(k).
+    """
     degree = subgroup.degree
     images = [psi[g] for g in p.generators]
-    img_group = _image_group(images, degree)
-    if subgroup.elements is not None:
-        if any(h not in img_group for h in subgroup.elements):
+    adjacents = {transposition(i, i + 1, degree) for i in range(1, degree)}
+    if not adjacents <= set(images):
+        img_group = perm_closure(images, degree)
+        if any(h not in img_group for h in subgroup.generators):
             raise ValueError("subgroup is not contained in the image of psi")
-    elif not img_group.is_symmetric:
-        raise ValueError("subgroup is not contained in the image of psi")
 
     table = coset_table(subgroup, images)
     index = len(table)
@@ -471,7 +471,7 @@ def reidemeister_schreier_full(p: Presentation, psi: dict[str, Perm],
 
 
 def reidemeister_schreier(p: Presentation, psi: dict[str, Perm],
-                          subgroup: PermGroup) -> Presentation:
+                          subgroup) -> Presentation:
     return reidemeister_schreier_full(p, psi, subgroup)[0]
 
 

@@ -2,30 +2,36 @@
 action on them: stabilizers, the liftable/centralizer images in the symmetric
 group, the half-twist generating data, and the 3-branch-point classification.
 
+The liftable image H1 is the set of sigma with act(u, sigma, v) = v for some
+unit u, and the centralizer image H2 the same set with u = 1; both are kept
+as VectorStabilizer, read off the vector without storing any element.  The
+brute-force stabilizer and perm_closure stay as the cross-check.
+
 The action convention: ``act(l, sigma, v)`` puts ``l * c_j`` at position
 ``sigma(j)``, i.e. position i of the result is ``l * c_{sigma^-1(i)}``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations, permutations as _all_perms
 from math import factorial, gcd
 
 from .arith_perm import (
     CapacityError,
+    InternalInvariantError,
     Perm,
-    PermGroup,
-    extend_group,
+    compose,
+    cycles_of,
     identity_perm,
-    symmetric_group,
+    inverse,
+    perm_closure,
     transposition,
     units_mod,
-    young_subgroup,
 )
-from .datasets import DataSet, validate
+from .datasets import MAX_BRANCH_POINTS, DataSet, validate
 from .fpgroups import EMPTY, Word, evaluate_perm, gen, psi_images, word
 
 MAX_BRUTE_DEGREE = 10
@@ -69,9 +75,7 @@ def generating_vector(ds: DataSet) -> GeneratingVector:
     if ds.g0 != 0:
         raise ValueError("generating vectors are computed for spherical data sets only")
     c = tuple((ds.n // m) * d % ds.n for d, m in ds.pairs)
-    v = GeneratingVector(ds.n, c)
-    assert reduce(gcd, c, v.n) == 1, "spherical vector must generate"
-    return v
+    return GeneratingVector(ds.n, c)
 
 
 def act(unit: int, sigma: Perm, v: GeneratingVector) -> GeneratingVector:
@@ -106,18 +110,17 @@ def stabilizer_bruteforce(v: GeneratingVector) -> list[tuple[int, Perm]]:
 
 def _assert_subgroup(stab: list[tuple[int, Perm]], v: GeneratingVector) -> None:
     members = set(stab)
-    assert (1, identity_perm(v.k)) in members
-    from .arith_perm import compose, inverse
-
+    if (1, identity_perm(v.k)) not in members:
+        raise InternalInvariantError("stabilizer misses the identity")
     for u, sigma in stab:
-        u_inv = pow(u, -1, v.n)
-        assert (u_inv, inverse(sigma)) in members, "stabilizer not inverse-closed"
+        if (pow(u, -1, v.n), inverse(sigma)) not in members:
+            raise InternalInvariantError("stabilizer not inverse-closed")
     # full closure is O(|stab|^2); sample deterministically when large
     pairs = stab if len(stab) <= 300 else stab[:20] + stab[-20:]
     for u1, s1 in pairs:
         for u2, s2 in pairs:
-            assert (u1 * u2 % v.n, compose(s1, s2)) in members, \
-                "stabilizer not closed under products"
+            if (u1 * u2 % v.n, compose(s1, s2)) not in members:
+                raise InternalInvariantError("stabilizer not closed under products")
 
 
 # ---------------------------------------------------------------------------
@@ -175,14 +178,53 @@ def half_twist_word(i: int, j: int) -> Word:
 def perm_to_half_twist_word(p: Perm) -> Word:
     """Word in the half-twist generators mapping onto p: each cycle
     (x_1,...,x_m), x_1 least, contributes (x_1,x_m)(x_1,x_{m-1})...(x_1,x_2)."""
-    from .arith_perm import cycles_of
-
     parts = []
     for cyc in cycles_of(p):
         base = cyc[0]
         for other in reversed(cyc[1:]):
             parts.append(half_twist_word(base, other))
     return word(*parts)
+
+
+@dataclass(frozen=True)
+class VectorStabilizer:
+    """The sigma in Sym(k) with act(u, sigma, v) = v for some u in units.
+
+    units must be a subgroup of the stabilizing units: all of them give the
+    liftable image H1, (1,) gives the centralizer image H2.  Nothing is
+    materialized.  H2 permutes equal entries, so its order is the product of
+    the factorials of the block sizes and |H1| = |H2| * |units|; the right
+    coset H*g is labelled by the least unit multiple of the entries read
+    through g, (u * c[g[i]] mod n)_i, because H*g = H*g' exactly when those
+    labels agree.  The generators are the adjacent transpositions inside each
+    block of equal entries followed by the unit permutations other than 1.
+    """
+
+    vector: GeneratingVector
+    units: tuple[int, ...]
+    generators: tuple[Perm, ...]
+
+    @property
+    def degree(self) -> int:
+        return self.vector.k
+
+    @property
+    def order(self) -> int:
+        order = len(self.units)
+        for count in Counter(self.vector.c).values():
+            order *= factorial(count)
+        return order
+
+    @property
+    def is_symmetric(self) -> bool:
+        return self.order == factorial(self.degree)
+
+    def __contains__(self, p: Perm) -> bool:
+        return len(p) == self.degree and any(_is_fixed(u, p, self.vector) for u in self.units)
+
+    def coset_key(self, g: Perm) -> tuple[int, ...]:
+        n, c = self.vector.n, self.vector.c
+        return min(tuple(u * c[x] % n for x in g) for u in self.units)
 
 
 @dataclass(frozen=True)
@@ -198,8 +240,8 @@ class StabilizerReport:
     n: int
     c: tuple[int, ...]
     stab: tuple[tuple[int, Perm], ...] | None
-    h1: PermGroup
-    h2: PermGroup
+    h1: VectorStabilizer
+    h2: VectorStabilizer
     units: tuple[int, ...]
     swaps: tuple[tuple[int, int], ...]
     unit_words: dict[int, Word]
@@ -209,62 +251,57 @@ class StabilizerReport:
 
 
 def liftable_images(v: GeneratingVector, cross_check: bool | None = None) -> StabilizerReport:
-    """Generator-based h1/h2 together with the stabilizer data.
+    """H1 and H2 as stabilizers of the vector, with the stabilizer data.
 
-    cross_check=None verifies against the brute-force stabilizer whenever
-    k <= 8; True forces it (k <= 10), False skips it.  When every entry is
-    equal and the degree is too large to materialize, the symmetric groups
-    are returned symbolically (the full-liftability criterion).
+    cross_check=None compares them with the brute-force stabilizer whenever
+    k <= 8; True forces it (k <= 10), False skips it.  More than
+    MAX_BRANCH_POINTS branch points raise CapacityError.
     """
     k = v.k
-    swaps = tuple(equal_pairs(v))
+    if k > MAX_BRANCH_POINTS:
+        raise CapacityError(f"{k} branch points exceed the cap of {MAX_BRANCH_POINTS}")
     units = tuple(stabilizing_units(v))
-
-    # single generating value: the full-liftability criterion gives
-    # h1 = h2 = Sym(k) without materializing k! elements
-    all_equal = len(set(v.c)) == 1
-    if all_equal and gcd(v.c[0], v.n) == 1 and k > AUTO_CROSSCHECK_DEGREE:
-        if cross_check:
-            raise CapacityError(f"forced cross-check needs k <= {AUTO_CROSSCHECK_DEGREE}")
-        sym = symmetric_group(k)
-        assert units == (1,)
-        return StabilizerReport(
-            n=v.n, c=v.c, stab=None, h1=sym, h2=sym, units=units, swaps=swaps,
-            unit_words={1: EMPTY}, unit_perms={1: identity_perm(k)},
-            index_mod_lmod=1, index_n_c=1)
-
-    blocks = value_blocks(v)
-    h2 = young_subgroup(blocks, k)
-    h2 = PermGroup(k, tuple(transposition(i, j, k) for i, j in swaps), h2.elements)
-
     unit_perms = {u: matching_perm(u, v) for u in units}
     unit_words = {u: (EMPTY if u == 1 else perm_to_half_twist_word(unit_perms[u]))
                   for u in units}
-    h1 = extend_group(
-        h2, [unit_perms[u] for u in units],
-        generators=h2.generators + tuple(unit_perms[u] for u in units if u != 1))
+    psi = psi_images(k)
+    for u, w in unit_words.items():
+        if evaluate_perm(w, psi, k) != unit_perms[u] or not _is_fixed(u, unit_perms[u], v):
+            raise InternalInvariantError(f"unit word of {u} does not fix {v}")
+
+    block_gens = tuple(transposition(a + 1, b + 1, k)
+                       for block in value_blocks(v) for a, b in zip(block, block[1:]))
+    h2 = VectorStabilizer(v, (1,), block_gens)
+    h1 = VectorStabilizer(v, units, block_gens + tuple(unit_perms[u] for u in units if u != 1))
 
     if cross_check is None:
         cross_check = k <= AUTO_CROSSCHECK_DEGREE
-    stab = None
-    if cross_check:
-        stab = tuple(stabilizer_bruteforce(v))
-        proj_sigma = sorted(sigma for _, sigma in stab)
-        assert list(h1.elements) == proj_sigma, "h1 differs from stabilizer projection"
-        fixed = sorted(sigma for u, sigma in stab if u == 1)
-        assert list(h2.elements) == fixed, "h2 differs from the unit-1 slice"
-        assert units == tuple(sorted({u for u, _ in stab}))
+    stab = tuple(stabilizer_bruteforce(v)) if cross_check else None
+    if stab is not None:
+        _check_against_bruteforce(stab, h1, h2)
 
-    psi = psi_images(k)
-    for u, w in unit_words.items():
-        assert evaluate_perm(w, psi, k) == unit_perms[u]
-        assert _is_fixed(u, unit_perms[u], v)
-
-    assert h1.order == h2.order * len(units)
     return StabilizerReport(
-        n=v.n, c=v.c, stab=stab, h1=h1, h2=h2, units=units, swaps=swaps,
+        n=v.n, c=v.c, stab=stab, h1=h1, h2=h2, units=units, swaps=tuple(equal_pairs(v)),
         unit_words=unit_words, unit_perms=unit_perms,
         index_mod_lmod=factorial(k) // h1.order, index_n_c=len(units))
+
+
+def _check_against_bruteforce(stab: tuple[tuple[int, Perm], ...],
+                              h1: VectorStabilizer, h2: VectorStabilizer) -> None:
+    """The groups generated by h1's and h2's generators are the sigma
+    projection and the unit-1 slice of the brute-force stabilizer."""
+    k = h1.degree
+    closure1 = perm_closure(list(h1.generators), k).elements
+    closure2 = (closure1 if h2.generators == h1.generators
+                else perm_closure(list(h2.generators), k).elements)
+    if list(closure1) != sorted(sigma for _, sigma in stab):
+        raise InternalInvariantError("h1 differs from the stabilizer projection")
+    if list(closure2) != sorted(sigma for u, sigma in stab if u == 1):
+        raise InternalInvariantError("h2 differs from the unit-1 slice")
+    if h1.units != tuple(sorted({u for u, _ in stab})):
+        raise InternalInvariantError("units differ from the brute-force stabilizer")
+    if len(stab) != h1.order:
+        raise InternalInvariantError(f"|H1| = {h1.order} but the stabilizer has {len(stab)}")
 
 
 def unit_for_perm(v: GeneratingVector, sigma: Perm,
@@ -371,7 +408,6 @@ def classify_irreducible(v: GeneratingVector) -> IrreducibleClassification:
                 continue
             if u * c[p] % n == c[p] and u * c[q] % n == c[r]:
                 if u == 1:
-                    assert n <= 2 * g + 2, "abelian bound violated"
                     desc = direct_product(n, 2)
                     return IrreducibleClassification(
                         case="ii_a", twist=1, lmod=cyclic(2), centralizer=desc,

@@ -134,7 +134,8 @@ def test_criterion_4_superelliptic():
             v = GeneratingVector(n, (1, n - 1) * (k + 1))
             rep = liftable_images(v, cross_check=True)  # asserts vs brute force
             assert rep.stab is not None
-            assert sorted(s for _, s in rep.stab) == list(rep.h1.elements)
+            assert sorted(s for _, s in rep.stab) == \
+                list(perm_closure(rep.h1.generators, points).elements)
             assert rep.h1.order == 2 * rep.h2.order
             w = rep.unit_words[n - 1]
             target = perm_from_cycles(

@@ -300,10 +300,11 @@ def test_table_genus3_render():
 def test_hyperelliptic_family_invariants():
     from math import factorial
 
-    for g in (2, 3, 4, 5):
+    for g in (2, 3, 4, 5, 6, 7):
         rep = analyze(hyperelliptic(g))
         assert rep.stab.h1.order == factorial(2 * g + 2)
         assert rep.flags["mod_equals_lmod"]
+        assert rep.lmod_kind == "mod_sphere"
         assert rep.lmod_presentation == mod_sphere_presentation(2 * g + 2)
 
 
@@ -318,7 +319,7 @@ def test_superelliptic_family_invariants():
         gens = [transposition(i, i + 2, points) for i in range(1, points - 1)]
         gens.append(perm_from_cycles(
             [(2 * t + 1, 2 * t + 2) for t in range(k + 1)], points))
-        assert perm_closure(gens, points).elements == rep.h1.elements
+        assert perm_closure(gens, points).elements == tuple(sorted(s for _, s in rep.stab))
         assert rep.h1.order == 2 * rep.h2.order
 
 

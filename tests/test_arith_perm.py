@@ -16,10 +16,8 @@ from liftmcg.arith_perm import (
     perm_from_cycles,
     perm_str,
     smith_normal_form,
-    symmetric_group,
     transposition,
     units_mod,
-    young_subgroup,
 )
 
 
@@ -119,34 +117,6 @@ def test_perm_closure_guards():
         perm_closure([identity_perm(3)], 4)
 
 
-def test_young_subgroup_matches_closure():
-    rng = random.Random(5)
-    for _ in range(30):
-        k = rng.randrange(2, 7)
-        points = list(range(k))
-        rng.shuffle(points)
-        cut = rng.randrange(1, k + 1)
-        blocks = [points[:cut], points[cut:]]
-        blocks = [b for b in blocks if b]
-        gens = [transposition(i + 1, j + 1, k)
-                for block in blocks
-                for i in block for j in block if i < j]
-        young = young_subgroup(blocks, k)
-        if gens:
-            assert young.elements == perm_closure(gens, k).elements
-        else:
-            assert young.order == 1
-
-
-def test_symmetric_group_materialization():
-    s4 = symmetric_group(4)
-    assert s4.order == 24 and s4.elements is not None
-    s12 = symmetric_group(12)
-    assert s12.order == factorial(12) and s12.elements is None
-    assert s12.is_symmetric
-    assert identity_perm(12) in s12
-
-
 # ---------------------------------------------------------------------------
 # coset tables
 
@@ -177,6 +147,14 @@ def test_coset_table_row_count_times_order():
         for gi in range(len(acting)):
             column = [row[gi] for row in table]
             assert sorted(column) == list(range(len(table)))
+
+
+def test_coset_table_refused_past_the_cap():
+    # trivial subgroup of Sym(10): predicted index 10! > 2,000,000 entries
+    adjacents = [transposition(i, i + 1, 10) for i in range(1, 10)]
+    trivial = perm_closure([], 10)
+    with pytest.raises(CapacityError, match="exceeds the cap"):
+        coset_table(trivial, adjacents[:1])
 
 
 def test_coset_table_deterministic():

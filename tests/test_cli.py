@@ -73,10 +73,27 @@ def test_analyze_json_schema_and_byte_stability(capsys):
 
 
 def test_analyze_capacity_exit_3(capsys):
-    code, out, err = run(capsys, "analyze", "(2,0;(1,2)_14)")
+    # genus 40, |H1| = 10: a coset table of index 9!, nine columns wide
+    code, out, err = run(capsys, "analyze", "(11,0;" + ",".join(
+        f"({d},11)" for d in range(1, 11)) + ")")
     assert code == 3 and out == ""
     assert err.startswith("error: ") and "exceeds the cap" in err
     assert "Traceback" not in err
+
+
+def test_analyze_hyperelliptic_genus_6(capsys):
+    code, out, err = run(capsys, "analyze", "(2,0;(1,2)_14)")
+    assert code == 0 and err == ""
+    assert "LMod = Mod(S_{0,14})" in out
+
+
+def test_branch_point_bound(capsys):
+    code, out, _ = run(capsys, "validate", "(2,0;(1,2)_62)")
+    assert code == 0 and "genus 30" in out
+    for verb in ("validate", "analyze"):
+        code, out, err = run(capsys, verb, "(2,0;(1,2)_63)")
+        assert code == 3 and out == ""
+        assert err.startswith("error: 63 branch points exceed the cap of 62")
 
 
 def test_analyze_text_lines(capsys):

@@ -4,9 +4,12 @@ from math import factorial
 import pytest
 
 from liftmcg.arith_perm import (
+    CapacityError,
     compose,
+    coset_table,
     identity_perm,
     inverse,
+    perm_closure,
     perm_from_cycles,
     units_mod,
 )
@@ -16,7 +19,7 @@ from liftmcg.datasets import (
     hyperelliptic,
     parse_dataset,
 )
-from liftmcg.fpgroups import evaluate_perm, psi_images
+from liftmcg.fpgroups import evaluate_perm, mod_sphere_presentation, psi_images
 from liftmcg.genvec import (
     GeneratingVector,
     GroupDescriptor,
@@ -160,8 +163,6 @@ def test_clmod_image_is_normal_in_lmod_image():
     for genus in (2, 3):
         for v in all_vectors(genus):
             rep = liftable_images(v)
-            if rep.h1.elements is None:
-                continue
             for g in rep.h1.generators:
                 for s in rep.h2.generators:
                     assert compose(compose(g, s), inverse(g)) in rep.h2
@@ -194,6 +195,46 @@ def test_matching_perm_is_greedy_and_unit_recoverable():
     assert unit_for_perm(v, sigma) == 2
     with pytest.raises(ValueError):
         matching_perm(2, vec(7, 1, 1, 5))  # 2 does not stabilize
+
+
+def test_coset_tables_match_materialized_groups_genus_2_to_5():
+    # every H1 and H2 of the Reidemeister-Schreier route
+    count = 0
+    for genus in (2, 3, 4, 5):
+        for v in all_vectors(genus, max_k=12):
+            rep = liftable_images(v, cross_check=False)
+            psi = psi_images(v.k)
+            acting = [psi[g] for g in mod_sphere_presentation(v.k).generators]
+            for h in (rep.h1, rep.h2):
+                if h.is_symmetric or h.order == 1:
+                    continue
+                reference = perm_closure(h.generators, v.k)
+                assert h.order == reference.order
+                assert all(p in h for p in reference.elements)
+                assert coset_table(h, acting) == coset_table(reference, acting), v
+                count += 1
+    assert count == 85
+
+
+def test_stabilizer_membership_and_cosets():
+    v = vec(3, 1, 2, 1, 2)
+    rep = liftable_images(v)
+    swap = perm_from_cycles([(1, 3)], 4)
+    flip = perm_from_cycles([(1, 2), (3, 4)], 4)
+    assert swap in rep.h2 and swap in rep.h1
+    assert flip not in rep.h2 and flip in rep.h1
+    assert perm_from_cycles([(1, 2)], 4) not in rep.h1
+    assert identity_perm(3) not in rep.h1  # wrong degree
+    # H2*g = H2*(swap g), and H1 also merges g with flip*g
+    g = perm_from_cycles([(2, 3, 4)], 4)
+    assert rep.h2.coset_key(compose(swap, g)) == rep.h2.coset_key(g)
+    assert rep.h2.coset_key(compose(flip, g)) != rep.h2.coset_key(g)
+    assert rep.h1.coset_key(compose(flip, g)) == rep.h1.coset_key(g)
+
+
+def test_liftable_images_refuses_past_the_branch_point_bound():
+    with pytest.raises(CapacityError, match="63 branch points"):
+        liftable_images(vec(3, *([1] * 63)))
 
 
 def test_mod_equals_lmod():
