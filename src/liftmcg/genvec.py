@@ -5,7 +5,8 @@ group, the half-twist generating data, and the 3-branch-point classification.
 The liftable image H1 is the set of sigma with act(u, sigma, v) = v for some
 unit u, and the centralizer image H2 the same set with u = 1; both are kept
 as VectorStabilizer, read off the vector without storing any element.  The
-brute-force stabilizer and perm_closure stay as the cross-check.
+brute-force stabilizer is an oracle only: liftable_images compares with it
+when asked (cross_check=True), never by default.
 
 The action convention: ``act(l, sigma, v)`` puts ``l * c_j`` at position
 ``sigma(j)``, i.e. position i of the result is ``l * c_{sigma^-1(i)}``.
@@ -35,7 +36,6 @@ from .datasets import MAX_BRANCH_POINTS, DataSet, validate
 from .fpgroups import EMPTY, Word, evaluate_perm, gen, psi_images, word
 
 MAX_BRUTE_DEGREE = 10
-AUTO_CROSSCHECK_DEGREE = 8
 
 
 @dataclass(frozen=True)
@@ -233,13 +233,12 @@ class StabilizerReport:
 
     swaps is the set B of equal-entry index pairs; unit_words maps each
     stabilizing unit to a half-twist word whose image pairs with it in the
-    stabilizer (the unit 1 always maps to the empty word).  stab is the
-    brute-force stabilizer when the cross-check ran, else None.
+    stabilizer (the unit 1 always maps to the empty word).  The brute-force
+    stabilizer is not kept; stabilizer_bruteforce(v) computes it.
     """
 
     n: int
     c: tuple[int, ...]
-    stab: tuple[tuple[int, Perm], ...] | None
     h1: VectorStabilizer
     h2: VectorStabilizer
     units: tuple[int, ...]
@@ -250,12 +249,12 @@ class StabilizerReport:
     index_n_c: int
 
 
-def liftable_images(v: GeneratingVector, cross_check: bool | None = None) -> StabilizerReport:
+def liftable_images(v: GeneratingVector, cross_check: bool = False) -> StabilizerReport:
     """H1 and H2 as stabilizers of the vector, with the stabilizer data.
 
-    cross_check=None compares them with the brute-force stabilizer whenever
-    k <= 8; True forces it (k <= 10), False skips it.  More than
-    MAX_BRANCH_POINTS branch points raise CapacityError.
+    cross_check=True also compares them with the brute-force stabilizer
+    (k <= MAX_BRUTE_DEGREE) and raises InternalInvariantError on a mismatch.
+    More than MAX_BRANCH_POINTS branch points raise CapacityError.
     """
     k = v.k
     if k > MAX_BRANCH_POINTS:
@@ -274,14 +273,11 @@ def liftable_images(v: GeneratingVector, cross_check: bool | None = None) -> Sta
     h2 = VectorStabilizer(v, (1,), block_gens)
     h1 = VectorStabilizer(v, units, block_gens + tuple(unit_perms[u] for u in units if u != 1))
 
-    if cross_check is None:
-        cross_check = k <= AUTO_CROSSCHECK_DEGREE
-    stab = tuple(stabilizer_bruteforce(v)) if cross_check else None
-    if stab is not None:
-        _check_against_bruteforce(stab, h1, h2)
+    if cross_check:
+        _check_against_bruteforce(tuple(stabilizer_bruteforce(v)), h1, h2)
 
     return StabilizerReport(
-        n=v.n, c=v.c, stab=stab, h1=h1, h2=h2, units=units, swaps=tuple(equal_pairs(v)),
+        n=v.n, c=v.c, h1=h1, h2=h2, units=units, swaps=tuple(equal_pairs(v)),
         unit_words=unit_words, unit_perms=unit_perms,
         index_mod_lmod=factorial(k) // h1.order, index_n_c=len(units))
 

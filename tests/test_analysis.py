@@ -114,6 +114,19 @@ def test_analyze_index_consistency_genus_2_to_4():
             assert rep.genus == genus
 
 
+def test_default_analysis_runs_no_stabilizer_oracle(monkeypatch):
+    import liftmcg.genvec as genvec_module
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the brute-force oracle ran on the default path")
+
+    monkeypatch.setattr(genvec_module, "stabilizer_bruteforce", refuse)
+    monkeypatch.setattr(genvec_module, "perm_closure", refuse)
+    for genus in (2, 3, 4):
+        for ds in enumerate_spherical(genus):
+            analyze(ds)
+
+
 # sha256 of render_dataset, then the LMod and CLMod presentation renders, one
 # per line, for every spherical class of genus 2-4 in enumeration order
 GENUS_2_TO_4_PRESENTATIONS_SHA256 = (
@@ -309,7 +322,7 @@ def test_hyperelliptic_family_invariants():
 
 
 def test_superelliptic_family_invariants():
-    from liftmcg.genvec import GeneratingVector, liftable_images
+    from liftmcg.genvec import GeneratingVector, liftable_images, stabilizer_bruteforce
 
     for n, k in ((3, 1), (3, 2), (5, 1)):
         points = 2 * k + 2
@@ -319,7 +332,8 @@ def test_superelliptic_family_invariants():
         gens = [transposition(i, i + 2, points) for i in range(1, points - 1)]
         gens.append(perm_from_cycles(
             [(2 * t + 1, 2 * t + 2) for t in range(k + 1)], points))
-        assert perm_closure(gens, points).elements == tuple(sorted(s for _, s in rep.stab))
+        assert perm_closure(gens, points).elements == \
+            tuple(sorted(s for _, s in stabilizer_bruteforce(v)))
         assert rep.h1.order == 2 * rep.h2.order
 
 

@@ -151,12 +151,31 @@ def test_liftable_images_seven():
     assert rep.h1.order == 3 and rep.h2.order == 1
 
 
-def test_liftable_images_matches_bruteforce_exhaustively():
-    for genus in (2, 3, 4):
+def test_liftable_images_matches_bruteforce_exhaustively(monkeypatch):
+    # every class of genus 2-10 with k <= 8; the cross-check raises on any
+    # mismatch, and the brute-force set it used is compared here as well
+    import liftmcg.genvec as genvec_module
+
+    seen = []
+
+    def recorded(v):
+        seen.append(stabilizer_bruteforce(v))
+        return seen[-1]
+
+    monkeypatch.setattr(genvec_module, "stabilizer_bruteforce", recorded)
+    count = 0
+    for genus in range(2, 11):
         for v in all_vectors(genus):
             rep = liftable_images(v, cross_check=True)
-            assert rep.stab is not None
-            assert rep.h1.order == rep.h2.order * len(rep.units)
+            stab = seen.pop()
+            closure1 = perm_closure(rep.h1.generators, v.k).elements
+            closure2 = perm_closure(rep.h2.generators, v.k).elements
+            assert list(closure1) == sorted(sigma for _, sigma in stab), v
+            assert list(closure2) == sorted(sigma for u, sigma in stab if u == 1), v
+            assert rep.units == tuple(sorted({u for u, _ in stab})), v
+            assert len(stab) == rep.h1.order == rep.h2.order * len(rep.units), v
+            count += 1
+    assert count == 349
 
 
 def test_clmod_image_is_normal_in_lmod_image():
@@ -168,10 +187,9 @@ def test_clmod_image_is_normal_in_lmod_image():
                     assert compose(compose(g, s), inverse(g)) in rep.h2
 
 
-def test_liftable_images_symbolic_shortcut():
+def test_liftable_images_ten_equal_entries():
     v = generating_vector(hyperelliptic(4))  # k = 10
     rep = liftable_images(v)
-    assert rep.stab is None
     assert rep.h1.order == factorial(10)
     assert rep.h1.is_symmetric and rep.h2.is_symmetric
     assert rep.units == (1,)
