@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from .arith_perm import InternalInvariantError, Perm, identity_perm
-from .datasets import DataSet, parse_dataset, validate
+from .datasets import DataSet, parse_dataset, require_valid
 from .fpgroups import (
     EMPTY,
     LiftData,
@@ -134,9 +134,7 @@ def _subgroup_presentation(k: int, subgroup) -> tuple[Presentation, dict[str, Pe
 def analyze(ds: DataSet) -> AnalysisReport:
     """Full pipeline: generating vector, stabilizer data, presentations of the
     liftable and centralizer preimages, classification when k = 3."""
-    report = validate(ds)
-    if not report.ok:
-        raise ValueError(f"invalid data set {ds}: {', '.join(report.violations)}")
+    report = require_valid(ds)
     if ds.g0 != 0:
         raise ValueError(f"analysis requires a genus-0 quotient, got g0={ds.g0}")
     if report.genus < 2:

@@ -23,6 +23,9 @@ MAX_ENUM_GENUS = 30
 # A genus-g class has at most 2g+2 branch points (the hyperelliptic one), so
 # no enumerated class has more than this; parsing and analysis refuse more.
 MAX_BRANCH_POINTS = 2 * MAX_ENUM_GENUS + 2
+# Wiman: a cyclic action on a genus-g surface has order at most 4g+2, so no
+# enumerated class has a larger modulus; generating vectors refuse more.
+MAX_MODULUS = 4 * MAX_ENUM_GENUS + 2
 
 COND_I = "cond_i"
 COND_II = "cond_ii"

@@ -32,7 +32,7 @@ from .arith_perm import (
     transposition,
     units_mod,
 )
-from .datasets import MAX_BRANCH_POINTS, DataSet, validate
+from .datasets import MAX_BRANCH_POINTS, MAX_MODULUS, DataSet, require_valid
 from .fpgroups import EMPTY, Word, evaluate_perm, gen, psi_images, word
 
 MAX_BRUTE_DEGREE = 10
@@ -40,7 +40,8 @@ MAX_BRUTE_DEGREE = 10
 
 @dataclass(frozen=True)
 class GeneratingVector:
-    """Residues (c_1, ..., c_k) mod n with each c_i != 0 and sum c_i = 0."""
+    """Residues (c_1, ..., c_k) mod n with each c_i != 0 and sum c_i = 0;
+    n <= MAX_MODULUS (else CapacityError), as the analyses loop over all n."""
 
     n: int
     c: tuple[int, ...]
@@ -48,6 +49,8 @@ class GeneratingVector:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"modulus must be >= 2, got {self.n}")
+        if self.n > MAX_MODULUS:
+            raise CapacityError(f"modulus {self.n} exceeds the cap of {MAX_MODULUS}")
         if not self.c:
             raise ValueError("need at least one entry")
         if any(not 0 < x < self.n for x in self.c):
@@ -69,9 +72,7 @@ class GeneratingVector:
 
 def generating_vector(ds: DataSet) -> GeneratingVector:
     """The vector with c_i = (n/n_i) d_i in the data set's stored pair order."""
-    report = validate(ds)
-    if not report.ok:
-        raise ValueError(f"invalid data set {ds}: {', '.join(report.violations)}")
+    require_valid(ds)
     if ds.g0 != 0:
         raise ValueError("generating vectors are computed for spherical data sets only")
     c = tuple((ds.n // m) * d % ds.n for d, m in ds.pairs)

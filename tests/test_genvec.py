@@ -65,6 +65,9 @@ def test_generating_vector_rejects():
         GeneratingVector(6, (2, 3))  # sum != 0
     with pytest.raises(ValueError):
         GeneratingVector(6, (0, 6))
+    assert GeneratingVector(122, (1, 121)).n == 122  # Wiman's bound at genus 30
+    with pytest.raises(CapacityError):
+        GeneratingVector(123, (1, 122))
 
 
 def test_act_examples():
