@@ -1,9 +1,10 @@
 """Command-line surface: validate, enumerate, analyze, present, classify,
 table1, verify.
 
-Exit codes: 0 success, 1 usage/parse error, 2 validation or verification
-failure, 3 analysis refused (a capacity guard or an input outside the
-analysis scope).  JSON output is byte-stable across runs for identical inputs.
+Exit codes: 0 success, 1 usage/parse error or an unwritable --out path,
+2 validation or verification failure, 3 analysis refused (a capacity guard
+or an input outside the analysis scope).  JSON output is byte-stable across
+runs for identical inputs.
 """
 
 from __future__ import annotations
@@ -225,10 +226,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         text, code = _COMMANDS[args.verb](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DataSetParseError as exc:
+    except (UsageError, DataSetParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:  # CapacityError and analysis refusals
@@ -243,6 +241,9 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+    except OSError as exc:  # --out names a path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return code
 
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -96,6 +97,20 @@ def test_branch_point_bound(capsys):
         assert err.startswith("error: 63 branch points exceed the cap of 62")
 
 
+def test_modulus_bound(capsys):
+    big = "(100000007,0;(1,100000007),(1,100000007),(100000005,100000007))"
+    code, out, _ = run(capsys, "validate", big)
+    assert code == 0 and "genus 50000003" in out
+    for verb in ("analyze", "classify"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, verb, big)
+        assert time.perf_counter() - start < 2.0
+        assert code == 3 and out == ""
+        assert err == "error: modulus 100000007 exceeds the cap of 122\n"
+    code, out, _ = run(capsys, "classify", "(122,0;(1,2),(1,61),(59,122))")  # genus 30
+    assert code == 0 and out.startswith("case (iii)")
+
+
 def test_analyze_text_lines(capsys):
     code, out, _ = run(capsys, "analyze", "(2,0;(1,2)_6)")
     assert code == 0
@@ -162,6 +177,14 @@ def test_out_flag(tmp_path, capsys):
     assert code == 0 and out == ""
     payload = json.loads(target.read_text())
     jsonschema.validate(payload, schemas.TABLE_SCHEMA)
+
+
+def test_out_flag_unwritable_path_exit_1(tmp_path, capsys):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, "validate", "(2,0;(1,2)_6)", "--out", str(target))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not target.exists()
 
 
 def test_roundtrip_enumerated_through_cli(capsys):
