@@ -241,7 +241,7 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-    except OSError as exc:  # --out names a path that cannot be written
+    except OSError as exc:  # e.g. --out into a missing directory
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return code

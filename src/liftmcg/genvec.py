@@ -41,7 +41,7 @@ MAX_BRUTE_DEGREE = 10
 @dataclass(frozen=True)
 class GeneratingVector:
     """Residues (c_1, ..., c_k) mod n with each c_i != 0 and sum c_i = 0;
-    n <= MAX_MODULUS (else CapacityError), as the analyses loop over all n."""
+    n <= MAX_MODULUS (else CapacityError), as analysis loops over the residues."""
 
     n: int
     c: tuple[int, ...]
@@ -234,8 +234,8 @@ class StabilizerReport:
 
     swaps is the set B of equal-entry index pairs; unit_words maps each
     stabilizing unit to a half-twist word whose image pairs with it in the
-    stabilizer (the unit 1 always maps to the empty word).  The brute-force
-    stabilizer is not kept; stabilizer_bruteforce(v) computes it.
+    stabilizer (the unit 1 always maps to the empty word).  The full set of
+    (unit, sigma) pairs is stabilizer_bruteforce(v).
     """
 
     n: int
