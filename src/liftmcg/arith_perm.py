@@ -234,9 +234,9 @@ def coset_table(H, acting_gens: list[Perm]) -> list[list[int]]:
     equal for g and g' exactly when H*g = H*g' (a PermGroup, or a
     genvec.VectorStabilizer).  table[c][i] is the index of coset
     c * acting_gens[i]; coset 0 is H itself and cosets are numbered by BFS
-    from 0 with generators in input order.  The table is refused before any
-    work when its predicted size, index k!/|H| times the generator count,
-    exceeds MAX_MATERIALIZED.
+    from 0 with generators in input order (Reidemeister-Schreier relies on
+    this).  The table is refused before any work when its predicted size,
+    index k!/|H| times the generator count, exceeds MAX_MATERIALIZED.
     """
     degree = H.degree
     for p in acting_gens:

@@ -24,7 +24,7 @@ MAX_ENUM_GENUS = 30
 # no enumerated class has more than this; parsing and analysis refuse more.
 MAX_BRANCH_POINTS = 2 * MAX_ENUM_GENUS + 2
 # Wiman: a cyclic action on a genus-g surface has order at most 4g+2, so no
-# enumerated class has a larger modulus; generating vectors refuse more.
+# enumerated class has a larger modulus; code looping over the units refuses more.
 MAX_MODULUS = 4 * MAX_ENUM_GENUS + 2
 
 COND_I = "cond_i"
@@ -127,6 +127,12 @@ def require_valid(ds: DataSet) -> ValidationReport:
     return report
 
 
+def require_modulus(n: int) -> None:
+    """CapacityError past MAX_MODULUS, for code that loops over the units mod n."""
+    if n > MAX_MODULUS:
+        raise CapacityError(f"modulus {n} exceeds the cap of {MAX_MODULUS}")
+
+
 # ---------------------------------------------------------------------------
 # equivalence and canonical forms
 
@@ -140,6 +146,7 @@ def equivalence_witness(d1: DataSet, d2: DataSet) -> tuple[int, Perm] | None:
     """A pair (unit, sigma) with (unit*d_i mod n_i, n_i) = d2.pairs[sigma[i]], or None."""
     if (d1.n, d1.g0, d1.k) != (d2.n, d2.g0, d2.k):
         return None
+    require_modulus(d1.n)
     target = list(d2.pairs)
     for unit in units_mod(d1.n):
         scaled = [((unit * d) % m, m) for d, m in d1.pairs]
@@ -162,7 +169,9 @@ def are_equivalent(d1: DataSet, d2: DataSet) -> bool:
 
 
 def canonical_form(ds: DataSet) -> DataSet:
-    """Lexicographically least sorted pair list over all unit multiples."""
+    """Lexicographically least sorted pair list over all unit multiples;
+    n > MAX_MODULUS raises CapacityError, as do the equivalence tests."""
+    require_modulus(ds.n)
     best = min(_scaled_key(ds.pairs, unit) for unit in units_mod(ds.n))
     pairs = tuple((d, m) for m, d in best)
     return DataSet(ds.n, ds.g0, pairs)
@@ -367,7 +376,10 @@ class _Scanner:
             self.pos += 1
         if self.pos == start or self.text[start:self.pos] == "-":
             self.error("expected an integer", start)
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # past the interpreter's limit on integer digits
+            self.error(f"integer of {self.pos - start} characters is too long", start)
 
 
 def parse_dataset(text: str) -> DataSet:

@@ -6,17 +6,19 @@ Words are freely reduced tuples of (generator name, +-1) letters; the group
 product of a word is its letters composed left to right (rightmost applied
 first under the permutation image, matching arith_perm.compose).
 
-Reidemeister-Schreier walks the coset table of arith_perm.coset_table, so a
-subgroup needs only its degree, order, generators and coset labels: the
-analysis passes genvec's vector stabilizers, never a stored group.
+Reidemeister-Schreier reads the coset table of arith_perm.coset_table in one
+row-major pass, relying on its BFS numbering to meet each coset's tree edge
+first, so a subgroup needs only its degree, order, generators and coset
+labels: the analysis passes genvec's vector stabilizers, never a stored group.
 
 Tietze simplification is deterministic.  Each step picks the relator least by
 (length, list position) among those in which some generator occurs exactly
 once, eliminates the latest-declared such generator by substituting the
 freely reduced rotation of that relator, drops empty relators, and keeps the
-earlier of two relators equal up to rotation and inversion.  ``effort`` caps
-the number of eliminations.  Internally the engine writes letters as signed
-ints and rewrites only the relators that contain the eliminated generator.
+earlier of two relators equal up to rotation and inversion, until no relator
+has a generator occurring once.  Internally the engine writes letters as
+signed ints and rewrites only the relators that contain the eliminated
+generator.
 """
 
 from __future__ import annotations
@@ -366,22 +368,27 @@ def pmod_sphere_presentation(k: int) -> Presentation:
 
 @dataclass(frozen=True)
 class SchreierInfo:
+    """The coset index and, for each Schreier generator, its marked-point
+    image, an element of the subgroup."""
+
     index: int
-    transversal: tuple[Word, ...]          # coset -> representative word
-    transversal_perms: tuple[Perm, ...]    # coset -> image of that word
-    generator_images: dict[str, Perm]      # subgroup generator -> marked-point image
-    generator_words: dict[str, Word]       # subgroup generator -> word in ambient gens
+    generator_images: dict[str, Perm]
 
 
 def reidemeister_schreier_full(p: Presentation, psi: dict[str, Perm],
                                subgroup) -> tuple[Presentation, SchreierInfo]:
     """Presentation of the psi-preimage of a subgroup of the image, plus the
-    Schreier bookkeeping (transversal, generator images).
+    index and the Schreier generators' images.
 
     subgroup is a PermGroup or a genvec.VectorStabilizer; its cosets are
     enumerated by arith_perm.coset_table.  Containment in the image is
     checked on the subgroup's generators, and skipped when the images
     include every adjacent transposition and so generate Sym(k).
+
+    The transversal is read off the table in one row-major pass, which relies
+    on coset_table's BFS numbering: the first edge in row order that reaches a
+    coset is the tree edge that found it.  Every other edge c --g--> d gives
+    the Schreier generator x{c}_{g}, with image rep(c) psi(g) rep(d)^-1.
     """
     degree = subgroup.degree
     images = [psi[g] for g in p.generators]
@@ -395,49 +402,29 @@ def reidemeister_schreier_full(p: Presentation, psi: dict[str, Perm],
     index = len(table)
     ngens = len(p.generators)
 
-    # shortlex BFS transversal; tree edges yield trivial Schreier generators
-    t_words: list[Word | None] = [None] * index
-    t_perms: list[Perm | None] = [None] * index
-    t_words[0] = EMPTY
-    t_perms[0] = identity_perm(degree)
-    tree_edge: set[tuple[int, int]] = set()
-    queue = [0]
-    while queue:
-        c = queue.pop(0)
-        for gi in range(ngens):
-            nxt = table[c][gi]
-            if t_words[nxt] is None:
-                t_words[nxt] = t_words[c] * gen(p.generators[gi])
-                t_perms[nxt] = compose(t_perms[c], images[gi])
-                tree_edge.add((c, gi))
-                queue.append(nxt)
-    if any(w is None for w in t_words):
-        raise InternalInvariantError("coset table not connected")
-
+    reps: list[Perm | None] = [identity_perm(degree)] + [None] * (index - 1)
+    rep_invs: list[Perm | None] = list(reps)
     inv_table = [[0] * ngens for _ in range(index)]
-    for c in range(index):
-        for gi in range(ngens):
-            inv_table[table[c][gi]][gi] = c
-
-    sch_name: dict[tuple[int, int], str | None] = {}
-    order: list[str] = []
-    gen_images: dict[str, Perm] = {}
-    gen_words: dict[str, Word] = {}
-    for c in range(index):
-        for gi in range(ngens):
-            if (c, gi) in tree_edge:
-                sch_name[(c, gi)] = None
+    sch_names: list[list[str | None]] = []   # coset -> Schreier name per generator
+    gen_images: dict[str, Perm] = {}         # in row-major order: the output generators
+    for c, row in enumerate(table):
+        if reps[c] is None:
+            raise InternalInvariantError("coset table not connected in BFS order")
+        names: list[str | None] = []
+        for gi, nxt in enumerate(row):
+            inv_table[nxt][gi] = c
+            img = compose(reps[c], images[gi])
+            if reps[nxt] is None:
+                reps[nxt], rep_invs[nxt] = img, inverse(img)
+                names.append(None)
                 continue
             name = f"x{c}_{p.generators[gi]}"
-            sch_name[(c, gi)] = name
-            order.append(name)
-            w = t_words[c] * gen(p.generators[gi]) * t_words[table[c][gi]].inv()
-            gen_words[name] = w
-            gen_images[name] = compose(compose(t_perms[c], images[gi]),
-                                       inverse(t_perms[table[c][gi]]))
-    if len(order) != index * ngens - (index - 1):
+            names.append(name)
+            gen_images[name] = compose(img, rep_invs[nxt])
+        sch_names.append(names)
+    if len(gen_images) != index * ngens - (index - 1):
         raise InternalInvariantError(
-            f"{len(order)} Schreier generators, expected {index * ngens - (index - 1)}")
+            f"{len(gen_images)} Schreier generators, expected {index * ngens - (index - 1)}")
 
     gi_of = {g: i for i, g in enumerate(p.generators)}
     relators: list[Word] = []
@@ -450,13 +437,13 @@ def reidemeister_schreier_full(p: Presentation, psi: dict[str, Perm],
             for name, e in r.letters:
                 gi = gi_of[name]
                 if e == 1:
-                    s = sch_name[(cur, gi)]
+                    s = sch_names[cur][gi]
                     if s is not None:
                         letters.append((s, 1))
                     cur = table[cur][gi]
                 else:
                     prev = inv_table[cur][gi]
-                    s = sch_name[(prev, gi)]
+                    s = sch_names[prev][gi]
                     if s is not None:
                         letters.append((s, -1))
                     cur = prev
@@ -466,8 +453,7 @@ def reidemeister_schreier_full(p: Presentation, psi: dict[str, Perm],
             if rewritten:
                 relators.append(rewritten)
 
-    info = SchreierInfo(index, tuple(t_words), tuple(t_perms), gen_images, gen_words)
-    return Presentation(tuple(order), tuple(relators)), info
+    return Presentation(tuple(gen_images), tuple(relators)), SchreierInfo(index, gen_images)
 
 
 def reidemeister_schreier(p: Presentation, psi: dict[str, Perm],
@@ -585,7 +571,7 @@ class _TietzeEngine:
         return [self.rels[pos] for pos in sorted(self.rels)]
 
 
-def tietze_simplify(p: Presentation, effort: int | None = None) -> Presentation:
+def tietze_simplify(p: Presentation) -> Presentation:
     """Eliminate generators that occur exactly once in some relator, dropping
     trivial and duplicate relators along the way.
 
@@ -594,8 +580,8 @@ def tietze_simplify(p: Presentation, effort: int | None = None) -> Presentation:
     latest-declared such generator, and substitutes the freely reduced
     rotation of that relator for it everywhere.  Empty relators are dropped;
     of two relators equal up to rotation and inversion the earlier in the
-    list survives.  ``effort`` caps the number of eliminations (default: one
-    per generator); the result presents an isomorphic group.
+    list survives.  Steps repeat until no relator has such a generator; the
+    result presents an isomorphic group.
     """
     if p.symbolic_relators:
         raise ValueError("cannot simplify a presentation with symbolic relators")
@@ -603,12 +589,8 @@ def tietze_simplify(p: Presentation, effort: int | None = None) -> Presentation:
     code = {name: i for i, name in enumerate(names, start=1)}
     engine = _TietzeEngine(len(names), [tuple(code[n] * e for n, e in r.letters)
                                         for r in p.relators])
-    budget = len(names) if effort is None else effort
     gone = set()
-    while len(gone) < budget:
-        g = engine.eliminate()
-        if g is None:
-            break
+    while (g := engine.eliminate()) is not None:
         gone.add(g)
     return Presentation(
         tuple(name for name, i in code.items() if i not in gone),

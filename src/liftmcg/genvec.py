@@ -32,7 +32,7 @@ from .arith_perm import (
     transposition,
     units_mod,
 )
-from .datasets import MAX_BRANCH_POINTS, MAX_MODULUS, DataSet, require_valid
+from .datasets import MAX_BRANCH_POINTS, DataSet, require_modulus, require_valid
 from .fpgroups import EMPTY, Word, evaluate_perm, gen, psi_images, word
 
 MAX_BRUTE_DEGREE = 10
@@ -49,8 +49,7 @@ class GeneratingVector:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"modulus must be >= 2, got {self.n}")
-        if self.n > MAX_MODULUS:
-            raise CapacityError(f"modulus {self.n} exceeds the cap of {MAX_MODULUS}")
+        require_modulus(self.n)
         if not self.c:
             raise ValueError("need at least one entry")
         if any(not 0 < x < self.n for x in self.c):

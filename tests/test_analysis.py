@@ -28,12 +28,19 @@ from liftmcg.fpgroups import (
     gen,
     mod_sphere_presentation,
     pmod_sphere_presentation,
+    presentation_json,
     psi_images,
     reidemeister_schreier_full,
     render_presentation,
     same_relator_sets,
 )
-from liftmcg.genvec import cyclic, direct_product, semidirect
+from liftmcg.genvec import (
+    cyclic,
+    direct_product,
+    generating_vector,
+    liftable_images,
+    semidirect,
+)
 from liftmcg.analysis import (
     analyze,
     balanced_superelliptic_shape,
@@ -175,6 +182,33 @@ def test_raw_and_simplified_abelianizations_agree_genus_2_to_5():
                 assert abelianization(raw) == abelianization(simplified), ds
                 count += 1
     assert count == 128
+
+
+# sha256 of the raw Reidemeister-Schreier output for every H1 and H2 of genus
+# 2-4 that is neither Sym(k) nor trivial, in enumeration order: one JSON line
+# per subgroup holding presentation_json, the index and the sorted images
+GENUS_2_TO_4_RAW_RS_SHA256 = (
+    "ecf2048d7e2db7f1403e9d7475911a2ffafa272e1107da3438fa14112637a699")
+
+
+def test_raw_reidemeister_schreier_pinned_genus_2_to_4():
+    digest = hashlib.sha256()
+    count = 0
+    for genus in (2, 3, 4):
+        for ds in enumerate_spherical(genus):
+            v = generating_vector(ds)
+            stab = liftable_images(v)
+            for subgroup in (stab.h1, stab.h2):
+                if subgroup.is_symmetric or subgroup.order == 1:
+                    continue
+                raw, info = reidemeister_schreier_full(
+                    mod_sphere_presentation(v.k), psi_images(v.k), subgroup)
+                images = sorted((name, list(img)) for name, img in info.generator_images.items())
+                line = json.dumps([presentation_json(raw), info.index, images])
+                digest.update((line + "\n").encode())
+                count += 1
+    assert count == 58
+    assert digest.hexdigest() == GENUS_2_TO_4_RAW_RS_SHA256
 
 
 # ---------------------------------------------------------------------------

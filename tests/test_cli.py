@@ -43,6 +43,12 @@ def test_parse_error_exit_1(capsys):
     assert "line 1" in err and "column" in err
 
 
+def test_overlong_integer_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "validate", "(" + "1" * 5000 + ",0;(1,2),(1,2))")
+    assert code == 1 and out == ""
+    assert "too long" in err and "(line 1, column 2)" in err
+
+
 def test_usage_error_exit_1(capsys):
     code, _, err = run(capsys, "enumerate", "one")
     assert code == 1

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -6,7 +7,7 @@ from math import gcd
 
 import pytest
 
-from liftmcg.arith_perm import units_mod
+from liftmcg.arith_perm import CapacityError, units_mod
 from liftmcg.datasets import (
     COND_I,
     COND_II,
@@ -124,6 +125,19 @@ def test_canonical_form_examples():
     assert canonical_form(hyp) == hyp
     ds = parse_dataset("(8,0;(1,4),(1,8),(5,8))")
     assert canonical_form(ds) == ds
+
+
+def test_canonical_form_and_equivalence_bound_the_modulus():
+    big = parse_dataset("(100000007,0;(1,100000007),(1,100000007),(100000005,100000007))")
+    for call in (canonical_form, lambda ds: equivalence_witness(ds, ds),
+                 lambda ds: are_equivalent(ds, ds)):
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="modulus 100000007 exceeds the cap of 122"):
+            call(big)
+        assert time.perf_counter() - start < 2.0
+    ds = parse_dataset("(122,0;(1,2),(1,61),(59,122))")  # genus 30, the largest modulus
+    canon = canonical_form(ds)
+    assert canonical_form(canon) == canon and are_equivalent(ds, canon)
 
 
 def test_canonical_form_idempotent_and_sound():

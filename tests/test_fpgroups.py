@@ -211,17 +211,21 @@ def test_rs_schreier_rank_bookkeeping():
         assert info.index * H.order == 24
 
 
-def test_rs_generator_words_and_images_consistent():
+def test_rs_generator_images_cover_generators_and_lie_in_subgroup():
     from liftmcg.fpgroups import evaluate_perm
 
     p = mod_sphere_presentation(4)
     psi = psi_images(4)
-    H = perm_closure([transposition(1, 2, 4), transposition(3, 4, 4)], 4)
-    out, info = reidemeister_schreier_full(p, psi, H)
-    for name in out.generators:
-        image = evaluate_perm(info.generator_words[name], psi, 4)
-        assert image == info.generator_images[name]
-        assert image in H  # Schreier generators live in the subgroup
+    for gens in ([transposition(1, 2, 4), transposition(3, 4, 4)],
+                 [perm_from_cycles([(1, 2), (3, 4)], 4)],
+                 [transposition(2, 3, 4)]):
+        H = perm_closure(gens, 4)
+        out, info = reidemeister_schreier_full(p, psi, H)
+        assert set(info.generator_images) == set(out.generators)
+        for image in info.generator_images.values():
+            assert image in H  # Schreier generators live in the subgroup
+        for r in out.relators:
+            assert evaluate_perm(r, info.generator_images, 4) == tuple(range(4))
 
 
 def test_rs_rejects_subgroup_outside_image():
@@ -249,7 +253,7 @@ def test_tietze_dedupes_and_drops_trivial():
     a, b = gen("a"), gen("b")
     p = Presentation(("a", "b"),
                      (commutator(a, b), commutator(b, a), a * a.inv(), a ** 2, a ** 2))
-    t = tietze_simplify(p, effort=0)
+    t = tietze_simplify(p)
     assert len(t.relators) == 2  # one commutator survives, one a^2
 
 
