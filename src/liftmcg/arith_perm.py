@@ -9,23 +9,24 @@ Conventions used throughout the package:
 * Composition is right-to-left: ``compose(p, q)`` maps i to ``p[q[i]]``, i.e.
   q is applied first.  This is the one place the convention is fixed; every
   other module relies on it.
-* Integer matrices are sequences of equal-length int rows; all arithmetic is
-  exact (Python big ints).
+* Integer arithmetic is exact (Python big ints).  smith_normal_form takes a
+  matrix as a list of sparse rows, {column: value} dicts, and its column
+  count.
 
 A coset table is the Schreier graph of the right cosets of a subgroup H,
 built by BFS over canonical coset labels that H supplies (``coset_key``).
 PermGroup, a materialized group, is the reference implementation; the
 analysis uses genvec.VectorStabilizer, which labels cosets without storing H.
 
-The Smith normal form first eliminates +-1 pivots on sparse rows, choosing
-the pivot column met by the fewest rows, and runs a dense full-pivot loop
-only on the block that is left; relation matrices of Reidemeister-Schreier
-presentations are sparse and nearly all +-1, so that block is small.
+The Smith normal form is one elimination loop on the sparse rows, pivoting
+on entries of least absolute value in the columns met by the fewest rows;
+relation matrices of Reidemeister-Schreier presentations are sparse and
+nearly all +-1, so +-1 pivots do almost all of the work.
 """
 
 from __future__ import annotations
 
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 from operator import itemgetter
 
 Perm = tuple[int, ...]
@@ -272,27 +273,33 @@ def coset_table(H, acting_gens: list[Perm]) -> list[list[int]]:
 # Smith normal form
 
 
-def smith_normal_form(mat, ncols: int | None = None) -> tuple[tuple[int, ...], int]:
+def smith_normal_form(rows, ncols: int) -> tuple[tuple[int, ...], int]:
     """Invariant factors (d_1 | d_2 | ..., 1s included) and free rank of an
-    integer matrix.
+    integer matrix given as sparse rows.
 
-    Rows are relations on ncols unknowns; the free rank is ncols - rank.
-    ncols is only needed when mat has no rows.
+    Each row is a {column: value} dict, a relation on ncols unknowns with
+    columns 0..ncols-1; the free rank is ncols - rank.  The rows are not
+    modified.
 
-    Relation matrices from Reidemeister-Schreier are sparse and nearly all
-    +-1, so the matrix is first reduced sparsely (Havas-Holt-Rees,
-    "Recognizing badly presented Z-modules", 1993): rows become
-    {column: value} dicts and every +-1 entry that remains is used as a
-    pivot, each splitting off an invariant factor 1.  Rows are visited
-    shortest first, and within a row the +-1 column met by the fewest live
-    rows is taken, which keeps fill-in low.  The dense full-pivot loop then
-    finishes the small block left over, over its nonzero columns only.
+    The reduction works on the sparse rows throughout (Havas-Holt-Rees,
+    "Recognizing badly presented Z-modules", 1993): _diagonalize splits the
+    matrix into diagonal entries, which pairwise gcd/lcm steps then turn into
+    the divisibility chain.
     """
-    rows, ncols = _sparse_rows(mat, ncols)
-    units = _eliminate_unit_pivots(rows)
-    used = sorted({j for row in rows.values() for j in row})
-    block = [[row.get(j, 0) for j in used] for row in rows.values()]
-    factors = [1] * units + _dense_factors(block, len(used))
+    live: dict[int, dict[int, int]] = {}
+    for i, row in enumerate(rows):
+        entries = {j: v for j, v in row.items() if v}
+        if entries:
+            if min(entries) < 0 or max(entries) >= ncols:
+                raise ValueError(f"row {i} has a column outside 0..{ncols - 1}")
+            live[i] = entries
+    diagonal = _diagonalize(live)
+    factors = [d for d in diagonal if d != 1]
+    for a in range(len(factors)):
+        for b in range(a + 1, len(factors)):
+            x, y = factors[a], factors[b]
+            factors[a], factors[b] = gcd(x, y), lcm(x, y)
+    factors = [1] * (len(diagonal) - len(factors)) + factors
 
     for x, y in zip(factors, factors[1:]):
         if y % x:
@@ -300,60 +307,47 @@ def smith_normal_form(mat, ncols: int | None = None) -> tuple[tuple[int, ...], i
     return tuple(factors), ncols - len(factors)
 
 
-def _sparse_rows(mat, ncols: int | None) -> tuple[dict[int, dict[int, int]], int]:
-    """Nonzero rows of mat as {row number: {column: value}}, and the width."""
-    rows: dict[int, dict[int, int]] = {}
-    width = None
-    for i, row in enumerate(mat):
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ValueError("ragged matrix")
-        entries = {j: int(v) for j, v in enumerate(row) if v}
-        if entries:
-            rows[i] = entries
-    if width is None:
-        if ncols is None:
-            raise ValueError("ncols is required for a matrix with no rows")
-        return rows, ncols
-    if ncols is not None and ncols != width:
-        raise ValueError(f"ncols={ncols} does not match row width {width}")
-    return rows, width
+def _diagonalize(rows: dict[int, dict[int, int]]) -> list[int]:
+    """Reduce the sparse rows in place to a diagonal; return its entries |d|.
 
+    Each pass visits the live rows shortest first.  A row whose least
+    absolute value is at most the matrix's least at the start of the pass
+    gives the pivot: an entry of that value, in the column met by the fewest
+    rows.  While +-1 entries are left only rows holding one are pivoted,
+    which keeps fill-in low on Reidemeister-Schreier matrices.  Floor
+    multiples of the pivot row are subtracted from the other rows meeting
+    the pivot column.  Once that column holds only the pivot row, column
+    operations, which touch no other row, reduce the rest of the row modulo
+    the pivot d; if nothing is left the row and column split off as the
+    block [d].  Rows that become zero are dropped.
 
-def _eliminate_unit_pivots(rows: dict[int, dict[int, int]]) -> int:
-    """Pivot on +-1 entries in place until none is left; return the count.
-
-    A pivot row is subtracted from every other row meeting its pivot column.
-    Column operations would then clear the rest of the pivot row without
-    touching any other row, so the row and column split off as a block [+-1]
-    and are dropped.  Rows that become zero are dropped too.
+    Each pass ends with fewer rows or with an entry below the least value it
+    started from, so the loop ends.
     """
     cols: dict[int, set[int]] = {}
     for i, row in rows.items():
         for j in row:
             cols.setdefault(j, set()).add(i)
-    pivots = 0
-    progress = True
-    while progress:
-        progress = False
+    diagonal: list[int] = []
+    while rows:
+        least = min(abs(v) for row in rows.values() for v in row.values())
         for i in sorted(rows, key=lambda i: len(rows[i])):
             row = rows.get(i)
             if row is None:
                 continue
-            pj = None
+            pj, size = None, 0
             for j, v in row.items():
-                if (v == 1 or v == -1) and (pj is None or len(cols[j]) < len(cols[pj])):
-                    pj = j
-            if pj is None:
+                a = abs(v)
+                if pj is None or a < size or (a == size and len(cols[j]) < len(cols[pj])):
+                    pj, size = j, a
+            if size > least:
                 continue
-            del rows[i]
-            for j in row:
-                cols[j].discard(i)
-            sign = row.pop(pj)
-            for r in cols.pop(pj):
+            d = row[pj]
+            for r in list(cols[pj]):
                 other = rows[r]
-                q = other.pop(pj) * sign
+                q = other[pj] // d
+                if r == i or not q:
+                    continue
                 for j, v in row.items():
                     w = other.get(j, 0) - q * v
                     if w:
@@ -365,67 +359,17 @@ def _eliminate_unit_pivots(rows: dict[int, dict[int, int]]) -> int:
                         cols[j].discard(r)
                 if not other:
                     del rows[r]
-            pivots += 1
-            progress = True
-    return pivots
-
-
-def _dense_factors(a: list[list[int]], ncols: int) -> list[int]:
-    """Invariant factors of a dense matrix by full-pivot elimination (a is
-    overwritten)."""
-    nrows = len(a)
-    factors: list[int] = []
-    t = 0
-    while True:
-        pivot = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                v = a[i][j]
-                if v and (pivot is None or abs(v) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        a[t], a[pi] = a[pi], a[t]
-        for row in a:
-            row[t], row[pj] = row[pj], row[t]
-
-        # clear row and column t; restarts when a remainder undercuts the pivot
-        while True:
-            dirty = False
-            for i in range(nrows):
-                if i != t and a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    for j in range(ncols):
-                        a[i][j] -= q * a[t][j]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        dirty = True
-            for j in range(ncols):
-                if j != t and a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    for i in range(nrows):
-                        a[i][j] -= q * a[i][t]
-                    if a[t][j]:
-                        for i in range(nrows):
-                            a[i][t], a[i][j] = a[i][j], a[i][t]
-                        dirty = True
-            if not dirty:
-                break
-
-        d = a[t][t]
-        offender = None
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if a[i][j] % d:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            for j in range(ncols):
-                a[t][j] += a[offender][j]
-            continue
-        factors.append(abs(d))
-        t += 1
-    return factors
+            if len(cols[pj]) > 1:
+                continue
+            for j in list(row):
+                if j != pj:
+                    w = row[j] % d
+                    if w:
+                        row[j] = w
+                    else:
+                        del row[j]
+                        cols[j].discard(i)
+            if len(row) == 1:
+                del rows[i], cols[pj]
+                diagonal.append(size)
+    return diagonal

@@ -372,7 +372,7 @@ class _Scanner:
         start = self.pos
         if self.pos < len(self.text) and self.text[self.pos] == "-":
             self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
             self.pos += 1
         if self.pos == start or self.text[start:self.pos] == "-":
             self.error("expected an integer", start)

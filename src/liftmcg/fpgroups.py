@@ -36,6 +36,7 @@ from .arith_perm import (
     identity_perm,
     inverse,
     perm_closure,
+    smith_normal_form,
     transposition,
 )
 
@@ -107,17 +108,6 @@ def commutator(a: Word, b: Word) -> Word:
 
 def rename_word(w: Word, mapping: dict[str, str]) -> Word:
     return Word(tuple((mapping.get(name, name), e) for name, e in w.letters))
-
-
-def exponent_sums(w: Word, generators: tuple[str, ...]) -> list[int]:
-    return _exponent_row(w, {name: i for i, name in enumerate(generators)})
-
-
-def _exponent_row(w: Word, index: dict[str, int]) -> list[int]:
-    row = [0] * len(index)
-    for name, e in w.letters:
-        row[index[name]] += e
-    return row
 
 
 def evaluate_perm(w: Word, images: dict[str, Perm], degree: int) -> Perm:
@@ -606,10 +596,14 @@ def abelianization(p: Presentation) -> tuple[tuple[int, ...], int]:
     """Invariant factors (> 1) and free rank of the abelianized group."""
     if p.symbolic_relators:
         raise ValueError("cannot abelianize a presentation with symbolic relators")
-    from .arith_perm import smith_normal_form
-
     index = {name: i for i, name in enumerate(p.generators)}
-    rows = [_exponent_row(r, index) for r in p.relators]
+    rows = []
+    for r in p.relators:
+        row: dict[int, int] = {}
+        for name, e in r.letters:
+            j = index[name]
+            row[j] = row.get(j, 0) + e
+        rows.append(row)
     factors, free_rank = smith_normal_form(rows, ncols=len(p.generators))
     return tuple(d for d in factors if d != 1), free_rank
 

@@ -170,10 +170,11 @@ def _raw_presentation(k, subgroup):
     return reidemeister_schreier_full(mod_sphere_presentation(k), psi_images(k), subgroup)[0]
 
 
-def test_raw_and_simplified_abelianizations_agree_genus_2_to_5():
-    # includes H2 of (4,0;(1,2)_2,(1,4)_2,(3,4)_2), a 1620 x 361 relation matrix
+def test_raw_and_simplified_abelianizations_agree_genus_2_to_6():
+    # includes H2 of (4,0;(1,2)_2,(1,4)_2,(3,4)_2), a 1620 x 361 relation
+    # matrix, and H1 and H2 of (4,0;(1,2)_3,(1,4)_3,(3,4)), 3780 x 701
     count = 0
-    for genus in (2, 3, 4, 5):
+    for genus in (2, 3, 4, 5, 6):
         for ds in enumerate_spherical(genus):
             rep = analyze(ds)
             for subgroup, simplified in ((rep.stab.h1, rep.lmod_presentation),
@@ -181,7 +182,7 @@ def test_raw_and_simplified_abelianizations_agree_genus_2_to_5():
                 raw = _raw_presentation(rep.vector.k, subgroup)
                 assert abelianization(raw) == abelianization(simplified), ds
                 count += 1
-    assert count == 128
+    assert count == 218
 
 
 # sha256 of the raw Reidemeister-Schreier output for every H1 and H2 of genus

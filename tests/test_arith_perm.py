@@ -167,20 +167,28 @@ def test_coset_table_deterministic():
 # Smith normal form
 
 
+def _snf(mat):
+    """smith_normal_form of a dense matrix with at least one row."""
+    return smith_normal_form([{j: v for j, v in enumerate(r) if v} for r in mat], len(mat[0]))
+
+
 def test_snf_examples():
-    assert smith_normal_form([[1, 0], [0, 1]]) == ((1, 1), 0)
-    assert smith_normal_form([[2, 0], [0, 4]]) == ((2, 4), 0)
+    assert _snf([[1, 0], [0, 1]]) == ((1, 1), 0)
+    assert _snf([[2, 0], [0, 4]]) == ((2, 4), 0)
     # row/column reduction oracle, worked by hand
-    assert smith_normal_form([[2, -2, 0], [2, 0, 2], [0, 2, 2]]) == ((2, 2), 1)
+    assert _snf([[2, -2, 0], [2, 0, 2], [0, 2, 2]]) == ((2, 2), 1)
 
 
 def test_snf_edges():
-    assert smith_normal_form([], ncols=3) == ((), 3)
-    assert smith_normal_form([[0, 0], [0, 0]]) == ((), 2)
-    with pytest.raises(ValueError):
-        smith_normal_form([], ncols=None)
-    with pytest.raises(ValueError):
-        smith_normal_form([[1, 2], [3]])
+    assert smith_normal_form([], 3) == ((), 3)
+    assert smith_normal_form([{}, {0: 0, 1: 0}], 2) == ((), 2)
+    assert _snf([[0, 0], [0, 0]]) == ((), 2)
+    rows = [{0: 1}, {2: 1}]
+    assert smith_normal_form(rows, 3) == ((1, 1), 1)
+    assert rows == [{0: 1}, {2: 1}]  # the input is not modified
+    for bad in ({2: 1}, {-1: 1}):
+        with pytest.raises(ValueError):
+            smith_normal_form([{0: 1}, bad], 2)
 
 
 def _apply_random_unimodular(rows, rng, steps=12):
@@ -214,15 +222,15 @@ def test_snf_invariant_under_unimodular_ops():
         nrows = rng.randrange(1, 5)
         ncols = rng.randrange(1, 5)
         rows = [[rng.randrange(-6, 7) for _ in range(ncols)] for _ in range(nrows)]
-        expected = smith_normal_form(rows)
-        assert smith_normal_form(_apply_random_unimodular(rows, rng)) == expected
+        expected = _snf(rows)
+        assert _snf(_apply_random_unimodular(rows, rng)) == expected
 
 
 def test_snf_divisibility_chain():
     rng = random.Random(99)
     for _ in range(40):
         rows = [[rng.randrange(-20, 21) for _ in range(4)] for _ in range(4)]
-        factors, free_rank = smith_normal_form(rows)
+        factors, free_rank = _snf(rows)
         assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
         assert free_rank == 4 - len(factors)
 
@@ -277,6 +285,12 @@ def _mostly_units(rng, nrows, ncols):
     return [[entry() for _ in range(ncols)] for _ in range(nrows)]
 
 
+def _no_units(rng, nrows, ncols):
+    # no +-1 entry, so no unit pivot is available at the start
+    return [[rng.choice((0, 0, 2, -2, 3, 4, -6, 9)) for _ in range(ncols)]
+            for _ in range(nrows)]
+
+
 @pytest.mark.parametrize("rows, expected", [
     # a zero column and an all-zero row
     ([[1, 0, 2], [0, 0, 0], [3, 0, 4]], ((1, 2), 1)),
@@ -287,16 +301,28 @@ def _mostly_units(rng, nrows, ncols):
     # pivoting on the +-1 leaves only non-unit entries
     ([[1, 1], [1, -1]], ((1, 2), 0)),
     ([[1, 2, 2], [1, 0, 4]], ((1, 2), 1)),
+    # no unit entry: coprime, non-dividing and rank-deficient diagonals
+    ([[2, 0], [0, 3]], ((1, 6), 0)),
+    ([[6, 0], [0, 4]], ((2, 12), 0)),
+    ([[4, 6], [6, 9]], ((1,), 1)),
+    # a full-pivot dense loop let these entries grow past 4,300 digits
+    ([[-163, 70, 29, -145, -123, 149, 169],
+      [191, -157, -180, -136, -181, -45, 120],
+      [125, 191, -164, 98, -67, 107, 75],
+      [35, -39, -76, -80, -186, 160, -172],
+      [55, 131, -69, 17, -84, 156, 15],
+      [2, -51, 58, 53, 0, -101, -87]], ((1,) * 6, 1)),
 ])
 def test_snf_sparse_elimination_cases(rows, expected):
     assert _snf_by_minors(rows, len(rows[0])) == expected
-    assert smith_normal_form(rows) == expected
+    assert _snf(rows) == expected
 
 
 def test_snf_matches_determinantal_divisors():
     rng = random.Random(2024)
     shapes = [(rng.randrange(1, 6), rng.randrange(1, 7)) for _ in range(150)]
     shapes += [(rng.randrange(6, 8), rng.randrange(6, 9)) for _ in range(8)]
-    for nrows, ncols in shapes:
-        rows = _mostly_units(rng, nrows, ncols)
-        assert smith_normal_form(rows) == _snf_by_minors(rows, ncols), rows
+    for entries in (_mostly_units, _no_units):
+        for nrows, ncols in shapes:
+            rows = entries(rng, nrows, ncols)
+            assert _snf(rows) == _snf_by_minors(rows, ncols), rows

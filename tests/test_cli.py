@@ -49,6 +49,16 @@ def test_overlong_integer_is_a_parse_error(capsys):
     assert "too long" in err and "(line 1, column 2)" in err
 
 
+def test_non_ascii_digits_are_a_parse_error(capsys):
+    code, out, err = run(capsys, "validate", "(2,0;(1,2)_\u00b2)")  # superscript two
+    assert code == 1 and out == ""
+    assert "expected an integer" in err and "(line 1, column 12)" in err
+    two = "\u0662"  # Arabic-Indic digit two
+    code, out, err = run(capsys, "validate", f"({two},0;" + ",".join([f"(1,{two})"] * 6) + ")")
+    assert code == 1 and out == ""
+    assert "expected an integer" in err and "(line 1, column 2)" in err
+
+
 def test_usage_error_exit_1(capsys):
     code, _, err = run(capsys, "enumerate", "one")
     assert code == 1
