@@ -7,8 +7,11 @@ the order-2g+2 glued-rotation family, and the genus-3 classification table.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
+from types import MappingProxyType
 
 from .arith_perm import InternalInvariantError, Perm, identity_perm
 from .datasets import DataSet, parse_dataset, require_valid
@@ -92,8 +95,8 @@ class AnalysisReport:
     clmod_presentation: Presentation
     lmod_kind: str                      # "mod_sphere" | "pmod_sphere" | "schreier"
     clmod_kind: str
-    lmod_images: dict[str, Perm]        # marked-point image per presentation generator
-    clmod_images: dict[str, Perm]
+    lmod_images: Mapping[str, Perm]     # marked-point image per presentation generator
+    clmod_images: Mapping[str, Perm]
     classification: IrreducibleClassification | None
     flags: dict[str, bool]
 
@@ -106,29 +109,38 @@ class AnalysisReport:
         return self.stab.index_n_c
 
 
-def _subgroup_presentation(k: int, subgroup) -> tuple[Presentation, dict[str, Perm], str]:
+# distinct subgroups whose preimage presentations are kept; the H1 and H2 of
+# genus 10 alone are 70 subgroups
+PRESENTATION_MEMO_SIZE = 128
+
+
+@lru_cache(maxsize=PRESENTATION_MEMO_SIZE)
+def _subgroup_presentation(subgroup) -> tuple[Presentation, Mapping[str, Perm], str]:
     """Simplified presentation of the psi-preimage of a subgroup of Sym(k).
 
     Index 1 is the full sphere mapping class group and the trivial subgroup
     pulls back to the pure one; both have known presentations, so
-    Reidemeister-Schreier runs only at intermediate index.
+    Reidemeister-Schreier runs only at intermediate index.  The result
+    depends on the subgroup only as a set, so it is memoized on the set and
+    shared, with read-only images, by every report whose H1 or H2 it is.
     """
+    k = subgroup.degree
     psi = psi_images(k)
     if subgroup.is_symmetric:
         # kept unsimplified: index 1 is the ambient presentation itself
-        p = mod_sphere_presentation(k)
-        return p, {name: psi[name] for name in p.generators}, "mod_sphere"
-    if subgroup.order == 1:
-        p = tietze_simplify(pmod_sphere_presentation(k))
-        return p, {name: identity_perm(k) for name in p.generators}, "pmod_sphere"
-    ambient = mod_sphere_presentation(k)
-    raw, info = reidemeister_schreier_full(ambient, psi, subgroup)
-    if info.index * subgroup.order != factorial(k):
-        raise InternalInvariantError(
-            f"coset index {info.index} times |H| = {subgroup.order} is not {k}!")
-    simplified = tietze_simplify(raw)
-    images = {name: info.generator_images[name] for name in simplified.generators}
-    return simplified, images, "schreier"
+        p, kind = mod_sphere_presentation(k), "mod_sphere"
+        images = {name: psi[name] for name in p.generators}
+    elif subgroup.order == 1:
+        p, kind = tietze_simplify(pmod_sphere_presentation(k)), "pmod_sphere"
+        images = {name: identity_perm(k) for name in p.generators}
+    else:
+        raw, info = reidemeister_schreier_full(mod_sphere_presentation(k), psi, subgroup)
+        if info.index * subgroup.order != factorial(k):
+            raise InternalInvariantError(
+                f"coset index {info.index} times |H| = {subgroup.order} is not {k}!")
+        p, kind = tietze_simplify(raw), "schreier"
+        images = {name: info.generator_images[name] for name in p.generators}
+    return p, MappingProxyType(images), kind
 
 
 def analyze(ds: DataSet) -> AnalysisReport:
@@ -142,12 +154,8 @@ def analyze(ds: DataSet) -> AnalysisReport:
 
     v = generating_vector(ds)
     stab = liftable_images(v)
-    lmod_p, lmod_images, lmod_kind = _subgroup_presentation(v.k, stab.h1)
-    if stab.index_n_c > 1:
-        clmod_p, clmod_images, clmod_kind = _subgroup_presentation(v.k, stab.h2)
-    else:
-        # H2 <= H1 and |H1| = |H2| * [N:C], so [N:C] = 1 means H1 = H2
-        clmod_p, clmod_images, clmod_kind = lmod_p, lmod_images, lmod_kind
+    lmod_p, lmod_images, lmod_kind = _subgroup_presentation(stab.h1)
+    clmod_p, clmod_images, clmod_kind = _subgroup_presentation(stab.h2)
     classification = classify_irreducible(v) if v.k == 3 else None
 
     flags = {

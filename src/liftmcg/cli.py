@@ -1,10 +1,12 @@
 """Command-line surface: validate, enumerate, analyze, present, classify,
 table1, verify.
 
-Exit codes: 0 success, 1 usage/parse error or an unwritable --out path,
-2 validation or verification failure, 3 analysis refused (a capacity guard
-or an input outside the analysis scope).  JSON output is byte-stable across
-runs for identical inputs.
+Exit codes: 0 success; 1 usage/parse error or an unwritable --out path;
+2 validation or verification failure, or an input outside the analysis
+scope (an invalid data set, g0 != 0, genus < 2, or classify with k != 3),
+with the reason printed on stdout; 3 analysis refused by a capacity guard.
+Exit codes 1 and 3 print one ``error:`` line on stderr.  JSON output is
+byte-stable across runs for identical inputs.
 """
 
 from __future__ import annotations
@@ -52,6 +54,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _genus(text: str) -> int:
+    # int() also takes other scripts' digits, signs, spaces and underscores
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"genus must be ASCII decimal digits, got {text!r}")
+    try:
+        return int(text)
+    except ValueError:  # past the interpreter's limit on integer digits
+        raise argparse.ArgumentTypeError(f"genus of {len(text)} digits is too long") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
@@ -63,8 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "of the sphere.",
         epilog="Data sets are written (n,g0;(d1,n1),(d2,n2),...) with an "
                "optional (d,m)_r repetition suffix. Exit codes: 0 success, "
-               "1 usage or parse error, 2 validation or verification failure, "
-               "3 analysis refused (capacity guard or out-of-scope input).")
+               "1 usage or parse error, 2 validation or verification failure "
+               "or out-of-scope input (reason on stdout), 3 analysis refused "
+               "by a capacity guard.")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("validate", parents=[common],
@@ -73,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", parents=[common],
                        help="all spherical classes of a given genus, canonical forms")
-    p.add_argument("genus", type=int)
+    p.add_argument("genus", type=_genus)
 
     p = sub.add_parser("analyze", parents=[common],
                        help="full analysis of one data set")

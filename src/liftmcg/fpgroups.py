@@ -395,23 +395,24 @@ def reidemeister_schreier_full(p: Presentation, psi: dict[str, Perm],
     reps: list[Perm | None] = [identity_perm(degree)] + [None] * (index - 1)
     rep_invs: list[Perm | None] = list(reps)
     inv_table = [[0] * ngens for _ in range(index)]
-    sch_names: list[list[str | None]] = []   # coset -> Schreier name per generator
+    # coset -> per generator, the Schreier generator's (name, 1) and (name, -1)
+    sch_letters: list[list[tuple[Letter, Letter] | None]] = []
     gen_images: dict[str, Perm] = {}         # in row-major order: the output generators
     for c, row in enumerate(table):
         if reps[c] is None:
             raise InternalInvariantError("coset table not connected in BFS order")
-        names: list[str | None] = []
+        letters_of: list[tuple[Letter, Letter] | None] = []
         for gi, nxt in enumerate(row):
             inv_table[nxt][gi] = c
             img = compose(reps[c], images[gi])
             if reps[nxt] is None:
                 reps[nxt], rep_invs[nxt] = img, inverse(img)
-                names.append(None)
+                letters_of.append(None)
                 continue
             name = f"x{c}_{p.generators[gi]}"
-            names.append(name)
+            letters_of.append(((name, 1), (name, -1)))
             gen_images[name] = compose(img, rep_invs[nxt])
-        sch_names.append(names)
+        sch_letters.append(letters_of)
     if len(gen_images) != index * ngens - (index - 1):
         raise InternalInvariantError(
             f"{len(gen_images)} Schreier generators, expected {index * ngens - (index - 1)}")
@@ -427,15 +428,15 @@ def reidemeister_schreier_full(p: Presentation, psi: dict[str, Perm],
             for name, e in r.letters:
                 gi = gi_of[name]
                 if e == 1:
-                    s = sch_names[cur][gi]
+                    s = sch_letters[cur][gi]
                     if s is not None:
-                        letters.append((s, 1))
+                        letters.append(s[0])
                     cur = table[cur][gi]
                 else:
                     prev = inv_table[cur][gi]
-                    s = sch_names[prev][gi]
+                    s = sch_letters[prev][gi]
                     if s is not None:
-                        letters.append((s, -1))
+                        letters.append(s[1])
                     cur = prev
             if cur != c:
                 raise InternalInvariantError("relator does not stabilize its coset")
@@ -582,10 +583,11 @@ def tietze_simplify(p: Presentation) -> Presentation:
     gone = set()
     while (g := engine.eliminate()) is not None:
         gone.add(g)
+    # one shared (name, +-1) tuple per signed generator, not one per letter
+    letter = {sign * i: (name, sign) for name, i in code.items() for sign in (1, -1)}
     return Presentation(
         tuple(name for name, i in code.items() if i not in gone),
-        tuple(Word(tuple((names[abs(x) - 1], 1 if x > 0 else -1) for x in r))
-              for r in engine.relators()))
+        tuple(Word(tuple(map(letter.__getitem__, r))) for r in engine.relators()))
 
 
 # ---------------------------------------------------------------------------

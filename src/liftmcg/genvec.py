@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, permutations as _all_perms
 from math import factorial, gcd
 
@@ -198,6 +199,10 @@ class VectorStabilizer:
     through g, (u * c[g[i]] mod n)_i, because H*g = H*g' exactly when those
     labels agree.  The generators are the adjacent transpositions inside each
     block of equal entries followed by the unit permutations other than 1.
+
+    Equality and hashing are those of the set of sigma, so stabilizers of
+    different vectors compare equal when they are the same subgroup of
+    Sym(k).
     """
 
     vector: GeneratingVector
@@ -225,6 +230,42 @@ class VectorStabilizer:
     def coset_key(self, g: Perm) -> tuple[int, ...]:
         n, c = self.vector.n, self.vector.c
         return min(tuple(u * c[x] % n for x in g) for u in self.units)
+
+    @cached_property
+    def _subset(self) -> tuple:
+        """Canonical form of the set: its blocks and its block maps.
+
+        The blocks are the classes of i ~ j for the transpositions (i j) in
+        the set: blocks of equal entries, with singletons {i} and {j} joined
+        when a unit moves only entries i and j.  The set holds every
+        permutation inside the blocks and maps blocks onto blocks, so it is
+        the sigma whose block map B -> sigma(B) is that of some unit's
+        permutation.  Both parts are read off the set alone.
+        """
+        n, c, k = self.vector.n, self.vector.c, self.degree
+        label = list(c)
+        for u in self.units:
+            moved = [i for i in range(k) if u * c[i] % n != c[i]]
+            if len(moved) == 2:
+                old, new = label[moved[1]], label[moved[0]]
+                label = [new if x == old else x for x in label]
+        members: dict[int, list[int]] = {}
+        for i, x in enumerate(label):
+            members.setdefault(x, []).append(i)
+        blocks = tuple(tuple(b) for b in members.values())
+        block_of = {i: b for b, block in enumerate(blocks) for i in block}
+        first = {x: i for i, x in reversed(list(enumerate(c)))}
+        maps = {tuple(block_of[first[u * c[b[0]] % n]] for b in blocks)
+                for u in self.units}
+        return blocks, tuple(sorted(maps))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, VectorStabilizer):
+            return NotImplemented
+        return self._subset == other._subset
+
+    def __hash__(self) -> int:
+        return hash(self._subset)
 
 
 @dataclass(frozen=True)

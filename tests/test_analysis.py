@@ -1,5 +1,8 @@
 import hashlib
 import json
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import jsonschema
 import pytest
@@ -42,6 +45,7 @@ from liftmcg.genvec import (
     semidirect,
 )
 from liftmcg.analysis import (
+    _subgroup_presentation,
     analyze,
     balanced_superelliptic_shape,
     doubled_shape,
@@ -183,6 +187,61 @@ def test_raw_and_simplified_abelianizations_agree_genus_2_to_6():
                 assert abelianization(raw) == abelianization(simplified), ds
                 count += 1
     assert count == 218
+
+
+def _report_bytes(ds) -> str:
+    rep = analyze(ds)
+    images = [sorted((name, list(p)) for name, p in m.items())
+              for m in (rep.lmod_images, rep.clmod_images)]
+    return json.dumps([report_json(rep), images])
+
+
+def test_memoized_reports_match_cold_runs_genus_2_to_6():
+    classes = [ds for genus in (2, 3, 4, 5, 6) for ds in enumerate_spherical(genus)]
+    cold = {}
+    for ds in classes:
+        _subgroup_presentation.cache_clear()
+        cold[ds] = _report_bytes(ds)
+    _subgroup_presentation.cache_clear()
+    random.Random(9).shuffle(classes)
+    for ds in classes:
+        assert _report_bytes(ds) == cold[ds], ds
+    info = _subgroup_presentation.cache_info()
+    assert info.misses == 47 and info.hits == 2 * 109 - 47
+
+
+def test_memoized_reports_under_concurrent_workers():
+    classes = [ds for genus in (2, 3, 4) for ds in enumerate_spherical(genus)]
+    expected = {ds: _report_bytes(ds) for ds in classes}
+
+    def sweep(seed):
+        order = classes[:]
+        random.Random(seed).shuffle(order)
+        return all(_report_bytes(ds) == expected[ds] for ds in order)
+
+    _subgroup_presentation.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(sweep, seed) for seed in range(6)]
+            assert all(f.result(timeout=120) for f in futures)
+    finally:
+        sys.setswitchinterval(interval)
+    assert _subgroup_presentation.cache_info().currsize == 26  # distinct subgroups
+
+
+def test_memoized_reports_are_read_only():
+    # H2 of the first is H1 of the second: <(1,2), (3,4)> in Sym(4)
+    rep = analyze(parse_dataset("(3,0;(1,3),(1,3),(2,3),(2,3))"))
+    other = analyze(parse_dataset("(4,0;(1,2),(1,2),(1,4),(3,4))"))
+    assert other.lmod_presentation is rep.clmod_presentation
+    assert other.lmod_images is rep.clmod_images
+    name = next(iter(rep.lmod_images))
+    with pytest.raises(TypeError):
+        rep.lmod_images[name] = identity_perm(4)
+    with pytest.raises(TypeError):
+        del rep.clmod_images[next(iter(rep.clmod_images))]
 
 
 # sha256 of the raw Reidemeister-Schreier output for every H1 and H2 of genus

@@ -66,6 +66,12 @@ def test_usage_error_exit_1(capsys):
     assert code == 1 and "--jobs" in err
     code, _, err = run(capsys, "enumerate", "99")
     assert code == 1
+    # int() would read the first four as a genus: 2, 2, 2 and 20
+    for genus in ("\u0662", " 2", "+2", "2_0", "1" * 5000):
+        code, out, err = run(capsys, "enumerate", genus)
+        assert code == 1 and out == "", genus
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, genus
+    assert "5000 digits is too long" in err and len(err) < 100
 
 
 def test_enumerate_text_and_json(capsys):

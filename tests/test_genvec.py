@@ -36,6 +36,7 @@ from liftmcg.genvec import (
     stabilizer_bruteforce,
     stabilizing_units,
     unit_for_perm,
+    value_blocks,
 )
 
 
@@ -251,6 +252,31 @@ def test_stabilizer_membership_and_cosets():
     assert rep.h2.coset_key(compose(swap, g)) == rep.h2.coset_key(g)
     assert rep.h2.coset_key(compose(flip, g)) != rep.h2.coset_key(g)
     assert rep.h1.coset_key(compose(flip, g)) == rep.h1.coset_key(g)
+
+
+def test_stabilizer_equality_is_set_equality_genus_2_to_6():
+    # every H1 and H2 with k <= 8, against the brute-force element sets
+    subgroups = []
+    for genus in range(2, 7):
+        for v in all_vectors(genus):
+            stab = stabilizer_bruteforce(v)
+            rep = liftable_images(v)
+            subgroups.append((rep.h1, frozenset(sigma for _, sigma in stab)))
+            subgroups.append((rep.h2, frozenset(sigma for u, sigma in stab if u == 1)))
+    assert len(subgroups) == 212
+    # equal sets need not have equal blocks of equal entries: H2 of (1,1,2,2)
+    # mod 3 is H1 of (2,2,1,3) mod 4, whose unit 3 swaps the entries 1 and 3
+    blocks_differ = 0
+    for a, elements_a in subgroups:
+        for b, elements_b in subgroups:
+            if a.degree != b.degree:
+                continue
+            assert (a == b) == (elements_a == elements_b), (a.vector, b.vector)
+            if a == b:
+                assert hash(a) == hash(b)
+                blocks_differ += sorted(value_blocks(a.vector)) != sorted(value_blocks(b.vector))
+    assert blocks_differ > 0
+    assert len({a for a, _ in subgroups}) == len({(a.degree, e) for a, e in subgroups})
 
 
 def test_liftable_images_refuses_past_the_branch_point_bound():
