@@ -27,6 +27,7 @@ from .analysis import (
 from .arith_perm import (
     CapacityError,
     InternalInvariantError,
+    OutOfScopeError,
     PermGroup,
     coset_table,
     perm_closure,

@@ -14,7 +14,7 @@ from math import factorial
 from types import MappingProxyType
 
 from .arith_perm import InternalInvariantError, Perm, identity_perm
-from .datasets import DataSet, parse_dataset, require_valid
+from .datasets import DataSet, parse_dataset
 from .fpgroups import (
     EMPTY,
     LiftData,
@@ -41,6 +41,7 @@ from .genvec import (
     generating_vector,
     liftable_images,
     mod_equals_lmod,
+    require_genus,
     unit_for_perm,
 )
 
@@ -98,15 +99,7 @@ class AnalysisReport:
     lmod_images: Mapping[str, Perm]     # marked-point image per presentation generator
     clmod_images: Mapping[str, Perm]
     classification: IrreducibleClassification | None
-    flags: dict[str, bool]
-
-    @property
-    def index_mod_lmod(self) -> int:
-        return self.stab.index_mod_lmod
-
-    @property
-    def index_n_c(self) -> int:
-        return self.stab.index_n_c
+    flags: Mapping[str, bool]
 
 
 # distinct subgroups whose preimage presentations are kept; the H1 and H2 of
@@ -145,31 +138,27 @@ def _subgroup_presentation(subgroup) -> tuple[Presentation, Mapping[str, Perm], 
 
 def analyze(ds: DataSet) -> AnalysisReport:
     """Full pipeline: generating vector, stabilizer data, presentations of the
-    liftable and centralizer preimages, classification when k = 3."""
-    report = require_valid(ds)
-    if ds.g0 != 0:
-        raise ValueError(f"analysis requires a genus-0 quotient, got g0={ds.g0}")
-    if report.genus < 2:
-        raise ValueError(f"analysis requires genus >= 2, got {report.genus} for {ds}")
-
+    liftable and centralizer preimages, classification when k = 3.
+    OutOfScopeError for an invalid data set, g0 != 0 or genus < 2."""
     v = generating_vector(ds)
+    genus = require_genus(v)
     stab = liftable_images(v)
     lmod_p, lmod_images, lmod_kind = _subgroup_presentation(stab.h1)
     clmod_p, clmod_images, clmod_kind = _subgroup_presentation(stab.h2)
     classification = classify_irreducible(v) if v.k == 3 else None
 
-    flags = {
+    flags = MappingProxyType({
         "mod_equals_lmod": mod_equals_lmod(v),
         "hyperelliptic": hyperelliptic_shape(ds),
         "balanced_superelliptic": balanced_superelliptic_shape(ds),
         "doubled": doubled_shape(ds),
-    }
+    })
     if flags["mod_equals_lmod"] != stab.h1.is_symmetric:
         raise InternalInvariantError(
             f"mod_equals_lmod is {flags['mod_equals_lmod']} but |H1| = {stab.h1.order}")
 
     return AnalysisReport(
-        dataset=ds, genus=report.genus, vector=v, stab=stab,
+        dataset=ds, genus=genus, vector=v, stab=stab,
         lmod_presentation=lmod_p, clmod_presentation=clmod_p,
         lmod_kind=lmod_kind, clmod_kind=clmod_kind,
         lmod_images=lmod_images, clmod_images=clmod_images,
@@ -186,14 +175,18 @@ class NormalizerSpec:
     mapping class: kernel generator F plus one lift per quotient generator.
 
     conjugation_exponents[G] = e means the relation G F G^-1 = F^e (signed;
-    -1 stands for the unit n-1).
+    -1 stands for the unit n-1); the mapping is kept read-only.
     """
 
     presentation: Presentation
-    conjugation_exponents: dict[str, int]
+    conjugation_exponents: Mapping[str, int]
     provenance: str                     # "built_in" | "user_supplied" | "symbolic"
     descriptor: GroupDescriptor | None = None
     notes: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "conjugation_exponents",
+                           MappingProxyType(dict(self.conjugation_exponents)))
 
 
 def _signed_unit(u: int, n: int) -> int:
@@ -319,6 +312,7 @@ def normalizer_centralizer(ds: DataSet, lifts: LiftData | None = None,
     classification (exact isomorphism types); built-in lift data for the
     order-2g+2 glued-rotation family; the generic extension with symbolic
     relator evaluations (exact when the quotient presentation is free).
+    OutOfScopeError as for analyze.
     """
     rep = analyze(ds)
     if lifts is not None or central_lifts is not None:

@@ -42,6 +42,10 @@ class CapacityError(ValueError):
     """Raised when an operation would exceed the desk-scale guards."""
 
 
+class OutOfScopeError(ValueError):
+    """Raised for input outside the analysis scope; the message is the reason."""
+
+
 class InternalInvariantError(RuntimeError):
     """Raised when a result fails an internal consistency check: a bug in
     this package, not bad input."""

@@ -3,10 +3,12 @@ table1, verify.
 
 Exit codes: 0 success; 1 usage/parse error or an unwritable --out path;
 2 validation or verification failure, or an input outside the analysis
-scope (an invalid data set, g0 != 0, genus < 2, or classify with k != 3),
-with the reason printed on stdout; 3 analysis refused by a capacity guard.
+scope (the library's OutOfScopeError: an invalid data set, g0 != 0,
+genus < 2, or classify with k != 3), with the reason written where the
+output would go (stdout or --out); 3 analysis refused by a capacity guard.
 Exit codes 1 and 3 print one ``error:`` line on stderr.  JSON output is
-byte-stable across runs for identical inputs.
+byte-stable across runs for identical inputs.  The argument parser is
+built once per process, on the first call.
 """
 
 from __future__ import annotations
@@ -15,9 +17,11 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from .analysis import (
     analyze,
+    classification_json,
     normalizer_centralizer,
     normalizer_spec_json,
     render_normalizer_specs,
@@ -30,6 +34,7 @@ from .analysis import (
     verification_json,
     verify_doubled_matrices,
 )
+from .arith_perm import OutOfScopeError
 from .datasets import (
     DataSetParseError,
     enumerate_spherical,
@@ -155,32 +160,15 @@ def _cmd_enumerate(args) -> tuple[str, int]:
     return "\n".join(lines), EXIT_OK
 
 
-def _analysis_input(text: str):
-    ds = parse_dataset(text)
-    report = validate(ds)
-    if not report.ok:
-        return ds, ("invalid: " + ", ".join(report.violations))
-    if ds.g0 != 0:
-        return ds, "not spherical (g0 != 0)"
-    if report.genus < 2:
-        return ds, f"genus {report.genus} is outside the genus >= 2 scope"
-    return ds, None
-
-
 def _cmd_analyze(args) -> tuple[str, int]:
-    ds, problem = _analysis_input(args.dataset)
-    if problem:
-        return problem, EXIT_INVALID
-    rep = analyze(ds)
+    rep = analyze(parse_dataset(args.dataset))
     if args.format == "json":
         return _json_text(report_json(rep)), EXIT_OK
     return render_report(rep), EXIT_OK
 
 
 def _cmd_present(args) -> tuple[str, int]:
-    ds, problem = _analysis_input(args.dataset)
-    if problem:
-        return problem, EXIT_INVALID
+    ds = parse_dataset(args.dataset)
     norm, cent = normalizer_centralizer(ds)
     if args.format == "json":
         payload = {
@@ -193,14 +181,9 @@ def _cmd_present(args) -> tuple[str, int]:
 
 
 def _cmd_classify(args) -> tuple[str, int]:
-    ds, problem = _analysis_input(args.dataset)
-    if problem:
-        return problem, EXIT_INVALID
-    if ds.k != 3:
-        return f"classification needs exactly 3 branch points, got {ds.k}", EXIT_INVALID
+    ds = parse_dataset(args.dataset)
     cls = classify_irreducible(generating_vector(ds))
     if args.format == "json":
-        from .analysis import classification_json
         payload = {"dataset": render_dataset(ds)}
         payload.update(classification_json(cls))
         return _json_text(payload), EXIT_OK
@@ -234,15 +217,19 @@ _COMMANDS = {
 }
 
 
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         text, code = _COMMANDS[args.verb](args)
     except (UsageError, DataSetParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:  # CapacityError and analysis refusals
+    except OutOfScopeError as exc:  # the reason is the output
+        text, code = str(exc), EXIT_INVALID
+    except ValueError as exc:  # CapacityError and any other refusal
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REFUSED
     except SystemExit as exc:  # argparse --help exits 0

@@ -15,7 +15,7 @@ from functools import reduce
 from itertools import combinations_with_replacement, product
 from math import gcd, lcm
 
-from .arith_perm import CapacityError, InternalInvariantError, Perm, units_mod
+from .arith_perm import CapacityError, InternalInvariantError, OutOfScopeError, Perm, units_mod
 
 Pair = tuple[int, int]  # (d, m)
 
@@ -121,9 +121,10 @@ def validate(ds: DataSet) -> ValidationReport:
 
 
 def require_valid(ds: DataSet) -> ValidationReport:
+    """The validation report; OutOfScopeError naming the failed conditions."""
     report = validate(ds)
     if not report.ok:
-        raise ValueError(f"invalid data set {ds}: {', '.join(report.violations)}")
+        raise OutOfScopeError("invalid: " + ", ".join(report.violations))
     return report
 
 

@@ -15,15 +15,18 @@ The action convention: ``act(l, sigma, v)`` puts ``l * c_j`` at position
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations as _all_perms
 from math import factorial, gcd
+from types import MappingProxyType
 
 from .arith_perm import (
     CapacityError,
     InternalInvariantError,
+    OutOfScopeError,
     Perm,
     compose,
     cycles_of,
@@ -71,12 +74,21 @@ class GeneratingVector:
 
 
 def generating_vector(ds: DataSet) -> GeneratingVector:
-    """The vector with c_i = (n/n_i) d_i in the data set's stored pair order."""
+    """The vector with c_i = (n/n_i) d_i in the data set's stored pair order;
+    validates once, with OutOfScopeError if invalid or not spherical."""
     require_valid(ds)
     if ds.g0 != 0:
-        raise ValueError("generating vectors are computed for spherical data sets only")
+        raise OutOfScopeError("not spherical (g0 != 0)")
     c = tuple((ds.n // m) * d % ds.n for d, m in ds.pairs)
     return GeneratingVector(ds.n, c)
+
+
+def require_genus(v: GeneratingVector) -> int:
+    """The genus of the cover; OutOfScopeError unless it is an integer >= 2."""
+    g = v.genus()
+    if g.denominator != 1 or g < 2:
+        raise OutOfScopeError(f"genus {g} is outside the genus >= 2 scope")
+    return int(g)
 
 
 def act(unit: int, sigma: Perm, v: GeneratingVector) -> GeneratingVector:
@@ -284,8 +296,8 @@ class StabilizerReport:
     h2: VectorStabilizer
     units: tuple[int, ...]
     swaps: tuple[tuple[int, int], ...]
-    unit_words: dict[int, Word]
-    unit_perms: dict[int, Perm]
+    unit_words: Mapping[int, Word]
+    unit_perms: Mapping[int, Perm]
     index_mod_lmod: int
     index_n_c: int
 
@@ -319,7 +331,7 @@ def liftable_images(v: GeneratingVector, cross_check: bool = False) -> Stabilize
 
     return StabilizerReport(
         n=v.n, c=v.c, h1=h1, h2=h2, units=units, swaps=tuple(equal_pairs(v)),
-        unit_words=unit_words, unit_perms=unit_perms,
+        unit_words=MappingProxyType(unit_words), unit_perms=MappingProxyType(unit_perms),
         index_mod_lmod=factorial(k) // h1.order, index_n_c=len(units))
 
 
@@ -421,13 +433,11 @@ def classify_irreducible(v: GeneratingVector) -> IrreducibleClassification:
     (ii) a square-root twist swaps two entries and fixes the third
     (a: twist 1 -> N = C = Z_n x Z_2; b: twist != 1 -> N = Z_n x|_l Z_2);
     (iii) trivial stabilizer beyond the units -> N = C = Z_n.
+    OutOfScopeError for genus < 2, then for k != 3.
     """
+    g = require_genus(v)
     if v.k != 3:
-        raise ValueError(f"classification needs exactly 3 branch points, got {v.k}")
-    g = v.genus()
-    if g.denominator != 1 or g < 2:
-        raise ValueError(f"classification needs genus >= 2, got {g}")
-    g = int(g)
+        raise OutOfScopeError(f"classification needs exactly 3 branch points, got {v.k}")
     n, c = v.n, v.c
 
     for u in units_mod(n):

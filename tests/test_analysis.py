@@ -8,6 +8,7 @@ import jsonschema
 import pytest
 
 from liftmcg.arith_perm import (
+    OutOfScopeError,
     identity_perm,
     perm_closure,
     perm_from_cycles,
@@ -38,6 +39,7 @@ from liftmcg.fpgroups import (
     same_relator_sets,
 )
 from liftmcg.genvec import (
+    classify_irreducible,
     cyclic,
     direct_product,
     generating_vector,
@@ -112,6 +114,51 @@ def test_analyze_rejects_bad_inputs():
         analyze(dataset(2, 1, ((1, 2), (1, 2))))  # not spherical
     with pytest.raises(ValueError):
         analyze(parse_dataset("(6,0;(1,2),(1,3),(1,6))"))  # genus 1
+
+
+def test_scope_errors_are_typed_with_the_command_line_reasons():
+    invalid = parse_dataset("(4,0;(1,2),(1,4))")
+    not_spherical = dataset(2, 1, ((1, 2), (1, 2)))
+    genus_one = parse_dataset("(2,0;(1,2)_4)")
+    for call, reason in (
+            (lambda: generating_vector(invalid), "invalid: cond_ii, cond_iv, rh_non_integer"),
+            (lambda: generating_vector(not_spherical), "not spherical (g0 != 0)"),
+            (lambda: analyze(invalid), "invalid: cond_ii, cond_iv, rh_non_integer"),
+            (lambda: analyze(not_spherical), "not spherical (g0 != 0)"),
+            (lambda: analyze(genus_one), "genus 1 is outside the genus >= 2 scope"),
+            (lambda: normalizer_centralizer(genus_one), "genus 1 is outside the genus >= 2 scope"),
+            (lambda: classify_irreducible(generating_vector(genus_one)),
+             "genus 1 is outside the genus >= 2 scope"),
+            (lambda: classify_irreducible(generating_vector(hyperelliptic(2))),
+             "classification needs exactly 3 branch points, got 6")):
+        with pytest.raises(OutOfScopeError) as info:
+            call()
+        assert str(info.value) == reason
+
+
+def test_each_analysis_validates_its_data_set_once(monkeypatch, capsys):
+    import liftmcg.cli as cli_module
+    import liftmcg.datasets as datasets_module
+
+    calls = []
+    real = datasets_module.validate
+
+    def counting(ds):
+        calls.append(ds)
+        return real(ds)
+
+    monkeypatch.setattr(datasets_module, "validate", counting)
+    monkeypatch.setattr(cli_module, "validate", counting)
+    main = cli_module.main
+    four, three = "(6,0;(1,2),(1,2),(1,3),(2,3))", "(7,0;(1,7),(2,7),(4,7))"
+    for call in (lambda: analyze(parse_dataset(four)),
+                 lambda: normalizer_centralizer(parse_dataset(four)),
+                 lambda: main(["analyze", four]),
+                 lambda: main(["present", four]),
+                 lambda: main(["classify", three])):
+        calls.clear()
+        call()
+        assert len(calls) == 1
 
 
 def test_analyze_index_consistency_genus_2_to_4():
@@ -242,6 +289,19 @@ def test_memoized_reports_are_read_only():
         rep.lmod_images[name] = identity_perm(4)
     with pytest.raises(TypeError):
         del rep.clmod_images[next(iter(rep.clmod_images))]
+
+
+def test_report_mappings_are_read_only():
+    ds = parse_dataset("(6,0;(1,2),(1,2),(1,3),(2,3))")
+    rep = analyze(ds)
+    norm, _ = normalizer_centralizer(ds)
+    for mapping, key in ((rep.flags, "doubled"), (rep.stab.unit_words, 1),
+                         (rep.stab.unit_perms, 1), (norm.conjugation_exponents, "G1")):
+        assert key in mapping
+        with pytest.raises(TypeError):
+            mapping[key] = mapping[key]
+    payload = json.loads(json.dumps(normalizer_spec_json(norm)))
+    assert payload["conjugation_exponents"] == dict(norm.conjugation_exponents)
 
 
 # sha256 of the raw Reidemeister-Schreier output for every H1 and H2 of genus

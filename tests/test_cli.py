@@ -246,3 +246,58 @@ def test_closed_stdout_ends_quietly():
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 0
     assert b"Traceback" not in err and b"BrokenPipeError" not in err
+
+
+def test_classify_json(capsys):
+    code, out, err = run(capsys, "classify", "--format", "json", "(7,0;(1,7),(2,7),(4,7))")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["dataset"] == "(7,0;(1,7),(2,7),(4,7))"
+    assert payload["case"] == "i" and payload["twist"] == 2 and payload["genus"] == 3
+    assert payload["normalizer"]["text"] == "Z7 x|_2 Z3"
+    assert payload["centralizer"]["text"] == "Z7"
+    assert payload["lmod"]["text"] == "Z3"
+
+
+def test_analyze_text_irreducible_and_pure_centralizer(capsys):
+    code, out, _ = run(capsys, "analyze", "(7,0;(1,7),(2,7),(4,7))")
+    assert code == 0
+    lines = out.splitlines()
+    assert "CLMod = PMod(S_{0,3})" in lines
+    assert "CLMod presentation (pmod_sphere): <1>" in lines
+    assert "Irreducible case (i): N(F) = Z7 x|_2 Z3, C(F) = Z7" in lines
+    assert not any(line.startswith("LMod = Mod") for line in lines)
+
+
+SCOPE_REASONS = (
+    ("(4,0;(1,2),(1,4))", "invalid: cond_ii, cond_iv, rh_non_integer"),
+    ("(2,1;(1,2),(1,2))", "not spherical (g0 != 0)"),
+    ("(6,0;(1,2),(1,3),(1,6))", "genus 1 is outside the genus >= 2 scope"),
+    ("(2,0;(1,2)_4)", "genus 1 is outside the genus >= 2 scope"),
+)
+
+
+def test_scope_refusals_exit_2_with_the_reason_on_stdout(tmp_path, capsys):
+    for verb in ("analyze", "present", "classify"):
+        for text, reason in SCOPE_REASONS:
+            for fmt in ("text", "json"):
+                code, out, err = run(capsys, verb, "--format", fmt, text)
+                assert (code, out, err) == (2, reason + "\n", ""), (verb, text, fmt)
+    target = tmp_path / "reason.txt"
+    code, out, err = run(capsys, "present", "(2,1;(1,2),(1,2))", "--out", str(target))
+    assert (code, out, err) == (2, "", "")
+    assert target.read_text() == "not spherical (g0 != 0)\n"
+
+
+def test_consecutive_calls_share_no_state(tmp_path, capsys):
+    seven = "(7,0;(1,7),(2,7),(4,7))"
+    text = (0, "valid, genus 3\n", "")
+    assert run(capsys, "validate", "--bogus", seven)[0] == 1
+    assert run(capsys, "frobnicate")[0] == 1
+    assert run(capsys, "validate", seven) == text
+    code, out, _ = run(capsys, "validate", "--format", "json", seven)
+    assert code == 0 and json.loads(out)["genus"] == 3
+    assert run(capsys, "validate", seven) == text
+    target = tmp_path / "v.txt"
+    assert run(capsys, "validate", "--out", str(target), seven) == (0, "", "")
+    assert run(capsys, "validate", seven) == text
