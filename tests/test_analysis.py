@@ -210,6 +210,26 @@ def test_presentations_pinned_and_killed_by_images_genus_2_to_4():
     assert digest.hexdigest() == GENUS_2_TO_4_PRESENTATIONS_SHA256
 
 
+# the same digest for every spherical class of genus 5-6, the Tietze-heavy
+# classes included (H1 of (3,0;(1,3)_4,(2,3)_4) alone simplifies 6,813 letters)
+GENUS_5_TO_6_PRESENTATIONS_SHA256 = (
+    "8e4083c124ddeefec0fd3453781d63ea32c73e75862a12a12db32552ea35dd61")
+
+
+def test_presentations_pinned_genus_5_to_6():
+    digest = hashlib.sha256()
+    count = 0
+    for genus in (5, 6):
+        for ds in enumerate_spherical(genus):
+            rep = analyze(ds)
+            count += 1
+            for line in (render_dataset(ds), render_presentation(rep.lmod_presentation),
+                         render_presentation(rep.clmod_presentation)):
+                digest.update((line + "\n").encode())
+    assert count == 63
+    assert digest.hexdigest() == GENUS_5_TO_6_PRESENTATIONS_SHA256
+
+
 def _raw_presentation(k, subgroup):
     """The presentation of the preimage before Tietze: the sphere
     presentations at index 1 and for the trivial subgroup, else the raw
