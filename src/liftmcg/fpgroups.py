@@ -16,19 +16,20 @@ Tietze simplification is deterministic.  Each step picks the relator least by
 once, eliminates the latest-declared such generator by substituting the
 freely reduced rotation of that relator, drops empty relators, and keeps the
 earlier of two relators equal up to rotation and inversion, until no relator
-has a generator occurring once.  Internally the engine writes letters as
-signed ints and rewrites only the relators that contain the eliminated
-generator.
+has a generator occurring once.  The engine writes a relator as a str, with
+generator i as chr(2i) and its inverse as chr(2i + 1), so that substitution,
+search and inversion are str methods; MAX_TIETZE_GENERATORS caps i.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import sys
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from operator import neg
 
 from .arith_perm import (
+    CapacityError,
     InternalInvariantError,
     Perm,
     compose,
@@ -236,35 +237,22 @@ def rename_presentation(p: Presentation, mapping: dict[str, str]) -> Presentatio
     return Presentation(gens, rels, sym)
 
 
-def _least_rotation(letters: tuple) -> tuple:
-    if not letters:
-        return letters
-    first = min(letters)
-    doubled = letters + letters
-    n = len(letters)
-    return min(doubled[i:i + n] for i, x in enumerate(letters) if x == first)
-
-
-def _canonical_key(letters: tuple, inv) -> tuple:
-    """The least rotation of the cyclic reduction of ``letters`` or of its
-    inverse; ``inv`` inverts one letter."""
-    i, j = 0, len(letters)
-    while j - i >= 2 and letters[i] == inv(letters[j - 1]):
-        i += 1
-        j -= 1
-    reduced = letters[i:j]
-    return min(_least_rotation(reduced),
-               _least_rotation(tuple(map(inv, reversed(reduced)))))
-
-
-def _inverse_letter(letter: Letter) -> Letter:
-    return letter[0], -letter[1]
-
-
 def relator_key(w: Word) -> tuple[Letter, ...]:
     """Canonical form of a relator up to conjugation and inversion: the least
     rotation of its cyclic reduction or of the inverse."""
-    return _canonical_key(w.letters, _inverse_letter)
+    letters = w.letters
+    i, j = 0, len(letters)
+    while j - i >= 2 and letters[i] == (letters[j - 1][0], -letters[j - 1][1]):
+        i += 1
+        j -= 1
+    core = letters[i:j]
+    if not core:
+        return core
+    inv = tuple((name, -e) for name, e in reversed(core))
+    first = min(core + inv)    # the first letter of every least rotation
+    n = len(core)
+    return min(doubled[s:s + n] for doubled in (core + core, inv + inv)
+               for s in range(n) if doubled[s] == first)
 
 
 def same_relator_sets(p1: Presentation, p2: Presentation,
@@ -455,57 +443,104 @@ def reidemeister_schreier(p: Presentation, psi: dict[str, Perm],
 # ---------------------------------------------------------------------------
 # Tietze simplification
 
+# Generator i (1-based) is the letter chr(2i) and its inverse chr(2i + 1), so
+# the last generator's inverse must be a code point.
+MAX_TIETZE_GENERATORS = (sys.maxunicode - 1) // 2
 
-def _inverse(letters: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(map(neg, reversed(letters)))
+
+def _free_reduce(s: str) -> str:
+    out: list[str] = []
+    for c in s:
+        if out and ord(out[-1]) ^ ord(c) == 1:
+            out.pop()
+        else:
+            out.append(c)
+    return "".join(out)
 
 
 class _TietzeEngine:
-    """Tietze state on signed-int letters: generator i (1-based, declaration
-    order) is written i and its inverse -i.
+    """Tietze state on code-point strings: generator i (1-based, declaration
+    order) is the letter chr(2i) and its inverse chr(2i + 1), so two letters
+    cancel when their code points differ in the last bit alone.
 
     Positions are the relators' list positions at entry; a rewritten relator
-    keeps its position, so comparing positions compares list order.
+    keeps its position, so comparing positions compares list order.  Relators
+    are bucketed by the length and generators of their cyclic reductions, and
+    two in one bucket are equal up to rotation and inversion when one cyclic
+    reduction, or its inverse, occurs in the other written twice.
     """
 
-    def __init__(self, ngens: int, relators: list[tuple[int, ...]]):
-        self.rels: dict[int, tuple[int, ...]] = {}
-        self.key_of: dict[int, tuple] = {}
-        self.holder: dict[tuple, int] = {}    # canonical key -> position holding it
-        self.occurs: list[set[int]] = [set() for _ in range(ngens + 1)]
+    def __init__(self, ngens: int, relators: list[str]):
+        letters = range(2, 2 * ngens + 2)
+        self.inv = {c: c ^ 1 for c in letters}
+        self.gen_of = {c: c & ~1 for c in letters}
+        self.rels: dict[int, str] = {}
+        self.held: dict[int, tuple[str, tuple]] = {}  # position -> (cyclic reduction, bucket)
+        self.buckets: dict[tuple, list[int]] = {}
+        # generator letter -> positions whose relator may contain it; read
+        # once, when the generator is eliminated
+        self.occurs: defaultdict[str, set[int]] = defaultdict(set)
         self.once: dict[int, int] = {}        # position -> latest gen occurring once, or 0
         self.heap: list[tuple[int, int]] = []  # (length, position); stale entries skipped
-        for pos, letters in enumerate(relators):
-            if letters:
-                key = _canonical_key(letters, neg)
-                if key not in self.holder:
-                    self._insert(pos, letters, key)
+        for pos, s in enumerate(relators):
+            if s:
+                core, bucket, other = self._lookup(s)
+                if other is None:
+                    self._insert(pos, s, core, bucket)
+                    for g in set(s.translate(self.gen_of)):
+                        self.occurs[g].add(pos)
 
-    def _insert(self, pos: int, letters: tuple[int, ...], key: tuple) -> None:
-        self.rels[pos] = letters
-        self.key_of[pos] = key
-        self.holder[key] = pos
-        counts = Counter(map(abs, letters))
-        for g in counts:
-            self.occurs[g].add(pos)
-        latest = max((g for g, c in counts.items() if c == 1), default=0)
-        self.once[pos] = latest
-        if latest:
-            heappush(self.heap, (len(letters), pos))
+    def _lookup(self, s: str) -> tuple[str, tuple, int | None]:
+        """The cyclic reduction of s, its bucket, and the position holding a
+        relator equal to s up to rotation and inversion, or None."""
+        i, j = 0, len(s)
+        while j - i >= 2 and ord(s[i]) ^ ord(s[j - 1]) == 1:
+            i += 1
+            j -= 1
+        core = s[i:j]
+        bucket = (j - i, frozenset(core.translate(self.gen_of)))
+        for pos in self.buckets.get(bucket, ()):
+            doubled = self.held[pos][0] * 2
+            if core in doubled or core[::-1].translate(self.inv) in doubled:
+                return core, bucket, pos
+        return core, bucket, None
 
-    def _remove(self, pos: int) -> tuple[int, ...]:
-        letters = self.rels.pop(pos)
-        del self.holder[self.key_of.pop(pos)]
-        for g in set(map(abs, letters)):
-            self.occurs[g].discard(pos)
-        return letters
+    def _seams(self, g: str, g_inv: str, repl: str) -> tuple[str, ...]:
+        """The letter pairs around g or g_inv at which substituting the freely
+        reduced repl for g cancels; g and g_inv themselves when repl is empty."""
+        first, last = repl[:1], repl[-1:]
+        before = first.translate(self.inv)
+        pairs = (before + g, g + last.translate(self.inv), last + g_inv, g_inv + first)
+        return pairs + (g + g, g_inv + g_inv) if last == before else pairs
+
+    def _insert(self, pos: int, s: str, core: str, bucket: tuple) -> None:
+        self.rels[pos] = s
+        self.held[pos] = core, bucket
+        self.buckets.setdefault(bucket, []).append(pos)
+        self.once.pop(pos, None)
+        heappush(self.heap, (len(s), pos))
+
+    def _drop(self, pos: int) -> str:
+        bucket = self.held.pop(pos)[1]
+        same = self.buckets[bucket]
+        same.remove(pos)
+        if not same:
+            del self.buckets[bucket]
+        return self.rels.pop(pos)
 
     def _shortest_with_once(self) -> int | None:
-        heap, rels = self.heap, self.rels
+        heap, rels, once = self.heap, self.rels, self.once
         while heap:
             length, pos = heap[0]
-            if pos in rels and len(rels[pos]) == length and self.once[pos]:
-                return pos
+            s = rels.get(pos)
+            if s is not None and len(s) == length:
+                g = once.get(pos)
+                if g is None:    # the latest generator occurring once in s, or 0
+                    n = Counter(s)
+                    g = once[pos] = max((ord(c) >> 1 for c, k in n.items()
+                                         if k == 1 and chr(ord(c) ^ 1) not in n), default=0)
+                if g:
+                    return pos
             heappop(heap)
         return None
 
@@ -516,50 +551,36 @@ class _TietzeEngine:
         if pos is None:
             return None
         g = self.once[pos]
-        letters = self._remove(pos)
-        i = letters.index(g) if g in letters else letters.index(-g)
-        # g^e * rest is a rotation of the relator; rest may not be freely
-        # reduced, but the rewrite below reduces on a stack as it substitutes
-        rest = letters[i + 1:] + letters[:i]
-        repl = _inverse(rest) if letters[i] > 0 else rest
-        repl_inv = _inverse(repl)
+        s = self._drop(pos)
+        letter, letter_inv = chr(2 * g), chr(2 * g + 1)
+        i = s.find(letter)
+        positive = i >= 0
+        if not positive:
+            i = s.find(letter_inv)
+        # g^e * rest is a rotation of the relator
+        rest = _free_reduce(s[i + 1:] + s[:i])
+        rest_inv = rest[::-1].translate(self.inv)
+        repl, repl_inv = (rest_inv, rest) if positive else (rest, rest_inv)
 
-        touched = sorted(self.occurs[g])
-        rewritten = []
-        for t in touched:
-            out: list[int] = []
-            for x in self._remove(t):
-                if x == g:
-                    seq = repl
-                elif x == -g:
-                    seq = repl_inv
-                else:
-                    if out and out[-1] == -x:
-                        out.pop()
-                    else:
-                        out.append(x)
-                    continue
-                for y in seq:
-                    if out and out[-1] == -y:
-                        out.pop()
-                    else:
-                        out.append(y)
-            rewritten.append(tuple(out))
-        # all old keys are gone; on a key clash the earlier position survives
-        for t, new in zip(touched, rewritten):
-            if not new:
-                continue
-            key = _canonical_key(new, neg)
-            other = self.holder.get(key)
-            if other is not None:
-                if other < t:
-                    continue
-                self._remove(other)
-            self._insert(t, new, key)
+        touched = sorted(t for t in self.occurs.pop(letter)
+                         if letter in (r := self.rels.get(t, "")) or letter_inv in r)
+        for h in set(repl.translate(self.gen_of)):
+            self.occurs[h].update(touched)
+        before = [self._drop(t) for t in touched]
+        # all old relators are released; on a clash the earlier position survives
+        seams = self._seams(letter, letter_inv, repl)
+        for t, old in zip(touched, before):
+            new = old.replace(letter, repl).replace(letter_inv, repl_inv)
+            if any(map(old.__contains__, seams)):
+                new = _free_reduce(new)
+            if new:
+                core, bucket, other = self._lookup(new)
+                if other is not None:
+                    if other < t:
+                        continue
+                    self._drop(other)
+                self._insert(t, new, core, bucket)
         return g
-
-    def relators(self) -> list[tuple[int, ...]]:
-        return [self.rels[pos] for pos in sorted(self.rels)]
 
 
 def tietze_simplify(p: Presentation) -> Presentation:
@@ -573,21 +594,27 @@ def tietze_simplify(p: Presentation) -> Presentation:
     of two relators equal up to rotation and inversion the earlier in the
     list survives.  Steps repeat until no relator has such a generator; the
     result presents an isomorphic group.
+
+    More than MAX_TIETZE_GENERATORS generators raise CapacityError.
     """
     if p.symbolic_relators:
         raise ValueError("cannot simplify a presentation with symbolic relators")
     names = p.generators
-    code = {name: i for i, name in enumerate(names, start=1)}
-    engine = _TietzeEngine(len(names), [tuple(code[n] * e for n, e in r.letters)
+    if len(names) > MAX_TIETZE_GENERATORS:
+        raise CapacityError(
+            f"{len(names)} generators exceed the Tietze cap of {MAX_TIETZE_GENERATORS}")
+    # code[name][e] is the letter (name, e): index -1 is the last entry
+    code = {name: ("", chr(2 * i), chr(2 * i + 1)) for i, name in enumerate(names, start=1)}
+    engine = _TietzeEngine(len(names), ["".join([code[n][e] for n, e in r.letters])
                                         for r in p.relators])
-    gone = set()
-    while (g := engine.eliminate()) is not None:
-        gone.add(g)
-    # one shared (name, +-1) tuple per signed generator, not one per letter
-    letter = {sign * i: (name, sign) for name, i in code.items() for sign in (1, -1)}
+    gone = set(iter(engine.eliminate, None))
+    # one shared (name, +-1) tuple per letter of the alphabet, not one per letter
+    letter = {chr(2 * i + (sign < 0)): (name, sign)
+              for i, name in enumerate(names, start=1) for sign in (1, -1)}
     return Presentation(
-        tuple(name for name, i in code.items() if i not in gone),
-        tuple(Word(tuple(map(letter.__getitem__, r))) for r in engine.relators()))
+        tuple(name for i, name in enumerate(names, start=1) if i not in gone),
+        tuple(Word(tuple(map(letter.__getitem__, engine.rels[pos])))
+              for pos in sorted(engine.rels)))
 
 
 # ---------------------------------------------------------------------------
