@@ -7,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import tietze_reference as reference
 from liftmcg.analysis import analyze
 from liftmcg.arith_perm import CapacityError
 from liftmcg.datasets import enumerate_spherical
@@ -16,26 +15,16 @@ from liftmcg.fpgroups import (
     Presentation,
     Word,
     gen,
-    mod_sphere_presentation,
-    pmod_sphere_presentation,
-    psi_images,
-    reidemeister_schreier,
     tietze_simplify,
 )
+
+import tietze_reference as reference
+from test_analysis import _raw_presentation
 
 # derandomized, so that Tier-1 runs the same examples on every run
 TIER1 = settings(derandomize=True, max_examples=300, deadline=None)
 
 NAMES = ("a", "b", "c", "d", "e")
-
-
-def _raw_presentation(k, subgroup):
-    """The presentation analyze hands to Tietze for the preimage of subgroup."""
-    if subgroup.is_symmetric:
-        return mod_sphere_presentation(k)
-    if subgroup.order == 1:
-        return pmod_sphere_presentation(k)
-    return reidemeister_schreier(mod_sphere_presentation(k), psi_images(k), subgroup)
 
 
 def test_equal_on_every_preimage_of_genus_2_to_5():
