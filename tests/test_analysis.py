@@ -230,6 +230,28 @@ def test_presentations_pinned_genus_5_to_6():
     assert digest.hexdigest() == GENUS_5_TO_6_PRESENTATIONS_SHA256
 
 
+# sha256 of the JSON of every spherical class of genus 2-6, in enumeration
+# order: report_json, then normalizer_spec_json of the normalizer and the
+# centralizer, one sorted-key line each; this pins the letter lists of the
+# simplified, extension and symbolic presentations, not only their renders
+GENUS_2_TO_6_JSON_SHA256 = (
+    "5fd229f31ce237a80b0be4d7cf5a8e91a475f46de04b6469f2667b9dc8bb6a19")
+
+
+def test_json_pinned_genus_2_to_6():
+    digest = hashlib.sha256()
+    count = 0
+    for genus in (2, 3, 4, 5, 6):
+        for ds in enumerate_spherical(genus):
+            count += 1
+            norm, cent = normalizer_centralizer(ds)
+            for block in (report_json(analyze(ds)), normalizer_spec_json(norm),
+                          normalizer_spec_json(cent)):
+                digest.update((json.dumps(block, sort_keys=True) + "\n").encode())
+    assert count == 109
+    assert digest.hexdigest() == GENUS_2_TO_6_JSON_SHA256
+
+
 def _raw_presentation(k, subgroup):
     """The presentation of the preimage before Tietze: the sphere
     presentations at index 1 and for the trivial subgroup, else the raw
