@@ -194,7 +194,7 @@ def _signed_unit(u: int, n: int) -> int:
 
 
 def _kernel(n: int) -> Presentation:
-    return Presentation(("F",), (gen("F") ** n,))
+    return Presentation.from_words(("F",), (gen("F") ** n,))
 
 
 def _lift_names(count: int) -> list[str]:
@@ -222,12 +222,12 @@ def _descriptor_spec(desc: GroupDescriptor, notes: tuple[str, ...] = ()) -> Norm
     if desc.kind == "cyclic":
         return NormalizerSpec(_kernel(desc.n), {}, "built_in", desc, notes)
     if desc.kind == "direct_product":
-        pres = Presentation(("F", "G"), (gen("F") ** desc.n, gen("G") ** desc.m,
-                                         commutator(gen("G"), gen("F"))))
+        pres = Presentation.from_words(("F", "G"), (gen("F") ** desc.n, gen("G") ** desc.m,
+                                                    commutator(gen("G"), gen("F"))))
         return NormalizerSpec(pres, {"G": 1}, "built_in", desc, notes)
     if desc.kind == "semidirect":
         e = _signed_unit(desc.twist, desc.n)
-        pres = Presentation(
+        pres = Presentation.from_words(
             ("F", "G"),
             (gen("F") ** desc.n, gen("G") ** desc.m,
              gen("G") * gen("F") * gen("G") ** -1 * gen("F") ** -e))
@@ -241,10 +241,10 @@ def _doubled_builtin(rep: AnalysisReport) -> tuple[NormalizerSpec, NormalizerSpe
     g = rep.genus
     n = rep.dataset.n
     s1, s3, a13 = gen("s1"), gen("s3"), gen("a13")
-    lmod_q = Presentation(
+    lmod_q = Presentation.from_words(
         ("s1", "s3", "a13"),
         (s3 ** 2 * s1 ** -2, commutator(s1, s3), (s1 * a13) ** 2, (s3 * a13) ** 2))
-    clmod_q = Presentation(("s1", "a13"), ((s1 * a13) ** 2,))
+    clmod_q = Presentation.from_words(("s1", "a13"), ((s1 * a13) ** 2,))
     # the hard-coded exponents must agree with the stabilizer of this vector
     psi = psi_images(4)
     computed = [unit_for_perm(rep.vector, psi["s1"], rep.stab.units),

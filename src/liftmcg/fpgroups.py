@@ -2,31 +2,30 @@
 Reidemeister-Schreier rewriting, Tietze simplification, abelianization,
 and extension presentations.
 
-Words are freely reduced tuples of (generator name, +-1) letters; the group
-product of a word is its letters composed left to right (rightmost applied
-first under the permutation image, matching arith_perm.compose).
+A Presentation keeps its generator names and stores each relator as a freely
+reduced tuple of signed ints: +i is generator i (1-based, in declaration
+order) and -i its inverse.  Names are read only at the edges: a Word, of
+(name, +-1) letters, builds words by hand and compile_word turns it into ints;
+the renderers and presentation_json map ints back to names.  A word is its
+letters composed left to right (rightmost applied first under the permutation
+image, matching arith_perm.compose).
 
-Reidemeister-Schreier reads the coset table of arith_perm.coset_table in one
-row-major pass, relying on its BFS numbering to meet each coset's tree edge
-first, so a subgroup needs only its degree, order, generators and coset
-labels: the analysis passes genvec's vector stabilizers, never a stored group.
-
-Tietze simplification is deterministic.  Each step picks the relator least by
-(length, list position) among those in which some generator occurs exactly
-once, eliminates the latest-declared such generator by substituting the
-freely reduced rotation of that relator, drops empty relators, and keeps the
-earlier of two relators equal up to rotation and inversion, until no relator
-has a generator occurring once.  The engine writes a relator as a str, with
-generator i as chr(2i) and its inverse as chr(2i + 1), so that substitution,
-search and inversion are str methods; MAX_TIETZE_GENERATORS caps i.
+Reidemeister-Schreier needs of a subgroup only its degree, order, generators
+and coset labels: the analysis passes genvec's vector stabilizers, never a
+stored group.  Tietze simplification is deterministic; its engine writes a
+relator as a str of code points, one per letter, so that substitution, search
+and inversion are str methods.
 """
 
 from __future__ import annotations
 
 import sys
 from collections import Counter, defaultdict
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from itertools import chain, groupby
+from operator import add
 
 from .arith_perm import (
     CapacityError,
@@ -42,35 +41,31 @@ from .arith_perm import (
 )
 
 Letter = tuple[str, int]
-
-
-def _reduce(letters) -> tuple[Letter, ...]:
-    out: list[Letter] = []
-    for name, e in letters:
-        if e not in (1, -1):
-            raise ValueError(f"letter exponent must be +-1, got {e}")
-        if out and out[-1][0] == name and out[-1][1] == -e:
-            out.pop()
-        else:
-            out.append((name, e))
-    return tuple(out)
+Relator = tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class Word:
+    """A freely reduced word by generator name, for building presentations
+    by hand; compile_word turns it into a relator."""
+
     letters: tuple[Letter, ...] = ()
 
     def __post_init__(self):
-        reduced = _reduce(self.letters)
-        if reduced != tuple(self.letters):
-            object.__setattr__(self, "letters", reduced)
+        out: list[Letter] = []
+        for name, e in self.letters:
+            if type(e) is not int or e not in (1, -1):
+                raise ValueError(f"letter exponent must be the int 1 or -1, got {e!r}")
+            if out and out[-1] == (name, -e):
+                out.pop()
+            else:
+                out.append((name, e))
+        object.__setattr__(self, "letters", tuple(out))
 
     def __mul__(self, other: "Word") -> "Word":
         return Word(self.letters + other.letters)
 
     def __pow__(self, e: int) -> "Word":
-        if e == 0:
-            return Word()
         base = self if e > 0 else self.inv()
         return Word(base.letters * abs(e))
 
@@ -80,9 +75,6 @@ class Word:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def __bool__(self) -> bool:
-        return bool(self.letters)
-
     def __str__(self) -> str:
         return render_word(self)
 
@@ -91,54 +83,51 @@ EMPTY = Word()
 
 
 def gen(name: str, e: int = 1) -> Word:
-    if e == 0:
-        return EMPTY
     return Word(((name, 1 if e > 0 else -1),) * abs(e))
 
 
 def word(*parts: Word) -> Word:
-    out = EMPTY
-    for p in parts:
-        out = out * p
-    return out
+    return Word(tuple(chain.from_iterable(p.letters for p in parts)))
 
 
 def commutator(a: Word, b: Word) -> Word:
     return a * b * a.inv() * b.inv()
 
 
-def rename_word(w: Word, mapping: dict[str, str]) -> Word:
-    return Word(tuple((mapping.get(name, name), e) for name, e in w.letters))
+def compile_word(w: Word, index: Mapping[str, int]) -> Relator:
+    """w in signed ints, where index maps each generator name to its 1-based
+    number; ValueError for a name that index lacks."""
+    try:
+        return tuple(index[name] * e for name, e in w.letters)
+    except KeyError as exc:
+        raise ValueError(f"word uses undeclared generator {exc.args[0]!r}") from None
 
 
-def evaluate_perm(w: Word, images: dict[str, Perm], degree: int) -> Perm:
+def _inverted(r: Relator) -> Relator:
+    return tuple(-x for x in reversed(r))
+
+
+def evaluate_perm(r: Relator, images: Sequence[Perm], degree: int) -> Perm:
+    """The product of the letters of r, images[i - 1] being generator i's."""
     out = identity_perm(degree)
-    for name, e in w.letters:
-        p = images[name]
-        out = compose(out, p if e == 1 else inverse(p))
+    for x in r:
+        p = images[abs(x) - 1]
+        out = compose(out, p if x > 0 else inverse(p))
     return out
+
+
+def _render(r: Relator, names: Sequence[str]) -> str:
+    parts = []
+    for x, run in groupby(r):
+        count = len(list(run)) if x > 0 else -len(list(run))
+        parts.append(names[abs(x) - 1] + ("" if count == 1 else f"^{count}"))
+    return "*".join(parts) or "1"
 
 
 def render_word(w: Word) -> str:
     """Run-aggregated product string; the empty word renders as "1"."""
-    if not w.letters:
-        return "1"
-    parts = []
-    i = 0
-    letters = w.letters
-    while i < len(letters):
-        name, e = letters[i]
-        j = i
-        while j < len(letters) and letters[j] == (name, e):
-            j += 1
-        count = (j - i) * e
-        parts.append(name if count == 1 else f"{name}^{count}")
-        i = j
-    return "*".join(parts)
-
-
-def word_json(w: Word) -> list[list]:
-    return [[name, e] for name, e in w.letters]
+    names = tuple(dict.fromkeys(name for name, _ in w.letters))
+    return _render(compile_word(w, {name: i for i, name in enumerate(names, start=1)}), names)
 
 
 # ---------------------------------------------------------------------------
@@ -147,122 +136,132 @@ def word_json(w: Word) -> list[list]:
 
 @dataclass(frozen=True)
 class SymbolicRelator:
-    """A relation ``lhs = base^param`` with an undetermined integer exponent."""
+    """A relation ``lhs = base^param`` with an undetermined integer exponent:
+    lhs is a relator in signed ints and base a generator number."""
 
-    lhs: Word
-    base: str
+    lhs: Relator
+    base: int
     param: str
 
 
 @dataclass(frozen=True)
 class Presentation:
+    """Generators by name and relators as freely reduced tuples of signed
+    ints: +i is generator i (1-based, in declaration order), -i its inverse.
+    from_words builds one from Words."""
+
     generators: tuple[str, ...]
-    relators: tuple[Word, ...]
+    relators: tuple[Relator, ...]
     symbolic_relators: tuple[SymbolicRelator, ...] = ()
 
     def __post_init__(self):
-        declared = set(self.generators)
-        if len(declared) != len(self.generators):
+        ngens = len(self.generators)
+        if len(set(self.generators)) != ngens:
             raise ValueError("duplicate generator names")
-        for r in self.relators:
-            for name, _ in r.letters:
-                if name not in declared:
-                    raise ValueError(f"relator uses undeclared generator {name!r}")
+        for r in chain(self.relators, (s.lhs for s in self.symbolic_relators)):
+            if type(r) is not tuple:
+                raise TypeError(f"a relator is a tuple of signed ints, got {type(r).__name__}")
+            if r and (set(map(type, r)) - {int} or 0 in r or max(map(abs, r)) > ngens):
+                bad = next(x for x in r if type(x) is not int or not 0 < abs(x) <= ngens)
+                raise ValueError(f"relator letter {bad!r} is not one of +-1..+-{ngens}")
+            if 0 in map(add, r, r[1:]):
+                raise ValueError("relator is not freely reduced")
         for s in self.symbolic_relators:
-            for name, _ in s.lhs.letters:
-                if name not in declared:
-                    raise ValueError(f"relator uses undeclared generator {name!r}")
-            if s.base not in declared:
-                raise ValueError(f"symbolic base {s.base!r} not a generator")
+            if type(s.base) is not int or not 1 <= s.base <= ngens:
+                raise ValueError(f"symbolic base {s.base!r} is not a generator number")
+
+    @classmethod
+    def from_words(cls, generators: Sequence[str],
+                   relators: Iterable[Word] = ()) -> "Presentation":
+        index = {name: i for i, name in enumerate(generators, start=1)}
+        return cls(tuple(generators), tuple(compile_word(w, index) for w in relators))
 
     def __str__(self) -> str:
         return render_presentation(self)
 
 
-def _split_equation(w: Word) -> tuple[Word, Word]:
-    # w = u * v^-1 with v^-1 the maximal all-negative suffix; returns (u, v)
-    letters = w.letters
-    cut = len(letters)
-    while cut > 0 and letters[cut - 1][1] == -1:
+def render_relator(r: Relator, names: Sequence[str]) -> str:
+    """r as an equation u = v, v^-1 being its maximal all-inverse suffix, or
+    as [a,b] = 1."""
+    if len(r) == 4:
+        a, b, c, d = r
+        if a > 0 and b > 0 and c == -a and d == -b and a != b:
+            return f"[{names[a - 1]},{names[b - 1]}] = 1"
+    cut = len(r)
+    while cut > 0 and r[cut - 1] < 0:
         cut -= 1
-    u = Word(letters[:cut])
-    v = Word(letters[cut:]).inv()
-    return u, v
-
-
-def render_relator(w: Word) -> str:
-    if len(w.letters) == 4:
-        (a, ea), (b, eb), (c, ec), (d, ed) = w.letters
-        if (ea, eb, ec, ed) == (1, 1, -1, -1) and a == c and b == d and a != b:
-            return f"[{a},{b}] = 1"
-    u, v = _split_equation(w)
+    u, v = r[:cut], _inverted(r[cut:])
     if not v:
-        return f"{render_word(u)} = 1"
+        return f"{_render(u, names)} = 1"
     if not u:
-        return f"{render_word(v)} = 1"
-    return f"{render_word(u)} = {render_word(v)}"
+        return f"{_render(v, names)} = 1"
+    return f"{_render(u, names)} = {_render(v, names)}"
 
 
 def render_presentation(p: Presentation) -> str:
-    if not p.generators:
+    names = p.generators
+    if not names:
         return "<1>"
-    rels = [render_relator(r) for r in p.relators]
-    rels += [f"{render_word(s.lhs)} = {s.base}^{s.param}" for s in p.symbolic_relators]
-    gens = ", ".join(p.generators)
+    rels = [render_relator(r, names) for r in p.relators]
+    rels += [f"{_render(s.lhs, names)} = {names[s.base - 1]}^{s.param}"
+             for s in p.symbolic_relators]
+    gens = ", ".join(names)
     if not rels:
         return f"<{gens} | >"
     return f"<{gens} | " + ", ".join(rels) + ">"
 
 
+def _letters_json(r: Relator, names: Sequence[str]) -> list[list]:
+    return [[names[x - 1], 1] if x > 0 else [names[-x - 1], -1] for x in r]
+
+
 def presentation_json(p: Presentation) -> dict:
+    names = p.generators
     out = {
-        "generators": list(p.generators),
-        "relators": [word_json(r) for r in p.relators],
+        "generators": list(names),
+        "relators": [_letters_json(r, names) for r in p.relators],
     }
     if p.symbolic_relators:
         out["symbolic_relators"] = [
-            {"lhs": word_json(s.lhs), "base": s.base, "param": s.param}
+            {"lhs": _letters_json(s.lhs, names), "base": names[s.base - 1], "param": s.param}
             for s in p.symbolic_relators
         ]
     return out
 
 
 def rename_presentation(p: Presentation, mapping: dict[str, str]) -> Presentation:
-    gens = tuple(mapping.get(g, g) for g in p.generators)
-    rels = tuple(rename_word(r, mapping) for r in p.relators)
-    sym = tuple(
-        SymbolicRelator(rename_word(s.lhs, mapping), mapping.get(s.base, s.base), s.param)
-        for s in p.symbolic_relators
-    )
-    return Presentation(gens, rels, sym)
+    """p with its generators renamed; relators are positional, so they stay."""
+    return Presentation(tuple(mapping.get(g, g) for g in p.generators),
+                        p.relators, p.symbolic_relators)
 
 
-def relator_key(w: Word) -> tuple[Letter, ...]:
+def relator_key(r: Relator) -> Relator:
     """Canonical form of a relator up to conjugation and inversion: the least
     rotation of its cyclic reduction or of the inverse."""
-    letters = w.letters
-    i, j = 0, len(letters)
-    while j - i >= 2 and letters[i] == (letters[j - 1][0], -letters[j - 1][1]):
+    i, j = 0, len(r)
+    while j - i >= 2 and r[i] == -r[j - 1]:
         i += 1
         j -= 1
-    core = letters[i:j]
+    core = r[i:j]
     if not core:
         return core
-    inv = tuple((name, -e) for name, e in reversed(core))
+    inv = _inverted(core)
     first = min(core + inv)    # the first letter of every least rotation
     n = len(core)
     return min(doubled[s:s + n] for doubled in (core + core, inv + inv)
                for s in range(n) if doubled[s] == first)
 
 
-def same_relator_sets(p1: Presentation, p2: Presentation,
-                      mapping: dict[str, str] | None = None) -> bool:
-    """Equal generator and relator sets after renaming p1, with relators
-    compared up to cyclic rotation and inversion."""
-    q = rename_presentation(p1, mapping) if mapping else p1
-    if sorted(q.generators) != sorted(p2.generators):
+def same_relator_sets(p1: Presentation, p2: Presentation) -> bool:
+    """Equal generator and relator sets, with relators compared up to cyclic
+    rotation and inversion."""
+    if sorted(p1.generators) != sorted(p2.generators):
         return False
-    return (sorted(relator_key(r) for r in q.relators)
+    position = {name: i for i, name in enumerate(p2.generators, start=1)}
+    # p1's generator i is p2's generator to[i]
+    to = [0] + [position[name] for name in p1.generators]
+    return (sorted(relator_key(tuple(to[x] if x > 0 else -to[-x] for x in r))
+                   for r in p1.relators)
             == sorted(relator_key(r) for r in p2.relators))
 
 
@@ -277,6 +276,12 @@ def sigma_names(k: int) -> list[str]:
 def psi_images(k: int) -> dict[str, Perm]:
     """The marked-point action of the half-twist generators: s_i -> (i, i+1)."""
     return {f"s{i}": transposition(i, i + 1, k) for i in range(1, k)}
+
+
+def psi_image(w: Word, k: int) -> Perm:
+    """The marked-point permutation of a word in the half-twists s_1..s_{k-1}."""
+    index = {name: i for i, name in enumerate(sigma_names(k), start=1)}
+    return evaluate_perm(compile_word(w, index), list(psi_images(k).values()), k)
 
 
 def mod_sphere_presentation(k: int) -> Presentation:
@@ -295,7 +300,7 @@ def mod_sphere_presentation(k: int) -> Presentation:
     relators.append(chain ** k)
     relators.append(word(*(s[i] for i in range(1, k)),
                          *(s[i] for i in range(k - 1, 0, -1))))
-    return Presentation(tuple(sigma_names(k)), tuple(relators))
+    return Presentation.from_words(sigma_names(k), relators)
 
 
 def a_name(i: int, j: int) -> str:
@@ -337,7 +342,7 @@ def pmod_sphere_presentation(k: int) -> Presentation:
                 relators.append(w2 * w3.inv())
     total = word(*(a[i, j] for i, j in names))
     relators.append(total)
-    return Presentation(tuple(a_name(i, j) for i, j in names), tuple(relators))
+    return Presentation.from_words([a_name(i, j) for i, j in names], relators)
 
 
 # ---------------------------------------------------------------------------
@@ -383,13 +388,14 @@ def reidemeister_schreier_full(p: Presentation, psi: dict[str, Perm],
     reps: list[Perm | None] = [identity_perm(degree)] + [None] * (index - 1)
     rep_invs: list[Perm | None] = list(reps)
     inv_table = [[0] * ngens for _ in range(index)]
-    # coset -> per generator, the Schreier generator's (name, 1) and (name, -1)
-    sch_letters: list[list[tuple[Letter, Letter] | None]] = []
+    # coset -> per generator, the Schreier generator's letters (s, -s), one
+    # shared int each, or None on a tree edge
+    sch_letters: list[list[tuple[int, int] | None]] = []
     gen_images: dict[str, Perm] = {}         # in row-major order: the output generators
     for c, row in enumerate(table):
         if reps[c] is None:
             raise InternalInvariantError("coset table not connected in BFS order")
-        letters_of: list[tuple[Letter, Letter] | None] = []
+        letters_of: list[tuple[int, int] | None] = []
         for gi, nxt in enumerate(row):
             inv_table[nxt][gi] = c
             img = compose(reps[c], images[gi])
@@ -397,40 +403,39 @@ def reidemeister_schreier_full(p: Presentation, psi: dict[str, Perm],
                 reps[nxt], rep_invs[nxt] = img, inverse(img)
                 letters_of.append(None)
                 continue
-            name = f"x{c}_{p.generators[gi]}"
-            letters_of.append(((name, 1), (name, -1)))
-            gen_images[name] = compose(img, rep_invs[nxt])
+            gen_images[f"x{c}_{p.generators[gi]}"] = compose(img, rep_invs[nxt])
+            s = len(gen_images)
+            letters_of.append((s, -s))
         sch_letters.append(letters_of)
     if len(gen_images) != index * ngens - (index - 1):
         raise InternalInvariantError(
             f"{len(gen_images)} Schreier generators, expected {index * ngens - (index - 1)}")
 
-    gi_of = {g: i for i, g in enumerate(p.generators)}
-    relators: list[Word] = []
+    relators: list[Relator] = []
     for r in p.relators:
-        if evaluate_perm(r, psi, degree) != identity_perm(degree):
-            raise ValueError(f"psi does not kill the relator {render_word(r)}")
+        if evaluate_perm(r, images, degree) != identity_perm(degree):
+            raise ValueError(f"psi does not kill the relator {_render(r, p.generators)}")
         for c in range(index):
             cur = c
-            letters: list[Letter] = []
-            for name, e in r.letters:
-                gi = gi_of[name]
-                if e == 1:
-                    s = sch_letters[cur][gi]
-                    if s is not None:
-                        letters.append(s[0])
-                    cur = table[cur][gi]
+            letters: list[int] = []
+            for x in r:
+                if x > 0:
+                    s = sch_letters[cur][x - 1]
+                    cur = table[cur][x - 1]
                 else:
-                    prev = inv_table[cur][gi]
-                    s = sch_letters[prev][gi]
-                    if s is not None:
-                        letters.append(s[1])
-                    cur = prev
+                    cur = inv_table[cur][-x - 1]
+                    s = sch_letters[cur][-x - 1]
+                if s is None:
+                    continue
+                y = s[0] if x > 0 else s[1]
+                if letters and letters[-1] == -y:    # kept freely reduced
+                    letters.pop()
+                else:
+                    letters.append(y)
             if cur != c:
                 raise InternalInvariantError("relator does not stabilize its coset")
-            rewritten = Word(tuple(letters))
-            if rewritten:
-                relators.append(rewritten)
+            if letters:
+                relators.append(tuple(letters))
 
     return Presentation(tuple(gen_images), tuple(relators)), SchreierInfo(index, gen_images)
 
@@ -600,21 +605,22 @@ def tietze_simplify(p: Presentation) -> Presentation:
     if p.symbolic_relators:
         raise ValueError("cannot simplify a presentation with symbolic relators")
     names = p.generators
-    if len(names) > MAX_TIETZE_GENERATORS:
-        raise CapacityError(
-            f"{len(names)} generators exceed the Tietze cap of {MAX_TIETZE_GENERATORS}")
-    # code[name][e] is the letter (name, e): index -1 is the last entry
-    code = {name: ("", chr(2 * i), chr(2 * i + 1)) for i, name in enumerate(names, start=1)}
-    engine = _TietzeEngine(len(names), ["".join([code[n][e] for n, e in r.letters])
-                                        for r in p.relators])
+    n = len(names)
+    if n > MAX_TIETZE_GENERATORS:
+        raise CapacityError(f"{n} generators exceed the Tietze cap of {MAX_TIETZE_GENERATORS}")
+    # code[x] is the letter of x: chr(2i) for i, chr(2i + 1) for -i at index -i
+    code = ["", *(chr(2 * i) for i in range(1, n + 1)),
+            *(chr(2 * i + 1) for i in range(n, 0, -1))]
+    engine = _TietzeEngine(n, ["".join(map(code.__getitem__, r)) for r in p.relators])
     gone = set(iter(engine.eliminate, None))
-    # one shared (name, +-1) tuple per letter of the alphabet, not one per letter
-    letter = {chr(2 * i + (sign < 0)): (name, sign)
-              for i, name in enumerate(names, start=1) for sign in (1, -1)}
+    kept = [i for i in range(1, n + 1) if i not in gone]
+    # survivors are renumbered, with one shared int per signed letter
+    letter = {}
+    for j, i in enumerate(kept, start=1):
+        letter[chr(2 * i)], letter[chr(2 * i + 1)] = j, -j
     return Presentation(
-        tuple(name for i, name in enumerate(names, start=1) if i not in gone),
-        tuple(Word(tuple(map(letter.__getitem__, engine.rels[pos])))
-              for pos in sorted(engine.rels)))
+        tuple(names[i - 1] for i in kept),
+        tuple(tuple(map(letter.__getitem__, engine.rels[pos])) for pos in sorted(engine.rels)))
 
 
 # ---------------------------------------------------------------------------
@@ -625,13 +631,12 @@ def abelianization(p: Presentation) -> tuple[tuple[int, ...], int]:
     """Invariant factors (> 1) and free rank of the abelianized group."""
     if p.symbolic_relators:
         raise ValueError("cannot abelianize a presentation with symbolic relators")
-    index = {name: i for i, name in enumerate(p.generators)}
     rows = []
     for r in p.relators:
-        row: dict[int, int] = {}
-        for name, e in r.letters:
-            j = index[name]
-            row[j] = row.get(j, 0) + e
+        row: dict[int, int] = {}    # columns in order of first occurrence
+        for x, count in Counter(r).items():
+            j = abs(x) - 1
+            row[j] = row.get(j, 0) + (count if x > 0 else -count)
         rows.append(row)
     factors, free_rank = smith_normal_form(rows, ncols=len(p.generators))
     return tuple(d for d in factors if d != 1), free_rank
@@ -672,34 +677,27 @@ def extension_presentation(kernel: Presentation, quotient: Presentation,
     clash = set(lift_names) & set(kernel.generators)
     if clash or len(set(lift_names)) != len(lift_names):
         raise ValueError(f"lift names must be fresh and distinct, got {lift_names}")
-    kernel_names = set(kernel.generators)
+    shift = len(kernel.generators)
+    kernel_index = {name: i for i, name in enumerate(kernel.generators, start=1)}
 
-    relators: list[Word] = list(kernel.relators)
+    relators: list[Relator] = list(kernel.relators)
     symbolic: list[SymbolicRelator] = []
     for idx, r in enumerate(quotient.relators):
         if idx not in data.evaluations:
             raise ValueError(f"missing evaluation for quotient relator {idx}")
-        lifted = rename_word(r, data.lifts)
+        lifted = tuple(x + shift if x > 0 else x - shift for x in r)
         ev = data.evaluations[idx]
         if isinstance(ev, Word):
-            bad = [n for n, _ in ev.letters if n not in kernel_names]
-            if bad:
-                raise ValueError(f"evaluation uses non-kernel generators {bad}")
-            relators.append(lifted * ev.inv())
+            relators.append(lifted + _inverted(compile_word(ev, kernel_index)))
         else:
-            if len(kernel.generators) != 1:
+            if shift != 1:
                 raise ValueError("symbolic evaluations need a cyclic kernel")
-            symbolic.append(SymbolicRelator(lifted, kernel.generators[0], ev))
-    for qg in quotient.generators:
-        for kg in kernel.generators:
-            if (qg, kg) not in data.conjugation:
-                raise ValueError(f"missing conjugation word for ({qg}, {kg})")
-            s_a = data.conjugation[(qg, kg)]
-            bad = [n for n, _ in s_a.letters if n not in kernel_names]
-            if bad:
-                raise ValueError(f"conjugation word uses non-kernel generators {bad}")
-            lift = gen(data.lifts[qg])
-            relators.append(lift * gen(kg) * lift.inv() * s_a.inv())
+            symbolic.append(SymbolicRelator(lifted, 1, ev))
+    for lift, qg in enumerate(quotient.generators, start=shift + 1):
+        for kg, name in enumerate(kernel.generators, start=1):
+            if (qg, name) not in data.conjugation:
+                raise ValueError(f"missing conjugation word for ({qg}, {name})")
+            s_a = compile_word(data.conjugation[(qg, name)], kernel_index)
+            relators.append((lift, kg, -lift) + _inverted(s_a))
 
-    gens = tuple(kernel.generators) + tuple(lift_names)
-    return Presentation(gens, tuple(relators), tuple(symbolic))
+    return Presentation((*kernel.generators, *lift_names), tuple(relators), tuple(symbolic))

@@ -37,7 +37,7 @@ from .arith_perm import (
     units_mod,
 )
 from .datasets import MAX_BRANCH_POINTS, DataSet, require_modulus, require_valid
-from .fpgroups import EMPTY, Word, evaluate_perm, gen, psi_images, word
+from .fpgroups import EMPTY, Word, gen, psi_image, word
 
 MAX_BRUTE_DEGREE = 10
 
@@ -316,9 +316,8 @@ def liftable_images(v: GeneratingVector, cross_check: bool = False) -> Stabilize
     unit_perms = {u: matching_perm(u, v) for u in units}
     unit_words = {u: (EMPTY if u == 1 else perm_to_half_twist_word(unit_perms[u]))
                   for u in units}
-    psi = psi_images(k)
     for u, w in unit_words.items():
-        if evaluate_perm(w, psi, k) != unit_perms[u] or not _is_fixed(u, unit_perms[u], v):
+        if psi_image(w, k) != unit_perms[u] or not _is_fixed(u, unit_perms[u], v):
             raise InternalInvariantError(f"unit word of {u} does not fix {v}")
 
     block_gens = tuple(transposition(a + 1, b + 1, k)

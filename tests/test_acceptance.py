@@ -21,9 +21,9 @@ from liftmcg.datasets import (
 )
 from liftmcg.fpgroups import (
     abelianization,
-    evaluate_perm,
     mod_sphere_presentation,
     pmod_sphere_presentation,
+    psi_image,
     psi_images,
     reidemeister_schreier,
     tietze_simplify,
@@ -140,7 +140,7 @@ def test_criterion_4_superelliptic():
             w = rep.unit_words[n - 1]
             target = perm_from_cycles(
                 [(2 * t + 1, 2 * t + 2) for t in range(k + 1)], points)
-            assert evaluate_perm(w, psi_images(points), points) == target
+            assert psi_image(w, points) == target
 
 
 def test_criterion_5_presentation_cross_validation():

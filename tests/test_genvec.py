@@ -19,7 +19,7 @@ from liftmcg.datasets import (
     hyperelliptic,
     parse_dataset,
 )
-from liftmcg.fpgroups import evaluate_perm, mod_sphere_presentation, psi_images
+from liftmcg.fpgroups import mod_sphere_presentation, psi_image, psi_images
 from liftmcg.genvec import (
     GeneratingVector,
     GroupDescriptor,
@@ -149,9 +149,8 @@ def test_liftable_images_seven():
     rep = liftable_images(vec(7, 1, 2, 4))
     assert rep.swaps == ()
     assert set(rep.unit_words) == {1, 2, 4}
-    psi = psi_images(3)
-    assert evaluate_perm(rep.unit_words[2], psi, 3) == perm_from_cycles([(1, 2, 3)], 3)
-    assert evaluate_perm(rep.unit_words[4], psi, 3) == perm_from_cycles([(1, 3, 2)], 3)
+    assert psi_image(rep.unit_words[2], 3) == perm_from_cycles([(1, 2, 3)], 3)
+    assert psi_image(rep.unit_words[4], 3) == perm_from_cycles([(1, 3, 2)], 3)
     assert rep.h1.order == 3 and rep.h2.order == 1
 
 
@@ -204,9 +203,8 @@ def test_unit_words_fix_the_vector():
     for genus in (2, 3):
         for v in all_vectors(genus):
             rep = liftable_images(v)
-            psi = psi_images(v.k)
             for u, w in rep.unit_words.items():
-                sigma = evaluate_perm(w, psi, v.k)
+                sigma = psi_image(w, v.k)
                 assert act(u, sigma, v) == v
 
 

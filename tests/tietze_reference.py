@@ -8,7 +8,7 @@ from collections import Counter
 from heapq import heappop, heappush
 from operator import neg
 
-from liftmcg.fpgroups import Presentation, Word
+from liftmcg.fpgroups import Presentation
 
 
 def _least_rotation(letters: tuple) -> tuple:
@@ -153,14 +153,13 @@ def tietze_simplify(p: Presentation) -> Presentation:
     if p.symbolic_relators:
         raise ValueError("cannot simplify a presentation with symbolic relators")
     names = p.generators
-    code = {name: i for i, name in enumerate(names, start=1)}
-    engine = _TietzeEngine(len(names), [tuple(code[n] * e for n, e in r.letters)
-                                        for r in p.relators])
+    engine = _TietzeEngine(len(names), list(p.relators))
     gone = set()
     while (g := engine.eliminate()) is not None:
         gone.add(g)
-    # one shared (name, +-1) tuple per signed generator, not one per letter
-    letter = {sign * i: (name, sign) for name, i in code.items() for sign in (1, -1)}
+    kept = [i for i in range(1, len(names) + 1) if i not in gone]
+    # survivors renumbered in declaration order
+    letter = {sign * i: sign * j for j, i in enumerate(kept, start=1) for sign in (1, -1)}
     return Presentation(
-        tuple(name for name, i in code.items() if i not in gone),
-        tuple(Word(tuple(map(letter.__getitem__, r))) for r in engine.relators()))
+        tuple(names[i - 1] for i in kept),
+        tuple(tuple(map(letter.__getitem__, r)) for r in engine.relators()))
