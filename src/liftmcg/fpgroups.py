@@ -25,7 +25,6 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import chain, groupby
-from operator import add
 
 from .arith_perm import (
     CapacityError,
@@ -56,7 +55,7 @@ class Word:
         for name, e in self.letters:
             if type(e) is not int or e not in (1, -1):
                 raise ValueError(f"letter exponent must be the int 1 or -1, got {e!r}")
-            if out and out[-1] == (name, -e):
+            if out and out[-1][0] == name and out[-1][1] == -e:
                 out.pop()
             else:
                 out.append((name, e))
@@ -161,11 +160,13 @@ class Presentation:
         for r in chain(self.relators, (s.lhs for s in self.symbolic_relators)):
             if type(r) is not tuple:
                 raise TypeError(f"a relator is a tuple of signed ints, got {type(r).__name__}")
-            if r and (set(map(type, r)) - {int} or 0 in r or max(map(abs, r)) > ngens):
-                bad = next(x for x in r if type(x) is not int or not 0 < abs(x) <= ngens)
-                raise ValueError(f"relator letter {bad!r} is not one of +-1..+-{ngens}")
-            if 0 in map(add, r, r[1:]):
-                raise ValueError("relator is not freely reduced")
+            prev = 0
+            for x in r:
+                if type(x) is not int or not 0 < abs(x) <= ngens:
+                    raise ValueError(f"relator letter {x!r} is not one of +-1..+-{ngens}")
+                if x == -prev:
+                    raise ValueError("relator is not freely reduced")
+                prev = x
         for s in self.symbolic_relators:
             if type(s.base) is not int or not 1 <= s.base <= ngens:
                 raise ValueError(f"symbolic base {s.base!r} is not a generator number")
@@ -633,10 +634,10 @@ def abelianization(p: Presentation) -> tuple[tuple[int, ...], int]:
         raise ValueError("cannot abelianize a presentation with symbolic relators")
     rows = []
     for r in p.relators:
-        row: dict[int, int] = {}    # columns in order of first occurrence
-        for x, count in Counter(r).items():
+        row: dict[int, int] = {}
+        for x in r:
             j = abs(x) - 1
-            row[j] = row.get(j, 0) + (count if x > 0 else -count)
+            row[j] = row.get(j, 0) + (1 if x > 0 else -1)
         rows.append(row)
     factors, free_rank = smith_normal_form(rows, ncols=len(p.generators))
     return tuple(d for d in factors if d != 1), free_rank
