@@ -416,6 +416,9 @@ def reidemeister_schreier_full(p: Presentation, psi: dict[str, Perm],
     for r in p.relators:
         if evaluate_perm(r, images, degree) != identity_perm(degree):
             raise ValueError(f"psi does not kill the relator {_render(r, p.generators)}")
+        # the rewrite of a freely reduced relator is freely reduced: between a
+        # Schreier letter and its inverse it would walk a closed path of tree
+        # edges, and a closed tree walk backtracks
         for c in range(index):
             cur = c
             letters: list[int] = []
@@ -423,16 +426,13 @@ def reidemeister_schreier_full(p: Presentation, psi: dict[str, Perm],
                 if x > 0:
                     s = sch_letters[cur][x - 1]
                     cur = table[cur][x - 1]
+                    if s is not None:
+                        letters.append(s[0])
                 else:
                     cur = inv_table[cur][-x - 1]
                     s = sch_letters[cur][-x - 1]
-                if s is None:
-                    continue
-                y = s[0] if x > 0 else s[1]
-                if letters and letters[-1] == -y:    # kept freely reduced
-                    letters.pop()
-                else:
-                    letters.append(y)
+                    if s is not None:
+                        letters.append(s[1])
             if cur != c:
                 raise InternalInvariantError("relator does not stabilize its coset")
             if letters:
