@@ -691,7 +691,7 @@ def extension_presentation(kernel: Presentation, quotient: Presentation,
         if isinstance(ev, Word):
             relators.append(lifted + _inverted(compile_word(ev, kernel_index)))
         else:
-            if shift != 1:
+            if len(kernel.generators) != 1:
                 raise ValueError("symbolic evaluations need a cyclic kernel")
             symbolic.append(SymbolicRelator(lifted, 1, ev))
     for lift, qg in enumerate(quotient.generators, start=shift + 1):

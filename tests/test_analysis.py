@@ -204,9 +204,9 @@ def test_presentations_pinned_and_killed_by_images_genus_2_to_4():
             k = rep.vector.k
             for pres, images in ((rep.lmod_presentation, rep.lmod_images),
                                  (rep.clmod_presentation, rep.clmod_images)):
-                images = [images[g] for g in pres.generators]
+                in_order = [images[g] for g in pres.generators]
                 for r in pres.relators:
-                    assert evaluate_perm(r, images, k) == identity_perm(k), (ds, r)
+                    assert evaluate_perm(r, in_order, k) == identity_perm(k), (ds, r)
     assert count == 46
     assert digest.hexdigest() == GENUS_2_TO_4_PRESENTATIONS_SHA256
 
