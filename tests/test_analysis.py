@@ -25,6 +25,7 @@ from liftmcg.datasets import (
 )
 from liftmcg.fpgroups import (
     EMPTY,
+    LiftData,
     Presentation,
     abelianization,
     commutator,
@@ -54,6 +55,7 @@ from liftmcg.analysis import (
     hyperelliptic_shape,
     normalizer_centralizer,
     normalizer_spec_json,
+    render_normalizer_specs,
     render_report,
     render_table_genus3,
     report_json,
@@ -64,6 +66,7 @@ from liftmcg.analysis import (
     verify_doubled_matrices,
 )
 from liftmcg import schemas
+from liftmcg.cli import main as cli_main
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +446,6 @@ def test_normalizer_centralizer_hyperelliptic_symbolic():
 
 
 def test_normalizer_user_lift_data():
-    from liftmcg.fpgroups import LiftData
-
     ds = parse_dataset("(7,0;(1,7),(2,7),(4,7))")
     rep = analyze(ds)
     q = rep.lmod_presentation
@@ -455,6 +456,55 @@ def test_normalizer_user_lift_data():
     norm, cent = normalizer_centralizer(ds, lifts=data, central_lifts=None)
     assert norm.provenance == "user_supplied"
     assert set(norm.conjugation_exponents.values()) == {2}
+
+
+def _user_lift_data(q):
+    """Lift data for the quotient q with mixed conjugation exponents and
+    empty, concrete and parameter relator evaluations."""
+    return LiftData(
+        lifts={g: f"L{i}" for i, g in enumerate(q.generators, start=1)},
+        conjugation={(g, "F"): gen("F") ** (i % 3 + 1 if i % 2 else -1)
+                     for i, g in enumerate(q.generators)},
+        evaluations={i: (EMPTY, gen("F") ** (i + 1), f"p{i}")[i % 3]
+                     for i in range(len(q.relators))})
+
+
+# sha256 of the exact bytes, exit code then stdout, of `present` and
+# `present --format json` for every spherical class of genus 2-6 and the
+# family members above, then render_normalizer_specs and the unsorted-key
+# normalizer_spec_json of user lift data passed as lifts, as central_lifts
+# and as both; this pins every route to N(F) and C(F)
+PRESENT_SHA256 = (
+    "8a01d4947f88f33a2cd7f8026c8dbd517cc4c065a5b6d9ad7cfab86a28c01c10")
+
+
+def test_present_pinned(capsys):
+    members = [hyperelliptic(g) for g in range(2, 8)] + [
+        balanced_superelliptic(3, 2),
+        doubled(parse_dataset("(6,0;(2,3),(1,6),(1,6))")),
+        dataset(10, 0, ((1, 2), (1, 2), (1, 5), (-1, 5))),
+        parse_dataset("(4,0;(1,2),(1,2),(1,4),(3,4))"),
+        parse_dataset("(6,0;(1,3),(2,3),(1,6),(5,6))"),
+    ]
+    classes = [ds for genus in range(2, 7) for ds in enumerate_spherical(genus)] + members
+    digest = hashlib.sha256()
+    for ds in classes:
+        for fmt in ([], ["--format", "json"]):
+            code = cli_main(["present", *fmt, render_dataset(ds)])
+            digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+    for text in ("(7,0;(1,7),(2,7),(4,7))", "(6,0;(1,2),(1,2),(1,3),(2,3))",
+                 "(3,0;(1,3),(1,3),(2,3),(2,3))"):
+        ds = parse_dataset(text)
+        rep = analyze(ds)
+        lifts = _user_lift_data(rep.lmod_presentation)
+        central = _user_lift_data(rep.clmod_presentation)
+        for given in ((lifts, None), (None, central), (lifts, central)):
+            norm, cent = normalizer_centralizer(ds, *given)
+            digest.update((render_normalizer_specs(norm, cent) + "\n").encode())
+            for spec in (norm, cent):
+                digest.update((json.dumps(normalizer_spec_json(spec)) + "\n").encode())
+    assert len(classes) == 120
+    assert digest.hexdigest() == PRESENT_SHA256
 
 
 # ---------------------------------------------------------------------------
