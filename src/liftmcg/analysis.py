@@ -193,46 +193,43 @@ def _signed_unit(u: int, n: int) -> int:
     return -1 if n > 2 and u == n - 1 else u
 
 
-def _kernel(n: int) -> Presentation:
-    return Presentation.from_words(("F",), (gen("F") ** n,))
-
-
-def _lift_names(count: int) -> list[str]:
-    return [f"G{i}" for i in range(1, count + 1)]
-
-
-def _extension_spec(n: int, quotient: Presentation, exponents: list[int],
-                    evaluations: dict[int, Word | str], provenance: str,
-                    descriptor: GroupDescriptor | None = None,
-                    notes: tuple[str, ...] = (),
-                    names: list[str] | None = None) -> NormalizerSpec:
+def _lift_data(quotient: Presentation, exponents: list[int],
+               evaluations: dict[int, Word | str],
+               names: list[str] | None = None) -> LiftData:
+    """Lifts G1, G2, ... (or names) of the quotient generators; G F G^-1 = F^e."""
     if names is None:
-        names = _lift_names(len(quotient.generators))
-    lifts = dict(zip(quotient.generators, names))
-    conj = {(g, "F"): gen("F") ** e for g, e in zip(quotient.generators, exponents)}
-    data = LiftData(lifts=lifts, conjugation=conj, evaluations=evaluations)
-    pres = extension_presentation(_kernel(n), quotient, data)
-    return NormalizerSpec(
-        presentation=pres,
-        conjugation_exponents=dict(zip(names, exponents)),
-        provenance=provenance, descriptor=descriptor, notes=notes)
+        names = [f"G{i}" for i in range(1, len(quotient.generators) + 1)]
+    return LiftData(
+        lifts=dict(zip(quotient.generators, names)),
+        conjugation={(g, "F"): gen("F") ** e for g, e in zip(quotient.generators, exponents)},
+        evaluations=evaluations)
+
+
+def _extension_spec(n: int, quotient: Presentation, data: LiftData, provenance: str,
+                    descriptor: GroupDescriptor | None = None,
+                    notes: tuple[str, ...] = ()) -> NormalizerSpec:
+    """The extension of <F | F^n> by the quotient; each lift's exponent is
+    read off its conjugation word, a power of F."""
+    pres = extension_presentation(Presentation(("F",), ((1,) * n,)), quotient, data)
+    exponents = {data.lifts[g]: sum(e for _, e in data.conjugation[(g, "F")].letters)
+                 for g in quotient.generators}
+    return NormalizerSpec(pres, exponents, provenance, descriptor, notes)
 
 
 def _descriptor_spec(desc: GroupDescriptor, notes: tuple[str, ...] = ()) -> NormalizerSpec:
+    """The classified type as an extension of <F | F^n> by nothing (cyclic)
+    or by <G | G^m> with G^m = 1 and G F G^-1 = F or F^twist."""
     if desc.kind == "cyclic":
-        return NormalizerSpec(_kernel(desc.n), {}, "built_in", desc, notes)
-    if desc.kind == "direct_product":
-        pres = Presentation.from_words(("F", "G"), (gen("F") ** desc.n, gen("G") ** desc.m,
-                                                    commutator(gen("G"), gen("F"))))
-        return NormalizerSpec(pres, {"G": 1}, "built_in", desc, notes)
-    if desc.kind == "semidirect":
-        e = _signed_unit(desc.twist, desc.n)
-        pres = Presentation.from_words(
-            ("F", "G"),
-            (gen("F") ** desc.n, gen("G") ** desc.m,
-             gen("G") * gen("F") * gen("G") ** -1 * gen("F") ** -e))
-        return NormalizerSpec(pres, {"G": e}, "built_in", desc, notes)
-    raise ValueError(f"no presentation route for descriptor {desc}")
+        quotient, exponents = Presentation((), ()), []
+    elif desc.kind in ("direct_product", "semidirect"):
+        # a direct product is the twist-1 case
+        quotient = Presentation(("G",), ((1,) * desc.m,))
+        exponents = [_signed_unit(desc.twist or 1, desc.n)]
+    else:
+        raise ValueError(f"no presentation route for descriptor {desc}")
+    data = _lift_data(quotient, exponents, dict.fromkeys(range(len(quotient.relators)), EMPTY),
+                      names=list(quotient.generators))
+    return _extension_spec(desc.n, quotient, data, "built_in", desc, notes)
 
 
 def _doubled_builtin(rep: AnalysisReport) -> tuple[NormalizerSpec, NormalizerSpec]:
@@ -247,19 +244,17 @@ def _doubled_builtin(rep: AnalysisReport) -> tuple[NormalizerSpec, NormalizerSpe
     clmod_q = Presentation.from_words(("s1", "a13"), ((s1 * a13) ** 2,))
     # the hard-coded exponents must agree with the stabilizer of this vector
     psi = psi_images(4)
-    computed = [unit_for_perm(rep.vector, psi["s1"], rep.stab.units),
-                unit_for_perm(rep.vector, psi["s3"], rep.stab.units),
-                unit_for_perm(rep.vector, identity_perm(4), rep.stab.units)]
+    computed = [unit_for_perm(rep.vector, p, rep.stab.units)
+                for p in (psi["s1"], psi["s3"], identity_perm(4))]
     if [_signed_unit(u, n) for u in computed] != [1, -1, 1]:
         raise InternalInvariantError(f"built-in exponents disagree with units {computed}")
-    note = "lift data built in for the order-2g+2 glued-rotation family"
-    norm = _extension_spec(
-        n, lmod_q, [1, -1, 1],
+    notes = ("lift data built in for the order-2g+2 glued-rotation family",)
+    norm = _extension_spec(n, lmod_q, _lift_data(
+        lmod_q, [1, -1, 1],
         {0: EMPTY, 1: EMPTY, 2: gen("F") ** (g + 2), 3: gen("F") ** (g + 1)},
-        "built_in", notes=(note,), names=["G1", "G3", "G2"])
-    cent = _extension_spec(
-        n, clmod_q, [1, 1], {0: gen("F") ** (g + 2)}, "built_in",
-        notes=(note,), names=["G1", "G2"])
+        names=["G1", "G3", "G2"]), "built_in", notes=notes)
+    cent = _extension_spec(n, clmod_q, _lift_data(
+        clmod_q, [1, 1], {0: gen("F") ** (g + 2)}), "built_in", notes=notes)
     return norm, cent
 
 
@@ -270,37 +265,20 @@ def _is_doubled_builtin(rep: AnalysisReport) -> bool:
             and sorted(m for _, m in ds.pairs) == [2, 2, rep.genus + 1, rep.genus + 1])
 
 
-def _generic_spec(rep: AnalysisReport, which: str,
-                  user: LiftData | None = None) -> NormalizerSpec:
-    quotient = rep.lmod_presentation if which == "lmod" else rep.clmod_presentation
-    images = rep.lmod_images if which == "lmod" else rep.clmod_images
+def _generic_spec(rep: AnalysisReport, quotient: Presentation,
+                  images: Mapping[str, Perm]) -> NormalizerSpec:
+    """Exponents from the units the generators' images pair with; relator
+    evaluations carried as parameters unless the quotient is free."""
     n = rep.dataset.n
-
-    if user is not None:
-        pres = extension_presentation(_kernel(n), quotient, user)
-        names = [user.lifts[g] for g in quotient.generators]
-        exps = {}
-        for g, name in zip(quotient.generators, names):
-            w = user.conjugation[(g, "F")]
-            exps[name] = sum(e for _, e in w.letters)
-        return NormalizerSpec(pres, exps, "user_supplied")
-
-    if which == "lmod":
-        exps = [_signed_unit(unit_for_perm(rep.vector, images[g], rep.stab.units), n)
-                for g in quotient.generators]
-    else:
-        exps = [1] * len(quotient.generators)
-
-    if quotient.relators:
-        evaluations: dict[int, Word | str] = {
-            i: f"e{i + 1}" for i in range(len(quotient.relators))}
-        provenance = "symbolic"
-        notes = ("relator evaluations undetermined; carried as F^e_i parameters",)
-    else:
-        evaluations = {}
-        provenance = "built_in"
-        notes = ("free quotient: no relator evaluations needed",)
-    return _extension_spec(n, quotient, exps, evaluations, provenance, notes=notes)
+    exponents = [_signed_unit(unit_for_perm(rep.vector, images[g], rep.stab.units), n)
+                 for g in quotient.generators]
+    evaluations: dict[int, Word | str] = {i: f"e{i + 1}" for i in range(len(quotient.relators))}
+    data = _lift_data(quotient, exponents, evaluations)
+    if evaluations:
+        return _extension_spec(n, quotient, data, "symbolic", notes=(
+            "relator evaluations undetermined; carried as F^e_i parameters",))
+    return _extension_spec(n, quotient, data, "built_in",
+                           notes=("free quotient: no relator evaluations needed",))
 
 
 def normalizer_centralizer(ds: DataSet, lifts: LiftData | None = None,
@@ -308,23 +286,28 @@ def normalizer_centralizer(ds: DataSet, lifts: LiftData | None = None,
                            ) -> tuple[NormalizerSpec, NormalizerSpec]:
     """Presentations of the normalizer and centralizer of the covering class.
 
-    Routes, in order: user-supplied lift data; the 3-branch-point
-    classification (exact isomorphism types); built-in lift data for the
-    order-2g+2 glued-rotation family; the generic extension with symbolic
-    relator evaluations (exact when the quotient presentation is free).
+    Every route builds extension_presentation of <F | F^n> by a quotient,
+    with G F G^-1 = F^e read off the lift data.  Routes, in order:
+    user-supplied lift data, over LMod and CLMod; the 3-branch-point
+    classification (exact isomorphism types, the quotient <G | G^m> or
+    none); built-in lift data for the order-2g+2 glued-rotation family; the
+    generic extension of LMod and CLMod with symbolic relator evaluations
+    (exact when the quotient presentation is free).
     OutOfScopeError as for analyze.
     """
     rep = analyze(ds)
-    if lifts is not None or central_lifts is not None:
-        return (_generic_spec(rep, "lmod", lifts),
-                _generic_spec(rep, "clmod", central_lifts))
-    if rep.classification is not None:
-        cls = rep.classification
-        return (_descriptor_spec(cls.normalizer, cls.notes),
-                _descriptor_spec(cls.centralizer, cls.notes))
-    if _is_doubled_builtin(rep):
-        return _doubled_builtin(rep)
-    return _generic_spec(rep, "lmod"), _generic_spec(rep, "clmod")
+    if lifts is None and central_lifts is None:
+        if rep.classification is not None:
+            cls = rep.classification
+            return (_descriptor_spec(cls.normalizer, cls.notes),
+                    _descriptor_spec(cls.centralizer, cls.notes))
+        if _is_doubled_builtin(rep):
+            return _doubled_builtin(rep)
+    return tuple(
+        _extension_spec(rep.dataset.n, quotient, user, "user_supplied")
+        if user is not None else _generic_spec(rep, quotient, images)
+        for quotient, images, user in ((rep.lmod_presentation, rep.lmod_images, lifts),
+                                       (rep.clmod_presentation, rep.clmod_images, central_lifts)))
 
 
 # ---------------------------------------------------------------------------
