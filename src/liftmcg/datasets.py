@@ -276,7 +276,7 @@ def hyperelliptic(genus: int) -> DataSet:
 def balanced_superelliptic(n: int, k: int) -> DataSet:
     """Degree-n action with k+1 alternating (1,n), (-1,n) pairs; genus k(n-1)."""
     if n < 2 or k < 1:
-        raise ValueError(f"balanced superelliptic family needs n >= 2, k >= 1")
+        raise ValueError(f"balanced superelliptic family needs n >= 2, k >= 1, got n={n}, k={k}")
     ds = dataset(n, 0, ((1, n), (n - 1, n)) * (k + 1))
     require_valid(ds)
     return ds

@@ -154,6 +154,11 @@ class Presentation:
     symbolic_relators: tuple[SymbolicRelator, ...] = ()
 
     def __post_init__(self):
+        for name in self.generators:
+            if not isinstance(name, str):
+                raise TypeError(f"a generator name is a str, got {name!r}")
+        if "" in self.generators:
+            raise ValueError("a generator name is empty")
         ngens = len(self.generators)
         if len(set(self.generators)) != ngens:
             raise ValueError("duplicate generator names")

@@ -370,10 +370,16 @@ def mod_equals_lmod(v: GeneratingVector) -> bool:
 # group descriptors and the 3-branch-point classification
 
 
+# the fields each descriptor kind uses; the others are None
+_DESCRIPTOR_FIELDS = {"trivial": (), "cyclic": ("n",), "direct_product": ("n", "m"),
+                      "semidirect": ("n", "m", "twist")}
+
+
 @dataclass(frozen=True)
 class GroupDescriptor:
     """One of: trivial, cyclic(n), direct_product(Z_n x Z_m),
-    semidirect(Z_n x|_twist Z_m)."""
+    semidirect(Z_n x|_twist Z_m); the fields a kind uses are ints >= 1 and
+    the others None."""
 
     kind: str
     n: int | None = None
@@ -381,12 +387,17 @@ class GroupDescriptor:
     twist: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("trivial", "cyclic", "direct_product", "semidirect"):
+        used = _DESCRIPTOR_FIELDS.get(self.kind)
+        if used is None:
             raise ValueError(f"unknown descriptor kind {self.kind!r}")
-        if self.kind == "semidirect":
-            if self.twist in (None, 1) or pow(self.twist, self.m, self.n) != 1:
-                raise ValueError(
-                    f"semidirect twist must satisfy twist^{self.m} = 1 != twist mod {self.n}")
+        for name in ("n", "m", "twist"):
+            value = getattr(self, name)
+            if not ((type(value) is int and value >= 1) if name in used else value is None):
+                raise ValueError(f"{self.kind} descriptor: {name} must be "
+                                 f"{'an int >= 1' if name in used else 'None'}, got {value!r}")
+        if self.kind == "semidirect" and (self.twist == 1 or pow(self.twist, self.m, self.n) != 1):
+            raise ValueError(
+                f"semidirect twist must satisfy twist^{self.m} = 1 != twist mod {self.n}")
 
     def render(self) -> str:
         if self.kind == "trivial":

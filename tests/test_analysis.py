@@ -456,6 +456,11 @@ def test_normalizer_user_lift_data():
     norm, cent = normalizer_centralizer(ds, lifts=data, central_lifts=None)
     assert norm.provenance == "user_supplied"
     assert set(norm.conjugation_exponents.values()) == {2}
+    # lift names must be strs
+    numbered = LiftData(lifts={g: i for i, g in enumerate(q.generators, start=1)},
+                        conjugation=data.conjugation, evaluations=data.evaluations)
+    with pytest.raises(TypeError):
+        normalizer_centralizer(ds, lifts=numbered)
 
 
 def _user_lift_data(q):

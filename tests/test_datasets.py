@@ -244,7 +244,7 @@ def test_balanced_superelliptic_family():
     assert ds == dataset(3, 0, ((1, 3), (2, 3), (1, 3), (2, 3)))
     assert validate(ds).genus == 2
     assert validate(balanced_superelliptic(3, 2)).genus == 4
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"got n=1, k=1"):
         balanced_superelliptic(1, 1)
 
 

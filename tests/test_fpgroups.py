@@ -82,6 +82,12 @@ def test_presentation_validates_letters():
             Presentation(("a", "b"), (relator,))
     with pytest.raises(TypeError):
         Presentation(("a",), (gen("a"),))
+    # generator names are nonempty strs
+    for names in ((1,), ("a", None), (("a",),)):
+        with pytest.raises(TypeError):
+            Presentation(names, ((1, 1),))
+    with pytest.raises(ValueError):
+        Presentation(("",), ((1, 1),))
     assert Presentation(("a", "b"), ((1, 2, -1, -2), (), (-2, -2))).relators[2] == (-2, -2)
 
 

@@ -341,6 +341,18 @@ def test_group_descriptor_validation():
     with pytest.raises(ValueError):
         semidirect(7, 2, 2)  # 2^2 != 1 mod 7
     assert GroupDescriptor("semidirect", n=7, m=3, twist=2).render() == "Z7 x|_2 Z3"
+    # each kind needs its own fields as ints >= 1 and no other field
+    for kind, fields in (
+            ("cyclic", {}), ("direct_product", {"n": 3}), ("semidirect", {"n": 8, "twist": 5}),
+            ("cyclic", {"n": 0}), ("cyclic", {"n": True}), ("cyclic", {"n": 3.0}),
+            ("cyclic", {"n": "3"}), ("cyclic", {"n": 3, "m": 2}),
+            ("direct_product", {"n": 3, "m": -2}),
+            ("direct_product", {"n": 3, "m": 2, "twist": 1}),
+            ("semidirect", {"n": 7, "m": 3, "twist": 0}), ("trivial", {"n": 1}),
+            ("dihedral", {"n": 3})):
+        with pytest.raises(ValueError):
+            GroupDescriptor(kind, **fields)
+    assert GroupDescriptor("trivial").render() == "1"
     assert cyclic(9).render() == "Z9"
     assert direct_product(7, 2).render() == "Z7 x Z2"
 
