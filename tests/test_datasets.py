@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -195,6 +196,25 @@ def test_enumeration_matches_oracle(genus):
 def test_no_classes_beyond_degree_bound(genus):
     for n in range(4 * genus + 3, 8 * genus + 9):
         assert oracle_class_count(genus, n) == 0, f"n={n}"
+
+
+# sha256 of render_dataset of every spherical class of genus 2-16, one per
+# line in enumeration order, and the class count of each genus
+ENUMERATION_COUNTS = {2: 8, 3: 15, 4: 23, 5: 18, 6: 45, 7: 44, 8: 53, 9: 77, 10: 98,
+                      11: 76, 12: 178, 13: 147, 14: 158, 15: 256, 16: 298}
+ENUMERATION_SHA256 = "e8f1eb1e774d8e5d846664925d2006543031e9f01f3427c8af7c89e3aea84721"
+
+
+def test_enumeration_pinned():
+    digest = hashlib.sha256()
+    counts = {}
+    for genus in range(2, 17):
+        found = enumerate_spherical(genus)
+        counts[genus] = len(found)
+        for ds in found:
+            digest.update((render_dataset(ds) + "\n").encode())
+    assert counts == ENUMERATION_COUNTS
+    assert digest.hexdigest() == ENUMERATION_SHA256
 
 
 def test_enumerate_genus2():
