@@ -5,12 +5,16 @@ action: n_i are the branch orders, d_i the local rotation exponents.  Pairs
 are stored with d reduced into (0, n_i) and sorted by (n_i, d_i); the text
 grammar is ``(n,g0;(d,m),...)`` with an optional ``(d,m)_r`` repetition
 suffix, and negative d is accepted and reduced on parse.
+
+The conditions and the enumeration use exact integer arithmetic: the
+rational sums of the Riemann-Hurwitz formula and of the closing condition are
+taken over the common denominator of the branch orders.  Enumeration
+canonicalizes each orbit of the units mod n once, at its first member.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from itertools import combinations_with_replacement, product
 from math import gcd, lcm
@@ -78,11 +82,6 @@ class ValidationReport:
         return not self.violations
 
 
-def _rh_genus(n: int, g0: int, pairs: tuple[Pair, ...]) -> Fraction:
-    total = sum(Fraction(m - 1, m) for _, m in pairs)
-    return 1 + Fraction(n, 2) * (2 * g0 - 2 + total)
-
-
 def validate(ds: DataSet) -> ValidationReport:
     """Check the five data-set conditions; genus is reported only when all pass.
 
@@ -103,19 +102,20 @@ def validate(ds: DataSet) -> ValidationReport:
     if g0 == 0 and full != n:
         violations.append(COND_III)
 
-    angle_sum = sum(Fraction(n, m) * d for d, m in pairs)
-    if angle_sum.denominator != 1 or angle_sum % n != 0:
+    # sum (n/m)*d is an integer multiple of n, over the denominator full
+    if sum(n * d * (full // m) for d, m in pairs) % (full * n):
         violations.append(COND_IV)
 
-    g = _rh_genus(n, g0, pairs)
-    if g.denominator != 1:
+    # Riemann-Hurwitz: 2g = 2 + n*(2*g0 - 2 + sum (m-1)/m) = r / full
+    r = 2 * full + n * ((2 * g0 - 2) * full + sum((m - 1) * (full // m) for _, m in pairs))
+    if r % (2 * full):
         violations.append(RH_NON_INTEGER)
-    elif g < 0:
+    elif r < 0:
         violations.append(COND_V)
 
     if violations:
         return ValidationReport(None, tuple(violations), ())
-    genus = int(g)
+    genus = r // (2 * full)
     flags = (SCOPE_GENUS,) if genus < 2 else ()
     return ValidationReport(genus, (), flags)
 
@@ -182,27 +182,25 @@ def canonical_form(ds: DataSet) -> DataSet:
 # enumeration
 
 
-def _divisor_signatures(n: int, target: Fraction) -> list[tuple[int, ...]]:
-    """Non-decreasing multisets of divisors (>= 2) of n with sum(1 - 1/m) = target."""
+def _divisor_signatures(n: int, total: int) -> list[tuple[int, ...]]:
+    """Non-decreasing multisets of divisors (>= 2) of n with sum(n - n/m) = total."""
     divisors = [m for m in range(2, n + 1) if n % m == 0]
+    terms = [n - n // m for m in divisors]  # increasing with m
     out: list[tuple[int, ...]] = []
 
-    def rec(start: int, remaining: Fraction, acc: list[int]) -> None:
+    def rec(start: int, remaining: int, acc: list[int]) -> None:
         if remaining == 0:
             if acc:
                 out.append(tuple(acc))
             return
-        if remaining < Fraction(1, 2):
-            return
         for idx in range(start, len(divisors)):
-            m = divisors[idx]
-            term = Fraction(m - 1, m)
-            if term <= remaining:
-                acc.append(m)
-                rec(idx, remaining - term, acc)
-                acc.pop()
+            if terms[idx] > remaining:
+                break
+            acc.append(divisors[idx])
+            rec(idx, remaining - terms[idx], acc)
+            acc.pop()
 
-    rec(0, target, [])
+    rec(0, total, [])
     return out
 
 
@@ -215,27 +213,37 @@ def _signature_admissible(n: int, sig: tuple[int, ...]) -> bool:
 
 
 def _spherical_for_degree(genus: int, n: int) -> list[DataSet]:
-    target = Fraction(2 * genus - 2, n) + 2
-    found: set[tuple[tuple[int, int], ...]] = set()
-    for sig in _divisor_signatures(n, target):
+    units = units_mod(n)
+    # sorted (m, d) keys: every image of every unit orbit met so far, and
+    # the least image of each of those orbits
+    seen: set[tuple[tuple[int, int], ...]] = set()
+    found: list[tuple[tuple[int, int], ...]] = []
+    # Riemann-Hurwitz with g0 = 0, times n: sum(n - n/m) = 2g - 2 + 2n
+    for sig in _divisor_signatures(n, 2 * genus - 2 + 2 * n):
         if not _signature_admissible(n, sig):
             continue
-        orders = sorted(set(sig))
-        counts = [sig.count(m) for m in orders]
-        unit_lists = [[d for d in range(1, m) if gcd(d, m) == 1] for m in orders]
-        choice_sets = [
-            list(combinations_with_replacement(units, count))
-            for units, count in zip(unit_lists, counts)
-        ]
-        for combo in product(*choice_sets):
-            pairs = tuple(
-                (d, m)
-                for m, block in zip(orders, combo)
-                for d in block
-            )
-            if sum((n // m) * d for d, m in pairs) % n != 0:
+        # per distinct order m: each non-decreasing choice of its exponents
+        # with its share (n/m)*sum(d) mod n of the closing sum
+        blocks = []
+        for m in sorted(set(sig)):
+            weight = n // m
+            exponents = [d for d in range(1, m) if gcd(d, m) == 1]
+            blocks.append([
+                (tuple((m, d) for d in combo), weight * sum(combo) % n)
+                for combo in combinations_with_replacement(exponents, sig.count(m))
+            ])
+        for choice in product(*blocks):
+            if sum(residue for _, residue in choice) % n:
                 continue
-            found.add(min(_scaled_key(pairs, u) for u in units_mod(n)))
+            key = tuple(md for block, _ in choice for md in block)
+            if key in seen:
+                continue
+            # the closing sum is invariant under units, so every image of key
+            # is admissible too; the lookup above skips the ones still to come
+            pairs = tuple((d, m) for m, d in key)
+            orbit = {_scaled_key(pairs, u) for u in units}
+            seen |= orbit
+            found.append(min(orbit))
     out = []
     for key in sorted(found):
         ds = DataSet(n, 0, tuple((d, m) for m, d in key))
@@ -252,8 +260,8 @@ def enumerate_spherical(genus: int) -> list[DataSet]:
     Degrees are scanned up to the classical 4g+2 bound; output is sorted by
     (n, pairs).
     """
-    if not 2 <= genus <= MAX_ENUM_GENUS:
-        raise ValueError(f"genus must be in [2, {MAX_ENUM_GENUS}], got {genus}")
+    if type(genus) is not int or not 2 <= genus <= MAX_ENUM_GENUS:
+        raise ValueError(f"genus must be an int in [2, {MAX_ENUM_GENUS}], got {genus!r}")
     out: list[DataSet] = []
     for n in range(2, 4 * genus + 3):
         out.extend(_spherical_for_degree(genus, n))

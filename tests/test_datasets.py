@@ -245,6 +245,9 @@ def test_enumerate_guard():
         enumerate_spherical(1)
     with pytest.raises(ValueError):
         enumerate_spherical(31)
+    for genus in (3.0, "3", True, None):
+        with pytest.raises(ValueError, match=f"got {genus!r}"):
+            enumerate_spherical(genus)
 
 
 # ---------------------------------------------------------------------------
