@@ -6,10 +6,9 @@ are stored with d reduced into (0, n_i) and sorted by (n_i, d_i); the text
 grammar is ``(n,g0;(d,m),...)`` with an optional ``(d,m)_r`` repetition
 suffix, and negative d is accepted and reduced on parse.
 
-The conditions and the enumeration use exact integer arithmetic: the
-rational sums of the Riemann-Hurwitz formula and of the closing condition are
-taken over the common denominator of the branch orders.  Enumeration
-canonicalizes each orbit of the units mod n once, at its first member.
+The conditions and the enumeration use exact integer arithmetic, over the
+common denominator of the branch orders; enumeration canonicalizes each orbit
+of the units mod n once.
 """
 
 from __future__ import annotations
@@ -214,8 +213,7 @@ def _signature_admissible(n: int, sig: tuple[int, ...]) -> bool:
 
 def _spherical_for_degree(genus: int, n: int) -> list[DataSet]:
     units = units_mod(n)
-    # sorted (m, d) keys: every image of every unit orbit met so far, and
-    # the least image of each of those orbits
+    # sorted (m, d) keys of every unit orbit met so far, and each one's least
     seen: set[tuple[tuple[int, int], ...]] = set()
     found: list[tuple[tuple[int, int], ...]] = []
     # Riemann-Hurwitz with g0 = 0, times n: sum(n - n/m) = 2g - 2 + 2n
