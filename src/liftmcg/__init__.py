@@ -3,14 +3,15 @@
 The pipeline, bottom to top:
 
 * arith_perm — residues, permutations, the reference permutation group,
-  coset tables, Smith normal form;
+  Smith normal form;
 * datasets — cyclic data sets: validation, equivalence, canonical forms,
   enumeration, named families, the text grammar;
 * genvec — generating vectors, the (unit, permutation) action, stabilizers,
   the liftable/centralizer images as stabilizers of the vector, the
   3-branch-point classification;
 * fpgroups — words and presentations, sphere mapping-class presentations,
-  Reidemeister-Schreier, Tietze simplification, abelianization, extensions;
+  Reidemeister-Schreier with its own coset enumeration, Tietze
+  simplification, abelianization, extensions;
 * analysis — end-to-end analysis, normalizer/centralizer presentations,
   homology matrix verification, the genus-3 table;
 * cli — the ``liftmcg`` command.
@@ -29,7 +30,6 @@ from .arith_perm import (
     InternalInvariantError,
     OutOfScopeError,
     PermGroup,
-    coset_table,
     perm_closure,
     smith_normal_form,
     units_mod,
@@ -56,7 +56,7 @@ from .fpgroups import (
     extension_presentation,
     mod_sphere_presentation,
     pmod_sphere_presentation,
-    reidemeister_schreier,
+    reidemeister_schreier_full,
     tietze_simplify,
 )
 from .genvec import (

@@ -128,9 +128,6 @@ def _subgroup_presentation(subgroup) -> tuple[Presentation, Mapping[str, Perm], 
         images = {name: identity_perm(k) for name in p.generators}
     else:
         raw, info = reidemeister_schreier_full(mod_sphere_presentation(k), psi, subgroup)
-        if info.index * subgroup.order != factorial(k):
-            raise InternalInvariantError(
-                f"coset index {info.index} times |H| = {subgroup.order} is not {k}!")
         p, kind = tietze_simplify(raw), "schreier"
         images = {name: info.generator_images[name] for name in p.generators}
     return p, MappingProxyType(images), kind

@@ -1,4 +1,4 @@
-"""Exact modular arithmetic, permutations, coset tables, Smith normal form.
+"""Exact modular arithmetic, permutations, Smith normal form.
 
 Conventions used throughout the package:
 
@@ -13,10 +13,9 @@ Conventions used throughout the package:
   matrix as a list of sparse rows, {column: value} dicts, and its column
   count.
 
-A coset table is the Schreier graph of the right cosets of a subgroup H,
-built by BFS over canonical coset labels that H supplies (``coset_key``).
-PermGroup, a materialized group, is the reference implementation; the
-analysis uses genvec.VectorStabilizer, which labels cosets without storing H.
+PermGroup, a materialized group, is the reference implementation of a
+subgroup of Sym(k); the analysis uses genvec.VectorStabilizer, which labels
+right cosets (``coset_key``) without storing the group.
 
 The Smith normal form is one elimination loop on the sparse rows, pivoting
 on entries of least absolute value in the columns met by the fewest rows;
@@ -32,8 +31,8 @@ from operator import itemgetter
 Perm = tuple[int, ...]
 
 # perm_closure stores whole groups, so it refuses degrees past 12; the
-# materialization cap bounds both its element store and the size of a coset
-# table.
+# materialization cap bounds both its element store and the coset table of
+# Reidemeister-Schreier (fpgroups).
 MAX_DEGREE = 12
 MAX_MATERIALIZED = 2_000_000
 
@@ -145,7 +144,7 @@ def parse_perm(text: str, degree: int) -> Perm:
 
 
 # ---------------------------------------------------------------------------
-# permutation groups and coset tables
+# permutation groups
 
 
 class PermGroup:
@@ -230,47 +229,6 @@ def perm_closure(gens: list[Perm], degree: int) -> PermGroup:
                         raise CapacityError(
                             f"closure exceeds {MAX_MATERIALIZED} elements")
     return PermGroup(degree, tuple(gens), tuple(sorted(elements)))
-
-
-def coset_table(H, acting_gens: list[Perm]) -> list[list[int]]:
-    """Right-coset action table for H <= Sym(k) under the acting generators.
-
-    H is any group with ``degree``, ``order`` and ``coset_key(g)``, a label
-    equal for g and g' exactly when H*g = H*g' (a PermGroup, or a
-    genvec.VectorStabilizer).  table[c][i] is the index of coset
-    c * acting_gens[i]; coset 0 is H itself and cosets are numbered by BFS
-    from 0 with generators in input order (Reidemeister-Schreier relies on
-    this).  The table is refused before any work when its predicted size,
-    index k!/|H| times the generator count, exceeds MAX_MATERIALIZED.
-    """
-    degree = H.degree
-    for p in acting_gens:
-        if len(p) != degree:
-            raise ValueError(f"acting generator degree {len(p)} != {degree}")
-    index = factorial(degree) // H.order
-    if index * len(acting_gens) > MAX_MATERIALIZED:
-        raise CapacityError(
-            f"coset table of predicted index {index} with {len(acting_gens)} "
-            f"generators exceeds the cap of {MAX_MATERIALIZED} entries")
-
-    reps: list[Perm] = [identity_perm(degree)]
-    index_of: dict = {H.coset_key(reps[0]): 0}
-    table: list[list[int]] = []
-    c = 0
-    while c < len(reps):
-        row = []
-        for g in acting_gens:
-            img = compose(reps[c], g)
-            key = H.coset_key(img)
-            nxt = index_of.get(key)
-            if nxt is None:
-                nxt = len(reps)
-                index_of[key] = nxt
-                reps.append(img)
-            row.append(nxt)
-        table.append(row)
-        c += 1
-    return table
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ the renderers and presentation_json map ints back to names.  A word is its
 letters composed left to right (rightmost applied first under the permutation
 image, matching arith_perm.compose).
 
-Reidemeister-Schreier needs of a subgroup only its degree, order, generators
-and coset labels: the analysis passes genvec's vector stabilizers, never a
-stored group.  Tietze simplification is deterministic; its engine writes a
+Reidemeister-Schreier enumerates the cosets itself, in one BFS, and needs of
+a subgroup only its degree, order and coset labels: the analysis passes
+genvec's vector stabilizers, never a stored group.  Tietze simplification is deterministic; its engine writes a
 relator as a str of code points, one per letter, so that substitution, search
 and inversion are str methods.
 """
@@ -25,16 +25,16 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import chain, groupby
+from math import factorial
 
 from .arith_perm import (
+    MAX_MATERIALIZED,
     CapacityError,
     InternalInvariantError,
     Perm,
     compose,
-    coset_table,
     identity_perm,
     inverse,
-    perm_closure,
     smith_normal_form,
     transposition,
 )
@@ -366,60 +366,73 @@ class SchreierInfo:
 
 def reidemeister_schreier_full(p: Presentation, psi: dict[str, Perm],
                                subgroup) -> tuple[Presentation, SchreierInfo]:
-    """Presentation of the psi-preimage of a subgroup of the image, plus the
+    """Presentation of the psi-preimage of a subgroup of Sym(k), plus the
     index and the Schreier generators' images.
 
-    subgroup is a PermGroup or a genvec.VectorStabilizer; its cosets are
-    enumerated by arith_perm.coset_table.  Containment in the image is
-    checked on the subgroup's generators, and skipped when the images
-    include every adjacent transposition and so generate Sym(k).
+    psi's images must include every adjacent transposition of Sym(k), so psi
+    is onto and the subgroup lies in its image; otherwise ValueError.  The
+    subgroup needs only ``degree``, ``order`` and ``coset_key(g)``, a label
+    equal for g and g' exactly when H*g = H*g' (a PermGroup, or a
+    genvec.VectorStabilizer).  The run is refused before any coset is built
+    when the predicted index k!/|H| times the generator count exceeds
+    MAX_MATERIALIZED.
 
-    The transversal is read off the table in one row-major pass, which relies
-    on coset_table's BFS numbering: the first edge in row order that reaches a
-    coset is the tree edge that found it.  Every other edge c --g--> d gives
-    the Schreier generator x{c}_{g}, with image rep(c) psi(g) rep(d)^-1.
+    One BFS numbers the right cosets, coset 0 being H, taking cosets in
+    discovery order and generators in order.  An edge c --g--> d that
+    reaches a new coset is a tree edge and gives d its representative
+    rep(c) psi(g); every other edge gives the Schreier generator x{c}_{g},
+    with image rep(c) psi(g) rep(d)^-1.
     """
     degree = subgroup.degree
     images = [psi[g] for g in p.generators]
-    adjacents = {transposition(i, i + 1, degree) for i in range(1, degree)}
-    if not adjacents <= set(images):
-        img_group = perm_closure(images, degree)
-        if any(h not in img_group for h in subgroup.generators):
-            raise ValueError("subgroup is not contained in the image of psi")
+    if any(len(x) != degree for x in images):
+        raise ValueError(f"psi's images must have degree {degree}")
+    if not {transposition(i, i + 1, degree) for i in range(1, degree)} <= set(images):
+        raise ValueError("psi's images must include every adjacent transposition")
+    ngens = len(images)
+    index = factorial(degree) // subgroup.order
+    if index * ngens > MAX_MATERIALIZED:
+        raise CapacityError(
+            f"coset table of predicted index {index} with {ngens} "
+            f"generators exceeds the cap of {MAX_MATERIALIZED} entries")
 
-    table = coset_table(subgroup, images)
-    index = len(table)
-    ngens = len(p.generators)
-
-    reps: list[Perm | None] = [identity_perm(degree)] + [None] * (index - 1)
-    rep_invs: list[Perm | None] = list(reps)
-    inv_table = [[0] * ngens for _ in range(index)]
+    identity = identity_perm(degree)
+    reps, rep_invs = [identity], [identity]
+    index_of = {subgroup.coset_key(identity): 0}
+    table: list[list[int]] = []
+    inv_table = [[0] * ngens]
     # coset -> per generator, the Schreier generator's letters (s, -s), one
     # shared int each, or None on a tree edge
     sch_letters: list[list[tuple[int, int] | None]] = []
-    gen_images: dict[str, Perm] = {}         # in row-major order: the output generators
-    for c, row in enumerate(table):
-        if reps[c] is None:
-            raise InternalInvariantError("coset table not connected in BFS order")
+    gen_images: dict[str, Perm] = {}         # in discovery order: the output generators
+    for c, rep in enumerate(reps):           # reps grows while it is walked
+        row: list[int] = []
         letters_of: list[tuple[int, int] | None] = []
-        for gi, nxt in enumerate(row):
-            inv_table[nxt][gi] = c
-            img = compose(reps[c], images[gi])
-            if reps[nxt] is None:
-                reps[nxt], rep_invs[nxt] = img, inverse(img)
+        for gi, g in enumerate(images):
+            img = compose(rep, g)
+            key = subgroup.coset_key(img)
+            d = index_of.get(key)
+            if d is None:
+                d = index_of[key] = len(reps)
+                reps.append(img)
+                rep_invs.append(inverse(img))
+                inv_table.append([0] * ngens)
                 letters_of.append(None)
-                continue
-            gen_images[f"x{c}_{p.generators[gi]}"] = compose(img, rep_invs[nxt])
-            s = len(gen_images)
-            letters_of.append((s, -s))
+            else:
+                gen_images[f"x{c}_{p.generators[gi]}"] = compose(img, rep_invs[d])
+                s = len(gen_images)
+                letters_of.append((s, -s))
+            row.append(d)
+            inv_table[d][gi] = c
+        table.append(row)
         sch_letters.append(letters_of)
-    if len(gen_images) != index * ngens - (index - 1):
+    if len(reps) != index:
         raise InternalInvariantError(
-            f"{len(gen_images)} Schreier generators, expected {index * ngens - (index - 1)}")
+            f"coset index {len(reps)} times |H| = {subgroup.order} is not {degree}!")
 
     relators: list[Relator] = []
     for r in p.relators:
-        if evaluate_perm(r, images, degree) != identity_perm(degree):
+        if evaluate_perm(r, images, degree) != identity:
             raise ValueError(f"psi does not kill the relator {_render(r, p.generators)}")
         # the rewrite of a freely reduced relator is freely reduced: between a
         # Schreier letter and its inverse it would walk a closed path of tree
@@ -444,11 +457,6 @@ def reidemeister_schreier_full(p: Presentation, psi: dict[str, Perm],
                 relators.append(tuple(letters))
 
     return Presentation(tuple(gen_images), tuple(relators)), SchreierInfo(index, gen_images)
-
-
-def reidemeister_schreier(p: Presentation, psi: dict[str, Perm],
-                          subgroup) -> Presentation:
-    return reidemeister_schreier_full(p, psi, subgroup)[0]
 
 
 # ---------------------------------------------------------------------------

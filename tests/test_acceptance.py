@@ -25,7 +25,7 @@ from liftmcg.fpgroups import (
     pmod_sphere_presentation,
     psi_image,
     psi_images,
-    reidemeister_schreier,
+    reidemeister_schreier_full,
     tietze_simplify,
 )
 from liftmcg.genvec import (
@@ -151,11 +151,11 @@ def test_criterion_5_presentation_cross_validation():
         oracle = {"klein": ((2, 2), 1), "diagonal": ((2,), 2)}
 
         klein = perm_closure([transposition(1, 2, 4), transposition(3, 4, 4)], 4)
-        out = reidemeister_schreier(ambient, psi, klein)
+        out, _ = reidemeister_schreier_full(ambient, psi, klein)
         assert abelianization(out) == oracle["klein"]
 
         diagonal = perm_closure([perm_from_cycles([(1, 2), (3, 4)], 4)], 4)
-        out = reidemeister_schreier(ambient, psi, diagonal)
+        out, _ = reidemeister_schreier_full(ambient, psi, diagonal)
         assert abelianization(out) == oracle["diagonal"]
 
         simplified = tietze_simplify(pmod_sphere_presentation(4))

@@ -8,7 +8,6 @@ import pytest
 from liftmcg.arith_perm import (
     CapacityError,
     compose,
-    coset_table,
     identity_perm,
     inverse,
     parse_perm,
@@ -115,52 +114,6 @@ def test_perm_closure_guards():
         perm_closure([identity_perm(13)], 13)
     with pytest.raises(ValueError):
         perm_closure([identity_perm(3)], 4)
-
-
-# ---------------------------------------------------------------------------
-# coset tables
-
-
-def test_coset_table_examples():
-    adjacents = [transposition(i, i + 1, 4) for i in range(1, 4)]
-    full = perm_closure(adjacents, 4)
-    assert len(coset_table(full, adjacents)) == 1
-
-    klein = perm_closure([transposition(1, 2, 4), transposition(3, 4, 4)], 4)
-    assert len(coset_table(klein, adjacents)) == 6
-
-    sub = perm_closure([transposition(2, 3, 3)], 3)
-    gens3 = [transposition(i, i + 1, 3) for i in range(1, 3)]
-    assert len(coset_table(sub, gens3)) == 3
-
-
-def test_coset_table_row_count_times_order():
-    rng = random.Random(13)
-    for _ in range(25):
-        k = rng.randrange(2, 8)
-        sub_gens = [tuple(rng.sample(range(k), k)) for _ in range(rng.randrange(1, 3))]
-        sub = perm_closure(sub_gens, k)
-        acting = [transposition(i, i + 1, k) for i in range(1, k)]
-        table = coset_table(sub, acting)
-        assert len(table) * sub.order == factorial(k)
-        # each generator column acts as a permutation of the cosets
-        for gi in range(len(acting)):
-            column = [row[gi] for row in table]
-            assert sorted(column) == list(range(len(table)))
-
-
-def test_coset_table_refused_past_the_cap():
-    # trivial subgroup of Sym(10): predicted index 10! > 2,000,000 entries
-    adjacents = [transposition(i, i + 1, 10) for i in range(1, 10)]
-    trivial = perm_closure([], 10)
-    with pytest.raises(CapacityError, match="exceeds the cap"):
-        coset_table(trivial, adjacents[:1])
-
-
-def test_coset_table_deterministic():
-    klein = perm_closure([transposition(1, 2, 4), transposition(3, 4, 4)], 4)
-    adjacents = [transposition(i, i + 1, 4) for i in range(1, 4)]
-    assert coset_table(klein, adjacents) == coset_table(klein, adjacents)
 
 
 # ---------------------------------------------------------------------------

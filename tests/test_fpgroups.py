@@ -1,10 +1,10 @@
 import random
-from math import gcd
+from math import factorial, gcd
 
 import pytest
 
 from liftmcg.arith_perm import (
-    coset_table,
+    CapacityError,
     perm_closure,
     perm_from_cycles,
     transposition,
@@ -21,7 +21,6 @@ from liftmcg.fpgroups import (
     mod_sphere_presentation,
     pmod_sphere_presentation,
     psi_images,
-    reidemeister_schreier,
     reidemeister_schreier_full,
     relator_key,
     rename_presentation,
@@ -117,9 +116,8 @@ def test_mod_sphere_counts():
 def test_mod_sphere_k3_index_of_trivial_subgroup():
     p = mod_sphere_presentation(3)
     psi = psi_images(3)
-    trivial = perm_closure([], 3)
-    table = coset_table(trivial, [psi[g] for g in p.generators])
-    assert len(table) == 6
+    _, info = reidemeister_schreier_full(p, psi, perm_closure([], 3))
+    assert info.index == 6
 
 
 def test_mod_sphere_relators_die_in_symmetric_group():
@@ -180,7 +178,7 @@ def test_rs_index_one_is_renaming():
     p = mod_sphere_presentation(4)
     psi = psi_images(4)
     full = perm_closure([psi[g] for g in p.generators], 4)
-    out = reidemeister_schreier(p, psi, full)
+    out, _ = reidemeister_schreier_full(p, psi, full)
     mapping = {f"x0_{g}": g for g in p.generators}
     assert same_relator_sets(rename_presentation(out, mapping), p)
 
@@ -190,7 +188,7 @@ def test_rs_prop_case_one_abelianization():
     p = mod_sphere_presentation(4)
     psi = psi_images(4)
     H = perm_closure([transposition(1, 2, 4), transposition(3, 4, 4)], 4)
-    out = reidemeister_schreier(p, psi, H)
+    out, _ = reidemeister_schreier_full(p, psi, H)
     assert abelianization(out) == ((2, 2), 1)
 
     explicit = Presentation.from_words(
@@ -207,7 +205,7 @@ def test_rs_prop_case_two_abelianization():
     p = mod_sphere_presentation(4)
     psi = psi_images(4)
     H = perm_closure([perm_from_cycles([(1, 2), (3, 4)], 4)], 4)
-    out = reidemeister_schreier(p, psi, H)
+    out, _ = reidemeister_schreier_full(p, psi, H)
     assert abelianization(out) == ((2,), 2)
 
     explicit = Presentation.from_words(
@@ -253,7 +251,73 @@ def test_rs_rejects_subgroup_outside_image():
     psi = {"s1": transposition(1, 2, 4)}
     H = perm_closure([transposition(3, 4, 4)], 4)
     with pytest.raises(ValueError):
-        reidemeister_schreier(p, psi, H)
+        reidemeister_schreier_full(p, psi, H)
+
+
+def test_rs_requires_psi_onto_the_symmetric_group():
+    # H = <(1,2)> lies inside the image <(1,2)> of psi, but psi is not onto
+    # Sym(4), which Reidemeister-Schreier requires
+    p = Presentation(("s1",), ())
+    psi = {"s1": transposition(1, 2, 4)}
+    H = perm_closure([transposition(1, 2, 4)], 4)
+    with pytest.raises(ValueError, match="adjacent transposition"):
+        reidemeister_schreier_full(p, psi, H)
+
+
+def _free_on_half_twists(k):
+    """The relator-free presentation on s1..s_{k-1}, with psi the adjacent
+    transpositions."""
+    return Presentation(tuple(f"s{i}" for i in range(1, k)), ()), psi_images(k)
+
+
+def test_rs_index_examples():
+    p, psi = _free_on_half_twists(4)
+    adjacents = list(psi.values())
+    assert reidemeister_schreier_full(p, psi, perm_closure(adjacents, 4))[1].index == 1
+    klein = perm_closure([transposition(1, 2, 4), transposition(3, 4, 4)], 4)
+    assert reidemeister_schreier_full(p, psi, klein)[1].index == 6
+    p3, psi3 = _free_on_half_twists(3)
+    sub = perm_closure([transposition(2, 3, 3)], 3)
+    assert reidemeister_schreier_full(p3, psi3, sub)[1].index == 3
+
+
+def test_rs_index_times_order_random():
+    rng = random.Random(13)
+    for _ in range(25):
+        k = rng.randrange(2, 8)
+        sub_gens = [tuple(rng.sample(range(k), k)) for _ in range(rng.randrange(1, 3))]
+        sub = perm_closure(sub_gens, k)
+        p, psi = _free_on_half_twists(k)
+        out, info = reidemeister_schreier_full(p, psi, sub)
+        assert info.index * sub.order == factorial(k)
+        assert len(out.generators) == info.index * (k - 1) - info.index + 1
+        assert not out.relators
+
+
+class _NoCosets:
+    """The trivial subgroup of Sym(10), refusing to label any coset."""
+
+    degree, order = 10, 1
+
+    def coset_key(self, g):
+        raise AssertionError("a coset was built")
+
+
+def test_rs_refused_past_the_cap():
+    # predicted index 10! times 9 generators > 2,000,000 entries, refused
+    # before any coset is built
+    p, psi = _free_on_half_twists(10)
+    with pytest.raises(CapacityError, match="exceeds the cap"):
+        reidemeister_schreier_full(p, psi, _NoCosets())
+    with pytest.raises(CapacityError, match="exceeds the cap"):
+        reidemeister_schreier_full(p, psi, perm_closure([], 10))
+
+
+def test_rs_deterministic():
+    p = mod_sphere_presentation(4)
+    psi = psi_images(4)
+    klein = perm_closure([transposition(1, 2, 4), transposition(3, 4, 4)], 4)
+    assert reidemeister_schreier_full(p, psi, klein) == reidemeister_schreier_full(p, psi, klein)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +382,7 @@ def test_tietze_preserves_abelianization_on_rs_output():
     psi = psi_images(4)
     for gens in ([transposition(1, 2, 4), transposition(3, 4, 4)],
                  [perm_from_cycles([(1, 2), (3, 4)], 4)]):
-        out = reidemeister_schreier(p, psi, perm_closure(gens, 4))
+        out, _ = reidemeister_schreier_full(p, psi, perm_closure(gens, 4))
         assert abelianization(tietze_simplify(out)) == abelianization(out)
 
 

@@ -6,7 +6,6 @@ import pytest
 from liftmcg.arith_perm import (
     CapacityError,
     compose,
-    coset_table,
     identity_perm,
     inverse,
     perm_closure,
@@ -19,7 +18,12 @@ from liftmcg.datasets import (
     hyperelliptic,
     parse_dataset,
 )
-from liftmcg.fpgroups import mod_sphere_presentation, psi_image, psi_images
+from liftmcg.fpgroups import (
+    mod_sphere_presentation,
+    psi_image,
+    psi_images,
+    reidemeister_schreier_full,
+)
 from liftmcg.genvec import (
     GeneratingVector,
     GroupDescriptor,
@@ -217,21 +221,23 @@ def test_matching_perm_is_greedy_and_unit_recoverable():
         matching_perm(2, vec(7, 1, 1, 5))  # 2 does not stabilize
 
 
-def test_coset_tables_match_materialized_groups_genus_2_to_5():
-    # every H1 and H2 of the Reidemeister-Schreier route
+def test_rs_of_stabilizers_matches_materialized_groups_genus_2_to_5():
+    # every H1 and H2 of the Reidemeister-Schreier route: the stabilizer and
+    # the materialized group give one presentation, index and image per
+    # Schreier generator
     count = 0
     for genus in (2, 3, 4, 5):
         for v in all_vectors(genus, max_k=12):
             rep = liftable_images(v, cross_check=False)
-            psi = psi_images(v.k)
-            acting = [psi[g] for g in mod_sphere_presentation(v.k).generators]
+            ambient, psi = mod_sphere_presentation(v.k), psi_images(v.k)
             for h in (rep.h1, rep.h2):
                 if h.is_symmetric or h.order == 1:
                     continue
                 reference = perm_closure(h.generators, v.k)
                 assert h.order == reference.order
                 assert all(p in h for p in reference.elements)
-                assert coset_table(h, acting) == coset_table(reference, acting), v
+                assert (reidemeister_schreier_full(ambient, psi, h)
+                        == reidemeister_schreier_full(ambient, psi, reference)), v
                 count += 1
     assert count == 85
 
