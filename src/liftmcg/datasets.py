@@ -45,6 +45,17 @@ class DataSet:
     g0: int
     pairs: tuple[Pair, ...]
 
+    def __post_init__(self):
+        if self.n < 2:
+            raise ValueError(f"degree must be >= 2, got {self.n}")
+        if self.g0 < 0:
+            raise ValueError(f"orbifold genus must be >= 0, got {self.g0}")
+        for _, m in self.pairs:
+            if m < 1:
+                raise ValueError(f"branch order must be >= 1, got {m}")
+        if self.g0 == 0 and not self.pairs:
+            raise ValueError("a genus-0 quotient needs at least one branch point")
+
     @property
     def k(self) -> int:
         return len(self.pairs)
@@ -54,20 +65,11 @@ class DataSet:
 
 
 def dataset(n: int, g0: int, pairs) -> DataSet:
-    """Normalized DataSet: d reduced mod its order, pairs sorted by (m, d)."""
-    if n < 2:
-        raise ValueError(f"degree must be >= 2, got {n}")
-    if g0 < 0:
-        raise ValueError(f"orbifold genus must be >= 0, got {g0}")
-    norm = []
-    for d, m in pairs:
-        if m < 1:
-            raise ValueError(f"branch order must be >= 1, got {m}")
-        norm.append((d % m, m))
-    if g0 == 0 and not norm:
-        raise ValueError("a genus-0 quotient needs at least one branch point")
-    norm.sort(key=lambda dm: (dm[1], dm[0]))
-    return DataSet(n, g0, tuple(norm))
+    """Normalized DataSet: d reduced mod its order, pairs sorted by (m, d).
+    DataSet checks the ranges, before any reduction."""
+    raw = DataSet(n, g0, tuple((d, m) for d, m in pairs))
+    return DataSet(n, g0, tuple(sorted(((d % m, m) for d, m in raw.pairs),
+                                       key=lambda dm: (dm[1], dm[0]))))
 
 
 @dataclass(frozen=True)

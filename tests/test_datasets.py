@@ -16,6 +16,7 @@ from liftmcg.datasets import (
     COND_IV,
     RH_NON_INTEGER,
     SCOPE_GENUS,
+    DataSet,
     DataSetParseError,
     are_equivalent,
     balanced_superelliptic,
@@ -71,6 +72,13 @@ def test_dataset_constructor_errors():
         dataset(4, 0, ((1, 0),))
     with pytest.raises(ValueError):
         dataset(4, 0, ())
+    # the dataclass checks the same ranges, so validate never divides by 0
+    with pytest.raises(ValueError, match="branch order"):
+        DataSet(4, 0, ((1, 0), (1, 4)))
+    with pytest.raises(ValueError, match="degree"):
+        DataSet(0, 0, ((1, 2),))
+    with pytest.raises(ValueError, match="orbifold genus"):
+        DataSet(4, -1, ((1, 4),))
     # k = 0 with positive quotient genus is syntactically fine
     report = validate(dataset(2, 2, ()))
     assert report.ok and report.genus == 3
