@@ -278,33 +278,43 @@ def _generic_spec(rep: AnalysisReport, quotient: Presentation,
                            notes=("free quotient: no relator evaluations needed",))
 
 
+def _default_specs(rep: AnalysisReport) -> tuple[NormalizerSpec, NormalizerSpec]:
+    """N(F) and C(F) without lift data: the 3-branch-point classification,
+    then the glued-rotation family's built-in lift data, then the generic
+    extensions of LMod and CLMod."""
+    if rep.classification is not None:
+        cls = rep.classification
+        return (_descriptor_spec(cls.normalizer, cls.notes),
+                _descriptor_spec(cls.centralizer, cls.notes))
+    if _is_doubled_builtin(rep):
+        return _doubled_builtin(rep)
+    return (_generic_spec(rep, rep.lmod_presentation, rep.lmod_images),
+            _generic_spec(rep, rep.clmod_presentation, rep.clmod_images))
+
+
 def normalizer_centralizer(ds: DataSet, lifts: LiftData | None = None,
                            central_lifts: LiftData | None = None
                            ) -> tuple[NormalizerSpec, NormalizerSpec]:
     """Presentations of the normalizer and centralizer of the covering class.
 
     Every route builds extension_presentation of <F | F^n> by a quotient,
-    with G F G^-1 = F^e read off the lift data.  Routes, in order:
-    user-supplied lift data, over LMod and CLMod; the 3-branch-point
-    classification (exact isomorphism types, the quotient <G | G^m> or
-    none); built-in lift data for the order-2g+2 glued-rotation family; the
-    generic extension of LMod and CLMod with symbolic relator evaluations
-    (exact when the quotient presentation is free).
+    with G F G^-1 = F^e read off the lift data.  A group given lift data,
+    lifts for N(F) over LMod and central_lifts for C(F) over CLMod, takes
+    it; the other takes, in order: the 3-branch-point classification (exact
+    isomorphism types, the quotient <G | G^m> or none); built-in lift data
+    for the order-2g+2 glued-rotation family; the generic extension of LMod
+    or CLMod with symbolic relator evaluations (exact when the quotient
+    presentation is free).  So each group's route is the same whether or
+    not the other was given lift data.
     OutOfScopeError as for analyze.
     """
     rep = analyze(ds)
-    if lifts is None and central_lifts is None:
-        if rep.classification is not None:
-            cls = rep.classification
-            return (_descriptor_spec(cls.normalizer, cls.notes),
-                    _descriptor_spec(cls.centralizer, cls.notes))
-        if _is_doubled_builtin(rep):
-            return _doubled_builtin(rep)
+    default = (_default_specs(rep) if lifts is None or central_lifts is None
+               else (None, None))
     return tuple(
-        _extension_spec(rep.dataset.n, quotient, user, "user_supplied")
-        if user is not None else _generic_spec(rep, quotient, images)
-        for quotient, images, user in ((rep.lmod_presentation, rep.lmod_images, lifts),
-                                       (rep.clmod_presentation, rep.clmod_images, central_lifts)))
+        spec if user is None else _extension_spec(rep.dataset.n, quotient, user, "user_supplied")
+        for quotient, user, spec in zip((rep.lmod_presentation, rep.clmod_presentation),
+                                        (lifts, central_lifts), default))
 
 
 # ---------------------------------------------------------------------------

@@ -477,10 +477,13 @@ def _user_lift_data(q):
 # sha256 of the exact bytes, exit code then stdout, of `present` and
 # `present --format json` for every spherical class of genus 2-6 and the
 # family members above, then render_normalizer_specs and the unsorted-key
-# normalizer_spec_json of user lift data passed as lifts, as central_lifts
-# and as both; this pins every route to N(F) and C(F)
+# normalizer_spec_json of user lift data passed for both groups; this pins
+# every route to N(F) and C(F), and test_one_sided_lift_data_keeps_the_other_route
+# reduces the one-sided calls to these
 PRESENT_SHA256 = (
-    "8a01d4947f88f33a2cd7f8026c8dbd517cc4c065a5b6d9ad7cfab86a28c01c10")
+    "b4ffdfbb3a3de7e90e30c91906f88b776fd67267917b68a9478399cf1b8346f1")
+ONE_SIDED_INPUTS = ("(7,0;(1,7),(2,7),(4,7))", "(6,0;(1,2),(1,2),(1,3),(2,3))",
+                    "(3,0;(1,3),(1,3),(2,3),(2,3))")
 
 
 def test_present_pinned(capsys):
@@ -497,19 +500,38 @@ def test_present_pinned(capsys):
         for fmt in ([], ["--format", "json"]):
             code = cli_main(["present", *fmt, render_dataset(ds)])
             digest.update(f"{code}\n{capsys.readouterr().out}".encode())
-    for text in ("(7,0;(1,7),(2,7),(4,7))", "(6,0;(1,2),(1,2),(1,3),(2,3))",
-                 "(3,0;(1,3),(1,3),(2,3),(2,3))"):
+    for text in ONE_SIDED_INPUTS:
+        ds = parse_dataset(text)
+        rep = analyze(ds)
+        norm, cent = normalizer_centralizer(ds, _user_lift_data(rep.lmod_presentation),
+                                            _user_lift_data(rep.clmod_presentation))
+        digest.update((render_normalizer_specs(norm, cent) + "\n").encode())
+        for spec in (norm, cent):
+            digest.update((json.dumps(normalizer_spec_json(spec)) + "\n").encode())
+    assert len(classes) == 120
+    assert digest.hexdigest() == PRESENT_SHA256
+
+
+def test_one_sided_lift_data_keeps_the_other_route():
+    # lift data for one group leaves the other on the route it takes with no
+    # lift data: the classification, the glued-rotation built-in, or generic
+    for text in ONE_SIDED_INPUTS:
         ds = parse_dataset(text)
         rep = analyze(ds)
         lifts = _user_lift_data(rep.lmod_presentation)
         central = _user_lift_data(rep.clmod_presentation)
-        for given in ((lifts, None), (None, central), (lifts, central)):
-            norm, cent = normalizer_centralizer(ds, *given)
-            digest.update((render_normalizer_specs(norm, cent) + "\n").encode())
-            for spec in (norm, cent):
-                digest.update((json.dumps(normalizer_spec_json(spec)) + "\n").encode())
-    assert len(classes) == 120
-    assert digest.hexdigest() == PRESENT_SHA256
+        both = normalizer_centralizer(ds, lifts, central)
+        default = normalizer_centralizer(ds)
+        assert normalizer_centralizer(ds, lifts=lifts) == (both[0], default[1]), text
+        assert normalizer_centralizer(ds, central_lifts=central) == (default[0], both[1]), text
+    ds = parse_dataset(ONE_SIDED_INPUTS[0])
+    _, cent = normalizer_centralizer(ds, lifts=_user_lift_data(analyze(ds).lmod_presentation))
+    assert cent.provenance == "built_in" and cent.descriptor == cyclic(7)
+    ds = parse_dataset(ONE_SIDED_INPUTS[1])
+    norm, _ = normalizer_centralizer(
+        ds, central_lifts=_user_lift_data(analyze(ds).clmod_presentation))
+    assert norm.provenance == "built_in" and norm.descriptor is None
+    assert norm.presentation.generators == ("F", "G1", "G3", "G2")
 
 
 # ---------------------------------------------------------------------------
