@@ -12,9 +12,9 @@ image, matching arith_perm.compose).
 
 Reidemeister-Schreier enumerates the cosets itself, in one BFS, and needs of
 a subgroup only its degree, order and coset labels: the analysis passes
-genvec's vector stabilizers, never a stored group.  Tietze simplification is deterministic; its engine writes a
-relator as a str of code points, one per letter, so that substitution, search
-and inversion are str methods.
+genvec's vector stabilizers, never a stored group.  Tietze simplification is
+deterministic; its engine writes a relator as a str of code points, one per
+letter, so that substitution, search and inversion are str methods.
 """
 
 from __future__ import annotations
