@@ -56,30 +56,23 @@ def hyperelliptic_shape(ds: DataSet) -> bool:
     return ds.n == 2 and all(pair == (1, 2) for pair in ds.pairs)
 
 
+def _in_couples(pairs) -> bool:
+    """Whether the pairs split into couples (d, m), (-d mod m, m): the unit -1
+    permutes them, and each self-mate pair (2d = 0 mod m) comes in twos."""
+    counts = Counter(pairs)
+    return (counts == Counter(((-d) % m, m) for d, m in pairs)
+            and all(c % 2 == 0 for (d, m), c in counts.items() if 2 * d % m == 0))
+
+
 def balanced_superelliptic_shape(ds: DataSet) -> bool:
-    if ds.k % 2 or ds.g0 != 0:
-        return False
-    half = ds.k // 2
-    counts = Counter(ds.pairs)
-    if ds.n == 2:
-        return counts == Counter({(1, 2): ds.k})
-    return counts == Counter({(1, ds.n): half, (ds.n - 1, ds.n): half})
+    """(1, n), (n-1, n) couples and nothing else; couples make k even."""
+    return (ds.g0 == 0 and all(pair in ((1, ds.n), (ds.n - 1, ds.n)) for pair in ds.pairs)
+            and _in_couples(ds.pairs))
 
 
 def doubled_shape(ds: DataSet) -> bool:
     """Two (d, m), (-d, m) couples, the glued-rotation shape."""
-    if ds.k != 4 or ds.g0 != 0:
-        return False
-    items = list(ds.pairs)
-    couples = 0
-    while items:
-        d, m = items.pop(0)
-        mate = ((m - d) % m, m)
-        if mate not in items:
-            return False
-        items.remove(mate)
-        couples += 1
-    return couples == 2
+    return ds.k == 4 and ds.g0 == 0 and _in_couples(ds.pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,18 @@ def parse_perm(text: str, degree: int) -> Perm:
     return perm_from_cycles(cycles, degree)
 
 
+def matching(src, dst) -> Perm | None:
+    """The sigma with dst[sigma[j]] == src[j], pairing equal values in order
+    of position (the i-th occurrence of x in src goes to the i-th in dst);
+    None when src is not a rearrangement of dst.  The values must sort."""
+    if sorted(src) != sorted(dst):
+        return None
+    slots: dict = {}
+    for i in reversed(range(len(dst))):
+        slots.setdefault(dst[i], []).append(i)
+    return tuple([slots[x].pop() for x in src])
+
+
 # ---------------------------------------------------------------------------
 # permutation groups
 

@@ -18,7 +18,14 @@ from functools import reduce
 from itertools import combinations_with_replacement, product
 from math import gcd, lcm
 
-from .arith_perm import CapacityError, InternalInvariantError, OutOfScopeError, Perm, units_mod
+from .arith_perm import (
+    CapacityError,
+    InternalInvariantError,
+    OutOfScopeError,
+    Perm,
+    matching,
+    units_mod,
+)
 
 Pair = tuple[int, int]  # (d, m)
 
@@ -149,20 +156,10 @@ def equivalence_witness(d1: DataSet, d2: DataSet) -> tuple[int, Perm] | None:
     if (d1.n, d1.g0, d1.k) != (d2.n, d2.g0, d2.k):
         return None
     require_modulus(d1.n)
-    target = list(d2.pairs)
     for unit in units_mod(d1.n):
-        scaled = [((unit * d) % m, m) for d, m in d1.pairs]
-        if sorted(scaled) != sorted(target):
-            continue
-        used = [False] * len(target)
-        sigma = [0] * len(target)
-        for i, pair in enumerate(scaled):
-            for j, other in enumerate(target):
-                if not used[j] and other == pair:
-                    used[j] = True
-                    sigma[i] = j
-                    break
-        return unit, tuple(sigma)
+        sigma = matching([((unit * d) % m, m) for d, m in d1.pairs], d2.pairs)
+        if sigma is not None:
+            return unit, sigma
     return None
 
 

@@ -5,8 +5,10 @@ group, the half-twist generating data, and the 3-branch-point classification.
 The liftable image H1 is the set of sigma with act(u, sigma, v) = v for some
 unit u, and the centralizer image H2 the same set with u = 1; both are kept
 as VectorStabilizer, read off the vector without storing any element.  The
-brute-force stabilizer is an oracle only: liftable_images compares with it
-when asked (cross_check=True), never by default.
+unit's permutation is arith_perm.matching of the scaled entries onto the
+entries, and the 3-branch-point classification is read off H2 and H1's
+units.  The brute-force stabilizer is an oracle only: liftable_images
+compares with it when asked (cross_check=True), never by default.
 
 The action convention: ``act(l, sigma, v)`` puts ``l * c_j`` at position
 ``sigma(j)``, i.e. position i of the result is ``l * c_{sigma^-1(i)}``.
@@ -32,6 +34,7 @@ from .arith_perm import (
     cycles_of,
     identity_perm,
     inverse,
+    matching,
     perm_closure,
     transposition,
     units_mod,
@@ -44,7 +47,7 @@ MAX_BRUTE_DEGREE = 10
 
 @dataclass(frozen=True)
 class GeneratingVector:
-    """Residues (c_1, ..., c_k) mod n with each c_i != 0 and sum c_i = 0;
+    """Residues (c_1, ..., c_k) mod n, each != 0, summing to 0 and generating Z_n;
     n <= MAX_MODULUS (else CapacityError), as analysis loops over the residues."""
 
     n: int
@@ -60,6 +63,8 @@ class GeneratingVector:
             raise ValueError(f"entries must be nonzero residues mod {self.n}: {self.c}")
         if sum(self.c) % self.n != 0:
             raise ValueError(f"entries must sum to 0 mod {self.n}: {self.c}")
+        if gcd(self.n, *self.c) != 1:
+            raise ValueError(f"entries must generate the residues mod {self.n}: {self.c}")
 
     @property
     def k(self) -> int:
@@ -163,20 +168,12 @@ def stabilizing_units(v: GeneratingVector) -> list[int]:
 
 
 def matching_perm(unit: int, v: GeneratingVector) -> Perm:
-    """The pinned permutation paired with a stabilizing unit: positions are
-    matched greedily by ascending index (first unmatched j with l*c_j = c_i)."""
-    n, c, k = v.n, v.c, v.k
-    taken = [False] * k
-    sigma = [0] * k
-    for i in range(k):
-        for j in range(k):
-            if not taken[j] and unit * c[j] % n == c[i]:
-                taken[j] = True
-                sigma[j] = i
-                break
-        else:
-            raise ValueError(f"{unit} does not stabilize {v}")
-    return tuple(sigma)
+    """The pinned permutation paired with a stabilizing unit: sigma(j) = i
+    for l*c_j = c_i, equal entries matched in order of position."""
+    sigma = matching([unit * x % v.n for x in v.c], v.c)
+    if sigma is None:
+        raise ValueError(f"{unit} does not stabilize {v}")
+    return sigma
 
 
 def half_twist_word(i: int, j: int) -> Word:
@@ -437,43 +434,31 @@ class IrreducibleClassification:
 
 
 def classify_irreducible(v: GeneratingVector) -> IrreducibleClassification:
-    """Normalizer/centralizer isomorphism types for 3-branch-point actions.
+    """Normalizer/centralizer isomorphism types for 3-branch-point actions,
+    read off the stabilizer: Mod(S_{0,3}) = Sym(3), so LMod = H1.
 
-    Cases: (i) a cube-root twist cycles the entries -> N = Z_n x|_l Z_3;
-    (ii) a square-root twist swaps two entries and fixes the third
-    (a: twist 1 -> N = C = Z_n x Z_2; b: twist != 1 -> N = Z_n x|_l Z_2);
-    (iii) trivial stabilizer beyond the units -> N = C = Z_n.
+    Cases: (ii_a) two equal entries, H2 != 1 -> N = C = Z_n x Z_2; else
+    H1 = Z_m with m the number of stabilizing units, and its generator pairs
+    with the twist l: (i) m = 3, l*c_0 = c_1 -> N = Z_n x|_l Z_3; (ii_b) m = 2,
+    l != 1 -> N = Z_n x|_l Z_2; (iii) m = 1 -> N = C = Z_n.
     OutOfScopeError for genus < 2, then for k != 3.
     """
     g = require_genus(v)
     if v.k != 3:
         raise OutOfScopeError(f"classification needs exactly 3 branch points, got {v.k}")
     n, c = v.n, v.c
-
-    for u in units_mod(n):
-        if pow(u, 3, n) == 1 and c == (c[0], u * c[0] % n, u * u * c[0] % n):
-            if u == 1:
-                continue  # excluded for genus >= 2 (forces n = 3, genus 1)
-            return IrreducibleClassification(
-                case="i", twist=u, lmod=cyclic(3), centralizer=cyclic(n),
-                normalizer=semidirect(n, 3, u), genus=g)
-
-    # fixed position p, swapped pair (q, r), scanned in the three orderings
-    for p, q, r in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
-        for u in units_mod(n):
-            if pow(u, 2, n) != 1:
-                continue
-            if u * c[p] % n == c[p] and u * c[q] % n == c[r]:
-                if u == 1:
-                    desc = direct_product(n, 2)
-                    return IrreducibleClassification(
-                        case="ii_a", twist=1, lmod=cyclic(2), centralizer=desc,
-                        normalizer=desc, genus=g,
-                        notes=("normalizer type asserted, not derived",))
-                return IrreducibleClassification(
-                    case="ii_b", twist=u, lmod=cyclic(2), centralizer=cyclic(n),
-                    normalizer=semidirect(n, 2, u), genus=g)
-
+    if len(set(c)) < 3:
+        desc = direct_product(n, 2)
+        return IrreducibleClassification(
+            case="ii_a", twist=1, lmod=cyclic(2), centralizer=desc, normalizer=desc,
+            genus=g, notes=("normalizer type asserted, not derived",))
+    units = stabilizing_units(v)
+    m = len(units)
+    if m == 1:
+        return IrreducibleClassification(
+            case="iii", twist=None, lmod=trivial_group(), centralizer=cyclic(n),
+            normalizer=cyclic(n), genus=g)
+    twist = units[1] if m == 2 else next(u for u in units if u * c[0] % n == c[1])
     return IrreducibleClassification(
-        case="iii", twist=None, lmod=trivial_group(), centralizer=cyclic(n),
-        normalizer=cyclic(n), genus=g)
+        case="ii_b" if m == 2 else "i", twist=twist, lmod=cyclic(m), centralizer=cyclic(n),
+        normalizer=semidirect(n, m, twist), genus=g)

@@ -70,6 +70,10 @@ def test_generating_vector_rejects():
         GeneratingVector(6, (2, 3))  # sum != 0
     with pytest.raises(ValueError):
         GeneratingVector(6, (0, 6))
+    # entries in 2Z/20: the unit 11 fixes each of them, so the units would
+    # overcount H1 (|H1| = 1, two stabilizing units)
+    with pytest.raises(ValueError, match="must generate the residues mod 20"):
+        GeneratingVector(20, (2, 4, 14))
     assert GeneratingVector(122, (1, 121)).n == 122  # Wiman's bound at genus 30
     with pytest.raises(CapacityError):
         GeneratingVector(123, (1, 122))
