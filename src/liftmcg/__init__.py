@@ -43,7 +43,6 @@ from .datasets import (
     dataset,
     enumerate_spherical,
     equivalence_witness,
-    make_family,
     parse_dataset,
     render_dataset,
     validate,

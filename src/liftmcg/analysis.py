@@ -434,9 +434,8 @@ def table_genus3() -> list[TableRow]:
     rows = []
     for i, text in enumerate(TABLE_GENUS3_INPUTS, start=1):
         ds = parse_dataset(text)
-        rep = analyze(ds)
-        cls = rep.classification
-        if cls is None or rep.genus != 3:
+        cls = classify_irreducible(generating_vector(ds))
+        if cls.genus != 3:
             raise InternalInvariantError(f"{text} is not a genus-3 three-point class")
         rows.append(TableRow(i, ds, cls.normalizer, cls.centralizer, cls.case))
     return rows

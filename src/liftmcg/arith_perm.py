@@ -4,8 +4,8 @@ Conventions used throughout the package:
 
 * Residues mod n are plain ints in [0, n).
 * A permutation of degree k is a tuple ``p`` of length k with 0-based entries,
-  ``p[i]`` being the image of i.  Marked points are numbered 1..k in all
-  human-facing output (cycle strings, pair lists), 0..k-1 internally.
+  ``p[i]`` being the image of i.  Marked points are numbered 1..k in cycles
+  and in all human-facing output (pair lists), 0..k-1 internally.
 * Composition is right-to-left: ``compose(p, q)`` maps i to ``p[q[i]]``, i.e.
   q is applied first.  This is the one place the convention is fixed; every
   other module relies on it.
@@ -116,31 +116,6 @@ def cycles_of(p: Perm) -> list[tuple[int, ...]]:
             x = p[x]
         cycles.append(tuple(cyc))
     return cycles
-
-
-def perm_str(p: Perm) -> str:
-    """Cycle-notation string, e.g. "(1,2)(3,4)"; identity is "()"."""
-    cycles = cycles_of(p)
-    if not cycles:
-        return "()"
-    return "".join("(" + ",".join(str(x) for x in cyc) + ")" for cyc in cycles)
-
-
-def parse_perm(text: str, degree: int) -> Perm:
-    """Inverse of perm_str."""
-    s = text.replace(" ", "")
-    if s in ("()", ""):
-        return identity_perm(degree)
-    if not (s.startswith("(") and s.endswith(")")):
-        raise ValueError(f"bad cycle string {text!r}")
-    cycles = []
-    for part in s[1:-1].split(")("):
-        try:
-            cyc = tuple(int(x) for x in part.split(","))
-        except ValueError:
-            raise ValueError(f"bad cycle string {text!r}") from None
-        cycles.append(cyc)
-    return perm_from_cycles(cycles, degree)
 
 
 def matching(src, dst) -> Perm | None:

@@ -102,7 +102,7 @@ def validate(ds: DataSet) -> ValidationReport:
         violations.append(COND_I)
 
     orders = [m for _, m in pairs]
-    full = reduce(lcm, orders, 1)
+    r, full = riemann_hurwitz(n, g0, orders)
     if any(reduce(lcm, orders[:i] + orders[i + 1:], 1) != full
            for i in range(len(orders))):
         violations.append(COND_II)
@@ -114,8 +114,6 @@ def validate(ds: DataSet) -> ValidationReport:
     if sum(n * d * (full // m) for d, m in pairs) % (full * n):
         violations.append(COND_IV)
 
-    # Riemann-Hurwitz: 2g = 2 + n*(2*g0 - 2 + sum (m-1)/m) = r / full
-    r = 2 * full + n * ((2 * g0 - 2) * full + sum((m - 1) * (full // m) for _, m in pairs))
     if r % (2 * full):
         violations.append(RH_NON_INTEGER)
     elif r < 0:
@@ -126,6 +124,13 @@ def validate(ds: DataSet) -> ValidationReport:
     genus = r // (2 * full)
     flags = (SCOPE_GENUS,) if genus < 2 else ()
     return ValidationReport(genus, (), flags)
+
+
+def riemann_hurwitz(n: int, g0: int, orders) -> tuple[int, int]:
+    """(r, full) with 2g = 2 + n*(2*g0 - 2 + sum (m-1)/m) = r / full, full the
+    lcm of the branch orders (Riemann-Hurwitz over a common denominator)."""
+    full = reduce(lcm, orders, 1)
+    return 2 * full + n * ((2 * g0 - 2) * full + sum((m - 1) * (full // m) for m in orders)), full
 
 
 def require_valid(ds: DataSet) -> ValidationReport:
@@ -314,21 +319,6 @@ def doubled(base: DataSet) -> DataSet:
     ds = dataset(base.n, 0, pairs)
     require_valid(ds)
     return ds
-
-
-_FAMILIES = {
-    "hyperelliptic": hyperelliptic,
-    "balanced_superelliptic": balanced_superelliptic,
-    "doubled": doubled,
-}
-
-
-def make_family(name: str, *args, **kwargs) -> DataSet:
-    try:
-        builder = _FAMILIES[name]
-    except KeyError:
-        raise ValueError(f"unknown family {name!r}; known: {sorted(_FAMILIES)}") from None
-    return builder(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------

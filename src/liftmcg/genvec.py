@@ -19,7 +19,6 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations as _all_perms
 from math import factorial, gcd
@@ -39,7 +38,7 @@ from .arith_perm import (
     transposition,
     units_mod,
 )
-from .datasets import MAX_BRANCH_POINTS, DataSet, require_modulus, require_valid
+from .datasets import MAX_BRANCH_POINTS, DataSet, require_modulus, require_valid, riemann_hurwitz
 from .fpgroups import EMPTY, Word, gen, psi_image, word
 
 MAX_BRUTE_DEGREE = 10
@@ -73,9 +72,10 @@ class GeneratingVector:
     def orders(self) -> tuple[int, ...]:
         return tuple(self.n // gcd(x, self.n) for x in self.c)
 
-    def genus(self) -> Fraction:
-        total = sum(Fraction(m - 1, m) for m in self.orders())
-        return 1 + Fraction(self.n, 2) * (total - 2)
+    def genus(self) -> int:
+        """Riemann-Hurwitz with g0 = 0; an integer, since the entries sum to 0."""
+        r, full = riemann_hurwitz(self.n, 0, self.orders())
+        return r // (2 * full)
 
 
 def generating_vector(ds: DataSet) -> GeneratingVector:
@@ -89,11 +89,11 @@ def generating_vector(ds: DataSet) -> GeneratingVector:
 
 
 def require_genus(v: GeneratingVector) -> int:
-    """The genus of the cover; OutOfScopeError unless it is an integer >= 2."""
+    """The genus of the cover; OutOfScopeError unless it is >= 2."""
     g = v.genus()
-    if g.denominator != 1 or g < 2:
+    if g < 2:
         raise OutOfScopeError(f"genus {g} is outside the genus >= 2 scope")
-    return int(g)
+    return g
 
 
 def act(unit: int, sigma: Perm, v: GeneratingVector) -> GeneratingVector:

@@ -10,10 +10,8 @@ from liftmcg.arith_perm import (
     compose,
     identity_perm,
     inverse,
-    parse_perm,
     perm_closure,
     perm_from_cycles,
-    perm_str,
     smith_normal_form,
     transposition,
     units_mod,
@@ -72,19 +70,6 @@ def test_inverse():
         p = tuple(rng.sample(range(k), k))
         assert compose(p, inverse(p)) == identity_perm(k)
         assert compose(inverse(p), p) == identity_perm(k)
-
-
-def test_cycle_string_round_trip():
-    assert perm_str(identity_perm(4)) == "()"
-    assert parse_perm("()", 4) == identity_perm(4)
-    p = perm_from_cycles([(1, 2), (3, 4)], 5)
-    assert perm_str(p) == "(1,2)(3,4)"
-    assert parse_perm("(1,2)(3,4)", 5) == p
-    rng = random.Random(11)
-    for _ in range(50):
-        k = rng.randrange(1, 9)
-        p = tuple(rng.sample(range(k), k))
-        assert parse_perm(perm_str(p), k) == p
 
 
 def test_perm_closure_examples():

@@ -26,7 +26,6 @@ from liftmcg.datasets import (
     enumerate_spherical,
     equivalence_witness,
     hyperelliptic,
-    make_family,
     parse_dataset,
     render_dataset,
     validate,
@@ -290,13 +289,6 @@ def test_doubled_family():
         doubled(dataset(7, 0, ((2, 7), (2, 7), (3, 7))))  # no (1,7) entry
     with pytest.raises(ValueError):
         doubled(hyperelliptic(2))  # not a 3-pair base
-
-
-def test_make_family_dispatch():
-    assert make_family("hyperelliptic", 2) == hyperelliptic(2)
-    assert make_family("balanced_superelliptic", n=3, k=1) == balanced_superelliptic(3, 1)
-    with pytest.raises(ValueError):
-        make_family("nope")
 
 
 # ---------------------------------------------------------------------------
