@@ -2,8 +2,8 @@
 
 The pipeline, bottom to top:
 
-* arith_perm — residues, permutations, the reference permutation group,
-  Smith normal form;
+* arith_perm — residues, permutations, the closure of a permutation
+  subgroup, Smith normal form;
 * datasets — cyclic data sets: validation, equivalence, canonical forms,
   enumeration, named families, the text grammar;
 * genvec — generating vectors, the (unit, permutation) action, stabilizers,
@@ -29,7 +29,6 @@ from .arith_perm import (
     CapacityError,
     InternalInvariantError,
     OutOfScopeError,
-    PermGroup,
     perm_closure,
     smith_normal_form,
     units_mod,

@@ -10,7 +10,7 @@ from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd
 from types import MappingProxyType
 
 from .arith_perm import InternalInvariantError, Perm, identity_perm
@@ -199,10 +199,17 @@ def _extension_spec(n: int, quotient: Presentation, data: LiftData, provenance: 
                     descriptor: GroupDescriptor | None = None,
                     notes: tuple[str, ...] = ()) -> NormalizerSpec:
     """The extension of <F | F^n> by the quotient; each lift's exponent is
-    read off its conjugation word, a power of F."""
+    read off its conjugation word, a power of F, and reported as a signed
+    unit.  An exponent that is not a unit mod n raises ValueError, since
+    G F G^-1 = F^e would then collapse F."""
     pres = extension_presentation(Presentation(("F",), ((1,) * n,)), quotient, data)
-    exponents = {data.lifts[g]: sum(e for _, e in data.conjugation[(g, "F")].letters)
-                 for g in quotient.generators}
+    exponents = {}
+    for g in quotient.generators:
+        lift = data.lifts[g]
+        e = sum(x for _, x in data.conjugation[(g, "F")].letters) % n
+        if gcd(e, n) != 1:
+            raise ValueError(f"conjugation exponent {e} of lift {lift} is not a unit mod {n}")
+        exponents[lift] = _signed_unit(e, n)
     return NormalizerSpec(pres, exponents, provenance, descriptor, notes)
 
 

@@ -13,9 +13,9 @@ Conventions used throughout the package:
   matrix as a list of sparse rows, {column: value} dicts, and its column
   count.
 
-PermGroup, a materialized group, is the reference implementation of a
-subgroup of Sym(k); the analysis uses genvec.VectorStabilizer, which labels
-right cosets (``coset_key``) without storing the group.
+perm_closure lists the elements of a subgroup of Sym(k); the analysis never
+stores a group and uses genvec.VectorStabilizer, which labels right cosets
+(``coset_key``) instead.
 
 The Smith normal form is one elimination loop on the sparse rows, pivoting
 on entries of least absolute value in the columns met by the fewest rows;
@@ -25,12 +25,12 @@ nearly all +-1, so +-1 pivots do almost all of the work.
 
 from __future__ import annotations
 
-from math import factorial, gcd, lcm
+from math import gcd, lcm
 from operator import itemgetter
 
 Perm = tuple[int, ...]
 
-# perm_closure stores whole groups, so it refuses degrees past 12; the
+# perm_closure lists whole groups, so it refuses degrees past 12; the
 # materialization cap bounds both its element store and the coset table of
 # Reidemeister-Schreier (fpgroups).
 MAX_DEGREE = 12
@@ -131,50 +131,7 @@ def matching(src, dst) -> Perm | None:
 
 
 # ---------------------------------------------------------------------------
-# permutation groups
-
-
-class PermGroup:
-    """A subgroup of Sym(degree) with a materialized, sorted element list.
-
-    The reference implementation: perm_closure builds it and tests compare
-    the stabilizer groups of genvec against it.
-    """
-
-    __slots__ = ("degree", "generators", "elements", "_member_set")
-
-    def __init__(self, degree: int, generators: tuple[Perm, ...],
-                 elements: tuple[Perm, ...]):
-        self.degree = degree
-        self.generators = generators
-        self.elements = elements
-        self._member_set = frozenset(elements)
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    @property
-    def is_symmetric(self) -> bool:
-        return len(self.elements) == factorial(self.degree)
-
-    def __contains__(self, p: Perm) -> bool:
-        return p in self._member_set
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PermGroup):
-            return NotImplemented
-        return self.degree == other.degree and self.elements == other.elements
-
-    def __hash__(self):
-        return hash((self.degree, self.elements))
-
-    def __repr__(self):
-        return f"PermGroup(degree={self.degree}, order={self.order})"
-
-    def coset_key(self, g: Perm) -> Perm:
-        """Canonical label of the right coset H*g: its least element."""
-        return min(compose(h, g) for h in self.elements)
+# subgroup closure
 
 
 def _check_degree(degree: int) -> None:
@@ -184,8 +141,8 @@ def _check_degree(degree: int) -> None:
         raise CapacityError(f"degree {degree} exceeds the cap of {MAX_DEGREE}")
 
 
-def perm_closure(gens: list[Perm], degree: int) -> PermGroup:
-    """Subgroup generated by gens, with deterministic (sorted) element order.
+def perm_closure(gens: list[Perm], degree: int) -> tuple[Perm, ...]:
+    """The elements of the subgroup generated by gens, sorted.
 
     Dimino's algorithm: the group of the first i generators is the union of
     right cosets of the group of the first i - 1, and a coset is added whole
@@ -215,7 +172,7 @@ def perm_closure(gens: list[Perm], degree: int) -> PermGroup:
                     if len(elements) > MAX_MATERIALIZED:
                         raise CapacityError(
                             f"closure exceeds {MAX_MATERIALIZED} elements")
-    return PermGroup(degree, tuple(gens), tuple(sorted(elements)))
+    return tuple(sorted(elements))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 A data set ``(n, g0; (d_1,n_1), ..., (d_k,n_k))`` records a degree-n cyclic
 action: n_i are the branch orders, d_i the local rotation exponents.  Pairs
-are stored with d reduced into (0, n_i) and sorted by (n_i, d_i); the text
+are stored with d reduced into [0, n_i) and sorted by (n_i, d_i); the text
 grammar is ``(n,g0;(d,m),...)`` with an optional ``(d,m)_r`` repetition
 suffix, and negative d is accepted and reduced on parse.
 
@@ -48,6 +48,9 @@ SCOPE_GENUS = "scope_genus"
 
 @dataclass(frozen=True, order=True)
 class DataSet:
+    """A data set in its normal form: each d reduced into [0, m) and the
+    pairs sorted by (m, d), after the ranges are checked."""
+
     n: int
     g0: int
     pairs: tuple[Pair, ...]
@@ -62,6 +65,8 @@ class DataSet:
                 raise ValueError(f"branch order must be >= 1, got {m}")
         if self.g0 == 0 and not self.pairs:
             raise ValueError("a genus-0 quotient needs at least one branch point")
+        object.__setattr__(self, "pairs", tuple(sorted(
+            ((d % m, m) for d, m in self.pairs), key=lambda dm: (dm[1], dm[0]))))
 
     @property
     def k(self) -> int:
@@ -72,11 +77,8 @@ class DataSet:
 
 
 def dataset(n: int, g0: int, pairs) -> DataSet:
-    """Normalized DataSet: d reduced mod its order, pairs sorted by (m, d).
-    DataSet checks the ranges, before any reduction."""
-    raw = DataSet(n, g0, tuple((d, m) for d, m in pairs))
-    return DataSet(n, g0, tuple(sorted(((d % m, m) for d, m in raw.pairs),
-                                       key=lambda dm: (dm[1], dm[0]))))
+    """The DataSet of any iterable of (d, m) pairs."""
+    return DataSet(n, g0, tuple(pairs))
 
 
 @dataclass(frozen=True)

@@ -235,42 +235,6 @@ def presentation_json(p: Presentation) -> dict:
     return out
 
 
-def rename_presentation(p: Presentation, mapping: dict[str, str]) -> Presentation:
-    """p with its generators renamed; relators are positional, so they stay."""
-    return Presentation(tuple(mapping.get(g, g) for g in p.generators),
-                        p.relators, p.symbolic_relators)
-
-
-def relator_key(r: Relator) -> Relator:
-    """Canonical form of a relator up to conjugation and inversion: the least
-    rotation of its cyclic reduction or of the inverse."""
-    i, j = 0, len(r)
-    while j - i >= 2 and r[i] == -r[j - 1]:
-        i += 1
-        j -= 1
-    core = r[i:j]
-    if not core:
-        return core
-    inv = _inverted(core)
-    first = min(core + inv)    # the first letter of every least rotation
-    n = len(core)
-    return min(doubled[s:s + n] for doubled in (core + core, inv + inv)
-               for s in range(n) if doubled[s] == first)
-
-
-def same_relator_sets(p1: Presentation, p2: Presentation) -> bool:
-    """Equal generator and relator sets, with relators compared up to cyclic
-    rotation and inversion."""
-    if sorted(p1.generators) != sorted(p2.generators):
-        return False
-    position = {name: i for i, name in enumerate(p2.generators, start=1)}
-    # p1's generator i is p2's generator to[i]
-    to = [0] + [position[name] for name in p1.generators]
-    return (sorted(relator_key(tuple(to[x] if x > 0 else -to[-x] for x in r))
-                   for r in p1.relators)
-            == sorted(relator_key(r) for r in p2.relators))
-
-
 # ---------------------------------------------------------------------------
 # sphere mapping class group presentations
 
@@ -372,10 +336,10 @@ def reidemeister_schreier_full(p: Presentation, psi: dict[str, Perm],
     psi's images must include every adjacent transposition of Sym(k), so psi
     is onto and the subgroup lies in its image; otherwise ValueError.  The
     subgroup needs only ``degree``, ``order`` and ``coset_key(g)``, a label
-    equal for g and g' exactly when H*g = H*g' (a PermGroup, or a
-    genvec.VectorStabilizer).  The run is refused before any coset is built
-    when the predicted index k!/|H| times the generator count exceeds
-    MAX_MATERIALIZED.
+    equal for g and g' exactly when H*g = H*g', so any object with these
+    three serves (the analysis passes a genvec.VectorStabilizer).  The run
+    is refused before any coset is built when the predicted index k!/|H|
+    times the generator count exceeds MAX_MATERIALIZED.
 
     One BFS numbers the right cosets, coset 0 being H, taking cosets in
     discovery order and generators in order.  An edge c --g--> d that

@@ -336,9 +336,9 @@ def _check_against_bruteforce(stab: tuple[tuple[int, Perm], ...],
     """The groups generated by h1's and h2's generators are the sigma
     projection and the unit-1 slice of the brute-force stabilizer."""
     k = h1.degree
-    closure1 = perm_closure(list(h1.generators), k).elements
+    closure1 = perm_closure(list(h1.generators), k)
     closure2 = (closure1 if h2.generators == h1.generators
-                else perm_closure(list(h2.generators), k).elements)
+                else perm_closure(list(h2.generators), k))
     if list(closure1) != sorted(sigma for _, sigma in stab):
         raise InternalInvariantError("h1 differs from the stabilizer projection")
     if list(closure2) != sorted(sigma for u, sigma in stab if u == 1):
@@ -349,10 +349,10 @@ def _check_against_bruteforce(stab: tuple[tuple[int, Perm], ...],
         raise InternalInvariantError(f"|H1| = {h1.order} but the stabilizer has {len(stab)}")
 
 
-def unit_for_perm(v: GeneratingVector, sigma: Perm,
-                  units: tuple[int, ...] | None = None) -> int:
-    """The unique unit paired with sigma in the stabilizer."""
-    for u in (units if units is not None else stabilizing_units(v)):
+def unit_for_perm(v: GeneratingVector, sigma: Perm, units: tuple[int, ...]) -> int:
+    """The unique unit paired with sigma in the stabilizer, looked up among
+    units, the stabilizing units of v."""
+    for u in units:
         if _is_fixed(u, sigma, v):
             return u
     raise ValueError(f"{sigma} is not in the liftable image of {v}")

@@ -8,6 +8,7 @@ lines.
 import time
 from math import factorial
 
+from group_reference import closure
 from liftmcg.arith_perm import perm_closure, perm_from_cycles, transposition
 from liftmcg.datasets import (
     COND_I,
@@ -135,7 +136,7 @@ def test_criterion_4_superelliptic():
             v = GeneratingVector(n, (1, n - 1) * (k + 1))
             rep = liftable_images(v, cross_check=True)  # asserts vs brute force
             assert sorted(s for _, s in stabilizer_bruteforce(v)) == \
-                list(perm_closure(rep.h1.generators, points).elements)
+                list(perm_closure(rep.h1.generators, points))
             assert rep.h1.order == 2 * rep.h2.order
             w = rep.unit_words[n - 1]
             target = perm_from_cycles(
@@ -150,11 +151,11 @@ def test_criterion_5_presentation_cross_validation():
         # frozen SNF oracle values, computed by hand before the build
         oracle = {"klein": ((2, 2), 1), "diagonal": ((2,), 2)}
 
-        klein = perm_closure([transposition(1, 2, 4), transposition(3, 4, 4)], 4)
+        klein = closure([transposition(1, 2, 4), transposition(3, 4, 4)], 4)
         out, _ = reidemeister_schreier_full(ambient, psi, klein)
         assert abelianization(out) == oracle["klein"]
 
-        diagonal = perm_closure([perm_from_cycles([(1, 2), (3, 4)], 4)], 4)
+        diagonal = closure([perm_from_cycles([(1, 2), (3, 4)], 4)], 4)
         out, _ = reidemeister_schreier_full(ambient, psi, diagonal)
         assert abelianization(out) == oracle["diagonal"]
 

@@ -7,12 +7,14 @@ from concurrent.futures import ThreadPoolExecutor
 import jsonschema
 import pytest
 
+from group_reference import same_relator_sets
 from liftmcg.arith_perm import (
     OutOfScopeError,
     identity_perm,
     perm_closure,
     perm_from_cycles,
     transposition,
+    units_mod,
 )
 from liftmcg.datasets import (
     balanced_superelliptic,
@@ -37,7 +39,6 @@ from liftmcg.fpgroups import (
     psi_images,
     reidemeister_schreier_full,
     render_presentation,
-    same_relator_sets,
 )
 from liftmcg.genvec import (
     classify_irreducible,
@@ -463,12 +464,39 @@ def test_normalizer_user_lift_data():
         normalizer_centralizer(ds, lifts=numbered)
 
 
-def _user_lift_data(q):
-    """Lift data for the quotient q with mixed conjugation exponents and
-    empty, concrete and parameter relator evaluations."""
+def test_user_lift_exponents_are_units():
+    # a user exponent is reported as the built-in routes report its unit,
+    # and one that is not a unit mod n, which would collapse F, is refused
+    ds = parse_dataset("(7,0;(1,7),(2,7),(4,7))")
+    q = analyze(ds).lmod_presentation
+
+    def lift_data(e):
+        return LiftData(
+            lifts={g: f"L{i}" for i, g in enumerate(q.generators, start=1)},
+            conjugation={(g, "F"): gen("F") ** e for g in q.generators},
+            evaluations={i: EMPTY for i in range(len(q.relators))})
+
+    for e, reported in ((6, -1), (-6, 1), (9, 2), (-1, -1)):
+        norm, _ = normalizer_centralizer(ds, lifts=lift_data(e))
+        assert set(norm.conjugation_exponents.values()) == {reported}, e
+    for e in (0, 7, -14):
+        with pytest.raises(ValueError, match="lift L1 is not a unit mod 7"):
+            normalizer_centralizer(ds, lifts=lift_data(e))
+    ds = parse_dataset("(6,0;(1,2),(1,2),(1,3),(2,3))")
+    q = analyze(ds).clmod_presentation
+    with pytest.raises(ValueError, match="exponent 3 of lift L1"):
+        normalizer_centralizer(ds, central_lifts=lift_data(3))
+
+
+def _user_lift_data(q, n):
+    """Lift data for the quotient q of a degree-n class: conjugation
+    exponents running through the units mod n, written alternately as
+    negative and positive powers of F, and empty, concrete and parameter
+    relator evaluations."""
+    units = units_mod(n)
     return LiftData(
         lifts={g: f"L{i}" for i, g in enumerate(q.generators, start=1)},
-        conjugation={(g, "F"): gen("F") ** (i % 3 + 1 if i % 2 else -1)
+        conjugation={(g, "F"): gen("F") ** (units[i % len(units)] - (0 if i % 2 else n))
                      for i, g in enumerate(q.generators)},
         evaluations={i: (EMPTY, gen("F") ** (i + 1), f"p{i}")[i % 3]
                      for i in range(len(q.relators))})
@@ -476,12 +504,14 @@ def _user_lift_data(q):
 
 # sha256 of the exact bytes, exit code then stdout, of `present` and
 # `present --format json` for every spherical class of genus 2-6 and the
-# family members above, then render_normalizer_specs and the unsorted-key
-# normalizer_spec_json of user lift data passed for both groups; this pins
-# every route to N(F) and C(F), and test_one_sided_lift_data_keeps_the_other_route
-# reduces the one-sided calls to these
+# family members above: every default route to N(F) and C(F)
 PRESENT_SHA256 = (
-    "b4ffdfbb3a3de7e90e30c91906f88b776fd67267917b68a9478399cf1b8346f1")
+    "a83d19fa96244c11afac1fece784ca06824b72c21b17887625e2746fe5eff8e1")
+# sha256 of render_normalizer_specs and the unsorted-key normalizer_spec_json
+# of user lift data passed for both groups; test_one_sided_lift_data_keeps_the_other_route
+# reduces the one-sided calls to these
+USER_LIFT_SHA256 = (
+    "25f5328d4275f50c1e5f08df98d8eaf435a11b1d7875167db529dd7c96f2f6a6")
 ONE_SIDED_INPUTS = ("(7,0;(1,7),(2,7),(4,7))", "(6,0;(1,2),(1,2),(1,3),(2,3))",
                     "(3,0;(1,3),(1,3),(2,3),(2,3))")
 
@@ -500,16 +530,18 @@ def test_present_pinned(capsys):
         for fmt in ([], ["--format", "json"]):
             code = cli_main(["present", *fmt, render_dataset(ds)])
             digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+    assert len(classes) == 120
+    assert digest.hexdigest() == PRESENT_SHA256
+    digest = hashlib.sha256()
     for text in ONE_SIDED_INPUTS:
         ds = parse_dataset(text)
         rep = analyze(ds)
-        norm, cent = normalizer_centralizer(ds, _user_lift_data(rep.lmod_presentation),
-                                            _user_lift_data(rep.clmod_presentation))
+        norm, cent = normalizer_centralizer(ds, _user_lift_data(rep.lmod_presentation, ds.n),
+                                            _user_lift_data(rep.clmod_presentation, ds.n))
         digest.update((render_normalizer_specs(norm, cent) + "\n").encode())
         for spec in (norm, cent):
             digest.update((json.dumps(normalizer_spec_json(spec)) + "\n").encode())
-    assert len(classes) == 120
-    assert digest.hexdigest() == PRESENT_SHA256
+    assert digest.hexdigest() == USER_LIFT_SHA256
 
 
 def test_one_sided_lift_data_keeps_the_other_route():
@@ -518,18 +550,18 @@ def test_one_sided_lift_data_keeps_the_other_route():
     for text in ONE_SIDED_INPUTS:
         ds = parse_dataset(text)
         rep = analyze(ds)
-        lifts = _user_lift_data(rep.lmod_presentation)
-        central = _user_lift_data(rep.clmod_presentation)
+        lifts = _user_lift_data(rep.lmod_presentation, ds.n)
+        central = _user_lift_data(rep.clmod_presentation, ds.n)
         both = normalizer_centralizer(ds, lifts, central)
         default = normalizer_centralizer(ds)
         assert normalizer_centralizer(ds, lifts=lifts) == (both[0], default[1]), text
         assert normalizer_centralizer(ds, central_lifts=central) == (default[0], both[1]), text
     ds = parse_dataset(ONE_SIDED_INPUTS[0])
-    _, cent = normalizer_centralizer(ds, lifts=_user_lift_data(analyze(ds).lmod_presentation))
+    _, cent = normalizer_centralizer(ds, lifts=_user_lift_data(analyze(ds).lmod_presentation, ds.n))
     assert cent.provenance == "built_in" and cent.descriptor == cyclic(7)
     ds = parse_dataset(ONE_SIDED_INPUTS[1])
     norm, _ = normalizer_centralizer(
-        ds, central_lifts=_user_lift_data(analyze(ds).clmod_presentation))
+        ds, central_lifts=_user_lift_data(analyze(ds).clmod_presentation, ds.n))
     assert norm.provenance == "built_in" and norm.descriptor is None
     assert norm.presentation.generators == ("F", "G1", "G3", "G2")
 
@@ -606,7 +638,7 @@ def test_superelliptic_family_invariants():
         gens = [transposition(i, i + 2, points) for i in range(1, points - 1)]
         gens.append(perm_from_cycles(
             [(2 * t + 1, 2 * t + 2) for t in range(k + 1)], points))
-        assert perm_closure(gens, points).elements == \
+        assert perm_closure(gens, points) == \
             tuple(sorted(s for _, s in stabilizer_bruteforce(v)))
         assert rep.h1.order == 2 * rep.h2.order
 

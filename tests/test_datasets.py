@@ -88,6 +88,19 @@ def test_dataset_normalization():
     assert ds.pairs == ((1, 2), (1, 2), (2, 3), (5, 6))
 
 
+def test_dataset_constructor_stores_the_normal_form():
+    from liftmcg.analysis import analyze
+
+    direct = DataSet(8, 0, ((7, 4), (1, 4), (1, 8), (7, 8)))
+    normal = dataset(8, 0, ((7, 4), (1, 4), (1, 8), (7, 8)))
+    assert direct == normal and hash(direct) == hash(normal)
+    assert direct.pairs == ((1, 4), (3, 4), (1, 8), (7, 8))
+    assert render_dataset(direct) == "(8,0;(1,4),(3,4),(1,8),(7,8))"
+    assert analyze(direct).flags["doubled"] and analyze(normal).flags["doubled"]
+    assert DataSet(6, 0, [(-1, 6), (7, 2), (1, 2), (-1, 3)]).pairs == \
+        ((1, 2), (1, 2), (2, 3), (5, 6))
+
+
 # ---------------------------------------------------------------------------
 # equivalence and canonical forms
 

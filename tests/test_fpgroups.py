@@ -3,9 +3,9 @@ from math import factorial, gcd
 
 import pytest
 
+from group_reference import closure, relator_key, rename_presentation, same_relator_sets
 from liftmcg.arith_perm import (
     CapacityError,
-    perm_closure,
     perm_from_cycles,
     transposition,
 )
@@ -22,12 +22,9 @@ from liftmcg.fpgroups import (
     pmod_sphere_presentation,
     psi_images,
     reidemeister_schreier_full,
-    relator_key,
-    rename_presentation,
     render_presentation,
     render_relator,
     render_word,
-    same_relator_sets,
     tietze_simplify,
 )
 
@@ -116,7 +113,7 @@ def test_mod_sphere_counts():
 def test_mod_sphere_k3_index_of_trivial_subgroup():
     p = mod_sphere_presentation(3)
     psi = psi_images(3)
-    _, info = reidemeister_schreier_full(p, psi, perm_closure([], 3))
+    _, info = reidemeister_schreier_full(p, psi, closure([], 3))
     assert info.index == 6
 
 
@@ -177,7 +174,7 @@ def test_pure_generators_as_half_twist_words():
 def test_rs_index_one_is_renaming():
     p = mod_sphere_presentation(4)
     psi = psi_images(4)
-    full = perm_closure([psi[g] for g in p.generators], 4)
+    full = closure([psi[g] for g in p.generators], 4)
     out, _ = reidemeister_schreier_full(p, psi, full)
     mapping = {f"x0_{g}": g for g in p.generators}
     assert same_relator_sets(rename_presentation(out, mapping), p)
@@ -187,7 +184,7 @@ def test_rs_prop_case_one_abelianization():
     # preimage of <(1,2),(3,4)>: independent SNF oracle value Z + Z2 + Z2
     p = mod_sphere_presentation(4)
     psi = psi_images(4)
-    H = perm_closure([transposition(1, 2, 4), transposition(3, 4, 4)], 4)
+    H = closure([transposition(1, 2, 4), transposition(3, 4, 4)], 4)
     out, _ = reidemeister_schreier_full(p, psi, H)
     assert abelianization(out) == ((2, 2), 1)
 
@@ -204,7 +201,7 @@ def test_rs_prop_case_two_abelianization():
     # preimage of <(1,2)(3,4)>: independent SNF oracle value Z^2 + Z2
     p = mod_sphere_presentation(4)
     psi = psi_images(4)
-    H = perm_closure([perm_from_cycles([(1, 2), (3, 4)], 4)], 4)
+    H = closure([perm_from_cycles([(1, 2), (3, 4)], 4)], 4)
     out, _ = reidemeister_schreier_full(p, psi, H)
     assert abelianization(out) == ((2,), 2)
 
@@ -221,7 +218,7 @@ def test_rs_schreier_rank_bookkeeping():
     for gens in ([transposition(1, 2, 4), transposition(3, 4, 4)],
                  [perm_from_cycles([(1, 2), (3, 4)], 4)],
                  [transposition(2, 3, 4)]):
-        H = perm_closure(gens, 4)
+        H = closure(gens, 4)
         out, info = reidemeister_schreier_full(p, psi, H)
         assert len(out.generators) == info.index * len(p.generators) - (info.index - 1)
         assert info.index * H.order == 24
@@ -235,7 +232,7 @@ def test_rs_generator_images_cover_generators_and_lie_in_subgroup():
     for gens in ([transposition(1, 2, 4), transposition(3, 4, 4)],
                  [perm_from_cycles([(1, 2), (3, 4)], 4)],
                  [transposition(2, 3, 4)]):
-        H = perm_closure(gens, 4)
+        H = closure(gens, 4)
         out, info = reidemeister_schreier_full(p, psi, H)
         assert set(info.generator_images) == set(out.generators)
         for image in info.generator_images.values():
@@ -249,7 +246,7 @@ def test_rs_rejects_subgroup_outside_image():
     # psi image of <s1> alone is <(1,2)>; the Klein subgroup is not inside
     p = Presentation(("s1",), ())
     psi = {"s1": transposition(1, 2, 4)}
-    H = perm_closure([transposition(3, 4, 4)], 4)
+    H = closure([transposition(3, 4, 4)], 4)
     with pytest.raises(ValueError):
         reidemeister_schreier_full(p, psi, H)
 
@@ -259,7 +256,7 @@ def test_rs_requires_psi_onto_the_symmetric_group():
     # Sym(4), which Reidemeister-Schreier requires
     p = Presentation(("s1",), ())
     psi = {"s1": transposition(1, 2, 4)}
-    H = perm_closure([transposition(1, 2, 4)], 4)
+    H = closure([transposition(1, 2, 4)], 4)
     with pytest.raises(ValueError, match="adjacent transposition"):
         reidemeister_schreier_full(p, psi, H)
 
@@ -273,11 +270,11 @@ def _free_on_half_twists(k):
 def test_rs_index_examples():
     p, psi = _free_on_half_twists(4)
     adjacents = list(psi.values())
-    assert reidemeister_schreier_full(p, psi, perm_closure(adjacents, 4))[1].index == 1
-    klein = perm_closure([transposition(1, 2, 4), transposition(3, 4, 4)], 4)
+    assert reidemeister_schreier_full(p, psi, closure(adjacents, 4))[1].index == 1
+    klein = closure([transposition(1, 2, 4), transposition(3, 4, 4)], 4)
     assert reidemeister_schreier_full(p, psi, klein)[1].index == 6
     p3, psi3 = _free_on_half_twists(3)
-    sub = perm_closure([transposition(2, 3, 3)], 3)
+    sub = closure([transposition(2, 3, 3)], 3)
     assert reidemeister_schreier_full(p3, psi3, sub)[1].index == 3
 
 
@@ -286,7 +283,7 @@ def test_rs_index_times_order_random():
     for _ in range(25):
         k = rng.randrange(2, 8)
         sub_gens = [tuple(rng.sample(range(k), k)) for _ in range(rng.randrange(1, 3))]
-        sub = perm_closure(sub_gens, k)
+        sub = closure(sub_gens, k)
         p, psi = _free_on_half_twists(k)
         out, info = reidemeister_schreier_full(p, psi, sub)
         assert info.index * sub.order == factorial(k)
@@ -310,13 +307,13 @@ def test_rs_refused_past_the_cap():
     with pytest.raises(CapacityError, match="exceeds the cap"):
         reidemeister_schreier_full(p, psi, _NoCosets())
     with pytest.raises(CapacityError, match="exceeds the cap"):
-        reidemeister_schreier_full(p, psi, perm_closure([], 10))
+        reidemeister_schreier_full(p, psi, closure([], 10))
 
 
 def test_rs_deterministic():
     p = mod_sphere_presentation(4)
     psi = psi_images(4)
-    klein = perm_closure([transposition(1, 2, 4), transposition(3, 4, 4)], 4)
+    klein = closure([transposition(1, 2, 4), transposition(3, 4, 4)], 4)
     assert reidemeister_schreier_full(p, psi, klein) == reidemeister_schreier_full(p, psi, klein)
 
 
@@ -382,7 +379,7 @@ def test_tietze_preserves_abelianization_on_rs_output():
     psi = psi_images(4)
     for gens in ([transposition(1, 2, 4), transposition(3, 4, 4)],
                  [perm_from_cycles([(1, 2), (3, 4)], 4)]):
-        out, _ = reidemeister_schreier_full(p, psi, perm_closure(gens, 4))
+        out, _ = reidemeister_schreier_full(p, psi, closure(gens, 4))
         assert abelianization(tietze_simplify(out)) == abelianization(out)
 
 

@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+from group_reference import closure
 from liftmcg.arith_perm import (
     CapacityError,
     compose,
@@ -179,8 +180,8 @@ def test_liftable_images_matches_bruteforce_exhaustively(monkeypatch):
         for v in all_vectors(genus):
             rep = liftable_images(v, cross_check=True)
             stab = seen.pop()
-            closure1 = perm_closure(rep.h1.generators, v.k).elements
-            closure2 = perm_closure(rep.h2.generators, v.k).elements
+            closure1 = perm_closure(rep.h1.generators, v.k)
+            closure2 = perm_closure(rep.h2.generators, v.k)
             assert list(closure1) == sorted(sigma for _, sigma in stab), v
             assert list(closure2) == sorted(sigma for u, sigma in stab if u == 1), v
             assert rep.units == tuple(sorted({u for u, _ in stab})), v
@@ -220,7 +221,7 @@ def test_matching_perm_is_greedy_and_unit_recoverable():
     v = vec(3, 1, 2, 1, 2)
     assert matching_perm(1, v) == identity_perm(4)
     sigma = matching_perm(2, v)
-    assert unit_for_perm(v, sigma) == 2
+    assert unit_for_perm(v, sigma, tuple(stabilizing_units(v))) == 2
     with pytest.raises(ValueError):
         matching_perm(2, vec(7, 1, 1, 5))  # 2 does not stabilize
 
@@ -237,7 +238,7 @@ def test_rs_of_stabilizers_matches_materialized_groups_genus_2_to_5():
             for h in (rep.h1, rep.h2):
                 if h.is_symmetric or h.order == 1:
                     continue
-                reference = perm_closure(h.generators, v.k)
+                reference = closure(h.generators, v.k)
                 assert h.order == reference.order
                 assert all(p in h for p in reference.elements)
                 assert (reidemeister_schreier_full(ambient, psi, h)
