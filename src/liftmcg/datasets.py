@@ -49,18 +49,25 @@ SCOPE_GENUS = "scope_genus"
 @dataclass(frozen=True, order=True)
 class DataSet:
     """A data set in its normal form: each d reduced into [0, m) and the
-    pairs sorted by (m, d), after the ranges are checked."""
+    pairs sorted by (m, d), after the types and ranges are checked.  Every
+    field is an int (a bool is not), else TypeError naming the field."""
 
     n: int
     g0: int
     pairs: tuple[Pair, ...]
 
     def __post_init__(self):
+        for name, value in (("n", self.n), ("g0", self.g0)):
+            if type(value) is not int:
+                raise TypeError(f"{name} must be an int, got {value!r}")
         if self.n < 2:
             raise ValueError(f"degree must be >= 2, got {self.n}")
         if self.g0 < 0:
             raise ValueError(f"orbifold genus must be >= 0, got {self.g0}")
-        for _, m in self.pairs:
+        for d, m in self.pairs:
+            if type(d) is not int or type(m) is not int:
+                name, value = ("d", d) if type(d) is not int else ("m", m)
+                raise TypeError(f"{name} must be an int, got {value!r}")
             if m < 1:
                 raise ValueError(f"branch order must be >= 1, got {m}")
         if self.g0 == 0 and not self.pairs:

@@ -106,6 +106,14 @@ def _inverted(r: Relator) -> Relator:
     return tuple(-x for x in reversed(r))
 
 
+def _letter_codes(ngens: int) -> list[str]:
+    """code[x] is the code point of the signed int letter x: chr(2i) for i,
+    and chr(2i + 1) for -i at index -i.  A relator written in them is a str,
+    whose rotations are its substrings when it is written twice."""
+    return ["", *(chr(2 * i) for i in range(1, ngens + 1)),
+            *(chr(2 * i + 1) for i in range(ngens, 0, -1))]
+
+
 def evaluate_perm(r: Relator, images: Sequence[Perm], degree: int) -> Perm:
     """The product of the letters of r, images[i - 1] being generator i's."""
     out = identity_perm(degree)
@@ -346,6 +354,16 @@ def reidemeister_schreier_full(p: Presentation, psi: dict[str, Perm],
     reaches a new coset is a tree edge and gives d its representative
     rep(c) psi(g); every other edge gives the Schreier generator x{c}_{g},
     with image rep(c) psi(g) rep(d)^-1.
+
+    The relators are the nonempty rewrites, one per cyclic class, relator by
+    relator and coset by coset in order.  An input relator equal to an
+    earlier one up to rotation and inversion is skipped: its rewrites are
+    rotations of the earlier one's or of their inverses.  A relator u^p,
+    with u primitive and p > 1, is rewritten only at the least coset of each
+    psi(u)-orbit, since its rewrite at c*u is a rotation of that at c.  So
+    each dropped rewrite is a rotation of an earlier kept one or of its
+    inverse, and tietze_simplify, which drops those, returns what it would
+    from every rewrite at every coset.
     """
     degree = subgroup.degree
     images = [psi[g] for g in p.generators]
@@ -394,14 +412,47 @@ def reidemeister_schreier_full(p: Presentation, psi: dict[str, Perm],
         raise InternalInvariantError(
             f"coset index {len(reps)} times |H| = {subgroup.order} is not {degree}!")
 
+    code = _letter_codes(ngens)
     relators: list[Relator] = []
+    # length -> the earlier relators of that length, each written twice,
+    # joined by chr(1), which is no letter
+    rewritten: dict[int, str] = {}
     for r in p.relators:
         if evaluate_perm(r, images, degree) != identity:
             raise ValueError(f"psi does not kill the relator {_render(r, p.generators)}")
+        if not r:
+            continue
+        w = "".join(map(code.__getitem__, r))
+        same_length = rewritten.get(len(w), "")
+        if same_length and (w in same_length
+                            or "".join([code[-x] for x in reversed(r)]) in same_length):
+            continue
+        twice = w * 2
+        rewritten[len(w)] = same_length + "\x01" + twice
+        # r = u^power with u primitive: its least period, a divisor of its
+        # length, is where w recurs in w*w
+        period = twice.find(w, 1)
+        starts = range(index)
+        if period < len(r):
+            # c -> c*u, and the least coset of each psi(u)-orbit
+            step = list(range(index))
+            for x in r[:period]:
+                step = ([table[d][x - 1] for d in step] if x > 0
+                        else [inv_table[d][-x - 1] for d in step])
+            starts, orbit_of = [], [-1] * index
+            for c in range(index):
+                if orbit_of[c] < 0:
+                    starts.append(c)
+                    d = c
+                    while orbit_of[d] < 0:
+                        orbit_of[d] = c
+                        d = step[d]
+                    if d != c:
+                        raise InternalInvariantError("a psi(u)-orbit of cosets does not close")
         # the rewrite of a freely reduced relator is freely reduced: between a
         # Schreier letter and its inverse it would walk a closed path of tree
         # edges, and a closed tree walk backtracks
-        for c in range(index):
+        for c in starts:
             cur = c
             letters: list[int] = []
             for x in r:
@@ -586,9 +637,7 @@ def tietze_simplify(p: Presentation) -> Presentation:
     n = len(names)
     if n > MAX_TIETZE_GENERATORS:
         raise CapacityError(f"{n} generators exceed the Tietze cap of {MAX_TIETZE_GENERATORS}")
-    # code[x] is the letter of x: chr(2i) for i, chr(2i + 1) for -i at index -i
-    code = ["", *(chr(2 * i) for i in range(1, n + 1)),
-            *(chr(2 * i + 1) for i in range(n, 0, -1))]
+    code = _letter_codes(n)
     engine = _TietzeEngine(n, ["".join(map(code.__getitem__, r)) for r in p.relators])
     gone = set(iter(engine.eliminate, None))
     kept = [i for i in range(1, n + 1) if i not in gone]

@@ -353,9 +353,11 @@ def test_report_mappings_are_read_only():
 
 # sha256 of the raw Reidemeister-Schreier output for every H1 and H2 of genus
 # 2-4 that is neither Sym(k) nor trivial, in enumeration order: one JSON line
-# per subgroup holding presentation_json, the index and the sorted images
+# per subgroup holding presentation_json, the index and the sorted images.
+# The relators are one rewrite per cyclic class; tests/test_rs_differential.py
+# checks them against every rewrite at every coset
 GENUS_2_TO_4_RAW_RS_SHA256 = (
-    "ecf2048d7e2db7f1403e9d7475911a2ffafa272e1107da3438fa14112637a699")
+    "40eff6415a02a1a87c893d8cf0534bd7490ee9670de62056cd2562110df11a19")
 
 
 def test_raw_reidemeister_schreier_pinned_genus_2_to_4():

@@ -4,6 +4,8 @@ from itertools import combinations
 from math import factorial, gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liftmcg.arith_perm import (
     CapacityError,
@@ -267,3 +269,18 @@ def test_snf_matches_determinantal_divisors():
         for nrows, ncols in shapes:
             rows = entries(rng, nrows, ncols)
             assert _snf(rows) == _snf_by_minors(rows, ncols), rows
+
+
+@st.composite
+def small_matrices(draw):
+    """Integer matrices of 1-4 rows and 1-4 columns, entries in [-6, 6]."""
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    row = st.lists(st.integers(-6, 6), min_size=ncols, max_size=ncols)
+    return draw(st.lists(row, min_size=nrows, max_size=nrows))
+
+
+# derandomized, so that Tier-1 runs the same examples on every run
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(small_matrices())
+def test_snf_matches_determinantal_divisors_generated(rows):
+    assert _snf(rows) == _snf_by_minors(rows, len(rows[0]))

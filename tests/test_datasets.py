@@ -83,6 +83,24 @@ def test_dataset_constructor_errors():
     assert report.ok and report.genus == 3
 
 
+def test_dataset_refuses_non_int_fields():
+    # a float degree used to pass validate with genus 0.0, and a float
+    # exponent to raise a bare TypeError from gcd
+    for args, name in (((4.0, 0, ((1, 4), (3, 4))), "n"),
+                       ((4, 0.0, ((1, 4), (3, 4))), "g0"),
+                       ((4, 0, ((1.5, 4), (2.5, 4))), "d"),
+                       ((4, 0, ((1, 4), (3, 4.0))), "m"),
+                       ((4, False, ((1, 4), (3, 4))), "g0"),
+                       ((4, 0, ((True, 4), (3, 4))), "d"),
+                       ((4, 0, (("1", 4), (3, 4))), "d")):
+        with pytest.raises(TypeError, match=f"^{name} must be an int"):
+            DataSet(*args)
+        with pytest.raises(TypeError, match=f"^{name} must be an int"):
+            dataset(*args)
+    with pytest.raises(TypeError, match="^n must be an int"):
+        DataSet(True, 0, ((1, 2),))
+
+
 def test_dataset_normalization():
     ds = dataset(6, 0, ((-1, 6), (1, 2), (1, 2), (-1, 3)))
     assert ds.pairs == ((1, 2), (1, 2), (2, 3), (5, 6))

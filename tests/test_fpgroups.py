@@ -172,12 +172,39 @@ def test_pure_generators_as_half_twist_words():
 
 
 def test_rs_index_one_is_renaming():
-    p = mod_sphere_presentation(4)
-    psi = psi_images(4)
-    full = closure([psi[g] for g in p.generators], 4)
-    out, _ = reidemeister_schreier_full(p, psi, full)
-    mapping = {f"x0_{g}": g for g in p.generators}
-    assert same_relator_sets(rename_presentation(out, mapping), p)
+    # at index 1 every generator g is the Schreier generator x0_g, and RS
+    # renames p less its reversed commutators [s_i,s_j], i > j + 1, each the
+    # inverse of the earlier [s_j,s_i]
+    for k in (3, 4, 5, 6):
+        p = mod_sphere_presentation(k)
+        psi = psi_images(k)
+        full = closure([psi[g] for g in p.generators], k)
+        out, info = reidemeister_schreier_full(p, psi, full)
+        s = {i: gen(f"s{i}") for i in range(1, k)}
+        reversed_commutators = Presentation.from_words(p.generators, [
+            commutator(s[i], s[j]) for i in range(1, k) for j in range(1, i - 1)]).relators
+        assert len(reversed_commutators) == (k - 2) * (k - 3) // 2
+        mapping = {f"x0_{g}": g for g in p.generators}
+        assert info.index == 1 and rename_presentation(out, mapping) == Presentation(
+            p.generators, tuple(r for r in p.relators if r not in reversed_commutators))
+
+
+def test_rs_one_rewrite_per_cyclic_class():
+    # over the trivial subgroup of Sym(3), index 6: s1^2 is rewritten once
+    # per psi(s1)-orbit (3 of size 2), the braid at all 6 cosets, (s1*s2)^3
+    # once per psi(s1*s2)-orbit (2 of size 3); the braid's rotation and
+    # inverse and s1^-2 repeat earlier relators and are skipped, and the
+    # empty relator has no rewrite
+    s1, s2 = gen("s1"), gen("s2")
+    braid = s1 * s2 * s1 * (s2 * s1 * s2).inv()
+    p = Presentation.from_words(("s1", "s2"), (
+        EMPTY, s1 ** 2, braid, s2 * s1 * s2.inv() * s1.inv() * s2.inv() * s1, braid.inv(),
+        (s1 * s2) ** 3, s1 ** -2, EMPTY))
+    out, info = reidemeister_schreier_full(p, psi_images(3), closure([], 3))
+    assert info.index == 6
+    assert len(out.relators) == 3 + 6 + 2
+    distinct = Presentation(p.generators, (p.relators[1], p.relators[2], p.relators[5]))
+    assert reidemeister_schreier_full(distinct, psi_images(3), closure([], 3))[0] == out
 
 
 def test_rs_prop_case_one_abelianization():
