@@ -13,9 +13,8 @@ Conventions used throughout the package:
   matrix as a list of sparse rows, {column: value} dicts, and its column
   count.
 
-perm_closure lists the elements of a subgroup of Sym(k); the analysis never
-stores a group and uses genvec.VectorStabilizer, which labels right cosets
-(``coset_key``) instead.
+The analysis lists no subgroup of Sym(k): genvec.VectorStabilizer labels
+right cosets (``coset_key``) instead.
 
 The Smith normal form is one elimination loop on the sparse rows, pivoting
 on entries of least absolute value in the columns met by the fewest rows;
@@ -26,14 +25,10 @@ nearly all +-1, so +-1 pivots do almost all of the work.
 from __future__ import annotations
 
 from math import gcd, lcm
-from operator import itemgetter
 
 Perm = tuple[int, ...]
 
-# perm_closure lists whole groups, so it refuses degrees past 12; the
-# materialization cap bounds both its element store and the coset table of
-# Reidemeister-Schreier (fpgroups).
-MAX_DEGREE = 12
+# bounds Reidemeister-Schreier's coset table (fpgroups): index x generators
 MAX_MATERIALIZED = 2_000_000
 
 
@@ -128,51 +123,6 @@ def matching(src, dst) -> Perm | None:
     for i in reversed(range(len(dst))):
         slots.setdefault(dst[i], []).append(i)
     return tuple([slots[x].pop() for x in src])
-
-
-# ---------------------------------------------------------------------------
-# subgroup closure
-
-
-def _check_degree(degree: int) -> None:
-    if degree < 1:
-        raise ValueError(f"degree must be positive, got {degree}")
-    if degree > MAX_DEGREE:
-        raise CapacityError(f"degree {degree} exceeds the cap of {MAX_DEGREE}")
-
-
-def perm_closure(gens: list[Perm], degree: int) -> tuple[Perm, ...]:
-    """The elements of the subgroup generated by gens, sorted.
-
-    Dimino's algorithm: the group of the first i generators is the union of
-    right cosets of the group of the first i - 1, and a coset is added whole
-    when a representative times a generator falls outside, so each element
-    is composed once.
-    """
-    _check_degree(degree)
-    for p in gens:
-        if len(p) != degree:
-            raise ValueError(f"generator degree {len(p)} != {degree}")
-    elements = [identity_perm(degree)]
-    members = set(elements)
-    for i, g in enumerate(gens):
-        if g in members:
-            continue
-        sub = elements[:]
-        reps = [elements[0]]
-        for r in reps:  # reps grows while it is walked
-            for s in gens[:i + 1]:
-                e = compose(r, s)
-                if e not in members:
-                    reps.append(e)
-                    right = itemgetter(*e)  # right(h) = compose(h, e)
-                    coset = [right(h) for h in sub]
-                    members.update(coset)
-                    elements += coset
-                    if len(elements) > MAX_MATERIALIZED:
-                        raise CapacityError(
-                            f"closure exceeds {MAX_MATERIALIZED} elements")
-    return tuple(sorted(elements))
 
 
 # ---------------------------------------------------------------------------

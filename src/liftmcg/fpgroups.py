@@ -285,13 +285,6 @@ def a_name(i: int, j: int) -> str:
     return f"a{i}{j}"
 
 
-def a_in_sigmas(i: int, j: int) -> Word:
-    """The pure generator a_ij as a word in half-twists:
-    (s_{j-1}...s_{i+1}) s_i^2 (s_{j-1}...s_{i+1})^-1."""
-    conj = word(*(gen(f"s{t}") for t in range(j - 1, i, -1)))
-    return conj * gen(f"s{i}") ** 2 * conj.inv()
-
-
 def pmod_sphere_presentation(k: int) -> Presentation:
     """Pure mapping class group of the k-marked sphere on generators a_ij,
     1 <= i < j < k."""
@@ -694,12 +687,24 @@ def extension_presentation(kernel: Presentation, quotient: Presentation,
                            data: LiftData) -> Presentation:
     """Presentation of an extension of the kernel by the quotient:
     kernel relators + lifted relators (set to their kernel values) +
-    conjugation relators."""
+    conjugation relators.  A key of the lift data that names no quotient
+    generator, kernel generator or quotient relator raises ValueError."""
     if quotient.symbolic_relators or kernel.symbolic_relators:
         raise ValueError("nested symbolic relators are not supported")
     missing = [g for g in quotient.generators if g not in data.lifts]
     if missing:
         raise ValueError(f"missing lifts for quotient generators {missing}")
+    for g in data.lifts:
+        if g not in quotient.generators:
+            raise ValueError(f"lift for {g!r}, which is not a quotient generator")
+    for qg, kg in data.conjugation:
+        if qg not in quotient.generators or kg not in kernel.generators:
+            raise ValueError(f"conjugation word for ({qg!r}, {kg!r}), which is not a "
+                             f"(quotient generator, kernel generator) pair")
+    for idx in data.evaluations:
+        if idx not in range(len(quotient.relators)):
+            raise ValueError(f"evaluation for relator {idx!r}, but the quotient "
+                             f"has {len(quotient.relators)} relators")
     lift_names = [data.lifts[g] for g in quotient.generators]
     clash = set(lift_names) & set(kernel.generators)
     if clash or len(set(lift_names)) != len(lift_names):

@@ -1,5 +1,6 @@
 """Whole groups and relator sets, for tests only.
 
+perm_closure lists the elements of the subgroup some permutations generate.
 PermGroup is a subgroup of Sym(degree) with its elements stored: the
 reference that genvec's stabilizers, which store nothing, are checked
 against, and a subgroup Reidemeister-Schreier accepts (it has ``degree``,
@@ -12,13 +13,28 @@ from __future__ import annotations
 
 from math import factorial
 
-from liftmcg.arith_perm import Perm, compose, perm_closure
+from liftmcg.arith_perm import Perm, compose, identity_perm
 from liftmcg.fpgroups import Presentation, Relator, _inverted
+
+
+def perm_closure(gens, degree: int) -> tuple[Perm, ...]:
+    """The elements of the subgroup generated by gens, sorted: a walk from
+    the identity, multiplying each element reached on the right by each
+    generator."""
+    walk = [identity_perm(degree)]
+    reached = set(walk)
+    for e in walk:  # walk grows while it is read
+        for g in gens:
+            f = compose(e, g)
+            if f not in reached:
+                reached.add(f)
+                walk.append(f)
+    return tuple(sorted(walk))
 
 
 def closure(gens, degree: int) -> PermGroup:
     """The PermGroup generated by gens."""
-    return PermGroup(degree, tuple(gens), perm_closure(list(gens), degree))
+    return PermGroup(degree, tuple(gens), perm_closure(gens, degree))
 
 
 class PermGroup:

@@ -8,8 +8,8 @@ lines.
 import time
 from math import factorial
 
-from group_reference import closure
-from liftmcg.arith_perm import perm_closure, perm_from_cycles, transposition
+from group_reference import closure, perm_closure
+from liftmcg.arith_perm import perm_from_cycles, transposition
 from liftmcg.datasets import (
     COND_I,
     RH_NON_INTEGER,

@@ -7,11 +7,10 @@ from concurrent.futures import ThreadPoolExecutor
 import jsonschema
 import pytest
 
-from group_reference import same_relator_sets
+from group_reference import perm_closure, same_relator_sets
 from liftmcg.arith_perm import (
     OutOfScopeError,
     identity_perm,
-    perm_closure,
     perm_from_cycles,
     transposition,
     units_mod,
@@ -183,7 +182,7 @@ def test_default_analysis_runs_no_stabilizer_oracle(monkeypatch):
         raise AssertionError("the brute-force oracle ran on the default path")
 
     monkeypatch.setattr(genvec_module, "stabilizer_bruteforce", refuse)
-    monkeypatch.setattr(genvec_module, "perm_closure", refuse)
+    monkeypatch.setattr(genvec_module, "_check_against_bruteforce", refuse)
     for genus in (2, 3, 4):
         for ds in enumerate_spherical(genus):
             analyze(ds)
@@ -488,6 +487,32 @@ def test_user_lift_exponents_are_units():
     q = analyze(ds).clmod_presentation
     with pytest.raises(ValueError, match="exponent 3 of lift L1"):
         normalizer_centralizer(ds, central_lifts=lift_data(3))
+
+
+def test_user_lift_data_with_unknown_keys_is_refused():
+    # a key naming no quotient generator, kernel generator or quotient
+    # relator is refused by name instead of being ignored
+    ds = parse_dataset("(3,0;(1,3),(1,3),(2,3),(2,3))")
+    q = analyze(ds).clmod_presentation
+    data = _user_lift_data(q, ds.n)
+    assert normalizer_centralizer(ds, central_lifts=data)[1].provenance == "user_supplied"
+    first, count = q.generators[0], len(q.relators)
+    past = {i: EMPTY for i in range(count, count + 3)}
+    cases = [
+        (LiftData({**data.lifts, "bogus": "B"}, data.conjugation, {**data.evaluations, **past}),
+         "lift for 'bogus'"),
+        (LiftData(data.lifts, {**data.conjugation, ("bogus", "F"): EMPTY}, data.evaluations),
+         r"\('bogus', 'F'\)"),
+        (LiftData(data.lifts, {**data.conjugation, (first, "K"): EMPTY}, data.evaluations),
+         rf"\('{first}', 'K'\)"),
+        (LiftData(data.lifts, data.conjugation, {**data.evaluations, **past}),
+         f"evaluation for relator {count},"),
+        (LiftData(data.lifts, data.conjugation, {**data.evaluations, -1: EMPTY}),
+         "evaluation for relator -1,"),
+    ]
+    for bad, key in cases:
+        with pytest.raises(ValueError, match=key):
+            normalizer_centralizer(ds, central_lifts=bad)
 
 
 def _user_lift_data(q, n):

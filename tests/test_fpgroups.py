@@ -6,6 +6,7 @@ import pytest
 from group_reference import closure, relator_key, rename_presentation, same_relator_sets
 from liftmcg.arith_perm import (
     CapacityError,
+    identity_perm,
     perm_from_cycles,
     transposition,
 )
@@ -20,12 +21,14 @@ from liftmcg.fpgroups import (
     gen,
     mod_sphere_presentation,
     pmod_sphere_presentation,
+    psi_image,
     psi_images,
     reidemeister_schreier_full,
     render_presentation,
     render_relator,
     render_word,
     tietze_simplify,
+    word,
 )
 
 
@@ -119,7 +122,6 @@ def test_mod_sphere_k3_index_of_trivial_subgroup():
 
 def test_mod_sphere_relators_die_in_symmetric_group():
     from liftmcg.fpgroups import evaluate_perm
-    from liftmcg.arith_perm import identity_perm
 
     for k in (3, 4, 5, 6):
         p = mod_sphere_presentation(k)
@@ -153,10 +155,14 @@ def test_sphere_abelianization_closed_forms(k):
     assert abelianization(pmod_sphere_presentation(k)) == ((), k * (k - 3) // 2)
 
 
-def test_pure_generators_as_half_twist_words():
-    from liftmcg.fpgroups import a_in_sigmas, psi_image
-    from liftmcg.arith_perm import identity_perm
+def a_in_sigmas(i: int, j: int) -> Word:
+    """The pure generator a_ij as a word in half-twists:
+    (s_{j-1}...s_{i+1}) s_i^2 (s_{j-1}...s_{i+1})^-1."""
+    conj = word(*(gen(f"s{t}") for t in range(j - 1, i, -1)))
+    return conj * gen(f"s{i}") ** 2 * conj.inv()
 
+
+def test_pure_generators_as_half_twist_words():
     # a_ij is a pure mapping class: its marked-point image is trivial
     for k in (4, 5, 6):
         for i in range(1, k - 1):

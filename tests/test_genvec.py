@@ -1,16 +1,18 @@
 import random
+from dataclasses import replace
 from math import factorial
 
 import pytest
 
-from group_reference import closure
+from group_reference import closure, perm_closure
 from liftmcg.arith_perm import (
     CapacityError,
+    InternalInvariantError,
     compose,
     identity_perm,
     inverse,
-    perm_closure,
     perm_from_cycles,
+    transposition,
     units_mod,
 )
 from liftmcg.datasets import (
@@ -188,6 +190,32 @@ def test_liftable_images_matches_bruteforce_exhaustively(monkeypatch):
             assert len(stab) == rep.h1.order == rep.h2.order * len(rep.units), v
             count += 1
     assert count == 349
+
+
+def test_cross_check_refuses_wrong_generators():
+    # H1 = <(1 2), (3 4), (1 3)(2 4)> and H2 = <(1 2), (3 4)> in Sym(4); a
+    # generating set that falls short of the group, or leaves it, is refused
+    from liftmcg.genvec import _check_against_bruteforce
+
+    v = vec(3, 1, 1, 2, 2)
+    rep = liftable_images(v, cross_check=True)
+    stab = tuple(stabilizer_bruteforce(v))
+    h1, h2 = rep.h1, rep.h2
+    assert len(h1.generators) == 3 and len(h2.generators) == 2
+    outside = transposition(1, 3, 4)
+    unit_perm = rep.unit_perms[2]
+    for gens in (h1.generators[:-1], h1.generators + (outside,)):
+        with pytest.raises(InternalInvariantError,
+                           match="^h1 differs from the stabilizer projection$"):
+            _check_against_bruteforce(stab, replace(h1, generators=gens), h2)
+    for gens in (h2.generators[:-1], h2.generators + (outside,), h2.generators + (unit_perm,)):
+        with pytest.raises(InternalInvariantError, match="^h2 differs from the unit-1 slice$"):
+            _check_against_bruteforce(stab, h1, replace(h2, generators=gens))
+    # a sigma listed twice is not the group either
+    with pytest.raises(InternalInvariantError,
+                       match="^h1 differs from the stabilizer projection$"):
+        _check_against_bruteforce(stab + stab[-1:], h1, h2)
+    _check_against_bruteforce(stab, h1, h2)
 
 
 def test_clmod_image_is_normal_in_lmod_image():
