@@ -10,9 +10,17 @@ the renderers and presentation_json map ints back to names.  A word is its
 letters composed left to right (rightmost applied first under the permutation
 image, matching arith_perm.compose).
 
-Reidemeister-Schreier enumerates the cosets itself, in one BFS, and needs of
-a subgroup only its degree, order and coset labels: the analysis passes
-genvec's vector stabilizers, never a stored group.  Tietze simplification is
+The degree-k data, mod_sphere_presentation(k), pmod_sphere_presentation(k)
+and psi_images(k) (a read-only mapping), are built once per degree and kept
+for the life of the process; only an int k is memoized, so any other k is
+refused exactly as a fresh build refuses it.
+
+Reidemeister-Schreier enumerates the cosets itself, in one BFS that
+multiplies by each generator's image through one precomputed itemgetter, and
+needs of a subgroup only its degree, order and coset labels: the analysis
+passes genvec's vector stabilizers, never a stored group.  Its two checks on
+psi, that psi is onto and kills every relator, run once per distinct
+presentation and images.  Tietze simplification is
 deterministic; its engine writes a relator as a str of code points, one per
 letter, so that substitution, search and inversion are str methods.
 """
@@ -21,11 +29,14 @@ from __future__ import annotations
 
 import sys
 from collections import Counter, defaultdict
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cache, wraps
 from heapq import heappop, heappush
 from itertools import chain, groupby
 from math import factorial
+from operator import itemgetter
+from types import MappingProxyType
 
 from .arith_perm import (
     MAX_MATERIALIZED,
@@ -247,21 +258,47 @@ def presentation_json(p: Presentation) -> dict:
 # sphere mapping class group presentations
 
 
+def _per_degree(build):
+    """build, memoized on k for the life of the process, one entry per degree.
+
+    Only an int k reaches the memo: any other k (4.0 equals 4 and hashes
+    alike) goes to build uncached, so it is refused exactly as a fresh build
+    refuses it, whatever the memo holds.  A build that raises stores nothing.
+    """
+    memo = cache(build)
+
+    @wraps(build)
+    def per_degree(k):
+        return memo(k) if type(k) is int else build(k)
+
+    return per_degree
+
+
 def sigma_names(k: int) -> list[str]:
     return [f"s{i}" for i in range(1, k)]
 
 
-def psi_images(k: int) -> dict[str, Perm]:
-    """The marked-point action of the half-twist generators: s_i -> (i, i+1)."""
-    return {f"s{i}": transposition(i, i + 1, k) for i in range(1, k)}
+@_per_degree
+def psi_images(k: int) -> Mapping[str, Perm]:
+    """The marked-point action of the half-twist generators: s_i -> (i, i+1),
+    as a read-only mapping shared by every caller."""
+    return MappingProxyType({f"s{i}": transposition(i, i + 1, k) for i in range(1, k)})
+
+
+@_per_degree
+def _sigma_letters(k: int) -> tuple[Mapping[str, int], tuple[Perm, ...]]:
+    """s_i -> i, and psi's images in that order."""
+    index = MappingProxyType({name: i for i, name in enumerate(sigma_names(k), start=1)})
+    return index, tuple(psi_images(k).values())
 
 
 def psi_image(w: Word, k: int) -> Perm:
     """The marked-point permutation of a word in the half-twists s_1..s_{k-1}."""
-    index = {name: i for i, name in enumerate(sigma_names(k), start=1)}
-    return evaluate_perm(compile_word(w, index), list(psi_images(k).values()), k)
+    index, images = _sigma_letters(k)
+    return evaluate_perm(compile_word(w, index), images, k)
 
 
+@_per_degree
 def mod_sphere_presentation(k: int) -> Presentation:
     """Half-twist presentation of the mapping class group of a k-marked sphere."""
     if k < 3:
@@ -285,6 +322,7 @@ def a_name(i: int, j: int) -> str:
     return f"a{i}{j}"
 
 
+@_per_degree
 def pmod_sphere_presentation(k: int) -> Presentation:
     """Pure mapping class group of the k-marked sphere on generators a_ij,
     1 <= i < j < k."""
@@ -320,6 +358,31 @@ def pmod_sphere_presentation(k: int) -> Presentation:
 # Reidemeister-Schreier
 
 
+def _right_multiplier(g: Perm) -> Callable[[Perm], Perm]:
+    """p -> compose(p, g), by itemgetter where it returns a tuple: with one
+    index it returns the bare entry, and it takes no zero indices."""
+    return itemgetter(*g) if len(g) > 1 else lambda p: compose(p, g)
+
+
+# The checks on psi, memoized for the life of the process: a pair that passes
+# is not checked again, and one that raises stores nothing, so it raises
+# again on every call.
+
+
+@cache
+def _check_onto(images: tuple[Perm, ...], degree: int) -> None:
+    if not {transposition(i, i + 1, degree) for i in range(1, degree)} <= set(images):
+        raise ValueError("psi's images must include every adjacent transposition")
+
+
+@cache
+def _check_kills(p: Presentation, images: tuple[Perm, ...], degree: int) -> None:
+    identity = identity_perm(degree)
+    for r in p.relators:
+        if evaluate_perm(r, images, degree) != identity:
+            raise ValueError(f"psi does not kill the relator {_render(r, p.generators)}")
+
+
 @dataclass(frozen=True)
 class SchreierInfo:
     """The coset index and, for each Schreier generator, its marked-point
@@ -329,13 +392,16 @@ class SchreierInfo:
     generator_images: dict[str, Perm]
 
 
-def reidemeister_schreier_full(p: Presentation, psi: dict[str, Perm],
+def reidemeister_schreier_full(p: Presentation, psi: Mapping[str, Perm],
                                subgroup) -> tuple[Presentation, SchreierInfo]:
     """Presentation of the psi-preimage of a subgroup of Sym(k), plus the
     index and the Schreier generators' images.
 
-    psi's images must include every adjacent transposition of Sym(k), so psi
-    is onto and the subgroup lies in its image; otherwise ValueError.  The
+    psi's images must have the subgroup's degree, include every adjacent
+    transposition of Sym(k), so psi is onto and the subgroup lies in its
+    image, and kill every relator of p; otherwise ValueError.  The last two
+    checks run once per distinct p and images and are remembered for the
+    life of the process; a pair that fails is refused on every call.  The
     subgroup needs only ``degree``, ``order`` and ``coset_key(g)``, a label
     equal for g and g' exactly when H*g = H*g', so any object with these
     three serves (the analysis passes a genvec.VectorStabilizer).  The run
@@ -343,7 +409,8 @@ def reidemeister_schreier_full(p: Presentation, psi: dict[str, Perm],
     times the generator count exceeds MAX_MATERIALIZED.
 
     One BFS numbers the right cosets, coset 0 being H, taking cosets in
-    discovery order and generators in order.  An edge c --g--> d that
+    discovery order and generators in order; it multiplies by psi(g) and by
+    each rep(d)^-1 through an itemgetter built once.  An edge c --g--> d that
     reaches a new coset is a tree edge and gives d its representative
     rep(c) psi(g); every other edge gives the Schreier generator x{c}_{g},
     with image rep(c) psi(g) rep(d)^-1.
@@ -359,11 +426,10 @@ def reidemeister_schreier_full(p: Presentation, psi: dict[str, Perm],
     from every rewrite at every coset.
     """
     degree = subgroup.degree
-    images = [psi[g] for g in p.generators]
+    images = tuple(psi[g] for g in p.generators)
     if any(len(x) != degree for x in images):
         raise ValueError(f"psi's images must have degree {degree}")
-    if not {transposition(i, i + 1, degree) for i in range(1, degree)} <= set(images):
-        raise ValueError("psi's images must include every adjacent transposition")
+    _check_onto(images, degree)
     ngens = len(images)
     index = factorial(degree) // subgroup.order
     if index * ngens > MAX_MATERIALIZED:
@@ -372,8 +438,11 @@ def reidemeister_schreier_full(p: Presentation, psi: dict[str, Perm],
             f"generators exceeds the cap of {MAX_MATERIALIZED} entries")
 
     identity = identity_perm(degree)
-    reps, rep_invs = [identity], [identity]
-    index_of = {subgroup.coset_key(identity): 0}
+    coset_key = subgroup.coset_key
+    times = [_right_multiplier(g) for g in images]
+    # per coset d, the map p -> p * rep(d)^-1
+    reps, times_rep_inv = [identity], [_right_multiplier(identity)]
+    index_of = {coset_key(identity): 0}
     table: list[list[int]] = []
     inv_table = [[0] * ngens]
     # coset -> per generator, the Schreier generator's letters (s, -s), one
@@ -383,18 +452,18 @@ def reidemeister_schreier_full(p: Presentation, psi: dict[str, Perm],
     for c, rep in enumerate(reps):           # reps grows while it is walked
         row: list[int] = []
         letters_of: list[tuple[int, int] | None] = []
-        for gi, g in enumerate(images):
-            img = compose(rep, g)
-            key = subgroup.coset_key(img)
+        for gi, times_g in enumerate(times):
+            img = times_g(rep)
+            key = coset_key(img)
             d = index_of.get(key)
             if d is None:
                 d = index_of[key] = len(reps)
                 reps.append(img)
-                rep_invs.append(inverse(img))
+                times_rep_inv.append(_right_multiplier(inverse(img)))
                 inv_table.append([0] * ngens)
                 letters_of.append(None)
             else:
-                gen_images[f"x{c}_{p.generators[gi]}"] = compose(img, rep_invs[d])
+                gen_images[f"x{c}_{p.generators[gi]}"] = times_rep_inv[d](img)
                 s = len(gen_images)
                 letters_of.append((s, -s))
             row.append(d)
@@ -405,14 +474,13 @@ def reidemeister_schreier_full(p: Presentation, psi: dict[str, Perm],
         raise InternalInvariantError(
             f"coset index {len(reps)} times |H| = {subgroup.order} is not {degree}!")
 
+    _check_kills(p, images, degree)
     code = _letter_codes(ngens)
     relators: list[Relator] = []
     # length -> the earlier relators of that length, each written twice,
     # joined by chr(1), which is no letter
     rewritten: dict[int, str] = {}
     for r in p.relators:
-        if evaluate_perm(r, images, degree) != identity:
-            raise ValueError(f"psi does not kill the relator {_render(r, p.generators)}")
         if not r:
             continue
         w = "".join(map(code.__getitem__, r))

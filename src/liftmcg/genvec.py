@@ -236,9 +236,14 @@ class VectorStabilizer:
     def __contains__(self, p: Perm) -> bool:
         return len(p) == self.degree and any(_is_fixed(u, p, self.vector) for u in self.units)
 
-    def coset_key(self, g: Perm) -> tuple[int, ...]:
+    @cached_property
+    def _scaled(self) -> tuple[tuple[int, ...], ...]:
+        """The unit multiples of the entries, (u * c_i mod n)_i for each unit."""
         n, c = self.vector.n, self.vector.c
-        return min(tuple(u * c[x] % n for x in g) for u in self.units)
+        return tuple(tuple(u * x % n for x in c) for u in self.units)
+
+    def coset_key(self, g: Perm) -> tuple[int, ...]:
+        return min(tuple(map(s.__getitem__, g)) for s in self._scaled)
 
     @cached_property
     def _subset(self) -> tuple:

@@ -1,9 +1,10 @@
 """The readers of the (unit, permutation) action as they stood before they
 were read off the vector's stabilizer, kept verbatim as test oracles: the
 3-branch-point classification by its own search over the units, the family
-shape predicates by pairing off couples, and the greedy position matchers of
-matching_perm and equivalence_witness.  Each must agree with its
-counterpart in liftmcg on every input the tests give."""
+shape predicates by pairing off couples, the greedy position matchers of
+matching_perm and equivalence_witness, and the right-coset label of a
+vector stabilizer in its closed form.  Each must agree with its counterpart
+in liftmcg on every input the tests give."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from liftmcg.datasets import DataSet, require_modulus
 from liftmcg.genvec import (
     GeneratingVector,
     IrreducibleClassification,
+    VectorStabilizer,
     cyclic,
     direct_product,
     require_genus,
@@ -120,3 +122,10 @@ def equivalence_witness(d1: DataSet, d2: DataSet) -> tuple[int, Perm] | None:
                     break
         return unit, tuple(sigma)
     return None
+
+
+def coset_key(h: VectorStabilizer, g: Perm) -> tuple[int, ...]:
+    """The label of the right coset H*g: the least unit multiple of the
+    entries read through g."""
+    n, c = h.vector.n, h.vector.c
+    return min(tuple(u * c[x] % n for x in g) for u in h.units)

@@ -1,7 +1,8 @@
 """The readers of the (unit, permutation) action against the versions they
 replaced (tests/action_reference.py): the classification read off the
-stabilizer, the shape predicates read off the unit -1 and the one matcher
-must give the results of the old searches and greedy loops."""
+stabilizer, the shape predicates read off the unit -1, the one matcher and
+the coset label read off the cached unit multiples must give the results of
+the old searches, greedy loops and closed form."""
 
 import random
 from functools import lru_cache
@@ -22,6 +23,7 @@ from liftmcg.genvec import (
     GeneratingVector,
     classify_irreducible,
     generating_vector,
+    liftable_images,
     matching_perm,
     stabilizing_units,
 )
@@ -106,3 +108,20 @@ def test_shapes_on_classes_family_members_and_random_data_sets():
         tags[0] += got[0]
         tags[1] += got[1]
     assert min(tags) > 300
+
+
+def test_coset_key_on_every_preimage_of_genus_2_to_5():
+    # every g in Sym(k) for k <= 6 and 200 seeded random g above
+    rng = random.Random(20)
+    every = {k: list(permutations(range(k))) for k in range(3, 7)}
+    subgroups = 0
+    for genus in (2, 3, 4, 5):
+        for ds in classes(genus):
+            v = generating_vector(ds)
+            rep = liftable_images(v, cross_check=False)
+            perms = every.get(v.k) or [tuple(rng.sample(range(v.k), v.k)) for _ in range(200)]
+            for h in (rep.h1, rep.h2):
+                subgroups += 1
+                for g in perms:
+                    assert h.coset_key(g) == reference.coset_key(h, g), (v, h.units, g)
+    assert subgroups == 128

@@ -228,7 +228,9 @@ def _import_root() -> str:
 
 
 def test_json_byte_stable_across_processes():
-    cmd = [sys.executable, "-m", "liftmcg.cli", "analyze",
+    # -B: the bare env drops PYTHONDONTWRITEBYTECODE, and the run must not
+    # leave bytecode in the source tree
+    cmd = [sys.executable, "-B", "-m", "liftmcg.cli", "analyze",
            "(6,0;(1,2),(1,2),(1,3),(2,3))", "--format", "json"]
     runs = [subprocess.run(cmd, capture_output=True, text=True,
                            env={"PYTHONHASHSEED": str(seed), "PATH": "/usr/bin:/bin",
@@ -239,7 +241,7 @@ def test_json_byte_stable_across_processes():
 
 
 def test_closed_stdout_ends_quietly():
-    cmd = [sys.executable, "-m", "liftmcg.cli", "enumerate", "30"]
+    cmd = [sys.executable, "-B", "-m", "liftmcg.cli", "enumerate", "30"]
     proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             env={"PATH": "/usr/bin:/bin", "PYTHONPATH": _import_root()})
     proc.stdout.close()  # the reader is gone before the first write

@@ -1,4 +1,6 @@
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from math import factorial, gcd
 
 import pytest
@@ -111,6 +113,101 @@ def test_mod_sphere_counts():
     assert abelianization(p) == ((6,), 0)
     with pytest.raises(ValueError):
         mod_sphere_presentation(2)
+
+
+def test_sphere_data_built_once_per_degree():
+    assert mod_sphere_presentation(6) is mod_sphere_presentation(6)
+    assert pmod_sphere_presentation(6) is pmod_sphere_presentation(6)
+    assert psi_images(4) is psi_images(4)
+    psi = psi_images(4)
+    with pytest.raises(TypeError):
+        psi["s1"] = identity_perm(4)
+    with pytest.raises(TypeError):
+        del psi["s2"]
+    assert dict(psi_images(4)) == {f"s{i}": transposition(i, i + 1, 4) for i in (1, 2, 3)}
+
+
+def test_sphere_builders_refuse_a_non_int_degree_whatever_is_cached():
+    # 4.0 == 4 and hashes alike, so a memo keyed on k alone would answer it
+    # with the cached degree-4 data; each refusal is the unmemoized build's
+    for build in (mod_sphere_presentation, pmod_sphere_presentation, psi_images):
+        build(4)
+        for k in (4.0, "4", [4]):
+            with pytest.raises(TypeError) as cached:
+                build(k)
+            with pytest.raises(TypeError) as fresh:
+                build.__wrapped__(k)
+            assert str(cached.value) == str(fresh.value)
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            build(4.0)
+    assert psi_image(gen("s1"), 4) == transposition(1, 2, 4)
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        psi_image(gen("s1"), 4.0)
+    with pytest.raises(ValueError, match="need k >= 3 marked points, got True"):
+        mod_sphere_presentation(True)
+
+
+def test_rs_refuses_bad_psi_after_a_cached_good_call():
+    p, psi = mod_sphere_presentation(4), psi_images(4)
+    klein = closure([transposition(1, 2, 4), transposition(3, 4, 4)], 4)
+    good = reidemeister_schreier_full(p, psi, klein)
+    without_34 = {**psi, "s3": transposition(1, 2, 4)}
+    # every adjacent transposition, but s1 and s3 no longer commute
+    shuffled = {"s1": transposition(2, 3, 4), "s2": transposition(1, 2, 4),
+                "s3": transposition(3, 4, 4)}
+    wrong_degree = {**psi, "s2": transposition(2, 3, 5)}
+    for _ in range(2):
+        with pytest.raises(ValueError, match="must include every adjacent transposition"):
+            reidemeister_schreier_full(p, without_34, klein)
+        with pytest.raises(ValueError, match=r"does not kill the relator s1\*s3\*s1\^-1\*s3\^-1$"):
+            reidemeister_schreier_full(p, shuffled, klein)
+        with pytest.raises(ValueError, match="must have degree 4"):
+            reidemeister_schreier_full(p, wrong_degree, klein)
+        assert reidemeister_schreier_full(p, psi, klein) == good
+    # an equal presentation that is not the cached one is checked alike
+    copy = Presentation(p.generators, p.relators)
+    with pytest.raises(ValueError, match="does not kill the relator"):
+        reidemeister_schreier_full(copy, shuffled, klein)
+    assert reidemeister_schreier_full(copy, dict(psi), klein) == good
+
+
+def test_sphere_data_and_psi_checks_under_concurrent_workers():
+    # a failing pair must never be remembered as checked, and every thread
+    # must get the data a fresh build gives
+    from liftmcg import fpgroups
+
+    p, psi = mod_sphere_presentation(4), psi_images(4)
+    klein = closure([transposition(1, 2, 4), transposition(3, 4, 4)], 4)
+    good = reidemeister_schreier_full(p, psi, klein)
+    shuffled = {"s1": transposition(2, 3, 4), "s2": transposition(1, 2, 4),
+                "s3": transposition(3, 4, 4)}
+    fresh = {k: mod_sphere_presentation.__wrapped__(k) for k in range(3, 10)}
+
+    def worker(seed):
+        rng = random.Random(seed)
+        for _ in range(60):
+            k = rng.randrange(3, 10)
+            if mod_sphere_presentation(k) != fresh[k]:
+                return False
+            if rng.random() < 0.5:
+                if reidemeister_schreier_full(p, dict(psi), klein) != good:
+                    return False
+            else:
+                with pytest.raises(ValueError, match="does not kill"):
+                    reidemeister_schreier_full(p, shuffled, klein)
+        return True
+
+    fpgroups._check_onto.cache_clear()
+    fpgroups._check_kills.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(worker, seed) for seed in range(6)]
+            assert all(f.result(timeout=120) for f in futures)
+    finally:
+        sys.setswitchinterval(interval)
+    assert fpgroups._check_kills.cache_info().currsize == 1
 
 
 def test_mod_sphere_k3_index_of_trivial_subgroup():

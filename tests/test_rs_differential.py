@@ -107,6 +107,19 @@ def test_equal_to_reference_on_powers_with_inverse_letters():
         _check_against_reference(subgroup, p, psi)
 
 
+def test_equal_to_reference_at_degrees_one_and_two():
+    # the coset walk composes by itemgetter, which returns a bare entry for
+    # one index and takes no zero indices
+    t_cubed = Presentation(("t",), ((1, 1, 1),))
+    _check_against_reference(closure([], 1), t_cubed, {"t": (0,)})
+    s1_squared = Presentation(("s1",), ((1, 1),))
+    for subgroup in (closure([], 2), closure([(1, 0)], 2)):
+        _check_against_reference(subgroup, s1_squared, psi_images(2))
+    out, info = reidemeister_schreier_full(s1_squared, psi_images(2), closure([], 2))
+    assert (info.index, info.generator_images) == (2, {"x1_s1": (0, 1)})
+    assert out.relators == ((1,),)
+
+
 @st.composite
 def subgroups(draw):
     """A subgroup of Sym(4..6) generated by one or two random permutations."""
