@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="the genus-3 classification table")
 
     sub.add_parser("verify", parents=[common],
-                   help="check the order-6 normalizer relations in homology")
+                   help="check every relator of the order-6 class's N(F) and C(F) in homology")
     return parser
 
 

@@ -46,13 +46,18 @@ MAX_BRUTE_DEGREE = 10
 
 @dataclass(frozen=True)
 class GeneratingVector:
-    """Residues (c_1, ..., c_k) mod n, each != 0, summing to 0 and generating Z_n;
-    n <= MAX_MODULUS (else CapacityError), as analysis loops over the residues."""
+    """Residues (c_1, ..., c_k) mod n, each != 0, summing to 0 and generating Z_n,
+    kept as a tuple of ints (a bool is not an int: TypeError); n <= MAX_MODULUS
+    (else CapacityError), as analysis loops over the residues."""
 
     n: int
     c: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "c", tuple(self.c))
+        for name, value in (("n", self.n), *(("c", x) for x in self.c)):
+            if type(value) is not int:
+                raise TypeError(f"{name} must be an int, got {value!r}")
         if self.n < 2:
             raise ValueError(f"modulus must be >= 2, got {self.n}")
         require_modulus(self.n)

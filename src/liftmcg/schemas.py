@@ -151,10 +151,9 @@ VERIFY_SCHEMA = {
                              "properties": {"name": {"type": "string"},
                                             "ok": {"type": "boolean"}},
                              "required": ["name", "ok"]}},
-        "alternate_readings": {"type": "array"},
         "note": {"type": "string"},
     },
-    "required": ["ok", "checks", "alternate_readings"],
+    "required": ["ok", "checks"],
 }
 
 ENUMERATE_SCHEMA = {

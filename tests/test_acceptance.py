@@ -167,9 +167,8 @@ def test_criterion_6_matrix_verification():
     with _Timer(6, "homology matrix verification", 0.1):
         ver = verify_doubled_matrices()
         assert ver.ok
-        by_name = {c.name: c.ok for c in ver.checks}
-        assert by_name["(G1 G2)^2 = F^4"]
-        assert by_name["(G3 G2)^2 = F^3"]
+        assert ver.checks["N(F): G1*G2*G1*G2 = F^4"]
+        assert ver.checks["N(F): G3*G2*G3*G2 = F^3"]
 
 
 def test_criterion_7_oracle_equivalence_suite():

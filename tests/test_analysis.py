@@ -3,12 +3,14 @@ import json
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import jsonschema
 import pytest
 
 from group_reference import perm_closure, same_relator_sets
 from liftmcg.arith_perm import (
+    InternalInvariantError,
     OutOfScopeError,
     identity_perm,
     perm_from_cycles,
@@ -38,6 +40,7 @@ from liftmcg.fpgroups import (
     psi_images,
     reidemeister_schreier_full,
     render_presentation,
+    render_relator,
 )
 from liftmcg.genvec import (
     classify_irreducible,
@@ -65,6 +68,7 @@ from liftmcg.analysis import (
     verification_json,
     verify_doubled_matrices,
 )
+from liftmcg import analysis as analysis_module
 from liftmcg import schemas
 from liftmcg.cli import main as cli_main
 
@@ -597,14 +601,74 @@ def test_one_sided_lift_data_keeps_the_other_route():
 # matrix verification
 
 
+ORDER6 = "(6,0;(1,2),(1,2),(1,3),(2,3))"
+
+
 def test_verify_doubled_matrices():
+    # one check per symplectic matrix, then one per relator that present
+    # prints for the order-6 class, named after it
     ver = verify_doubled_matrices()
-    assert ver.ok
-    names = {c.name: c.ok for c in ver.checks}
-    assert names["(G1 G2)^2 = F^4"] and names["(G3 G2)^2 = F^3"]
-    assert names["G3 F G3^-1 = F^-1"] and names["G1^2 = G3^2"]
-    assert all(names[f"{m} symplectic"] for m in ("F", "G1", "G2", "G", "G3"))
-    assert all(not c.ok for c in ver.alternate_readings)
+    assert ver.ok and all(ver.checks.values())
+    names = list(ver.checks)
+    assert names[:4] == ["F symplectic", "G1 symplectic", "G2 symplectic", "G3 symplectic"]
+    norm, cent = normalizer_centralizer(parse_dataset(ORDER6))
+    assert names[4:] == (
+        [f"N(F): {render_relator(r, norm.presentation.generators)}"
+         for r in norm.presentation.relators]
+        + [f"C(F): {render_relator(r, cent.presentation.generators)}"
+           for r in cent.presentation.relators])
+    assert len(names) == 4 + 8 + 4
+    assert "N(F): G1*G2*G1*G2 = F^4" in names and "N(F): G3*G2*G3*G2 = F^3" in names
+    assert "N(F): G3*F*G3^-1*F = 1" in names and "N(F): G3^2 = G1^2" in names
+    text = render_normalizer_specs(norm, cent)
+    assert all(name.split(": ", 1)[1] in text for name in names[4:])
+
+
+def test_verify_fails_on_a_wrong_relator_value(monkeypatch, capsys):
+    # N(F)'s (G1 G2)^2 = F^(g+2) tampered to F^(g+3): verify reads the
+    # presentation that present returns, so it must fail
+    built_in = analysis_module._doubled_builtin
+
+    def tampered(rep):
+        norm, cent = built_in(rep)
+        p = norm.presentation
+        g1g2 = next(r for r in p.relators
+                    if render_relator(r, p.generators) == "G1*G2*G1*G2 = F^4")
+        relators = tuple(r + (-1,) if r == g1g2 else r for r in p.relators)
+        return replace(norm, presentation=Presentation(p.generators, relators)), cent
+
+    monkeypatch.setattr(analysis_module, "_doubled_builtin", tampered)
+    assert "G1*G2*G1*G2 = F^5" in render_normalizer_specs(
+        *normalizer_centralizer(parse_dataset(ORDER6)))
+    assert cli_main(["verify"]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL  N(F): G1*G2*G1*G2 = F^5" in out
+    assert out.splitlines()[-1] == "overall: FAIL"
+
+
+def test_verify_refuses_a_generator_with_no_matrix(monkeypatch):
+    matrices = dict(analysis_module._HOMOLOGY)
+    del matrices["G3"]
+    monkeypatch.setattr(analysis_module, "_HOMOLOGY", matrices)
+    with pytest.raises(InternalInvariantError, match="N\\(F\\) of .* is not checkable"):
+        verify_doubled_matrices()
+
+
+# the paper's G, with G3 = G1 G; it is in neither presentation
+PSI_G = ((0, 0, -1, 0), (0, 0, 0, -1), (-1, 0, 0, 0), (0, -1, 0, 0))
+
+
+def test_homology_matrices_are_the_papers():
+    m = analysis_module._HOMOLOGY
+    mul = analysis_module._mat_mul
+    F, G1, G3 = m["F"], m["G1"], m["G3"]
+    assert mul(G1, PSI_G) == G3
+    # two other readings of the relations, which the matrices refute:
+    # G1^2 = G3^2 F and [G1, G3] = F
+    assert mul(G1, G1) != mul(mul(G3, G3), F)
+    assert mul(G1, G3) != mul(mul(F, G3), G1)
+    # while G1^2 = G3^2 and [G1, G3] = 1 hold
+    assert mul(G1, G1) == mul(G3, G3) and mul(G1, G3) == mul(G3, G1)
 
 
 # ---------------------------------------------------------------------------

@@ -190,7 +190,8 @@ def test_verify(capsys):
     code, out, _ = run(capsys, "verify", "--format", "json")
     payload = json.loads(out)
     jsonschema.validate(payload, schemas.VERIFY_SCHEMA)
-    assert payload["ok"]
+    assert payload["ok"] and len(payload["checks"]) == 16
+    assert "alternate_readings" not in payload
 
 
 def test_out_flag(tmp_path, capsys):

@@ -80,6 +80,16 @@ def test_generating_vector_rejects():
     assert GeneratingVector(122, (1, 121)).n == 122  # Wiman's bound at genus 30
     with pytest.raises(CapacityError):
         GeneratingVector(123, (1, 122))
+    # ints only, as for DataSet: a bool or a float is refused, naming the field
+    with pytest.raises(TypeError, match="c must be an int, got True"):
+        GeneratingVector(2, (True, True, 1, 1, 1, 1))
+    with pytest.raises(TypeError, match="n must be an int, got True"):
+        GeneratingVector(True, (1, 1))
+    with pytest.raises(TypeError, match="n must be an int, got 6.0"):
+        GeneratingVector(6.0, (1, 5))
+    with pytest.raises(TypeError, match="c must be an int, got 5.0"):
+        GeneratingVector(6, (1, 5.0))
+    assert GeneratingVector(6, [1, 5]).c == (1, 5)
 
 
 def test_act_examples():
