@@ -22,7 +22,13 @@ passes genvec's vector stabilizers, never a stored group.  Its two checks on
 psi, that psi is onto and kills every relator, run once per distinct
 presentation and images.  Tietze simplification is
 deterministic; its engine writes a relator as a str of code points, one per
-letter, so that substitution, search and inversion are str methods.
+letter, so that substitution, search and inversion are str methods.  Before
+the engine, a pass makes the engine's own eliminations by relators of length
+1 and 2, renaming through a union-find: a rename can cancel only in a relator
+that holds both of its generators, so only those, the relators of cyclic
+length at most 2 and those of a generator made trivial are rewritten, and
+duplicates among longer relators are left to the engine, which keeps the
+earliest position, as it would in flight.
 """
 
 from __future__ import annotations
@@ -678,6 +684,147 @@ class _TietzeEngine:
         return g
 
 
+def _short_core(s: str) -> int | None:
+    """A key of the cyclic reduction of s up to rotation and inversion when
+    it has at most two letters, else None: the generator's code point for
+    one letter, and for two the least of the four spellings read as a pair
+    of 21-bit code points."""
+    i, j = 0, len(s)
+    if j > 2 and ord(s[0]) ^ ord(s[-1]) != 1:
+        return None
+    while j - i >= 2 and ord(s[i]) ^ ord(s[j - 1]) == 1:
+        i += 1
+        j -= 1
+    if j - i == 1:
+        return ord(s[i]) & ~1
+    if j - i > 2:
+        return None
+    x, y = ord(s[i]), ord(s[i + 1])
+    return min(x << 21 | y, y << 21 | x, (y ^ 1) << 21 | x ^ 1, (x ^ 1) << 21 | y ^ 1)
+
+
+def _eliminate_short(relators: list[str]) -> list[int]:
+    """Make, in place, the eliminations the engine makes by relators of length
+    1 and 2, in its order; return the eliminated generator numbers.
+
+    relators is in the engine's code points.  Each step takes the least (free
+    length, position) of length 1 or 2 that is not a square and eliminates its
+    latest-declared generator g: it becomes trivial, or g = h^+-1 for the
+    other generator h.  Consumed, emptied and dropped relators become "", and
+    every other one what the engine would hold after the same steps.
+
+    Only duplicates differ: a relator whose cyclic reduction is short (one or
+    two letters) is dropped at entry and in flight when it repeats an earlier
+    one, as in the engine, because short relators decide the steps here.
+    Duplicates among longer relators are left for the engine's entry rule,
+    which keeps the earliest position, as it would in flight: substitution
+    keeps equal relators equal, so a class only grows and its earliest
+    member survives either way.
+
+    A rename can cancel only in a relator that holds both g and h, so renames
+    sit in a signed, path-compressed union-find and a relator is rewritten
+    only when g becomes trivial, when it may also hold h, or when it is
+    short.  Every other one is renamed once, at the end, with no reduction.
+    """
+    alias: dict[int, int] = {}     # generator letter -> image letter, 0 if trivial
+
+    def find(c: int) -> int:
+        """The letter c stands for now, 0 if trivial; compresses the path."""
+        path = []
+        while c and (x := alias.get(c & ~1)) is not None:
+            path.append(c)
+            c = x and x ^ (c & 1)
+        for x in path:
+            alias[x & ~1] = c and c ^ (x & 1)
+        return c
+
+    def rename(s: str) -> str:
+        """s through every rename made since it was last written."""
+        table = {c: find(c) or None for c in map(ord, set(s)) if (c & ~1) in alias}
+        return s.translate(table) if table else s
+
+    occurs: defaultdict[int, set[int]] = defaultdict(set)  # root letter -> positions
+    short: dict[int, int] = {}     # short core -> the position holding it
+    key_of: dict[int, int] = {}    # and back
+    heap: list[tuple[int, int]] = []   # (length, position) of relators of length <= 2
+    stale: set[int] = set()        # positions that may hold a renamed generator
+    for pos, s in enumerate(relators):
+        if not s:
+            continue
+        for c in set(s):
+            occurs[ord(c) & ~1].add(pos)
+        key = _short_core(s)
+        if key is None:
+            continue
+        if key in short:
+            relators[pos] = ""
+            continue
+        short[key], key_of[pos] = pos, key
+        if len(s) <= 2:
+            heappush(heap, (len(s), pos))
+
+    gone = []
+    while heap:
+        length, pos = heappop(heap)
+        s = relators[pos]
+        if len(s) != length or length == 2 and ord(s[0]) >> 1 == ord(s[1]) >> 1:
+            continue   # stale, or a square, in which no generator occurs once
+        relators[pos] = ""
+        del short[key_of.pop(pos)]
+        # g^e * o = 1 for a rotation of s, g the later generator: g = o^-e,
+        # or trivial when s is g^e alone
+        x, o = (ord(s), 0) if length == 1 else map(ord, s if s[0] > s[1] else s[::-1])
+        g = x & ~1
+        image = o and (o ^ 1 if x == g else o)
+        gone.append(g >> 1)
+        holders = occurs.pop(g, set())
+        if image:
+            with_h = occurs[image & ~1]
+            todo = holders & with_h | holders & key_of.keys()
+            with_h |= holders
+            y, y_inv = chr(image), chr(image ^ 1)
+        else:
+            todo = holders
+        todo = sorted(t for t in todo if relators[t])
+        for t in todo:
+            if t in key_of:
+                del short[key_of.pop(t)]
+        letter, letter_inv = chr(g), chr(g + 1)
+        for t in todo:
+            cur = rename(relators[t]) if t in stale else relators[t]
+            if image:
+                new = cur.replace(letter, y).replace(letter_inv, y_inv)
+                cancels = y + y_inv in new or y_inv + y in new
+            else:
+                parts = [w for w in cur.replace(letter_inv, letter).split(letter) if w]
+                new = "".join(parts)
+                cancels = any(ord(u[-1]) ^ ord(v[0]) == 1 for u, v in zip(parts, parts[1:]))
+            if cancels:
+                new = _free_reduce(new)
+            key = _short_core(new) if new else None
+            if key is not None:
+                other = short.get(key)
+                if other is not None:
+                    if other < t:
+                        new = ""
+                    else:
+                        relators[other] = ""
+                        del key_of[other]
+                if new:
+                    short[key], key_of[t] = t, key
+                    if len(new) <= 2 and len(new) < len(cur):   # else its entry is queued
+                        heappush(heap, (len(new), t))
+            relators[t] = new
+        alias[g] = image
+        stale.difference_update(todo)
+        if image:
+            stale |= holders.difference(todo)
+    if alias:
+        table = {c: find(c) or None for g in alias for c in (g, g + 1)}
+        relators[:] = [s.translate(table) for s in relators]
+    return gone
+
+
 def tietze_simplify(p: Presentation) -> Presentation:
     """Eliminate generators that occur exactly once in some relator, dropping
     trivial and duplicate relators along the way.
@@ -690,6 +837,13 @@ def tietze_simplify(p: Presentation) -> Presentation:
     list survives.  Steps repeat until no relator has such a generator; the
     result presents an isomorphic group.
 
+    The steps by relators of length 1 and 2 come first, while no longer
+    relator is least, and a pass makes them on a union-find of renames
+    before the engine starts on what survives, with the same result letter
+    for letter: a rename can cancel only in a relator that holds both of its
+    generators, and duplicates among longer relators resolve to the earliest
+    position whether they are dropped in flight or at the engine's entry.
+
     More than MAX_TIETZE_GENERATORS generators raise CapacityError.
     """
     if p.symbolic_relators:
@@ -699,8 +853,10 @@ def tietze_simplify(p: Presentation) -> Presentation:
     if n > MAX_TIETZE_GENERATORS:
         raise CapacityError(f"{n} generators exceed the Tietze cap of {MAX_TIETZE_GENERATORS}")
     code = _letter_codes(n)
-    engine = _TietzeEngine(n, ["".join(map(code.__getitem__, r)) for r in p.relators])
-    gone = set(iter(engine.eliminate, None))
+    relators = ["".join(map(code.__getitem__, r)) for r in p.relators]
+    gone = set(_eliminate_short(relators))
+    engine = _TietzeEngine(n, relators)
+    gone.update(iter(engine.eliminate, None))
     kept = [i for i in range(1, n + 1) if i not in gone]
     # survivors are renumbered, with one shared int per signed letter
     letter = {}
