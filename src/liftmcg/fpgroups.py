@@ -21,14 +21,11 @@ needs of a subgroup only its degree, order and coset labels: the analysis
 passes genvec's vector stabilizers, never a stored group.  Its two checks on
 psi, that psi is onto and kills every relator, run once per distinct
 presentation and images.  Tietze simplification is
-deterministic; its engine writes a relator as a str of code points, one per
-letter, so that substitution, search and inversion are str methods.  Before
-the engine, a pass makes the engine's own eliminations by relators of length
-1 and 2, renaming through a union-find: a rename can cancel only in a relator
-that holds both of its generators, so only those, the relators of cyclic
-length at most 2 and those of a generator made trivial are rewritten, and
-duplicates among longer relators are left to the engine, which keeps the
-earliest position, as it would in flight.
+deterministic; one engine writes a relator as a str of code points, one per
+letter, so that substitution, search and inversion are str methods.  Its
+steps by relators of length 1 and 2 come first, in a rename phase that keeps
+the renames in one translate table and rewrites only the relators in which a
+rename can cancel or whose cyclic reduction is that short.
 """
 
 from __future__ import annotations
@@ -172,13 +169,16 @@ class SymbolicRelator:
 class Presentation:
     """Generators by name and relators as freely reduced tuples of signed
     ints: +i is generator i (1-based, in declaration order), -i its inverse.
-    from_words builds one from Words."""
+    The three fields are stored as tuples, whatever sequence they are given
+    as.  from_words builds one from Words."""
 
     generators: tuple[str, ...]
     relators: tuple[Relator, ...]
     symbolic_relators: tuple[SymbolicRelator, ...] = ()
 
     def __post_init__(self):
+        for field_name in ("generators", "relators", "symbolic_relators"):
+            object.__setattr__(self, field_name, tuple(getattr(self, field_name)))
         for name in self.generators:
             if not isinstance(name, str):
                 raise TypeError(f"a generator name is a str, got {name!r}")
@@ -549,13 +549,16 @@ def reidemeister_schreier_full(p: Presentation, psi: Mapping[str, Perm],
 MAX_TIETZE_GENERATORS = (sys.maxunicode - 1) // 2
 
 
-def _free_reduce(s: str) -> str:
+def _join_reduced(parts: Iterable[str]) -> str:
+    """The free reduction of the join of freely reduced parts: letters cancel
+    only where two parts meet."""
     out: list[str] = []
-    for c in s:
-        if out and ord(out[-1]) ^ ord(c) == 1:
+    for part in parts:
+        i = 0
+        while out and i < len(part) and ord(out[-1]) ^ ord(part[i]) == 1:
             out.pop()
-        else:
-            out.append(c)
+            i += 1
+        out.extend(part[i:] if i else part)
     return "".join(out)
 
 
@@ -564,34 +567,48 @@ class _TietzeEngine:
     order) is the letter chr(2i) and its inverse chr(2i + 1), so two letters
     cancel when their code points differ in the last bit alone.
 
-    Positions are the relators' list positions at entry; a rewritten relator
-    keeps its position, so comparing positions compares list order.  Relators
-    are bucketed by the length and generators of their cyclic reductions, and
-    two in one bucket are equal up to rotation and inversion when one cyclic
-    reduction, or its inverse, occurs in the other written twice.
+    rels is the given list, rewritten in place, with "" where a relator is
+    gone; a rewritten relator keeps its position, so comparing positions
+    compares list order.  Relators equal up to rotation and inversion share
+    a bucket, keyed for a cyclic reduction of at most two letters by the
+    least of its four spellings read as an int, else by length and generators.
+
+    The steps by relators of length 1 and 2 come first, in a rename phase:
+    each makes a generator g trivial or renames it to a letter of another
+    generator h, in a translate table that each rename keeps resolved by
+    re-pointing the generators renamed to g.  A rename can cancel only in a
+    relator that also holds h, so a step rewrites only those, the relators
+    of a g made trivial and those whose cyclic reduction is short, which
+    alone are bucketed in the phase; other holders of g go stale.  Before
+    the first longer step the stale relators are renamed with the table and
+    the longer ones bucketed in position order, so that of two equal ones
+    the earlier survives, as it would have in flight.
     """
 
     def __init__(self, ngens: int, relators: list[str]):
         letters = range(2, 2 * ngens + 2)
         self.inv = {c: c ^ 1 for c in letters}
         self.gen_of = {c: c & ~1 for c in letters}
-        self.rels: dict[int, str] = {}
-        self.held: dict[int, tuple[str, tuple]] = {}  # position -> (cyclic reduction, bucket)
-        self.buckets: dict[tuple, list[int]] = {}
-        # generator letter -> positions whose relator may contain it; read
+        self.rels = relators
+        self.held: dict[int, tuple] = {}      # position -> (cyclic reduction, bucket)
+        self.buckets: dict[int | tuple, list[int]] = {}
+        # generator code point -> positions whose relator may contain it; read
         # once, when the generator is eliminated
-        self.occurs: defaultdict[str, set[int]] = defaultdict(set)
+        self.occurs: defaultdict[int, set[int]] = defaultdict(set)
         self.once: dict[int, int] = {}        # position -> latest gen occurring once, or 0
         self.heap: list[tuple[int, int]] = []  # (length, position); stale entries skipped
+        # in the rename phase, a str.translate table: the letter code point of
+        # a renamed generator -> the letter it stands for now, None if trivial;
+        # None after the phase
+        self.alias: dict[int, int | None] | None = {}
+        self.members: dict[int, list[int]] = {}   # generator -> those renamed to it
+        self.stale: set[int] = set()          # positions that may hold a renamed generator
         for pos, s in enumerate(relators):
-            if s:
-                core, bucket, other = self._lookup(s)
-                if other is None:
-                    self._insert(pos, s, core, bucket)
-                    for g in set(s.translate(self.gen_of)):
-                        self.occurs[g].add(pos)
+            for c in set(s):
+                self.occurs[ord(c) & ~1].add(pos)
+            self._enter(pos, s)
 
-    def _lookup(self, s: str) -> tuple[str, tuple, int | None]:
+    def _lookup(self, s: str) -> tuple[str, int | tuple, int | None]:
         """The cyclic reduction of s, its bucket, and the position holding a
         relator equal to s up to rotation and inversion, or None."""
         i, j = 0, len(s)
@@ -599,42 +616,62 @@ class _TietzeEngine:
             i += 1
             j -= 1
         core = s[i:j]
-        bucket = (j - i, frozenset(core.translate(self.gen_of)))
-        for pos in self.buckets.get(bucket, ()):
-            doubled = self.held[pos][0] * 2
-            if core in doubled or core[::-1].translate(self.inv) in doubled:
-                return core, bucket, pos
-        return core, bucket, None
+        if j - i > 2:
+            bucket = (j - i, frozenset(core.translate(self.gen_of)))
+            for pos in self.buckets.get(bucket, ()):
+                doubled = self.held[pos][0] * 2
+                if core in doubled or core[::-1].translate(self.inv) in doubled:
+                    return core, bucket, pos
+            return core, bucket, None
+        # one letter: its generator; two: a pair of 21-bit code points
+        x, y = ord(core[0]), ord(core[-1])
+        bucket = x & ~1 if j - i == 1 else min(x << 21 | y, y << 21 | x,
+                                               (y ^ 1) << 21 | x ^ 1, (x ^ 1) << 21 | y ^ 1)
+        same = self.buckets.get(bucket)
+        return core, bucket, same[0] if same else None
 
-    def _seams(self, g: str, g_inv: str, repl: str) -> tuple[str, ...]:
-        """The letter pairs around g or g_inv at which substituting the freely
-        reduced repl for g cancels; g and g_inv themselves when repl is empty."""
-        first, last = repl[:1], repl[-1:]
-        before = first.translate(self.inv)
-        pairs = (before + g, g + last.translate(self.inv), last + g_inv, g_inv + first)
-        return pairs + (g + g, g_inv + g_inv) if last == before else pairs
-
-    def _insert(self, pos: int, s: str, core: str, bucket: tuple) -> None:
+    def _enter(self, pos: int, s: str) -> None:
+        """Write s at pos and, if nonempty, bucket and queue it (in the rename
+        phase only if its cyclic reduction is short), unless an earlier
+        relator equals it; a later one is dropped."""
         self.rels[pos] = s
+        if not s or self.alias is not None and len(s) > 2 and ord(s[0]) ^ ord(s[-1]) != 1:
+            return
+        core, bucket, other = self._lookup(s)
+        if self.alias is not None and len(core) > 2:
+            return
+        if other is not None:
+            if other < pos:
+                self.rels[pos] = ""
+                return
+            self._drop(other)
         self.held[pos] = core, bucket
         self.buckets.setdefault(bucket, []).append(pos)
         self.once.pop(pos, None)
         heappush(self.heap, (len(s), pos))
 
     def _drop(self, pos: int) -> str:
-        bucket = self.held.pop(pos)[1]
-        same = self.buckets[bucket]
-        same.remove(pos)
-        if not same:
-            del self.buckets[bucket]
-        return self.rels.pop(pos)
+        s, self.rels[pos] = self.rels[pos], ""
+        if pos in self.held:
+            self.buckets[self.held.pop(pos)[1]].remove(pos)
+        return s
+
+    def _least_short(self) -> int | None:
+        """The least relator of length 1 or 2 that is not a square, or None."""
+        heap, rels = self.heap, self.rels
+        while heap and heap[0][0] <= 2:
+            length, pos = heappop(heap)
+            s = rels[pos]
+            if len(s) == length and (length == 1 or ord(s[0]) >> 1 != ord(s[1]) >> 1):
+                return pos
+        return None
 
     def _shortest_with_once(self) -> int | None:
         heap, rels, once = self.heap, self.rels, self.once
         while heap:
             length, pos = heap[0]
-            s = rels.get(pos)
-            if s is not None and len(s) == length:
+            s = rels[pos]
+            if len(s) == length:
                 g = once.get(pos)
                 if g is None:    # the latest generator occurring once in s, or 0
                     n = Counter(s)
@@ -648,181 +685,79 @@ class _TietzeEngine:
     def eliminate(self) -> int | None:
         """Eliminate the latest generator occurring once in the shortest such
         relator; return it, or None when no relator has one."""
-        pos = self._shortest_with_once()
-        if pos is None:
-            return None
-        g = self.once[pos]
-        s = self._drop(pos)
-        letter, letter_inv = chr(2 * g), chr(2 * g + 1)
-        i = s.find(letter)
-        positive = i >= 0
-        if not positive:
-            i = s.find(letter_inv)
-        # g^e * rest is a rotation of the relator
-        rest = _free_reduce(s[i + 1:] + s[:i])
-        rest_inv = rest[::-1].translate(self.inv)
-        repl, repl_inv = (rest_inv, rest) if positive else (rest, rest_inv)
-
-        touched = sorted(t for t in self.occurs.pop(letter)
-                         if letter in (r := self.rels.get(t, "")) or letter_inv in r)
-        for h in set(repl.translate(self.gen_of)):
-            self.occurs[h].update(touched)
-        before = [self._drop(t) for t in touched]
-        # all old relators are released; on a clash the earlier position survives
-        seams = self._seams(letter, letter_inv, repl)
-        for t, old in zip(touched, before):
-            new = old.replace(letter, repl).replace(letter_inv, repl_inv)
-            if any(map(old.__contains__, seams)):
-                new = _free_reduce(new)
-            if new:
-                core, bucket, other = self._lookup(new)
-                if other is not None:
-                    if other < t:
-                        continue
-                    self._drop(other)
-                self._insert(t, new, core, bucket)
-        return g
-
-
-def _short_core(s: str) -> int | None:
-    """A key of the cyclic reduction of s up to rotation and inversion when
-    it has at most two letters, else None: the generator's code point for
-    one letter, and for two the least of the four spellings read as a pair
-    of 21-bit code points."""
-    i, j = 0, len(s)
-    if j > 2 and ord(s[0]) ^ ord(s[-1]) != 1:
-        return None
-    while j - i >= 2 and ord(s[i]) ^ ord(s[j - 1]) == 1:
-        i += 1
-        j -= 1
-    if j - i == 1:
-        return ord(s[i]) & ~1
-    if j - i > 2:
-        return None
-    x, y = ord(s[i]), ord(s[i + 1])
-    return min(x << 21 | y, y << 21 | x, (y ^ 1) << 21 | x ^ 1, (x ^ 1) << 21 | y ^ 1)
-
-
-def _eliminate_short(relators: list[str]) -> list[int]:
-    """Make, in place, the eliminations the engine makes by relators of length
-    1 and 2, in its order; return the eliminated generator numbers.
-
-    relators is in the engine's code points.  Each step takes the least (free
-    length, position) of length 1 or 2 that is not a square and eliminates its
-    latest-declared generator g: it becomes trivial, or g = h^+-1 for the
-    other generator h.  Consumed, emptied and dropped relators become "", and
-    every other one what the engine would hold after the same steps.
-
-    Only duplicates differ: a relator whose cyclic reduction is short (one or
-    two letters) is dropped at entry and in flight when it repeats an earlier
-    one, as in the engine, because short relators decide the steps here.
-    Duplicates among longer relators are left for the engine's entry rule,
-    which keeps the earliest position, as it would in flight: substitution
-    keeps equal relators equal, so a class only grows and its earliest
-    member survives either way.
-
-    A rename can cancel only in a relator that holds both g and h, so renames
-    sit in a signed, path-compressed union-find and a relator is rewritten
-    only when g becomes trivial, when it may also hold h, or when it is
-    short.  Every other one is renamed once, at the end, with no reduction.
-    """
-    alias: dict[int, int] = {}     # generator letter -> image letter, 0 if trivial
-
-    def find(c: int) -> int:
-        """The letter c stands for now, 0 if trivial; compresses the path."""
-        path = []
-        while c and (x := alias.get(c & ~1)) is not None:
-            path.append(c)
-            c = x and x ^ (c & 1)
-        for x in path:
-            alias[x & ~1] = c and c ^ (x & 1)
-        return c
-
-    def rename(s: str) -> str:
-        """s through every rename made since it was last written."""
-        table = {c: find(c) or None for c in map(ord, set(s)) if (c & ~1) in alias}
-        return s.translate(table) if table else s
-
-    occurs: defaultdict[int, set[int]] = defaultdict(set)  # root letter -> positions
-    short: dict[int, int] = {}     # short core -> the position holding it
-    key_of: dict[int, int] = {}    # and back
-    heap: list[tuple[int, int]] = []   # (length, position) of relators of length <= 2
-    stale: set[int] = set()        # positions that may hold a renamed generator
-    for pos, s in enumerate(relators):
-        if not s:
-            continue
-        for c in set(s):
-            occurs[ord(c) & ~1].add(pos)
-        key = _short_core(s)
-        if key is None:
-            continue
-        if key in short:
-            relators[pos] = ""
-            continue
-        short[key], key_of[pos] = pos, key
-        if len(s) <= 2:
-            heappush(heap, (len(s), pos))
-
-    gone = []
-    while heap:
-        length, pos = heappop(heap)
-        s = relators[pos]
-        if len(s) != length or length == 2 and ord(s[0]) >> 1 == ord(s[1]) >> 1:
-            continue   # stale, or a square, in which no generator occurs once
-        relators[pos] = ""
-        del short[key_of.pop(pos)]
-        # g^e * o = 1 for a rotation of s, g the later generator: g = o^-e,
-        # or trivial when s is g^e alone
-        x, o = (ord(s), 0) if length == 1 else map(ord, s if s[0] > s[1] else s[::-1])
-        g = x & ~1
-        image = o and (o ^ 1 if x == g else o)
-        gone.append(g >> 1)
-        holders = occurs.pop(g, set())
-        if image:
-            with_h = occurs[image & ~1]
-            todo = holders & with_h | holders & key_of.keys()
-            with_h |= holders
-            y, y_inv = chr(image), chr(image ^ 1)
+        rels, occurs, alias, stale = self.rels, self.occurs, self.alias, self.stale
+        held, buckets = self.held, self.buckets
+        pos = None if alias is None else self._least_short()
+        if pos is not None:
+            s = self._drop(pos)
+            # g^e * o = 1 for a rotation of s, g the later generator: g = o^-e,
+            # or trivial when s is g^e alone
+            x, o = (ord(s), 0) if len(s) == 1 else map(ord, s if s[0] > s[1] else s[::-1])
+            g = x >> 1
+            y, y_inv = (chr(o), chr(o ^ 1)) if o else ("", "")
+            repl, repl_inv = (y, y_inv) if x & 1 else (y_inv, y)
         else:
-            todo = holders
-        todo = sorted(t for t in todo if relators[t])
-        for t in todo:
-            if t in key_of:
-                del short[key_of.pop(t)]
-        letter, letter_inv = chr(g), chr(g + 1)
-        for t in todo:
-            cur = rename(relators[t]) if t in stale else relators[t]
-            if image:
-                new = cur.replace(letter, y).replace(letter_inv, y_inv)
-                cancels = y + y_inv in new or y_inv + y in new
-            else:
-                parts = [w for w in cur.replace(letter_inv, letter).split(letter) if w]
-                new = "".join(parts)
-                cancels = any(ord(u[-1]) ^ ord(v[0]) == 1 for u, v in zip(parts, parts[1:]))
-            if cancels:
-                new = _free_reduce(new)
-            key = _short_core(new) if new else None
-            if key is not None:
-                other = short.get(key)
-                if other is not None:
-                    if other < t:
-                        new = ""
-                    else:
-                        relators[other] = ""
-                        del key_of[other]
-                if new:
-                    short[key], key_of[t] = t, key
-                    if len(new) <= 2 and len(new) < len(cur):   # else its entry is queued
-                        heappush(heap, (len(new), t))
-            relators[t] = new
-        alias[g] = image
-        stale.difference_update(todo)
-        if image:
-            stale |= holders.difference(todo)
-    if alias:
-        table = {c: find(c) or None for g in alias for c in (g, g + 1)}
-        relators[:] = [s.translate(table) for s in relators]
-    return gone
+            if alias is not None:    # the rename phase ends
+                for t in stale:
+                    rels[t] = rels[t].translate(alias)
+                self.alias = alias = None
+                stale.clear()
+                for t, r in enumerate(rels):
+                    if r and t not in held:
+                        self._enter(t, r)
+            pos = self._shortest_with_once()
+            if pos is None:
+                return None
+            g = self.once[pos]
+            s = self._drop(pos)
+            i = max(s.find(chr(2 * g)), s.find(chr(2 * g + 1)))    # g occurs once
+            # g^e * rest is a rotation of the relator
+            rest = _join_reduced((s[i + 1:], s[:i]))
+            rest_inv = rest[::-1].translate(self.inv)
+            repl, repl_inv = (rest, rest_inv) if ord(s[i]) & 1 else (rest_inv, rest)
+        letter, letter_inv = chr(2 * g), chr(2 * g + 1)
+
+        holders = occurs.pop(2 * g)
+        if alias is None:
+            touched = sorted(t for t in holders if letter in (r := rels[t]) or letter_inv in r)
+            for h in {ord(c) & ~1 for c in repl}:
+                occurs[h].update(touched)
+        else:
+            touched = holders
+            if repl:
+                with_h = occurs[ord(repl) & ~1]
+                touched = holders & with_h | holders & held.keys()
+                with_h |= holders
+            touched = sorted(t for t in touched if rels[t])
+        # all old relators are released; on a clash the earlier position survives
+        before = [rels[t] for t in touched]
+        for t in touched:
+            if t in held:
+                buckets[held.pop(t)[1]].remove(t)
+        # a substitution cancels exactly where it writes one of these pairs, or
+        # for an empty repl (empty pairs) where two pieces meet; chr(1) cuts them
+        seams = repl_inv[-1:] + repl[:1], repl[-1:] + repl_inv[:1]
+        cut, cut_inv = f"\x01{repl}\x01", f"\x01{repl_inv}\x01"
+        for t, old in zip(touched, before):
+            if t in stale:
+                old = old.translate(alias)
+            new = old.replace(letter, repl).replace(letter_inv, repl_inv)
+            if seams[0] in new or seams[1] in new:
+                pieces = old.replace(letter, cut).replace(letter_inv, cut_inv)
+                new = _join_reduced(pieces.split("\x01"))
+            self._enter(t, new)
+        if alias is not None:    # g, and each generator renamed to it, now stand for repl
+            stale.difference_update(touched)
+            pair = (ord(repl), ord(repl_inv)) if repl else (None, None)
+            moved = self.members.pop(2 * g, [])
+            for m in moved:
+                alias[m], alias[m + 1] = pair if alias[m] == 2 * g else pair[::-1]
+            alias[2 * g], alias[2 * g + 1] = pair
+            if repl:
+                moved.append(2 * g)
+                self.members.setdefault(pair[0] & ~1, []).extend(moved)
+                stale |= holders.difference(touched)
+        return g
 
 
 def tietze_simplify(p: Presentation) -> Presentation:
@@ -837,12 +772,9 @@ def tietze_simplify(p: Presentation) -> Presentation:
     list survives.  Steps repeat until no relator has such a generator; the
     result presents an isomorphic group.
 
-    The steps by relators of length 1 and 2 come first, while no longer
-    relator is least, and a pass makes them on a union-find of renames
-    before the engine starts on what survives, with the same result letter
-    for letter: a rename can cancel only in a relator that holds both of its
-    generators, and duplicates among longer relators resolve to the earliest
-    position whether they are dropped in flight or at the engine's entry.
+    One engine makes the steps; those by relators of length 1 and 2 come
+    first and rename through one table, rewriting only the relators in
+    which a rename can cancel, with the same result letter for letter.
 
     More than MAX_TIETZE_GENERATORS generators raise CapacityError.
     """
@@ -853,10 +785,8 @@ def tietze_simplify(p: Presentation) -> Presentation:
     if n > MAX_TIETZE_GENERATORS:
         raise CapacityError(f"{n} generators exceed the Tietze cap of {MAX_TIETZE_GENERATORS}")
     code = _letter_codes(n)
-    relators = ["".join(map(code.__getitem__, r)) for r in p.relators]
-    gone = set(_eliminate_short(relators))
-    engine = _TietzeEngine(n, relators)
-    gone.update(iter(engine.eliminate, None))
+    engine = _TietzeEngine(n, ["".join(map(code.__getitem__, r)) for r in p.relators])
+    gone = set(iter(engine.eliminate, None))
     kept = [i for i in range(1, n + 1) if i not in gone]
     # survivors are renumbered, with one shared int per signed letter
     letter = {}
@@ -864,7 +794,7 @@ def tietze_simplify(p: Presentation) -> Presentation:
         letter[chr(2 * i)], letter[chr(2 * i + 1)] = j, -j
     return Presentation(
         tuple(names[i - 1] for i in kept),
-        tuple(tuple(map(letter.__getitem__, engine.rels[pos])) for pos in sorted(engine.rels)))
+        tuple(tuple(map(letter.__getitem__, s)) for s in engine.rels if s))
 
 
 # ---------------------------------------------------------------------------
@@ -899,7 +829,7 @@ class LiftData:
         to lift * kernel_gen * lift^-1.
     evaluations: quotient relator index -> its value in the kernel, either a
         concrete kernel word or a parameter name (undetermined exponent of the
-        kernel generator; cyclic kernels only).
+        kernel generator; cyclic kernels only); anything else is a TypeError.
     """
 
     lifts: dict[str, str]
@@ -945,10 +875,13 @@ def extension_presentation(kernel: Presentation, quotient: Presentation,
         ev = data.evaluations[idx]
         if isinstance(ev, Word):
             relators.append(lifted + _inverted(compile_word(ev, kernel_index)))
-        else:
+        elif isinstance(ev, str):
             if len(kernel.generators) != 1:
                 raise ValueError("symbolic evaluations need a cyclic kernel")
             symbolic.append(SymbolicRelator(lifted, 1, ev))
+        else:
+            raise TypeError(f"evaluation for quotient relator {idx} is a Word or a "
+                            f"parameter name (str), got {ev!r}")
     for lift, qg in enumerate(quotient.generators, start=shift + 1):
         for kg, name in enumerate(kernel.generators, start=1):
             if (qg, name) not in data.conjugation:

@@ -12,6 +12,7 @@ from liftmcg.arith_perm import (
     perm_from_cycles,
     transposition,
 )
+from liftmcg.datasets import parse_dataset
 from liftmcg.fpgroups import (
     EMPTY,
     LiftData,
@@ -32,6 +33,7 @@ from liftmcg.fpgroups import (
     tietze_simplify,
     word,
 )
+from liftmcg.genvec import generating_vector, liftable_images
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +92,18 @@ def test_presentation_validates_letters():
     with pytest.raises(ValueError):
         Presentation(("",), ((1, 1),))
     assert Presentation(("a", "b"), ((1, 2, -1, -2), (), (-2, -2))).relators[2] == (-2, -2)
+
+
+def test_presentation_stores_tuples():
+    # built from lists, it equals and hashes as the presentation it copies,
+    # so the memoized checks of Reidemeister-Schreier accept it
+    m = mod_sphere_presentation(4)
+    p = Presentation(list(m.generators), list(m.relators), [])
+    assert p == m and hash(p) == hash(m)
+    assert (type(p.generators), type(p.relators), type(p.symbolic_relators)) == (tuple,) * 3
+    h2 = liftable_images(generating_vector(parse_dataset("(3,0;(1,3),(1,3),(2,3),(2,3))"))).h2
+    assert (reidemeister_schreier_full(p, psi_images(4), h2)
+            == reidemeister_schreier_full(m, psi_images(4), h2))
 
 
 def test_relator_key_cyclic_and_inverse():
@@ -605,6 +619,13 @@ def test_extension_symbolic_and_errors():
         extension_presentation(kernel, q,
                                LiftData({"x": "F"}, {("x", "F"): gen("F")},
                                         {0: EMPTY}))
+    # an evaluation is a kernel Word or a parameter name, never an exponent
+    # (a bool neither)
+    cube = Presentation.from_words(("F",), (gen("F") ** 3,))
+    for value in (2, True, None, (("F", 1),)):
+        with pytest.raises(TypeError, match="quotient relator 0"):
+            extension_presentation(cube, Presentation.from_words(("G",), (gen("G") ** 2,)),
+                                   LiftData({"G": "G1"}, {("G", "F"): gen("F")}, {0: value}))
     two_gen_kernel = Presentation(("F", "K"), ())
     with pytest.raises(ValueError):
         extension_presentation(
