@@ -23,8 +23,8 @@ psi, that psi is onto and kills every relator, run once per distinct
 presentation and images.  Tietze simplification is
 deterministic; one engine writes a relator as a str of code points, one per
 letter, so that substitution, search and inversion are str methods.  Its
-steps by relators of length 1 and 2 come first, in a rename phase that keeps
-the renames in one translate table and rewrites only the relators in which a
+steps by relators of length 1 and 2 come first, in a rename phase that
+renames in place and reduces and re-buckets only the relators in which a
 rename can cancel or whose cyclic reduction is that short.
 """
 
@@ -187,6 +187,11 @@ class Presentation:
         ngens = len(self.generators)
         if len(set(self.generators)) != ngens:
             raise ValueError("duplicate generator names")
+        for s in self.symbolic_relators:
+            if not isinstance(s, SymbolicRelator):
+                raise TypeError(f"a symbolic relator is a SymbolicRelator, got {s!r}")
+            if type(s.base) is not int or not 1 <= s.base <= ngens:
+                raise ValueError(f"symbolic base {s.base!r} is not a generator number")
         for r in chain(self.relators, (s.lhs for s in self.symbolic_relators)):
             if type(r) is not tuple:
                 raise TypeError(f"a relator is a tuple of signed ints, got {type(r).__name__}")
@@ -197,9 +202,6 @@ class Presentation:
                 if x == -prev:
                     raise ValueError("relator is not freely reduced")
                 prev = x
-        for s in self.symbolic_relators:
-            if type(s.base) is not int or not 1 <= s.base <= ngens:
-                raise ValueError(f"symbolic base {s.base!r} is not a generator number")
 
     @classmethod
     def from_words(cls, generators: Sequence[str],
@@ -575,14 +577,13 @@ class _TietzeEngine:
 
     The steps by relators of length 1 and 2 come first, in a rename phase:
     each makes a generator g trivial or renames it to a letter of another
-    generator h, in a translate table that each rename keeps resolved by
-    re-pointing the generators renamed to g.  A rename can cancel only in a
-    relator that also holds h, so a step rewrites only those, the relators
-    of a g made trivial and those whose cyclic reduction is short, which
-    alone are bucketed in the phase; other holders of g go stale.  Before
-    the first longer step the stale relators are renamed with the table and
-    the longer ones bucketed in position order, so that of two equal ones
-    the earlier survives, as it would have in flight.
+    generator h.  A rename can cancel only in a relator that also holds h,
+    so a step re-enters only those, the relators of a g made trivial and
+    those whose cyclic reduction is short, which alone are bucketed in the
+    phase; in the other holders of g the letter is replaced in place.
+    Before the first longer step the longer relators are bucketed in
+    position order, so that of two equal ones the earlier survives, as it
+    would have in flight.
     """
 
     def __init__(self, ngens: int, relators: list[str]):
@@ -597,12 +598,7 @@ class _TietzeEngine:
         self.occurs: defaultdict[int, set[int]] = defaultdict(set)
         self.once: dict[int, int] = {}        # position -> latest gen occurring once, or 0
         self.heap: list[tuple[int, int]] = []  # (length, position); stale entries skipped
-        # in the rename phase, a str.translate table: the letter code point of
-        # a renamed generator -> the letter it stands for now, None if trivial;
-        # None after the phase
-        self.alias: dict[int, int | None] | None = {}
-        self.members: dict[int, list[int]] = {}   # generator -> those renamed to it
-        self.stale: set[int] = set()          # positions that may hold a renamed generator
+        self.renaming = True    # until no relator of 1 or 2 letters is left to step by
         for pos, s in enumerate(relators):
             for c in set(s):
                 self.occurs[ord(c) & ~1].add(pos)
@@ -635,10 +631,10 @@ class _TietzeEngine:
         phase only if its cyclic reduction is short), unless an earlier
         relator equals it; a later one is dropped."""
         self.rels[pos] = s
-        if not s or self.alias is not None and len(s) > 2 and ord(s[0]) ^ ord(s[-1]) != 1:
+        if not s or self.renaming and len(s) > 2 and ord(s[0]) ^ ord(s[-1]) != 1:
             return
         core, bucket, other = self._lookup(s)
-        if self.alias is not None and len(core) > 2:
+        if self.renaming and len(core) > 2:
             return
         if other is not None:
             if other < pos:
@@ -685,9 +681,9 @@ class _TietzeEngine:
     def eliminate(self) -> int | None:
         """Eliminate the latest generator occurring once in the shortest such
         relator; return it, or None when no relator has one."""
-        rels, occurs, alias, stale = self.rels, self.occurs, self.alias, self.stale
-        held, buckets = self.held, self.buckets
-        pos = None if alias is None else self._least_short()
+        rels, occurs, held, buckets = self.rels, self.occurs, self.held, self.buckets
+        renaming = self.renaming
+        pos = self._least_short() if renaming else None
         if pos is not None:
             s = self._drop(pos)
             # g^e * o = 1 for a rotation of s, g the later generator: g = o^-e,
@@ -697,11 +693,8 @@ class _TietzeEngine:
             y, y_inv = (chr(o), chr(o ^ 1)) if o else ("", "")
             repl, repl_inv = (y, y_inv) if x & 1 else (y_inv, y)
         else:
-            if alias is not None:    # the rename phase ends
-                for t in stale:
-                    rels[t] = rels[t].translate(alias)
-                self.alias = alias = None
-                stale.clear()
+            if renaming:    # the rename phase ends
+                self.renaming = renaming = False
                 for t, r in enumerate(rels):
                     if r and t not in held:
                         self._enter(t, r)
@@ -718,7 +711,7 @@ class _TietzeEngine:
         letter, letter_inv = chr(2 * g), chr(2 * g + 1)
 
         holders = occurs.pop(2 * g)
-        if alias is None:
+        if not renaming:
             touched = sorted(t for t in holders if letter in (r := rels[t]) or letter_inv in r)
             for h in {ord(c) & ~1 for c in repl}:
                 occurs[h].update(touched)
@@ -728,6 +721,9 @@ class _TietzeEngine:
                 with_h = occurs[ord(repl) & ~1]
                 touched = holders & with_h | holders & held.keys()
                 with_h |= holders
+                # the other holders hold no h, so nothing cancels in them
+                for t in holders - touched:
+                    rels[t] = rels[t].replace(letter, repl).replace(letter_inv, repl_inv)
             touched = sorted(t for t in touched if rels[t])
         # all old relators are released; on a clash the earlier position survives
         before = [rels[t] for t in touched]
@@ -739,24 +735,11 @@ class _TietzeEngine:
         seams = repl_inv[-1:] + repl[:1], repl[-1:] + repl_inv[:1]
         cut, cut_inv = f"\x01{repl}\x01", f"\x01{repl_inv}\x01"
         for t, old in zip(touched, before):
-            if t in stale:
-                old = old.translate(alias)
             new = old.replace(letter, repl).replace(letter_inv, repl_inv)
             if seams[0] in new or seams[1] in new:
                 pieces = old.replace(letter, cut).replace(letter_inv, cut_inv)
                 new = _join_reduced(pieces.split("\x01"))
             self._enter(t, new)
-        if alias is not None:    # g, and each generator renamed to it, now stand for repl
-            stale.difference_update(touched)
-            pair = (ord(repl), ord(repl_inv)) if repl else (None, None)
-            moved = self.members.pop(2 * g, [])
-            for m in moved:
-                alias[m], alias[m + 1] = pair if alias[m] == 2 * g else pair[::-1]
-            alias[2 * g], alias[2 * g + 1] = pair
-            if repl:
-                moved.append(2 * g)
-                self.members.setdefault(pair[0] & ~1, []).extend(moved)
-                stale |= holders.difference(touched)
         return g
 
 
@@ -773,8 +756,8 @@ def tietze_simplify(p: Presentation) -> Presentation:
     result presents an isomorphic group.
 
     One engine makes the steps; those by relators of length 1 and 2 come
-    first and rename through one table, rewriting only the relators in
-    which a rename can cancel, with the same result letter for letter.
+    first and rename in place, reducing only the relators in which a rename
+    can cancel, with the same result letter for letter.
 
     More than MAX_TIETZE_GENERATORS generators raise CapacityError.
     """
@@ -825,8 +808,8 @@ class LiftData:
     """Lifting data for assembling a presentation of a group extension.
 
     lifts: quotient generator name -> lift name (disjoint from kernel names).
-    conjugation: (quotient gen, kernel gen) -> word in kernel generators equal
-        to lift * kernel_gen * lift^-1.
+    conjugation: (quotient gen, kernel gen) -> Word in kernel generators equal
+        to lift * kernel_gen * lift^-1; anything else is a TypeError.
     evaluations: quotient relator index -> its value in the kernel, either a
         concrete kernel word or a parameter name (undetermined exponent of the
         kernel generator; cyclic kernels only); anything else is a TypeError.
@@ -851,10 +834,12 @@ def extension_presentation(kernel: Presentation, quotient: Presentation,
     for g in data.lifts:
         if g not in quotient.generators:
             raise ValueError(f"lift for {g!r}, which is not a quotient generator")
-    for qg, kg in data.conjugation:
+    for (qg, kg), w in data.conjugation.items():
         if qg not in quotient.generators or kg not in kernel.generators:
             raise ValueError(f"conjugation word for ({qg!r}, {kg!r}), which is not a "
                              f"(quotient generator, kernel generator) pair")
+        if not isinstance(w, Word):
+            raise TypeError(f"conjugation word for ({qg!r}, {kg!r}) is a Word, got {w!r}")
     for idx in data.evaluations:
         if idx not in range(len(quotient.relators)):
             raise ValueError(f"evaluation for relator {idx!r}, but the quotient "

@@ -85,6 +85,9 @@ def test_presentation_validates_letters():
             Presentation(("a", "b"), (relator,))
     with pytest.raises(TypeError):
         Presentation(("a",), (gen("a"),))
+    # a symbolic relator is a SymbolicRelator, not its lhs alone
+    with pytest.raises(TypeError, match="SymbolicRelator"):
+        Presentation(("a",), (), ((1,),))
     # generator names are nonempty strs
     for names in ((1,), ("a", None), (("a",),)):
         with pytest.raises(TypeError):
@@ -626,6 +629,9 @@ def test_extension_symbolic_and_errors():
         with pytest.raises(TypeError, match="quotient relator 0"):
             extension_presentation(cube, Presentation.from_words(("G",), (gen("G") ** 2,)),
                                    LiftData({"G": "G1"}, {("G", "F"): gen("F")}, {0: value}))
+    # a conjugation value is a kernel Word, not a name
+    with pytest.raises(TypeError, match=r"\('x', 'F'\)"):
+        extension_presentation(kernel, q, LiftData({"x": "G"}, {("x", "F"): "F"}, {0: EMPTY}))
     two_gen_kernel = Presentation(("F", "K"), ())
     with pytest.raises(ValueError):
         extension_presentation(

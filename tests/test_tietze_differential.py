@@ -102,6 +102,13 @@ a, b, c, d, e = map(gen, NAMES)
 # The step by a*b^-2 leaves d*b, whose step comes after the rename phase:
 # <b, c | >.
 @example(Presentation(tuple("abcd"), ((1, -2, -2), (4, -2, 1))))
+# A class of renamed generators is renamed down a chain while its long
+# holders wait, which the five-name strategy seldom draws: w1, w2, w3 become
+# x3, then x3 becomes x2, renaming each w_i*z*w_i*z*w_i in place, and x2
+# becomes x1, which they then hold.  <z, x1 | x1*z*x1*z*x1 = 1>.
+@example(Presentation(("z", "x1", "x2", "x3", "w1", "w2", "w3"), (
+    (5, -4), (6, -4), (7, -4), (4, -3), (3, -2), (5, 1, 5, 1, 5), (6, 1, 6, 1, 6),
+    (7, 1, 7, 1, 7))))
 def test_equal_on_generated_presentations(p):
     assert tietze_simplify(p) == reference.tietze_simplify(p)
 
