@@ -22,16 +22,16 @@ passes genvec's vector stabilizers, never a stored group.  Its two checks on
 psi, that psi is onto and kills every relator, run once per distinct
 presentation and images.  Tietze simplification is
 deterministic; one engine writes a relator as a str of code points, one per
-letter, so that substitution, search and inversion are str methods.  Its
-steps by relators of length 1 and 2 come first, in a rename phase that
-renames in place and reduces and re-buckets only the relators in which a
-rename can cancel or whose cyclic reduction is that short.
+letter, so that substitution, search and inversion are str methods.  It
+takes every step by one rule; while the step is by a relator of 1 or 2
+letters, a rename phase changes only which relators are queued and how the
+holders of the generator are rewritten.
 """
 
 from __future__ import annotations
 
 import sys
-from collections import Counter, defaultdict
+from collections import defaultdict
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cache, wraps
@@ -575,12 +575,13 @@ class _TietzeEngine:
     a bucket, keyed for a cyclic reduction of at most two letters by the
     least of its four spellings read as an int, else by length and generators.
 
-    The steps by relators of length 1 and 2 come first, in a rename phase:
-    each makes a generator g trivial or renames it to a letter of another
-    generator h.  A rename can cancel only in a relator that also holds h,
-    so a step re-enters only those, the relators of a g made trivial and
-    those whose cyclic reduction is short, which alone are bucketed in the
-    phase; in the other holders of g the letter is replaced in place.
+    _shortest_with_once picks every step.  While it picks a relator of 1 or
+    2 letters the engine is in a rename phase: the step makes a generator g
+    trivial or renames it to a letter of another generator h, and only the
+    relators whose cyclic reduction is that short are queued and bucketed.
+    A rename can cancel only in a relator that also holds h, so a step
+    re-enters only those, the queued ones and the relators of a g made
+    trivial; in the other holders of g the letter is replaced in place.
     Before the first longer step the longer relators are bucketed in
     position order, so that of two equal ones the earlier survives, as it
     would have in flight.
@@ -596,7 +597,6 @@ class _TietzeEngine:
         # generator code point -> positions whose relator may contain it; read
         # once, when the generator is eliminated
         self.occurs: defaultdict[int, set[int]] = defaultdict(set)
-        self.once: dict[int, int] = {}        # position -> latest gen occurring once, or 0
         self.heap: list[tuple[int, int]] = []  # (length, position); stale entries skipped
         self.renaming = True    # until no relator of 1 or 2 letters is left to step by
         for pos, s in enumerate(relators):
@@ -643,7 +643,6 @@ class _TietzeEngine:
             self._drop(other)
         self.held[pos] = core, bucket
         self.buckets.setdefault(bucket, []).append(pos)
-        self.once.pop(pos, None)
         heappush(self.heap, (len(s), pos))
 
     def _drop(self, pos: int) -> str:
@@ -652,29 +651,18 @@ class _TietzeEngine:
             self.buckets[self.held.pop(pos)[1]].remove(pos)
         return s
 
-    def _least_short(self) -> int | None:
-        """The least relator of length 1 or 2 that is not a square, or None."""
+    def _shortest_with_once(self) -> tuple[int, int] | None:
+        """The position of the relator least by (length, position) in which
+        some generator occurs once, and the latest such generator, or None."""
         heap, rels = self.heap, self.rels
-        while heap and heap[0][0] <= 2:
-            length, pos = heappop(heap)
-            s = rels[pos]
-            if len(s) == length and (length == 1 or ord(s[0]) >> 1 != ord(s[1]) >> 1):
-                return pos
-        return None
-
-    def _shortest_with_once(self) -> int | None:
-        heap, rels, once = self.heap, self.rels, self.once
         while heap:
             length, pos = heap[0]
             s = rels[pos]
             if len(s) == length:
-                g = once.get(pos)
-                if g is None:    # the latest generator occurring once in s, or 0
-                    n = Counter(s)
-                    g = once[pos] = max((ord(c) >> 1 for c, k in n.items()
-                                         if k == 1 and chr(ord(c) ^ 1) not in n), default=0)
-                if g:
-                    return pos
+                letters = set(s)
+                for c in sorted(letters, reverse=True):
+                    if chr(ord(c) ^ 1) not in letters and s.count(c) == 1:
+                        return pos, ord(c) >> 1
             heappop(heap)
         return None
 
@@ -682,36 +670,28 @@ class _TietzeEngine:
         """Eliminate the latest generator occurring once in the shortest such
         relator; return it, or None when no relator has one."""
         rels, occurs, held, buckets = self.rels, self.occurs, self.held, self.buckets
-        renaming = self.renaming
-        pos = self._least_short() if renaming else None
-        if pos is not None:
-            s = self._drop(pos)
-            # g^e * o = 1 for a rotation of s, g the later generator: g = o^-e,
-            # or trivial when s is g^e alone
-            x, o = (ord(s), 0) if len(s) == 1 else map(ord, s if s[0] > s[1] else s[::-1])
-            g = x >> 1
-            y, y_inv = (chr(o), chr(o ^ 1)) if o else ("", "")
-            repl, repl_inv = (y, y_inv) if x & 1 else (y_inv, y)
-        else:
-            if renaming:    # the rename phase ends
-                self.renaming = renaming = False
-                for t, r in enumerate(rels):
-                    if r and t not in held:
-                        self._enter(t, r)
-            pos = self._shortest_with_once()
-            if pos is None:
-                return None
-            g = self.once[pos]
-            s = self._drop(pos)
-            i = max(s.find(chr(2 * g)), s.find(chr(2 * g + 1)))    # g occurs once
-            # g^e * rest is a rotation of the relator
-            rest = _join_reduced((s[i + 1:], s[:i]))
-            rest_inv = rest[::-1].translate(self.inv)
-            repl, repl_inv = (rest, rest_inv) if ord(s[i]) & 1 else (rest_inv, rest)
+        step = self._shortest_with_once()
+        if self.renaming and (step is None or len(rels[step[0]]) > 2):
+            self.renaming = False    # the rename phase ends
+            for t, r in enumerate(rels):
+                if r and t not in held:
+                    self._enter(t, r)
+            step = self._shortest_with_once()
+        if step is None:
+            return None
+        pos, g = step
         letter, letter_inv = chr(2 * g), chr(2 * g + 1)
+        s = self._drop(pos)
+        i = max(s.find(letter), s.find(letter_inv))    # g occurs once
+        # g^e * rest is a rotation of the relator; its two pieces can cancel
+        # only where the last letter of s meets the first
+        rest = (_join_reduced((s[i + 1:], s[:i])) if ord(s[-1]) ^ ord(s[0]) == 1
+                else s[i + 1:] + s[:i])
+        rest_inv = rest[::-1].translate(self.inv)
+        repl, repl_inv = (rest, rest_inv) if ord(s[i]) & 1 else (rest_inv, rest)
 
         holders = occurs.pop(2 * g)
-        if not renaming:
+        if not self.renaming:
             touched = sorted(t for t in holders if letter in (r := rels[t]) or letter_inv in r)
             for h in {ord(c) & ~1 for c in repl}:
                 occurs[h].update(touched)
@@ -755,9 +735,9 @@ def tietze_simplify(p: Presentation) -> Presentation:
     list survives.  Steps repeat until no relator has such a generator; the
     result presents an isomorphic group.
 
-    One engine makes the steps; those by relators of length 1 and 2 come
-    first and rename in place, reducing only the relators in which a rename
-    can cancel, with the same result letter for letter.
+    While the step is by a relator of 1 or 2 letters, the engine renames in
+    place and reduces only the relators in which a rename can cancel; that
+    changes how the relators are rewritten, not which step is taken.
 
     More than MAX_TIETZE_GENERATORS generators raise CapacityError.
     """
