@@ -20,6 +20,7 @@ from .fpgroups import (
     LiftData,
     Presentation,
     Word,
+    _identify_short_generators,
     commutator,
     extension_presentation,
     gen,
@@ -107,7 +108,8 @@ def _subgroup_presentation(subgroup) -> tuple[Presentation, Mapping[str, Perm], 
 
     Index 1 is the full sphere mapping class group and the trivial subgroup
     pulls back to the pure one; both have known presentations, so
-    Reidemeister-Schreier runs only at intermediate index.  The result
+    Reidemeister-Schreier runs only at intermediate index, and its output
+    goes through _identify_short_generators before Tietze.  The result
     depends on the subgroup only as a set, so it is memoized on the set and
     shared, with read-only images, by every report whose H1 or H2 it is.
     """
@@ -122,7 +124,7 @@ def _subgroup_presentation(subgroup) -> tuple[Presentation, Mapping[str, Perm], 
         images = {name: identity_perm(k) for name in p.generators}
     else:
         raw, info = reidemeister_schreier_full(mod_sphere_presentation(k), psi, subgroup)
-        p, kind = tietze_simplify(raw), "schreier"
+        p, kind = tietze_simplify(_identify_short_generators(raw)), "schreier"
         images = {name: info.generator_images[name] for name in p.generators}
     return p, MappingProxyType(images), kind
 

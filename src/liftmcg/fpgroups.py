@@ -20,12 +20,11 @@ multiplies by each generator's image through one precomputed itemgetter, and
 needs of a subgroup only its degree, order and coset labels: the analysis
 passes genvec's vector stabilizers, never a stored group.  Its two checks on
 psi, that psi is onto and kills every relator, run once per distinct
-presentation and images.  Tietze simplification is
-deterministic; one engine writes a relator as a str of code points, one per
-letter, so that substitution, search and inversion are str methods.  It
-takes every step by one rule; while the step is by a relator of 1 or 2
-letters, a rename phase changes only which relators are queued and how the
-holders of the generator are rewritten.
+presentation and images.  Tietze simplification is deterministic; one engine
+writes a relator as a str of code points, one per letter, so that
+substitution, search and inversion are str methods, and takes every step by
+one rule.  The analysis first passes Reidemeister-Schreier output through
+_identify_short_generators, a signed union-find on its short relators.
 """
 
 from __future__ import annotations
@@ -570,21 +569,9 @@ class _TietzeEngine:
     cancel when their code points differ in the last bit alone.
 
     rels is the given list, rewritten in place, with "" where a relator is
-    gone; a rewritten relator keeps its position, so comparing positions
-    compares list order.  Relators equal up to rotation and inversion share
-    a bucket, keyed for a cyclic reduction of at most two letters by the
-    least of its four spellings read as an int, else by length and generators.
-
-    _shortest_with_once picks every step.  While it picks a relator of 1 or
-    2 letters the engine is in a rename phase: the step makes a generator g
-    trivial or renames it to a letter of another generator h, and only the
-    relators whose cyclic reduction is that short are queued and bucketed.
-    A rename can cancel only in a relator that also holds h, so a step
-    re-enters only those, the queued ones and the relators of a g made
-    trivial; in the other holders of g the letter is replaced in place.
-    Before the first longer step the longer relators are bucketed in
-    position order, so that of two equal ones the earlier survives, as it
-    would have in flight.
+    gone, so comparing positions compares list order.  _shortest_with_once
+    picks every step, which re-enters only the relators that hold the
+    eliminated generator.
     """
 
     def __init__(self, ngens: int, relators: list[str]):
@@ -593,67 +580,50 @@ class _TietzeEngine:
         self.gen_of = {c: c & ~1 for c in letters}
         self.rels = relators
         self.held: dict[int, tuple] = {}      # position -> (cyclic reduction, bucket)
-        self.buckets: dict[int | tuple, list[int]] = {}
+        self.buckets: dict[tuple, list[int]] = {}    # (length, generators) -> positions
         # generator code point -> positions whose relator may contain it; read
         # once, when the generator is eliminated
         self.occurs: defaultdict[int, set[int]] = defaultdict(set)
         self.heap: list[tuple[int, int]] = []  # (length, position); stale entries skipped
-        self.renaming = True    # until no relator of 1 or 2 letters is left to step by
         for pos, s in enumerate(relators):
-            for c in set(s):
-                self.occurs[ord(c) & ~1].add(pos)
             self._enter(pos, s)
+            if relators[pos]:
+                for c in set(s):
+                    self.occurs[ord(c) & ~1].add(pos)
 
-    def _lookup(self, s: str) -> tuple[str, int | tuple, int | None]:
-        """The cyclic reduction of s, its bucket, and the position holding a
-        relator equal to s up to rotation and inversion, or None."""
+    def _enter(self, pos: int, s: str) -> None:
+        """Write s at pos and, if nonempty, bucket and queue it, unless an
+        earlier relator equals it up to rotation and inversion; a later one
+        is dropped."""
+        self.rels[pos] = s
+        if not s:
+            return
         i, j = 0, len(s)
         while j - i >= 2 and ord(s[i]) ^ ord(s[j - 1]) == 1:
             i += 1
             j -= 1
-        core = s[i:j]
-        if j - i > 2:
-            bucket = (j - i, frozenset(core.translate(self.gen_of)))
-            for pos in self.buckets.get(bucket, ()):
-                doubled = self.held[pos][0] * 2
-                if core in doubled or core[::-1].translate(self.inv) in doubled:
-                    return core, bucket, pos
-            return core, bucket, None
-        # one letter: its generator; two: a pair of 21-bit code points
-        x, y = ord(core[0]), ord(core[-1])
-        bucket = x & ~1 if j - i == 1 else min(x << 21 | y, y << 21 | x,
-                                               (y ^ 1) << 21 | x ^ 1, (x ^ 1) << 21 | y ^ 1)
-        same = self.buckets.get(bucket)
-        return core, bucket, same[0] if same else None
-
-    def _enter(self, pos: int, s: str) -> None:
-        """Write s at pos and, if nonempty, bucket and queue it (in the rename
-        phase only if its cyclic reduction is short), unless an earlier
-        relator equals it; a later one is dropped."""
-        self.rels[pos] = s
-        if not s or self.renaming and len(s) > 2 and ord(s[0]) ^ ord(s[-1]) != 1:
-            return
-        core, bucket, other = self._lookup(s)
-        if self.renaming and len(core) > 2:
-            return
-        if other is not None:
-            if other < pos:
-                self.rels[pos] = ""
-                return
-            self._drop(other)
+        core = s[i:j]    # the cyclic reduction
+        bucket = self.buckets.setdefault((j - i, frozenset(core.translate(self.gen_of))), [])
+        for other in bucket:
+            doubled = self.held[other][0] * 2
+            if core in doubled or core[::-1].translate(self.inv) in doubled:
+                if other < pos:
+                    self.rels[pos] = ""
+                    return
+                self._drop(other)
+                break
         self.held[pos] = core, bucket
-        self.buckets.setdefault(bucket, []).append(pos)
+        bucket.append(pos)
         heappush(self.heap, (len(s), pos))
 
     def _drop(self, pos: int) -> str:
         s, self.rels[pos] = self.rels[pos], ""
-        if pos in self.held:
-            self.buckets[self.held.pop(pos)[1]].remove(pos)
+        self.held.pop(pos)[1].remove(pos)
         return s
 
     def _shortest_with_once(self) -> tuple[int, int] | None:
-        """The position of the relator least by (length, position) in which
-        some generator occurs once, and the latest such generator, or None."""
+        """(position, index of the latest once-occurring generator's letter) of
+        the relator least by (length, position) with such a generator, or None."""
         heap, rels = self.heap, self.rels
         while heap:
             length, pos = heap[0]
@@ -662,54 +632,27 @@ class _TietzeEngine:
                 letters = set(s)
                 for c in sorted(letters, reverse=True):
                     if chr(ord(c) ^ 1) not in letters and s.count(c) == 1:
-                        return pos, ord(c) >> 1
+                        return pos, s.index(c)
             heappop(heap)
         return None
 
     def eliminate(self) -> int | None:
         """Eliminate the latest generator occurring once in the shortest such
         relator; return it, or None when no relator has one."""
-        rels, occurs, held, buckets = self.rels, self.occurs, self.held, self.buckets
+        rels, occurs = self.rels, self.occurs
         step = self._shortest_with_once()
-        if self.renaming and (step is None or len(rels[step[0]]) > 2):
-            self.renaming = False    # the rename phase ends
-            for t, r in enumerate(rels):
-                if r and t not in held:
-                    self._enter(t, r)
-            step = self._shortest_with_once()
         if step is None:
             return None
-        pos, g = step
-        letter, letter_inv = chr(2 * g), chr(2 * g + 1)
+        pos, i = step
         s = self._drop(pos)
-        i = max(s.find(letter), s.find(letter_inv))    # g occurs once
-        # g^e * rest is a rotation of the relator; its two pieces can cancel
-        # only where the last letter of s meets the first
-        rest = (_join_reduced((s[i + 1:], s[:i])) if ord(s[-1]) ^ ord(s[0]) == 1
-                else s[i + 1:] + s[:i])
-        rest_inv = rest[::-1].translate(self.inv)
-        repl, repl_inv = (rest, rest_inv) if ord(s[i]) & 1 else (rest_inv, rest)
+        letter, letter_inv = s[i], chr(ord(s[i]) ^ 1)    # letter occurs once in s
+        repl_inv = _join_reduced((s[i + 1:], s[:i]))    # letter * repl_inv is a rotation of s
+        repl = repl_inv[::-1].translate(self.inv)
 
-        holders = occurs.pop(2 * g)
-        if not self.renaming:
-            touched = sorted(t for t in holders if letter in (r := rels[t]) or letter_inv in r)
-            for h in {ord(c) & ~1 for c in repl}:
-                occurs[h].update(touched)
-        else:
-            touched = holders
-            if repl:
-                with_h = occurs[ord(repl) & ~1]
-                touched = holders & with_h | holders & held.keys()
-                with_h |= holders
-                # the other holders hold no h, so nothing cancels in them
-                for t in holders - touched:
-                    rels[t] = rels[t].replace(letter, repl).replace(letter_inv, repl_inv)
-            touched = sorted(t for t in touched if rels[t])
+        touched = sorted(t for t in occurs.pop(ord(letter) & ~1)
+                         if letter in (r := rels[t]) or letter_inv in r)
         # all old relators are released; on a clash the earlier position survives
-        before = [rels[t] for t in touched]
-        for t in touched:
-            if t in held:
-                buckets[held.pop(t)[1]].remove(t)
+        before = [self._drop(t) for t in touched]
         # a substitution cancels exactly where it writes one of these pairs, or
         # for an empty repl (empty pairs) where two pieces meet; chr(1) cuts them
         seams = repl_inv[-1:] + repl[:1], repl[-1:] + repl_inv[:1]
@@ -720,7 +663,10 @@ class _TietzeEngine:
                 pieces = old.replace(letter, cut).replace(letter_inv, cut_inv)
                 new = _join_reduced(pieces.split("\x01"))
             self._enter(t, new)
-        return g
+        kept = [t for t in touched if rels[t]]
+        for h in {ord(c) & ~1 for c in repl}:
+            occurs[h].update(kept)
+        return ord(letter) >> 1
 
 
 def tietze_simplify(p: Presentation) -> Presentation:
@@ -734,10 +680,6 @@ def tietze_simplify(p: Presentation) -> Presentation:
     of two relators equal up to rotation and inversion the earlier in the
     list survives.  Steps repeat until no relator has such a generator; the
     result presents an isomorphic group.
-
-    While the step is by a relator of 1 or 2 letters, the engine renames in
-    place and reduces only the relators in which a rename can cancel; that
-    changes how the relators are rewritten, not which step is taken.
 
     More than MAX_TIETZE_GENERATORS generators raise CapacityError.
     """
@@ -758,6 +700,62 @@ def tietze_simplify(p: Presentation) -> Presentation:
     return Presentation(
         tuple(names[i - 1] for i in kept),
         tuple(tuple(map(letter.__getitem__, s)) for s in engine.rels if s))
+
+
+def _identify_short_generators(p: Presentation) -> Presentation:
+    """p less the generators that relators of cyclic length 1 or 2 make
+    trivial or identify with another, by a signed union-find.  Relators are
+    read in list order, in rounds, rewritten through the representatives and
+    freely reduced, until all their letters are representatives.  A cyclic
+    reduction of one letter makes its generator trivial, one of two letters
+    of distinct generators makes the later the inverse of the other, and the
+    relator is dropped.  On Reidemeister-Schreier output tietze_simplify
+    gives the same from the result as from p, but not on every input.
+    """
+    n = len(p.generators)
+    # up[x] is the signed letter that x equals: x at a representative, 0 if
+    # trivial; a negative letter is a negative index, and up[-x] = -up[x]
+    up = [*range(n + 1), *range(-n, 0)]
+
+    def find(x: int) -> int:
+        path = []
+        while (y := up[x]) != x and y:
+            path.append(x)
+            x = y
+        for z in path:    # path compression
+            up[z], up[-z] = y, -y
+        return y
+
+    rels = list(p.relators)
+    gone: set[int] = set()    # the letters that are no longer representatives
+    todo = range(len(rels))
+    while todo:
+        for t in todo:
+            if not gone.isdisjoint(out := rels[t]):
+                out = []
+                for x in rels[t]:
+                    if up[y := up[x]] != y:
+                        y = find(x)
+                    if out and out[-1] == -y:
+                        out.pop()
+                    elif y:
+                        out.append(y)
+            i = 0
+            while len(out) - 2 * i >= 2 and out[i] == -out[-1 - i]:
+                i += 1
+            core = out[i:len(out) - i]
+            if len(core) == 1 or len(core) == 2 and core[0] != core[1]:
+                u, v = sorted(core, key=abs) if len(core) == 2 else (0, core[0])
+                up[v], up[-v] = -u, u
+                gone.update((v, -v))
+                out = ()
+            rels[t] = tuple(out)
+        todo = [t for t, r in enumerate(rels) if not gone.isdisjoint(r)]
+    kept = [g for g in range(1, n + 1) if up[g] == g]
+    for j, g in enumerate(kept, start=1):    # up, done with, numbers the survivors
+        up[g], up[-g] = j, -j
+    return Presentation(tuple(p.generators[g - 1] for g in kept),
+                        tuple(tuple(map(up.__getitem__, r)) for r in rels if r))
 
 
 # ---------------------------------------------------------------------------

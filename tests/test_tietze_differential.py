@@ -1,5 +1,7 @@
 """tietze_simplify against the engine it replaced (tests/tietze_reference.py):
-the two must give equal presentations, letter for letter, on every input."""
+the two must give equal presentations, letter for letter, on every input.
+The analysis path, the union-find _identify_short_generators and then
+tietze_simplify, must give the same on every preimage the analysis meets."""
 
 import hashlib
 import sys
@@ -8,12 +10,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from liftmcg.analysis import _subgroup_presentation
 from liftmcg.arith_perm import CapacityError
 from liftmcg.datasets import enumerate_spherical
 from liftmcg.fpgroups import (
     MAX_TIETZE_GENERATORS,
     Presentation,
     Word,
+    _identify_short_generators,
+    abelianization,
     gen,
     tietze_simplify,
 )
@@ -51,19 +56,36 @@ def test_equal_on_every_preimage_of_genus_2_to_7():
         assert tietze_simplify(raw) == reference.tietze_simplify(raw), subgroup
 
 
+def analysis_path(raw):
+    """What the analysis makes of a raw Reidemeister-Schreier presentation."""
+    return tietze_simplify(_identify_short_generators(raw))
+
+
+def test_analysis_path_equal_on_every_preimage_of_genus_2_to_7():
+    degree = distinct_preimages((2, 3, 4, 5, 6, 7))
+    assert len(degree) == 66
+    for subgroup, k in degree.items():
+        raw = _raw_presentation(k, subgroup)
+        q = analysis_path(raw)
+        assert q == reference.tietze_simplify(raw), subgroup
+        if not subgroup.is_symmetric and subgroup.order > 1:
+            assert _subgroup_presentation(subgroup)[0] == q, subgroup
+
+
 # The count of distinct H1 and H2 of genus 9-10 and the sha256 over
 # tietze_simplify of their raw presentations, one repr((generators,
-# relators)) line each in enumeration order.  The reference engine is too
-# slow there, so a CI step recomputes tietze_digest((9, 10)) against this pin
-# (about 30 s) instead of Tier-1.
+# relators)) line each in enumeration order.  The analysis path gives the
+# same output there, so the pin holds for both.  The reference engine is too
+# slow there, so CI steps recompute tietze_digest((9, 10)) and
+# tietze_digest((9, 10), analysis_path) against this pin instead of Tier-1.
 GENUS_9_TO_10_TIETZE = (104, "49793bdd212851c4012978e1dea4c8636e761d8688bd9b425e157ed9c4cb5488")
 
 
-def tietze_digest(genera):
+def tietze_digest(genera, simplify=tietze_simplify):
     digest = hashlib.sha256()
     degree = distinct_preimages(genera)
     for subgroup, k in degree.items():
-        q = tietze_simplify(_raw_presentation(k, subgroup))
+        q = simplify(_raw_presentation(k, subgroup))
         digest.update(repr((q.generators, q.relators)).encode() + b"\n")
     return len(degree), digest.hexdigest()
 
@@ -108,7 +130,8 @@ a, b, c, d, e = map(gen, NAMES)
 # eliminating b from a*b*a^-1 leaves a^-1*a before reduction
 @example(Presentation.from_words(NAMES[:3], (a * b * a.inv(), a.inv() * b.inv() * c * c)))
 # The next three fail for a pass that renames through a union-find in rounds
-# instead of replaying the engine's steps.  The cyclic reduction of the first
+# instead of replaying the engine's steps, as _identify_short_generators
+# does, so it stays out of tietze_simplify.  The cyclic reduction of the first
 # relator is b, so the engine drops the second at entry as its duplicate and
 # keeps <a, b | b^-1*a^-1*b*a*b = 1>; the rounds give <a | >.
 @example(Presentation.from_words(NAMES[:2], (b.inv() * a.inv() * b * a * b, b)))
@@ -120,26 +143,26 @@ a, b, c, d, e = map(gen, NAMES)
 @example(Presentation(tuple("abcd"), (
     (-2, -3, -3, -1, -1, -1, -2, -2), (-2, -3, 1, 2, 1), (-2, -1, 3), (1, -2), (-3,),
     (1, 2, 1, -2, -3), (2, -1, -1, 3, -2), (), (2, -1, -3, -1, -2), (-1, -3, 2))))
-# The next two are the seams of the engine's rename phase.  Renaming c to
-# a^-1 makes the second relator a rotation of the first, which is dropped
-# when the longer relators are bucketed: <a | >.
+# The next two were the seams of the engine's former rename phase.  Renaming
+# c to a^-1 makes the second relator a rotation of the first, which is
+# dropped when the longer relators are bucketed: <a | >.
 @example(Presentation(tuple("abc"), ((-2, -1, -1), (3, -1, -2), (3, 1))))
-# The step by a*b^-2 leaves d*b, whose step comes after the rename phase:
+# The step by a*b^-2 leaves d*b, whose step came after the rename phase:
 # <b, c | >.
 @example(Presentation(tuple("abcd"), ((1, -2, -2), (4, -2, 1))))
 # A class of renamed generators is renamed down a chain while its long
 # holders wait, which the five-name strategy seldom draws: w1, w2, w3 become
-# x3, then x3 becomes x2, renaming each w_i*z*w_i*z*w_i in place, and x2
+# x3, then x3 becomes x2, rewriting each w_i*z*w_i*z*w_i, and x2
 # becomes x1, which they then hold.  <z, x1 | x1*z*x1*z*x1 = 1>.
 @example(Presentation(("z", "x1", "x2", "x3", "w1", "w2", "w3"), (
     (5, -4), (6, -4), (7, -4), (4, -3), (3, -2), (5, 1, 5, 1, 5), (6, 1, 6, 1, 6),
     (7, 1, 7, 1, 7))))
-# The next three sit at the boundary of the rename phase.  The square a*a
+# The next three sat at the boundary of the rename phase.  The square a*a
 # heads the queue but no generator occurs once in it, so it is no step: c
 # becomes b, and <a | a^2 = 1> is left, not <1>.
 @example(Presentation.from_words(NAMES[:3], (a * a, b * c.inv(), c * a * c.inv() * b)))
-# c*b*c^-1 is queued in the phase (its cyclic reduction is b) but is 3
-# letters long, so the phase ends before it and the step is by a*b*a, which
+# c*b*c^-1 was queued in the phase (its cyclic reduction is b) but is 3
+# letters long, so the phase ended before it and the step is by a*b*a, which
 # comes first: b = a^-2, leaving <a, c | c*a^-2*c^-1 = 1>, not <a, c | a^2 = 1>.
 @example(Presentation.from_words(NAMES[:3], (a * b * a, c * b * c.inv())))
 # b, the later generator, is inverted in a*b^-1, so b becomes a (not a^-1):
@@ -147,6 +170,24 @@ a, b, c, d, e = map(gen, NAMES)
 @example(Presentation.from_words(NAMES[:2], (a * b.inv(), a * b)))
 def test_equal_on_generated_presentations(p):
     assert tietze_simplify(p) == reference.tietze_simplify(p)
+
+
+def _cyclic_reduction(r):
+    i, j = 0, len(r)
+    while j - i >= 2 and r[i] == -r[j - 1]:
+        i += 1
+        j -= 1
+    return r[i:j]
+
+
+@TIER1
+@given(presentations())
+def test_identify_short_generators_keeps_the_abelianization(p):
+    q = _identify_short_generators(p)
+    assert abelianization(q) == abelianization(p)
+    assert set(q.generators) <= set(p.generators)
+    for r in map(_cyclic_reduction, q.relators):
+        assert len(r) > 2 or len(r) == 2 and r[0] == r[1], r
 
 
 def test_equal_on_letters_past_the_surrogates_and_the_basic_plane():
