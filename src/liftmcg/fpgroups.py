@@ -420,7 +420,10 @@ def reidemeister_schreier_full(p: Presentation, psi: Mapping[str, Perm],
     each rep(d)^-1 through an itemgetter built once.  An edge c --g--> d that
     reaches a new coset is a tree edge and gives d its representative
     rep(c) psi(g); every other edge gives the Schreier generator x{c}_{g},
-    with image rep(c) psi(g) rep(d)^-1.
+    with image rep(c) psi(g) rep(d)^-1.  Each edge is written both ways when
+    it is found, into one table: per coset, per signed letter, the coset
+    reached and the Schreier letter read (0 on a tree edge), which the
+    rewrites and the psi(u)-orbits below walk.
 
     The relators are the nonempty rewrites, one per cyclic class, relator by
     relator and coset by coset in order.  An input relator equal to an
@@ -450,33 +453,26 @@ def reidemeister_schreier_full(p: Presentation, psi: Mapping[str, Perm],
     # per coset d, the map p -> p * rep(d)^-1
     reps, times_rep_inv = [identity], [_right_multiplier(identity)]
     index_of = {coset_key(identity): 0}
-    table: list[list[int]] = []
-    inv_table = [[0] * ngens]
-    # coset -> per generator, the Schreier generator's letters (s, -s), one
-    # shared int each, or None on a tree edge
-    sch_letters: list[list[tuple[int, int] | None]] = []
+    # coset c -> per signed letter x, (c*x, its Schreier letter or 0): one
+    # shared int per signed Schreier letter; -x reads from the end of the row
+    edges: list[list[tuple[int, int]]] = [[(0, 0)] * (2 * ngens + 1)]
     gen_images: dict[str, Perm] = {}         # in discovery order: the output generators
     for c, rep in enumerate(reps):           # reps grows while it is walked
-        row: list[int] = []
-        letters_of: list[tuple[int, int] | None] = []
-        for gi, times_g in enumerate(times):
+        for x, times_g in enumerate(times, 1):
             img = times_g(rep)
             key = coset_key(img)
             d = index_of.get(key)
+            s = 0
             if d is None:
                 d = index_of[key] = len(reps)
                 reps.append(img)
                 times_rep_inv.append(_right_multiplier(inverse(img)))
-                inv_table.append([0] * ngens)
-                letters_of.append(None)
+                edges.append([(0, 0)] * (2 * ngens + 1))
             else:
-                gen_images[f"x{c}_{p.generators[gi]}"] = times_rep_inv[d](img)
+                gen_images[f"x{c}_{p.generators[x - 1]}"] = times_rep_inv[d](img)
                 s = len(gen_images)
-                letters_of.append((s, -s))
-            row.append(d)
-            inv_table[d][gi] = c
-        table.append(row)
-        sch_letters.append(letters_of)
+            edges[c][x] = d, s
+            edges[d][-x] = c, -s
     if len(reps) != index:
         raise InternalInvariantError(
             f"coset index {len(reps)} times |H| = {subgroup.order} is not {degree}!")
@@ -505,8 +501,7 @@ def reidemeister_schreier_full(p: Presentation, psi: Mapping[str, Perm],
             # c -> c*u, and the least coset of each psi(u)-orbit
             step = list(range(index))
             for x in r[:period]:
-                step = ([table[d][x - 1] for d in step] if x > 0
-                        else [inv_table[d][-x - 1] for d in step])
+                step = [edges[d][x][0] for d in step]
             starts, orbit_of = [], [-1] * index
             for c in range(index):
                 if orbit_of[c] < 0:
@@ -524,16 +519,9 @@ def reidemeister_schreier_full(p: Presentation, psi: Mapping[str, Perm],
             cur = c
             letters: list[int] = []
             for x in r:
-                if x > 0:
-                    s = sch_letters[cur][x - 1]
-                    cur = table[cur][x - 1]
-                    if s is not None:
-                        letters.append(s[0])
-                else:
-                    cur = inv_table[cur][-x - 1]
-                    s = sch_letters[cur][-x - 1]
-                    if s is not None:
-                        letters.append(s[1])
+                cur, s = edges[cur][x]
+                if s:
+                    letters.append(s)
             if cur != c:
                 raise InternalInvariantError("relator does not stabilize its coset")
             if letters:

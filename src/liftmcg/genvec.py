@@ -214,9 +214,10 @@ class VectorStabilizer:
     labels agree.  The generators are the adjacent transpositions inside each
     block of equal entries followed by the unit permutations other than 1.
 
-    Equality and hashing are those of the set of sigma, so stabilizers of
-    different vectors compare equal when they are the same subgroup of
-    Sym(k).
+    Equality is that of the set of sigma, so stabilizers of different
+    vectors compare equal when they are the same subgroup of Sym(k): the
+    generators generate the set, so other's generators lying in self with
+    |other| = |self| means other = self.  The hash is (degree, order).
     """
 
     vector: GeneratingVector
@@ -250,41 +251,14 @@ class VectorStabilizer:
     def coset_key(self, g: Perm) -> tuple[int, ...]:
         return min(tuple(map(s.__getitem__, g)) for s in self._scaled)
 
-    @cached_property
-    def _subset(self) -> tuple:
-        """Canonical form of the set: its blocks and its block maps.
-
-        The blocks are the classes of i ~ j for the transpositions (i j) in
-        the set: blocks of equal entries, with singletons {i} and {j} joined
-        when a unit moves only entries i and j.  The set holds every
-        permutation inside the blocks and maps blocks onto blocks, so it is
-        the sigma whose block map B -> sigma(B) is that of some unit's
-        permutation.  Both parts are read off the set alone.
-        """
-        n, c, k = self.vector.n, self.vector.c, self.degree
-        label = list(c)
-        for u in self.units:
-            moved = [i for i in range(k) if u * c[i] % n != c[i]]
-            if len(moved) == 2:
-                old, new = label[moved[1]], label[moved[0]]
-                label = [new if x == old else x for x in label]
-        members: dict[int, list[int]] = {}
-        for i, x in enumerate(label):
-            members.setdefault(x, []).append(i)
-        blocks = tuple(tuple(b) for b in members.values())
-        block_of = {i: b for b, block in enumerate(blocks) for i in block}
-        first = {x: i for i, x in reversed(list(enumerate(c)))}
-        maps = {tuple(block_of[first[u * c[b[0]] % n]] for b in blocks)
-                for u in self.units}
-        return blocks, tuple(sorted(maps))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, VectorStabilizer):
             return NotImplemented
-        return self._subset == other._subset
+        return (self.degree == other.degree and self.order == other.order
+                and all(g in self for g in other.generators))
 
     def __hash__(self) -> int:
-        return hash(self._subset)
+        return hash((self.degree, self.order))
 
 
 @dataclass(frozen=True)

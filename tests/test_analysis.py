@@ -361,12 +361,16 @@ def test_report_mappings_are_read_only():
 # checks them against every rewrite at every coset
 GENUS_2_TO_4_RAW_RS_SHA256 = (
     "40eff6415a02a1a87c893d8cf0534bd7490ee9670de62056cd2562110df11a19")
+# the same digest over genus 5-8, past the reach of the differential
+GENUS_5_TO_8_RAW_RS_SHA256 = (
+    "8746e98095307c9a67232f77456cd1f55101615366c025d4afe86cd5ec336d2d")
 
 
-def test_raw_reidemeister_schreier_pinned_genus_2_to_4():
+def _raw_rs_digest(genera) -> tuple[int, str]:
+    """(subgroup count, sha256) of the raw RS output described above."""
     digest = hashlib.sha256()
     count = 0
-    for genus in (2, 3, 4):
+    for genus in genera:
         for ds in enumerate_spherical(genus):
             v = generating_vector(ds)
             stab = liftable_images(v)
@@ -379,8 +383,15 @@ def test_raw_reidemeister_schreier_pinned_genus_2_to_4():
                 line = json.dumps([presentation_json(raw), info.index, images])
                 digest.update((line + "\n").encode())
                 count += 1
-    assert count == 58
-    assert digest.hexdigest() == GENUS_2_TO_4_RAW_RS_SHA256
+    return count, digest.hexdigest()
+
+
+def test_raw_reidemeister_schreier_pinned_genus_2_to_4():
+    assert _raw_rs_digest((2, 3, 4)) == (58, GENUS_2_TO_4_RAW_RS_SHA256)
+
+
+def test_raw_reidemeister_schreier_pinned_genus_5_to_8():
+    assert _raw_rs_digest((5, 6, 7, 8)) == (228, GENUS_5_TO_8_RAW_RS_SHA256)
 
 
 # ---------------------------------------------------------------------------

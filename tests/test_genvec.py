@@ -326,6 +326,16 @@ def test_stabilizer_equality_is_set_equality_genus_2_to_6():
     assert len({a for a, _ in subgroups}) == len({(a.degree, e) for a, e in subgroups})
 
 
+def test_stabilizer_is_unequal_to_other_types():
+    h1 = liftable_images(vec(3, 1, 1, 2, 2)).h1
+    same_elements = closure(h1.generators, h1.degree)
+    assert h1.order == same_elements.order == 8
+    assert all(p in h1 for p in same_elements.elements)
+    assert h1 != object()
+    assert not h1 == same_elements
+    assert not same_elements == h1
+
+
 def test_liftable_images_refuses_past_the_branch_point_bound():
     with pytest.raises(CapacityError, match="63 branch points"):
         liftable_images(vec(3, *([1] * 63)))
