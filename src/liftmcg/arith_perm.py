@@ -83,14 +83,16 @@ def transposition(i: int, j: int, degree: int) -> Perm:
 
 
 def perm_from_cycles(cycles: list[tuple[int, ...]], degree: int) -> Perm:
-    """Build a permutation from 1-based cycles."""
+    """Build a permutation from disjoint 1-based cycles."""
     out = list(range(degree))
+    seen = set()
     for cyc in cycles:
-        if len(set(cyc)) != len(cyc):
-            raise ValueError(f"repeated point in cycle {cyc}")
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             if not 1 <= a <= degree:
                 raise ValueError(f"point {a} out of range 1..{degree}")
+            if a in seen:
+                raise ValueError(f"point {a} appears twice in the cycles {cycles}")
+            seen.add(a)
             out[a - 1] = b - 1
     return tuple(out)
 

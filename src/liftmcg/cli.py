@@ -84,32 +84,10 @@ def build_parser() -> argparse.ArgumentParser:
                "or out-of-scope input (reason on stdout), 3 analysis refused "
                "by a capacity guard.")
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("validate", parents=[common],
-                       help="check the data-set conditions")
-    p.add_argument("dataset")
-
-    p = sub.add_parser("enumerate", parents=[common],
-                       help="all spherical classes of a given genus, canonical forms")
-    p.add_argument("genus", type=_genus)
-
-    p = sub.add_parser("analyze", parents=[common],
-                       help="full analysis of one data set")
-    p.add_argument("dataset")
-
-    p = sub.add_parser("present", parents=[common],
-                       help="normalizer and centralizer presentations")
-    p.add_argument("dataset")
-
-    p = sub.add_parser("classify", parents=[common],
-                       help="isomorphism types for 3-branch-point data sets")
-    p.add_argument("dataset")
-
-    sub.add_parser("table1", parents=[common],
-                   help="the genus-3 classification table")
-
-    sub.add_parser("verify", parents=[common],
-                   help="check every relator of the order-6 class's N(F) and C(F) in homology")
+    for verb, (_, help_text, positional) in _VERBS.items():
+        p = sub.add_parser(verb, parents=[common], help=help_text)
+        if positional:
+            p.add_argument(positional, type=_genus if positional == "genus" else None)
     return parser
 
 
@@ -206,14 +184,17 @@ def _cmd_verify(args) -> tuple[str, int]:
     return render_verification(ver), code
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "enumerate": _cmd_enumerate,
-    "analyze": _cmd_analyze,
-    "present": _cmd_present,
-    "classify": _cmd_classify,
-    "table1": _cmd_table1,
-    "verify": _cmd_verify,
+# verb -> (command, help text, positional argument or None), in --help order
+_VERBS = {
+    "validate": (_cmd_validate, "check the data-set conditions", "dataset"),
+    "enumerate": (_cmd_enumerate, "all spherical classes of a given genus, canonical forms",
+                  "genus"),
+    "analyze": (_cmd_analyze, "full analysis of one data set", "dataset"),
+    "present": (_cmd_present, "normalizer and centralizer presentations", "dataset"),
+    "classify": (_cmd_classify, "isomorphism types for 3-branch-point data sets", "dataset"),
+    "table1": (_cmd_table1, "the genus-3 classification table", None),
+    "verify": (_cmd_verify, "check every relator of the order-6 class's N(F) and C(F) "
+               "in homology", None),
 }
 
 
@@ -223,7 +204,7 @@ _parser = cache(build_parser)
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        text, code = _COMMANDS[args.verb](args)
+        text, code = _VERBS[args.verb][0](args)
     except (UsageError, DataSetParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

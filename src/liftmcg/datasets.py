@@ -409,9 +409,11 @@ def parse_dataset(text: str) -> DataSet:
         reps = 1
         if sc.peek() == "_":
             sc.expect("_")
+            sc.skip_ws()
+            start = sc.pos
             reps = sc.integer()
             if reps < 1:
-                sc.error("repetition count must be >= 1")
+                sc.error("repetition count must be >= 1", start)
         if len(pairs) + reps > MAX_BRANCH_POINTS:
             raise CapacityError(f"{len(pairs) + reps} branch points exceed "
                                 f"the cap of {MAX_BRANCH_POINTS}")

@@ -18,13 +18,14 @@ refused exactly as a fresh build refuses it.
 Reidemeister-Schreier enumerates the cosets itself, in one BFS that
 multiplies by each generator's image through one precomputed itemgetter, and
 needs of a subgroup only its degree, order and coset labels: the analysis
-passes genvec's vector stabilizers, never a stored group.  Its two checks on
-psi, that psi is onto and kills every relator, run once per distinct
-presentation and images.  Tietze simplification is deterministic; one engine
-writes a relator as a str of code points, one per letter, so that
-substitution, search and inversion are str methods, and takes every step by
-one rule.  The analysis first passes Reidemeister-Schreier output through
-_identify_short_generators, a signed union-find on its short relators.
+passes genvec's vector stabilizers, never a stored group.  Its one check of
+psi, that psi is onto and kills every relator, runs before any coset is
+built, once per distinct presentation and images.  Tietze simplification is
+deterministic; one engine writes a relator as a str of code points, one per
+letter, so that substitution, search and inversion are str methods, and
+takes every step by one rule.  The analysis first passes
+Reidemeister-Schreier output through _identify_short_generators, a signed
+union-find on its short relators.
 """
 
 from __future__ import annotations
@@ -371,19 +372,18 @@ def _right_multiplier(g: Perm) -> Callable[[Perm], Perm]:
     return itemgetter(*g) if len(g) > 1 else lambda p: compose(p, g)
 
 
-# The checks on psi, memoized for the life of the process: a pair that passes
-# is not checked again, and one that raises stores nothing, so it raises
-# again on every call.
-
-
 @cache
-def _check_onto(images: tuple[Perm, ...], degree: int) -> None:
+def _check_psi(p: Presentation, images: tuple[Perm, ...], degree: int) -> None:
+    """What Reidemeister-Schreier needs of psi: its images have the degree,
+    include every adjacent transposition of Sym(degree), so psi is onto, and
+    kill every relator of p; otherwise ValueError, checked in that order.
+    Memoized for the life of the process: a triple that passes is not
+    checked again, and one that raises stores nothing, so it raises again
+    on every call."""
+    if any(len(x) != degree for x in images):
+        raise ValueError(f"psi's images must have degree {degree}")
     if not {transposition(i, i + 1, degree) for i in range(1, degree)} <= set(images):
         raise ValueError("psi's images must include every adjacent transposition")
-
-
-@cache
-def _check_kills(p: Presentation, images: tuple[Perm, ...], degree: int) -> None:
     identity = identity_perm(degree)
     for r in p.relators:
         if evaluate_perm(r, images, degree) != identity:
@@ -406,14 +406,13 @@ def reidemeister_schreier_full(p: Presentation, psi: Mapping[str, Perm],
 
     psi's images must have the subgroup's degree, include every adjacent
     transposition of Sym(k), so psi is onto and the subgroup lies in its
-    image, and kill every relator of p; otherwise ValueError.  The last two
-    checks run once per distinct p and images and are remembered for the
-    life of the process; a pair that fails is refused on every call.  The
-    subgroup needs only ``degree``, ``order`` and ``coset_key(g)``, a label
-    equal for g and g' exactly when H*g = H*g', so any object with these
-    three serves (the analysis passes a genvec.VectorStabilizer).  The run
-    is refused before any coset is built when the predicted index k!/|H|
-    times the generator count exceeds MAX_MATERIALIZED.
+    image, and kill every relator of p; otherwise ValueError (_check_psi).
+    The subgroup needs only ``degree``, ``order`` and ``coset_key(g)``, a
+    label equal for g and g' exactly when H*g = H*g', so any object with
+    these three serves (the analysis passes a genvec.VectorStabilizer).
+    After psi's check, and still before any coset is built, the run is
+    refused when the predicted index k!/|H| times the generator count
+    exceeds MAX_MATERIALIZED.
 
     One BFS numbers the right cosets, coset 0 being H, taking cosets in
     discovery order and generators in order; it multiplies by psi(g) and by
@@ -437,9 +436,7 @@ def reidemeister_schreier_full(p: Presentation, psi: Mapping[str, Perm],
     """
     degree = subgroup.degree
     images = tuple(psi[g] for g in p.generators)
-    if any(len(x) != degree for x in images):
-        raise ValueError(f"psi's images must have degree {degree}")
-    _check_onto(images, degree)
+    _check_psi(p, images, degree)
     ngens = len(images)
     index = factorial(degree) // subgroup.order
     if index * ngens > MAX_MATERIALIZED:
@@ -477,7 +474,6 @@ def reidemeister_schreier_full(p: Presentation, psi: Mapping[str, Perm],
         raise InternalInvariantError(
             f"coset index {len(reps)} times |H| = {subgroup.order} is not {degree}!")
 
-    _check_kills(p, images, degree)
     code = _letter_codes(ngens)
     relators: list[Relator] = []
     # length -> the earlier relators of that length, each written twice,

@@ -368,9 +368,10 @@ def mod_equals_lmod(v: GeneratingVector) -> bool:
 # group descriptors and the 3-branch-point classification
 
 
-# the fields each descriptor kind uses; the others are None
-_DESCRIPTOR_FIELDS = {"trivial": (), "cyclic": ("n",), "direct_product": ("n", "m"),
-                      "semidirect": ("n", "m", "twist")}
+# kind -> (the fields it uses, the others being None; its text format)
+_DESCRIPTORS = {"trivial": ((), "1"), "cyclic": (("n",), "Z{n}"),
+                "direct_product": (("n", "m"), "Z{n} x Z{m}"),
+                "semidirect": (("n", "m", "twist"), "Z{n} x|_{twist} Z{m}")}
 
 
 @dataclass(frozen=True)
@@ -385,9 +386,9 @@ class GroupDescriptor:
     twist: int | None = None
 
     def __post_init__(self):
-        used = _DESCRIPTOR_FIELDS.get(self.kind)
-        if used is None:
+        if self.kind not in _DESCRIPTORS:
             raise ValueError(f"unknown descriptor kind {self.kind!r}")
+        used = _DESCRIPTORS[self.kind][0]
         for name in ("n", "m", "twist"):
             value = getattr(self, name)
             if not ((type(value) is int and value >= 1) if name in used else value is None):
@@ -398,13 +399,7 @@ class GroupDescriptor:
                 f"semidirect twist must satisfy twist^{self.m} = 1 != twist mod {self.n}")
 
     def render(self) -> str:
-        if self.kind == "trivial":
-            return "1"
-        if self.kind == "cyclic":
-            return f"Z{self.n}"
-        if self.kind == "direct_product":
-            return f"Z{self.n} x Z{self.m}"
-        return f"Z{self.n} x|_{self.twist} Z{self.m}"
+        return _DESCRIPTORS[self.kind][1].format(n=self.n, m=self.m, twist=self.twist)
 
 
 def trivial_group() -> GroupDescriptor:

@@ -64,6 +64,17 @@ def test_compose_applies_right_factor_first():
     assert compose(p, q) == perm_from_cycles([(1, 2, 3)], 3)
 
 
+def test_perm_from_cycles_refuses_shared_and_out_of_range_points():
+    assert perm_from_cycles([(1, 2), (3, 4)], 4) == (1, 0, 3, 2)
+    assert perm_from_cycles([], 3) == identity_perm(3)
+    for cycles, message in (([(1, 2), (2, 3)], "point 2 appears twice"),
+                            ([(1, 2, 1)], "point 1 appears twice"),
+                            ([(1, 4)], r"point 4 out of range 1\.\.3"),
+                            ([(0, 1)], r"point 0 out of range 1\.\.3")):
+        with pytest.raises(ValueError, match=message):
+            perm_from_cycles(cycles, 3)
+
+
 def test_inverse():
     rng = random.Random(7)
     for _ in range(50):

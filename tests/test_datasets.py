@@ -320,6 +320,8 @@ def test_doubled_family():
         doubled(dataset(7, 0, ((2, 7), (2, 7), (3, 7))))  # no (1,7) entry
     with pytest.raises(ValueError):
         doubled(hyperelliptic(2))  # not a 3-pair base
+    with pytest.raises(ValueError, match="base violates cond_i, cond_ii, cond_iii"):
+        doubled(parse_dataset("(6,0;(1,4),(1,6),(1,6))"))  # 4 does not divide 6
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +352,9 @@ def test_parse_errors_carry_position():
     with pytest.raises(DataSetParseError) as err:
         parse_dataset("(4,0;(1,2),(1,4)")
     assert err.value.line == 1 and err.value.col == 17
+    with pytest.raises(DataSetParseError, match="must be >= 1") as err:
+        parse_dataset("(2,0;(1,2)_0)")
+    assert err.value.line == 1 and err.value.col == 12
     with pytest.raises(DataSetParseError):
         parse_dataset("(4;0)")
     with pytest.raises(DataSetParseError):

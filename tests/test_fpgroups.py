@@ -17,6 +17,7 @@ from liftmcg.fpgroups import (
     EMPTY,
     LiftData,
     Presentation,
+    SymbolicRelator,
     Word,
     abelianization,
     commutator,
@@ -33,7 +34,7 @@ from liftmcg.fpgroups import (
     tietze_simplify,
     word,
 )
-from liftmcg.genvec import generating_vector, liftable_images
+from liftmcg.genvec import generating_vector, half_twist_word, liftable_images
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +89,8 @@ def test_presentation_validates_letters():
     # a symbolic relator is a SymbolicRelator, not its lhs alone
     with pytest.raises(TypeError, match="SymbolicRelator"):
         Presentation(("a",), (), ((1,),))
+    with pytest.raises(ValueError, match="symbolic base 2 is not a generator number"):
+        Presentation(("a",), (), (SymbolicRelator((1,), 2, "e1"),))
     # generator names are nonempty strs
     for names in ((1,), ("a", None), (("a",),)):
         with pytest.raises(TypeError):
@@ -130,6 +133,8 @@ def test_mod_sphere_counts():
     assert abelianization(p) == ((6,), 0)
     with pytest.raises(ValueError):
         mod_sphere_presentation(2)
+    with pytest.raises(ValueError, match="need k >= 3 marked points, got 2"):
+        pmod_sphere_presentation(2)
 
 
 def test_sphere_data_built_once_per_degree():
@@ -188,6 +193,20 @@ def test_rs_refuses_bad_psi_after_a_cached_good_call():
     assert reidemeister_schreier_full(copy, dict(psi), klein) == good
 
 
+def test_rs_checks_psi_before_the_capacity_guard():
+    # psi is checked before the table size is predicted: at index 10! a good
+    # psi meets the cap, and one that fails to kill a relator is refused for
+    # that instead
+    p, psi = mod_sphere_presentation(10), psi_images(10)
+    trivial = closure([], 10)
+    with pytest.raises(CapacityError):
+        reidemeister_schreier_full(p, psi, trivial)
+    swapped = {**psi, "s1": psi["s2"], "s2": psi["s1"]}
+    with pytest.raises(ValueError, match=r"does not kill the relator s1\*s3\*s1\^-1") as err:
+        reidemeister_schreier_full(p, swapped, trivial)
+    assert not isinstance(err.value, CapacityError)
+
+
 def test_sphere_data_and_psi_checks_under_concurrent_workers():
     # a failing pair must never be remembered as checked, and every thread
     # must get the data a fresh build gives
@@ -214,8 +233,7 @@ def test_sphere_data_and_psi_checks_under_concurrent_workers():
                     reidemeister_schreier_full(p, shuffled, klein)
         return True
 
-    fpgroups._check_onto.cache_clear()
-    fpgroups._check_kills.cache_clear()
+    fpgroups._check_psi.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -224,7 +242,7 @@ def test_sphere_data_and_psi_checks_under_concurrent_workers():
             assert all(f.result(timeout=120) for f in futures)
     finally:
         sys.setswitchinterval(interval)
-    assert fpgroups._check_kills.cache_info().currsize == 1
+    assert fpgroups._check_psi.cache_info().currsize == 1
 
 
 def test_mod_sphere_k3_index_of_trivial_subgroup():
@@ -285,6 +303,10 @@ def test_pure_generators_as_half_twist_words():
                 assert psi_image(w, k) == identity_perm(k)
     # a_{i,i+1} is the square of the adjacent half-twist
     assert a_in_sigmas(1, 2) == gen("s1") ** 2
+    # the half-twist swapping i < j maps onto (i j)
+    assert psi_image(half_twist_word(2, 4), 5) == transposition(2, 4, 5)
+    with pytest.raises(ValueError, match=r"need 1 <= i < j, got \(2, 2\)"):
+        half_twist_word(2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -613,6 +635,10 @@ def test_extension_symbolic_and_errors():
         abelianization(out)
     with pytest.raises(ValueError):
         tietze_simplify(out)
+    with pytest.raises(ValueError, match="nested symbolic relators"):
+        extension_presentation(out, q, data)
+    with pytest.raises(ValueError, match=r"missing lifts for quotient generators \['x'\]"):
+        extension_presentation(kernel, q, LiftData({}, {("x", "F"): gen("F")}, {0: EMPTY}))
     with pytest.raises(ValueError):
         extension_presentation(kernel, q, LiftData({"x": "G"}, {}, {0: EMPTY}))
     with pytest.raises(ValueError):

@@ -73,6 +73,10 @@ def test_generating_vector_rejects():
         GeneratingVector(6, (2, 3))  # sum != 0
     with pytest.raises(ValueError):
         GeneratingVector(6, (0, 6))
+    with pytest.raises(ValueError, match="modulus must be >= 2, got 1"):
+        GeneratingVector(1, (1,))
+    with pytest.raises(ValueError, match="need at least one entry"):
+        GeneratingVector(3, ())
     # entries in 2Z/20: the unit 11 fixes each of them, so the units would
     # overcount H1 (|H1| = 1, two stabilizing units)
     with pytest.raises(ValueError, match="must generate the residues mod 20"):
@@ -260,6 +264,9 @@ def test_matching_perm_is_greedy_and_unit_recoverable():
     assert matching_perm(1, v) == identity_perm(4)
     sigma = matching_perm(2, v)
     assert unit_for_perm(v, sigma, tuple(stabilizing_units(v))) == 2
+    # (1 2) takes c = (1, 2, 1, 2) to no unit multiple of it
+    with pytest.raises(ValueError, match="not in the liftable image"):
+        unit_for_perm(v, transposition(1, 2, 4), tuple(stabilizing_units(v)))
     with pytest.raises(ValueError):
         matching_perm(2, vec(7, 1, 1, 5))  # 2 does not stabilize
 
