@@ -7,15 +7,16 @@ grammar is ``(n,g0;(d,m),...)`` with an optional ``(d,m)_r`` repetition
 suffix, and negative d is accepted and reduced on parse.
 
 The conditions and the enumeration use exact integer arithmetic, over the
-common denominator of the branch orders; enumeration canonicalizes each orbit
-of the units mod n once.
+common denominator of the branch orders.  Enumeration is orderly (McKay,
+1998): only sorted keys with first exponent 1 are built, the last exponent is
+solved from the closing sum, and each new orbit is expanded only over the
+units that send a first-block exponent to 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations_with_replacement, product
 from math import gcd, lcm
 
 from .arith_perm import (
@@ -112,8 +113,7 @@ def validate(ds: DataSet) -> ValidationReport:
 
     orders = [m for _, m in pairs]
     r, full = riemann_hurwitz(n, g0, orders)
-    if any(reduce(lcm, orders[:i] + orders[i + 1:], 1) != full
-           for i in range(len(orders))):
+    if not _lcm_survives_a_drop(orders, full):
         violations.append(COND_II)
 
     if g0 == 0 and full != n:
@@ -140,6 +140,13 @@ def riemann_hurwitz(n: int, g0: int, orders) -> tuple[int, int]:
     lcm of the branch orders (Riemann-Hurwitz over a common denominator)."""
     full = reduce(lcm, orders, 1)
     return 2 * full + n * ((2 * g0 - 2) * full + sum((m - 1) * (full // m) for m in orders)), full
+
+
+def _lcm_survives_a_drop(orders: list[int], full: int) -> bool:
+    """Whether the orders less any one still have lcm full; dropping a
+    repeated order changes nothing, so only the singletons are tried."""
+    distinct = set(orders)
+    return all(reduce(lcm, distinct - {m}, 1) == full for m in distinct if orders.count(m) == 1)
 
 
 def require_valid(ds: DataSet) -> ValidationReport:
@@ -194,34 +201,28 @@ def canonical_form(ds: DataSet) -> DataSet:
 # enumeration
 
 
-def _divisor_signatures(n: int, total: int) -> list[tuple[int, ...]]:
-    """Non-decreasing multisets of divisors (>= 2) of n with sum(n - n/m) = total."""
+def _signatures(n: int, total: int) -> list[tuple[int, ...]]:
+    """Non-decreasing multisets of divisors (>= 2) of n with sum(n - n/m) = total
+    whose lcm is n with any one entry dropped (conditions (ii) and (iii))."""
     divisors = [m for m in range(2, n + 1) if n % m == 0]
     terms = [n - n // m for m in divisors]  # increasing with m
     out: list[tuple[int, ...]] = []
 
     def rec(start: int, remaining: int, acc: list[int]) -> None:
-        if remaining == 0:
-            if acc:
-                out.append(tuple(acc))
-            return
         for idx in range(start, len(divisors)):
-            if terms[idx] > remaining:
+            rest = remaining - terms[idx]
+            if rest < 0:
                 break
             acc.append(divisors[idx])
-            rec(idx, remaining - terms[idx], acc)
+            if rest == 0:
+                if reduce(lcm, acc) == n and _lcm_survives_a_drop(acc, n):
+                    out.append(tuple(acc))
+            elif rest >= terms[idx]:  # else no later entry fits
+                rec(idx, rest, acc)
             acc.pop()
 
     rec(0, total, [])
     return out
-
-
-def _signature_admissible(n: int, sig: tuple[int, ...]) -> bool:
-    full = reduce(lcm, sig, 1)
-    if full != n:
-        return False
-    return all(reduce(lcm, sig[:i] + sig[i + 1:], 1) == full
-               for i in range(len(sig)))
 
 
 def _spherical_for_degree(genus: int, n: int) -> list[DataSet]:
@@ -229,30 +230,30 @@ def _spherical_for_degree(genus: int, n: int) -> list[DataSet]:
     # sorted (m, d) keys of every unit orbit met so far, and each one's least
     seen: set[tuple[tuple[int, int], ...]] = set()
     found: list[tuple[tuple[int, int], ...]] = []
+    # the (m, d) key entries of each branch order m
+    entries = {m: [(m, d) for d in units_mod(m)] for m in range(2, n + 1) if n % m == 0}
     # Riemann-Hurwitz with g0 = 0, times n: sum(n - n/m) = 2g - 2 + 2n
-    for sig in _divisor_signatures(n, 2 * genus - 2 + 2 * n):
-        if not _signature_admissible(n, sig):
-            continue
-        # per distinct order m: each non-decreasing choice of its exponents
-        # with its share (n/m)*sum(d) mod n of the closing sum
-        blocks = []
-        for m in sorted(set(sig)):
-            weight = n // m
-            exponents = [d for d in range(1, m) if gcd(d, m) == 1]
-            blocks.append([
-                (tuple((m, d) for d in combo), weight * sum(combo) % n)
-                for combo in combinations_with_replacement(exponents, sig.count(m))
-            ])
-        for choice in product(*blocks):
-            if sum(residue for _, residue in choice) % n:
+    for sig in _signatures(n, 2 * genus - 2 + 2 * n):
+        # the sorted keys of sig starting (m_min, 1), each with its (n/m)*d sum
+        m_min, m_last = sig[0], sig[-1]
+        prefixes = [(((m_min, 1),), n // m_min)]
+        for m in sig[1:-1]:
+            prefixes = [(key + (md,), r + n // m * md[1])
+                        for key, r in prefixes for md in entries[m] if md >= key[-1]]
+        # the prefix's share of the closing sum mod n -> the last exponent
+        closing = {n - n // m_last * d: d for _, d in entries[m_last]}
+        for key, r in prefixes:
+            d = closing.get(r % n)
+            if d is None or key[-1] > (m_last, d):
                 continue
-            key = tuple(md for block, _ in choice for md in block)
+            key += ((m_last, d),)
             if key in seen:
                 continue
-            # the closing sum is invariant under units, so every image of key
-            # is admissible too; the lookup above skips the ones still to come
-            pairs = tuple((d, m) for m, d in key)
-            orbit = {_scaled_key(pairs, u) for u in units}
+            # every image of key closes too; the loop meets again only those
+            # starting (m_min, 1), and the lookup above skips them
+            inverses = {pow(e, -1, m_min) for m, e in key if m == m_min}
+            pairs = tuple((e, m) for m, e in key)
+            orbit = {_scaled_key(pairs, u) for u in units if u % m_min in inverses}
             seen |= orbit
             found.append(min(orbit))
     out = []
@@ -269,7 +270,10 @@ def enumerate_spherical(genus: int) -> list[DataSet]:
     """Canonical representatives of all genus-0-quotient classes of the given genus.
 
     Degrees are scanned up to the classical 4g+2 bound; output is sorted by
-    (n, pairs).
+    (n, pairs).  Keys start (m_min, 1), as each unit orbit's least key does;
+    the last exponent is solved from sum (n/m)*d = 0 mod n (Harvey, 1966); each
+    new orbit is expanded over the units that send an order-m_min exponent to
+    1, the only images the loop meets again, and its least image is emitted.
     """
     if type(genus) is not int or not 2 <= genus <= MAX_ENUM_GENUS:
         raise ValueError(f"genus must be an int in [2, {MAX_ENUM_GENUS}], got {genus!r}")
@@ -346,7 +350,7 @@ class DataSetParseError(ValueError):
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
+        self.pos = self.start = 0
 
     def _line_col(self, pos: int) -> tuple[int, int]:
         line = self.text.count("\n", 0, pos) + 1
@@ -373,8 +377,9 @@ class _Scanner:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def integer(self) -> int:
+        """The integer at the cursor; self.start keeps where it begins."""
         self.skip_ws()
-        start = self.pos
+        self.start = start = self.pos
         if self.pos < len(self.text) and self.text[self.pos] == "-":
             self.pos += 1
         while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
@@ -396,8 +401,11 @@ def parse_dataset(text: str) -> DataSet:
     sc = _Scanner(text)
     sc.expect("(")
     n = sc.integer()
+    # (start, refused) of each field that dataset() checks, in its order
+    fields = [(sc.start, n < 2)]
     sc.expect(",")
     g0 = sc.integer()
+    fields.append((sc.start, g0 < 0))
     sc.expect(";")
     pairs: list[Pair] = []
     while sc.peek() != ")":
@@ -405,15 +413,14 @@ def parse_dataset(text: str) -> DataSet:
         d = sc.integer()
         sc.expect(",")
         m = sc.integer()
+        fields.append((sc.start, m < 1))
         sc.expect(")")
         reps = 1
         if sc.peek() == "_":
             sc.expect("_")
-            sc.skip_ws()
-            start = sc.pos
             reps = sc.integer()
             if reps < 1:
-                sc.error("repetition count must be >= 1", start)
+                sc.error("repetition count must be >= 1", sc.start)
         if len(pairs) + reps > MAX_BRANCH_POINTS:
             raise CapacityError(f"{len(pairs) + reps} branch points exceed "
                                 f"the cap of {MAX_BRANCH_POINTS}")
@@ -422,6 +429,7 @@ def parse_dataset(text: str) -> DataSet:
             sc.expect(",")
         elif sc.peek() != ")":
             sc.error("expected ',' or ')'")
+    fields.append((sc.pos, True))  # the closing ')' of an empty pair list
     sc.expect(")")
     sc.skip_ws()
     if sc.pos != len(sc.text):
@@ -429,7 +437,8 @@ def parse_dataset(text: str) -> DataSet:
     try:
         return dataset(n, g0, pairs)
     except ValueError as exc:
-        raise DataSetParseError(str(exc), 1, 1) from None
+        refused = next(pos for pos, bad in fields if bad)
+        raise DataSetParseError(str(exc), *sc._line_col(refused)) from None
 
 
 def render_dataset(ds: DataSet) -> str:

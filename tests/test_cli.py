@@ -41,10 +41,10 @@ def test_parse_error_exit_1(capsys):
     code, out, err = run(capsys, "validate", "(4,0;(1,2),(1,4)")
     assert code == 1
     assert "line 1" in err and "column" in err
-    # parsed, but refused by dataset(): reported at column 1
+    # parsed, but refused by dataset(): reported at the degree's column
     code, out, err = run(capsys, "validate", "(1,0;(1,2))")
     assert code == 1 and out == ""
-    assert "degree must be >= 2, got 1 (line 1, column 1)" in err
+    assert "degree must be >= 2, got 1 (line 1, column 2)" in err
 
 
 def test_overlong_integer_is_a_parse_error(capsys):

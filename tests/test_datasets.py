@@ -180,8 +180,12 @@ def test_canonical_form_and_equivalence_bound_the_modulus():
 
 
 def test_canonical_form_idempotent_and_sound():
-    for ds in enumerate_spherical(2) + enumerate_spherical(3):
-        assert canonical_form(ds) == ds  # enumeration emits canonical forms
+    for ds in (ds for genus in range(2, 17) for ds in enumerate_spherical(genus)):
+        # enumeration emits canonical forms; canonical_form takes the least
+        # over every unit, so it checks the enumeration's restricted orbits
+        assert canonical_form(ds) == ds
+        # the premise of the enumeration's pruning: each starts (1, min order)
+        assert ds.pairs[0] == (1, min(m for _, m in ds.pairs)), ds
         for unit in units_mod(ds.n):
             moved = dataset(ds.n, 0, [((unit * d) % m, m) for d, m in ds.pairs])
             assert canonical_form(moved) == ds
@@ -253,6 +257,26 @@ def test_enumeration_pinned():
             digest.update((render_dataset(ds) + "\n").encode())
     assert counts == ENUMERATION_COUNTS
     assert digest.hexdigest() == ENUMERATION_SHA256
+
+
+# the same for genus 17-30, pinned before orderly generation replaced the
+# filter over every exponent tuple
+ENUMERATION_COUNTS_17_TO_30 = {17: 250, 18: 455, 19: 439, 20: 527, 21: 620, 22: 711,
+                               23: 636, 24: 1261, 25: 1263, 26: 1127, 27: 1528,
+                               28: 1663, 29: 1680, 30: 2927}
+ENUMERATION_SHA256_17_TO_30 = "b6c8c18c42c56711ef158d787120cacb4599196d4f0fd3bb9a00a29859650f8a"
+
+
+def test_enumeration_pinned_genus_17_to_30():
+    digest = hashlib.sha256()
+    counts = {}
+    for genus in range(17, 31):
+        found = enumerate_spherical(genus)
+        counts[genus] = len(found)
+        for ds in found:
+            digest.update((render_dataset(ds) + "\n").encode())
+    assert counts == ENUMERATION_COUNTS_17_TO_30
+    assert digest.hexdigest() == ENUMERATION_SHA256_17_TO_30
 
 
 def test_enumerate_genus2():
@@ -355,6 +379,15 @@ def test_parse_errors_carry_position():
     with pytest.raises(DataSetParseError, match="must be >= 1") as err:
         parse_dataset("(2,0;(1,2)_0)")
     assert err.value.line == 1 and err.value.col == 12
+    # refused by dataset(): reported where the refused field begins
+    for text, col in (("(1,0;(1,2))", 2), ("(4,-1;(1,2),(1,4))", 4),
+                      ("(4,0;(1,2),(1,4),(1,0))", 21), ("(4,0;)", 6)):
+        with pytest.raises(DataSetParseError) as err:
+            parse_dataset(text)
+        assert (err.value.line, err.value.col) == (1, col), text
+    with pytest.raises(DataSetParseError) as err:
+        parse_dataset("(4,0;\n  )")
+    assert (err.value.line, err.value.col) == (2, 3)
     with pytest.raises(DataSetParseError):
         parse_dataset("(4;0)")
     with pytest.raises(DataSetParseError):
