@@ -259,8 +259,8 @@ def test_enumeration_pinned():
     assert digest.hexdigest() == ENUMERATION_SHA256
 
 
-# the same for genus 17-30, pinned before orderly generation replaced the
-# filter over every exponent tuple
+# the same for genus 17-30, computed by filtering every exponent tuple, so
+# that they check the orderly generation independently
 ENUMERATION_COUNTS_17_TO_30 = {17: 250, 18: 455, 19: 439, 20: 527, 21: 620, 22: 711,
                                23: 636, 24: 1261, 25: 1263, 26: 1127, 27: 1528,
                                28: 1663, 29: 1680, 30: 2927}
