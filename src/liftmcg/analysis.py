@@ -10,7 +10,7 @@ from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from math import factorial, gcd
+from math import gcd
 from types import MappingProxyType
 
 from .arith_perm import InternalInvariantError, Perm, identity_perm
@@ -426,11 +426,9 @@ def table_genus3() -> list[TableRow]:
 
 
 def render_table_genus3(rows: list[TableRow]) -> str:
-    header = ("Sr.", "D_F", "N(F)", "C(F)")
-    cells = [header]
-    for row in rows:
-        cells.append((str(row.index), str(row.dataset),
-                      row.normalizer.render(), row.centralizer.render()))
+    cells = [("Sr.", "D_F", "N(F)", "C(F)")]
+    cells += [(str(row.index), str(row.dataset), row.normalizer.render(), row.centralizer.render())
+              for row in rows]
     widths = [max(len(r[c]) for r in cells) for c in range(4)]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip()
              for r in cells]
@@ -477,15 +475,10 @@ def classification_json(cls: IrreducibleClassification | None) -> dict | None:
 
 
 def _presentation_block(p: Presentation, kind: str, index: int) -> dict:
-    block = presentation_json(p)
-    block["kind"] = kind
-    block["index"] = index
-    block["text"] = render_presentation(p)
-    return block
+    return {**presentation_json(p), "kind": kind, "index": index, "text": render_presentation(p)}
 
 
 def report_json(rep: AnalysisReport) -> dict:
-    k = rep.vector.k
     return {
         "schema": SCHEMA_VERSION,
         "dataset": str(rep.dataset),
@@ -495,8 +488,7 @@ def report_json(rep: AnalysisReport) -> dict:
         "lmod_presentation": _presentation_block(
             rep.lmod_presentation, rep.lmod_kind, rep.stab.index_mod_lmod),
         "clmod_presentation": _presentation_block(
-            rep.clmod_presentation, rep.clmod_kind,
-            factorial(k) // rep.stab.h2.order),
+            rep.clmod_presentation, rep.clmod_kind, rep.stab.h2.index),
         "classification": classification_json(rep.classification),
         "flags": dict(rep.flags),
     }

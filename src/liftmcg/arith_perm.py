@@ -137,15 +137,24 @@ def smith_normal_form(rows, ncols: int) -> tuple[tuple[int, ...], int]:
 
     Each row is a {column: value} dict, a relation on ncols unknowns with
     columns 0..ncols-1; the free rank is ncols - rank.  The rows are not
-    modified.
+    modified.  A column, value or ncols that is not an int raises TypeError,
+    a column out of range ValueError; a bool counts as the int 0 or 1.
 
     The reduction works on the sparse rows throughout (Havas-Holt-Rees,
     "Recognizing badly presented Z-modules", 1993): _diagonalize splits the
     matrix into diagonal entries, which pairwise gcd/lcm steps then turn into
     the divisibility chain.
     """
+    if type(ncols) is not int:
+        raise TypeError(f"ncols must be an int, got {ncols!r}")
     live: dict[int, dict[int, int]] = {}
     for i, row in enumerate(rows):
+        try:  # a sum of ints (bools among them) is an int, and only such a sum
+            exact = type(sum(row)) is int and type(sum(row.values())) is int
+        except TypeError:
+            exact = False
+        if not exact:
+            raise TypeError(f"row {i} has a column or value that is not an int")
         entries = {j: v for j, v in row.items() if v}
         if entries:
             if min(entries) < 0 or max(entries) >= ncols:

@@ -6,9 +6,10 @@ Exit codes: 0 success; 1 usage/parse error or an unwritable --out path;
 scope (the library's OutOfScopeError: an invalid data set, g0 != 0,
 genus < 2, or classify with k != 3), with the reason written where the
 output would go (stdout or --out); 3 analysis refused by a capacity guard.
-Exit codes 1 and 3 print one ``error:`` line on stderr.  JSON output is
-byte-stable across runs for identical inputs.  The argument parser is
-built once per process, on the first call.
+Exit codes 1 and 3 print one ``error:`` line on stderr.  ``main`` alone
+chooses between JSON and text: each verb hands it both outputs unbuilt.
+JSON output is byte-stable across runs for identical inputs.  The argument
+parser is built once per process, on the first call.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import argparse
 import json
 import os
 import sys
-from functools import cache
+from functools import cache, partial
 
 from .analysis import (
     analyze,
@@ -99,89 +100,60 @@ def _emit(text: str, out_path: str | None) -> None:
         print(text)
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2)
+# Each verb returns (JSON payload, text, exit code), both outputs deferred:
+# main builds only the one that --format names.
 
 
-def _cmd_validate(args) -> tuple[str, int]:
+def _cmd_validate(args):
     ds = parse_dataset(args.dataset)
     report = validate(ds)
-    if args.format == "json":
-        payload = {
-            "dataset": render_dataset(ds),
-            "valid": report.ok,
-            "genus": report.genus,
-            "violations": list(report.violations),
-            "flags": list(report.flags),
-        }
-        return _json_text(payload), EXIT_OK if report.ok else EXIT_INVALID
-    if report.ok:
-        note = " (outside the genus >= 2 scope)" if report.flags else ""
-        return f"valid, genus {report.genus}{note}", EXIT_OK
-    return ("invalid: " + ", ".join(report.violations)), EXIT_INVALID
+    note = " (outside the genus >= 2 scope)" if report.flags else ""
+    return (lambda: {"dataset": render_dataset(ds), "valid": report.ok, "genus": report.genus,
+                     "violations": list(report.violations), "flags": list(report.flags)},
+            lambda: (f"valid, genus {report.genus}{note}" if report.ok
+                     else "invalid: " + ", ".join(report.violations)),
+            EXIT_OK if report.ok else EXIT_INVALID)
 
 
-def _cmd_enumerate(args) -> tuple[str, int]:
+def _cmd_enumerate(args):
     try:
-        found = enumerate_spherical(args.genus)
+        found = [render_dataset(ds) for ds in enumerate_spherical(args.genus)]
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    if args.format == "json":
-        payload = {
-            "genus": args.genus,
-            "count": len(found),
-            "datasets": [render_dataset(ds) for ds in found],
-        }
-        return _json_text(payload), EXIT_OK
-    lines = [render_dataset(ds) for ds in found]
-    lines.append(f"{len(found)} classes of genus {args.genus}")
-    return "\n".join(lines), EXIT_OK
+    return (lambda: {"genus": args.genus, "count": len(found), "datasets": found},
+            lambda: "\n".join([*found, f"{len(found)} classes of genus {args.genus}"]), EXIT_OK)
 
 
-def _cmd_analyze(args) -> tuple[str, int]:
+def _cmd_analyze(args):
     rep = analyze(parse_dataset(args.dataset))
-    if args.format == "json":
-        return _json_text(report_json(rep)), EXIT_OK
-    return render_report(rep), EXIT_OK
+    return partial(report_json, rep), partial(render_report, rep), EXIT_OK
 
 
-def _cmd_present(args) -> tuple[str, int]:
+def _cmd_present(args):
     ds = parse_dataset(args.dataset)
     norm, cent = normalizer_centralizer(ds)
-    if args.format == "json":
-        payload = {
-            "dataset": render_dataset(ds),
-            "normalizer": normalizer_spec_json(norm),
-            "centralizer": normalizer_spec_json(cent),
-        }
-        return _json_text(payload), EXIT_OK
-    return render_normalizer_specs(norm, cent), EXIT_OK
+    return (lambda: {"dataset": render_dataset(ds), "normalizer": normalizer_spec_json(norm),
+                     "centralizer": normalizer_spec_json(cent)},
+            partial(render_normalizer_specs, norm, cent), EXIT_OK)
 
 
-def _cmd_classify(args) -> tuple[str, int]:
+def _cmd_classify(args):
     ds = parse_dataset(args.dataset)
     cls = classify_irreducible(generating_vector(ds))
-    if args.format == "json":
-        payload = {"dataset": render_dataset(ds)}
-        payload.update(classification_json(cls))
-        return _json_text(payload), EXIT_OK
-    return (f"case ({cls.case}): N(F) = {cls.normalizer.render()}, "
-            f"C(F) = {cls.centralizer.render()}, LMod = {cls.lmod.render()}"), EXIT_OK
+    return (lambda: {"dataset": render_dataset(ds), **classification_json(cls)},
+            lambda: (f"case ({cls.case}): N(F) = {cls.normalizer.render()}, "
+                     f"C(F) = {cls.centralizer.render()}, LMod = {cls.lmod.render()}"), EXIT_OK)
 
 
-def _cmd_table1(args) -> tuple[str, int]:
+def _cmd_table1(args):
     rows = table_genus3()
-    if args.format == "json":
-        return _json_text(table_json(rows)), EXIT_OK
-    return render_table_genus3(rows), EXIT_OK
+    return partial(table_json, rows), partial(render_table_genus3, rows), EXIT_OK
 
 
-def _cmd_verify(args) -> tuple[str, int]:
+def _cmd_verify(args):
     ver = verify_doubled_matrices()
-    code = EXIT_OK if ver.ok else EXIT_INVALID
-    if args.format == "json":
-        return _json_text(verification_json(ver)), code
-    return render_verification(ver), code
+    return (partial(verification_json, ver), partial(render_verification, ver),
+            EXIT_OK if ver.ok else EXIT_INVALID)
 
 
 # verb -> (command, help text, positional argument or None), in --help order
@@ -204,7 +176,8 @@ _parser = cache(build_parser)
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        text, code = _VERBS[args.verb][0](args)
+        payload, render, code = _VERBS[args.verb][0](args)
+        text = json.dumps(payload(), indent=2) if args.format == "json" else render()
     except (UsageError, DataSetParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

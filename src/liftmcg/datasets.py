@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import groupby
 from math import gcd, lcm
 
 from .arith_perm import (
@@ -50,8 +51,9 @@ SCOPE_GENUS = "scope_genus"
 @dataclass(frozen=True, order=True)
 class DataSet:
     """A data set in its normal form: each d reduced into [0, m) and the
-    pairs sorted by (m, d), after the types and ranges are checked.  Every
-    field is an int (a bool is not), else TypeError naming the field."""
+    pairs sorted by (m, d), after the types and ranges are checked.  Each
+    pair has two items, else TypeError naming the pair, and every field is
+    an int (a bool is not), else TypeError naming the field."""
 
     n: int
     g0: int
@@ -65,7 +67,11 @@ class DataSet:
             raise ValueError(f"degree must be >= 2, got {self.n}")
         if self.g0 < 0:
             raise ValueError(f"orbifold genus must be >= 0, got {self.g0}")
-        for d, m in self.pairs:
+        for pair in self.pairs:
+            try:
+                d, m = pair
+            except (TypeError, ValueError):
+                raise TypeError(f"a pair must have two items (d, m), got {pair!r}") from None
             if type(d) is not int or type(m) is not int:
                 name, value = ("d", d) if type(d) is not int else ("m", m)
                 raise TypeError(f"{name} must be an int, got {value!r}")
@@ -149,12 +155,12 @@ def _lcm_survives_a_drop(orders: list[int], full: int) -> bool:
     return all(reduce(lcm, distinct - {m}, 1) == full for m in distinct if orders.count(m) == 1)
 
 
-def require_valid(ds: DataSet) -> ValidationReport:
-    """The validation report; OutOfScopeError naming the failed conditions."""
+def require_valid(ds: DataSet) -> DataSet:
+    """ds itself, once it passes validate; else OutOfScopeError naming the failed conditions."""
     report = validate(ds)
     if not report.ok:
         raise OutOfScopeError("invalid: " + ", ".join(report.violations))
-    return report
+    return ds
 
 
 def require_modulus(n: int) -> None:
@@ -193,8 +199,7 @@ def canonical_form(ds: DataSet) -> DataSet:
     n > MAX_MODULUS raises CapacityError, as do the equivalence tests."""
     require_modulus(ds.n)
     best = min(_scaled_key(ds.pairs, unit) for unit in units_mod(ds.n))
-    pairs = tuple((d, m) for m, d in best)
-    return DataSet(ds.n, ds.g0, pairs)
+    return DataSet(ds.n, ds.g0, tuple((d, m) for m, d in best))
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +282,7 @@ def enumerate_spherical(genus: int) -> list[DataSet]:
     """
     if type(genus) is not int or not 2 <= genus <= MAX_ENUM_GENUS:
         raise ValueError(f"genus must be an int in [2, {MAX_ENUM_GENUS}], got {genus!r}")
-    out: list[DataSet] = []
-    for n in range(2, 4 * genus + 3):
-        out.extend(_spherical_for_degree(genus, n))
-    return out
+    return [ds for n in range(2, 4 * genus + 3) for ds in _spherical_for_degree(genus, n)]
 
 
 # ---------------------------------------------------------------------------
@@ -291,18 +293,14 @@ def hyperelliptic(genus: int) -> DataSet:
     """Order-2 action with 2g+2 branch points."""
     if genus < 2:
         raise ValueError(f"hyperelliptic family needs genus >= 2, got {genus}")
-    ds = dataset(2, 0, ((1, 2),) * (2 * genus + 2))
-    require_valid(ds)
-    return ds
+    return require_valid(dataset(2, 0, ((1, 2),) * (2 * genus + 2)))
 
 
 def balanced_superelliptic(n: int, k: int) -> DataSet:
     """Degree-n action with k+1 alternating (1,n), (-1,n) pairs; genus k(n-1)."""
     if n < 2 or k < 1:
         raise ValueError(f"balanced superelliptic family needs n >= 2, k >= 1, got n={n}, k={k}")
-    ds = dataset(n, 0, ((1, n), (n - 1, n)) * (k + 1))
-    require_valid(ds)
-    return ds
+    return require_valid(dataset(n, 0, ((1, n), (n - 1, n)) * (k + 1)))
 
 
 def doubled(base: DataSet) -> DataSet:
@@ -325,13 +323,7 @@ def doubled(base: DataSet) -> DataSet:
             f"doubled family base violates {', '.join(sorted(structural))}: {base}")
     rest = list(base.pairs)
     rest.remove((1, base.n))
-    pairs = []
-    for d, m in rest:
-        pairs.append((d, m))
-        pairs.append((-d, m))
-    ds = dataset(base.n, 0, pairs)
-    require_valid(ds)
-    return ds
+    return require_valid(dataset(base.n, 0, [dm for d, m in rest for dm in ((d, m), (-d, m))]))
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +388,10 @@ def parse_dataset(text: str) -> DataSet:
     """Parse the ``(n,g0;(d,m),(d,m)_r,...)`` grammar.
 
     More than MAX_BRANCH_POINTS pairs raise CapacityError before any
-    repetition is expanded.
+    repetition is expanded; a text that is not a str raises TypeError.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"data set text must be a str, got {text!r}")
     sc = _Scanner(text)
     sc.expect("(")
     n = sc.integer()
@@ -444,15 +438,7 @@ def parse_dataset(text: str) -> DataSet:
 def render_dataset(ds: DataSet) -> str:
     """Inverse of parse_dataset; runs of equal pairs use the _r suffix."""
     chunks = []
-    i = 0
-    while i < len(ds.pairs):
-        j = i
-        while j < len(ds.pairs) and ds.pairs[j] == ds.pairs[i]:
-            j += 1
-        d, m = ds.pairs[i]
-        chunk = f"({d},{m})"
-        if j - i > 1:
-            chunk += f"_{j - i}"
-        chunks.append(chunk)
-        i = j
+    for (d, m), run in groupby(ds.pairs):
+        count = len(list(run))
+        chunks.append(f"({d},{m})" + (f"_{count}" if count > 1 else ""))
     return f"({ds.n},{ds.g0};" + ",".join(chunks) + ")"

@@ -224,10 +224,8 @@ def render_relator(r: Relator, names: Sequence[str]) -> str:
     while cut > 0 and r[cut - 1] < 0:
         cut -= 1
     u, v = r[:cut], _inverted(r[cut:])
-    if not v:
-        return f"{_render(u, names)} = 1"
-    if not u:
-        return f"{_render(v, names)} = 1"
+    if not (u and v):
+        return f"{_render(u or v, names)} = 1"
     return f"{_render(u, names)} = {_render(v, names)}"
 
 
@@ -238,10 +236,7 @@ def render_presentation(p: Presentation) -> str:
     rels = [render_relator(r, names) for r in p.relators]
     rels += [f"{_render(s.lhs, names)} = {names[s.base - 1]}^{s.param}"
              for s in p.symbolic_relators]
-    gens = ", ".join(names)
-    if not rels:
-        return f"<{gens} | >"
-    return f"<{gens} | " + ", ".join(rels) + ">"
+    return f"<{', '.join(names)} | " + ", ".join(rels) + ">"
 
 
 def _letters_json(r: Relator, names: Sequence[str]) -> list[list]:
@@ -293,17 +288,11 @@ def psi_images(k: int) -> Mapping[str, Perm]:
     return MappingProxyType({f"s{i}": transposition(i, i + 1, k) for i in range(1, k)})
 
 
-@_per_degree
-def _sigma_letters(k: int) -> tuple[Mapping[str, int], tuple[Perm, ...]]:
-    """s_i -> i, and psi's images in that order."""
-    index = MappingProxyType({name: i for i, name in enumerate(sigma_names(k), start=1)})
-    return index, tuple(psi_images(k).values())
-
-
 def psi_image(w: Word, k: int) -> Perm:
     """The marked-point permutation of a word in the half-twists s_1..s_{k-1}."""
-    index, images = _sigma_letters(k)
-    return evaluate_perm(compile_word(w, index), images, k)
+    psi = psi_images(k)
+    index = {name: i for i, name in enumerate(psi, start=1)}
+    return evaluate_perm(compile_word(w, index), tuple(psi.values()), k)
 
 
 @_per_degree
@@ -320,9 +309,7 @@ def mod_sphere_presentation(k: int) -> Presentation:
     for i in range(1, k - 1):
         relators.append(s[i] * s[i + 1] * s[i] * (s[i + 1] * s[i] * s[i + 1]).inv())
     chain = word(*(s[i] for i in range(1, k)))
-    relators.append(chain ** k)
-    relators.append(word(*(s[i] for i in range(1, k)),
-                         *(s[i] for i in range(k - 1, 0, -1))))
+    relators += [chain ** k, word(chain, *(s[i] for i in range(k - 1, 0, -1)))]
     return Presentation.from_words(sigma_names(k), relators)
 
 
@@ -771,7 +758,8 @@ class LiftData:
 
     lifts: quotient generator name -> lift name (disjoint from kernel names).
     conjugation: (quotient gen, kernel gen) -> Word in kernel generators equal
-        to lift * kernel_gen * lift^-1; anything else is a TypeError.
+        to lift * kernel_gen * lift^-1; a key that is not a tuple of two str,
+        or a value that is not a Word, is a TypeError.
     evaluations: quotient relator index -> its value in the kernel, either a
         concrete kernel word or a parameter name (undetermined exponent of the
         kernel generator; cyclic kernels only); anything else is a TypeError.
@@ -796,7 +784,10 @@ def extension_presentation(kernel: Presentation, quotient: Presentation,
     for g in data.lifts:
         if g not in quotient.generators:
             raise ValueError(f"lift for {g!r}, which is not a quotient generator")
-    for (qg, kg), w in data.conjugation.items():
+    for key, w in data.conjugation.items():
+        if not (isinstance(key, tuple) and len(key) == 2 and all(isinstance(x, str) for x in key)):
+            raise TypeError(f"conjugation key must be a tuple of two str, got {key!r}")
+        qg, kg = key
         if qg not in quotient.generators or kg not in kernel.generators:
             raise ValueError(f"conjugation word for ({qg!r}, {kg!r}), which is not a "
                              f"(quotient generator, kernel generator) pair")

@@ -193,12 +193,8 @@ def half_twist_word(i: int, j: int) -> Word:
 def perm_to_half_twist_word(p: Perm) -> Word:
     """Word in the half-twist generators mapping onto p: each cycle
     (x_1,...,x_m), x_1 least, contributes (x_1,x_m)(x_1,x_{m-1})...(x_1,x_2)."""
-    parts = []
-    for cyc in cycles_of(p):
-        base = cyc[0]
-        for other in reversed(cyc[1:]):
-            parts.append(half_twist_word(base, other))
-    return word(*parts)
+    return word(*(half_twist_word(cyc[0], other)
+                  for cyc in cycles_of(p) for other in reversed(cyc[1:])))
 
 
 @dataclass(frozen=True)
@@ -236,8 +232,13 @@ class VectorStabilizer:
         return order
 
     @property
+    def index(self) -> int:
+        """[Sym(k) : H] = k!/|H|."""
+        return factorial(self.degree) // self.order
+
+    @property
     def is_symmetric(self) -> bool:
-        return self.order == factorial(self.degree)
+        return self.index == 1
 
     def __contains__(self, p: Perm) -> bool:
         return len(p) == self.degree and any(_is_fixed(u, p, self.vector) for u in self.units)
@@ -312,7 +313,7 @@ def liftable_images(v: GeneratingVector, cross_check: bool = False) -> Stabilize
     return StabilizerReport(
         n=v.n, c=v.c, h1=h1, h2=h2, units=units, swaps=tuple(equal_pairs(v)),
         unit_words=MappingProxyType(unit_words), unit_perms=MappingProxyType(unit_perms),
-        index_mod_lmod=factorial(k) // h1.order, index_n_c=len(units))
+        index_mod_lmod=h1.index, index_n_c=len(units))
 
 
 def _check_against_bruteforce(stab: tuple[tuple[int, Perm], ...],

@@ -37,6 +37,18 @@ _DESCRIPTOR = {
     "required": ["kind", "text"],
 }
 
+_NORMALIZER_SPEC = {
+    "type": "object",
+    "properties": {
+        "presentation": _PRESENTATION,
+        "conjugation_exponents": {"type": "object", "additionalProperties": {"type": "integer"}},
+        "provenance": {"enum": ["built_in", "user_supplied", "symbolic"]},
+        "descriptor": _DESCRIPTOR,
+        "notes": {"type": "array", "items": {"type": "string"}},
+    },
+    "required": ["presentation", "conjugation_exponents", "provenance", "descriptor", "notes"],
+}
+
 _CLASSIFICATION = {
     "type": ["object", "null"],
     "properties": {
@@ -110,8 +122,8 @@ PRESENT_SCHEMA = {
     "type": "object",
     "properties": {
         "dataset": {"type": "string"},
-        "normalizer": {"type": "object"},
-        "centralizer": {"type": "object"},
+        "normalizer": _NORMALIZER_SPEC,
+        "centralizer": _NORMALIZER_SPEC,
     },
     "required": ["dataset", "normalizer", "centralizer"],
 }

@@ -793,6 +793,13 @@ def test_normalizer_spec_json():
     payload = normalizer_spec_json(norm)
     assert payload["provenance"] == "built_in"
     assert payload["conjugation_exponents"] == {"G1": 1, "G3": -1, "G2": 1}
+    # both specs of every class of genus 2-3 meet the schema's normalizer part
+    validator = jsonschema.Draft202012Validator(schemas.PRESENT_SCHEMA["properties"]["normalizer"])
+    specs = [spec for genus in (2, 3) for ds in enumerate_spherical(genus)
+             for spec in normalizer_centralizer(ds)]
+    assert len(specs) == 46
+    for spec in specs:
+        validator.validate(normalizer_spec_json(spec))
 
 
 def test_render_report_lines():

@@ -137,6 +137,23 @@ def test_snf_edges():
             smith_normal_form([{0: 1}, bad], 2)
 
 
+def test_snf_refuses_what_is_not_an_int():
+    # these used to give ((1.5,), 0), ((1,), 0) and a TypeError from gcd
+    for rows, ncols in (([{0: 1.5}], 1), ([{0.5: 1}], 1), ([{0: 2.0}, {1: 3}], 2),
+                        ([{0: Fraction(2)}], 1), ([{0: "2"}], 1), ([{"0": 2}], 1),
+                        ([{0: 0.0}], 1)):
+        with pytest.raises(TypeError, match="row 0 has a column or value that is not an int"):
+            smith_normal_form(rows, ncols)
+    with pytest.raises(TypeError, match="row 1"):
+        smith_normal_form([{0: 2}, {1: 3.0}], 2)
+    for ncols in (2.0, True, "2"):
+        with pytest.raises(TypeError, match="ncols must be an int"):
+            smith_normal_form([{0: 2}], ncols)
+    # a bool counts as the int 0 or 1
+    assert smith_normal_form([{0: True, 1: 2}, {False: 3}], 2) == smith_normal_form(
+        [{0: 1, 1: 2}, {0: 3}], 2)
+
+
 def _apply_random_unimodular(rows, rng, steps=12):
     a = [list(r) for r in rows]
     nrows, ncols = len(a), len(a[0])

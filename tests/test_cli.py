@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import jsonschema
 
 from liftmcg import schemas
 from liftmcg.cli import main
+from liftmcg.datasets import enumerate_spherical, render_dataset
 
 
 def run(capsys, *argv):
@@ -216,7 +218,7 @@ def test_out_flag_unwritable_path_exit_1(tmp_path, capsys):
 
 def test_roundtrip_enumerated_through_cli(capsys):
     code, out, _ = run(capsys, "enumerate", "3", "--format", "json")
-    from liftmcg.datasets import parse_dataset, render_dataset
+    from liftmcg.datasets import parse_dataset
 
     for text in json.loads(out)["datasets"]:
         assert render_dataset(parse_dataset(text)) == text
@@ -308,3 +310,32 @@ def test_consecutive_calls_share_no_state(tmp_path, capsys):
     target = tmp_path / "v.txt"
     assert run(capsys, "validate", "--out", str(target), seven) == (0, "", "")
     assert run(capsys, "validate", seven) == text
+
+
+# sha256 over (argv, exit code, stdout, stderr) of each call below, in order:
+# validate, analyze and classify on every spherical class of genus 2-5, then
+# table1, verify and enumerate 7, then three refusals (a parse error, an
+# out-of-scope class, the modulus cap), each in both formats; `present` is
+# pinned by test_present_pinned
+CLI_OUTPUTS_SHA256 = (
+    "33cc51e562e377c715f36cb723904d8696834b1766064546861b839cb276423e")
+REFUSALS = (
+    ("validate", "(4,0;(1,2),(1,4)"),
+    ("analyze", "(2,1;(1,2),(1,2))"),
+    ("analyze", "(100000007,0;(1,100000007),(1,100000007),(100000005,100000007))"),
+)
+
+
+def test_cli_outputs_pinned_genus_2_to_5(capsys):
+    classes = [render_dataset(ds) for genus in range(2, 6) for ds in enumerate_spherical(genus)]
+    calls = ([(verb, text) for text in classes for verb in ("validate", "analyze", "classify")]
+             + [("table1",), ("verify",), ("enumerate", "7")] + list(REFUSALS))
+    digest = hashlib.sha256()
+    for call in calls:
+        for fmt in ("text", "json"):
+            argv = [*call, "--format", fmt]
+            code = main(argv)
+            captured = capsys.readouterr()
+            digest.update(repr((argv, code, captured.out, captured.err)).encode())
+    assert len(classes) == 64
+    assert digest.hexdigest() == CLI_OUTPUTS_SHA256

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 import time
 from fractions import Fraction
 from functools import reduce
@@ -99,6 +100,11 @@ def test_dataset_refuses_non_int_fields():
             dataset(*args)
     with pytest.raises(TypeError, match="^n must be an int"):
         DataSet(True, 0, ((1, 2),))
+    # a pair is unpacked into (d, m) only when it has exactly two items
+    for pair in ((1, 2, 3), 5, (1,), "123"):
+        with pytest.raises(TypeError, match=re.escape(f"got {pair!r}")):
+            dataset(6, 0, [pair])
+    assert dataset(6, 0, [[1, 2], [1, 3], [1, 6]]) == parse_dataset("(6,0;(1,2),(1,3),(1,6))")
 
 
 def test_dataset_normalization():
@@ -392,3 +398,7 @@ def test_parse_errors_carry_position():
         parse_dataset("(4;0)")
     with pytest.raises(DataSetParseError):
         parse_dataset("(4,0;(1,2)) trailing")
+    # only a str is scanned: bytes used to fail on int.isspace, None on len
+    for text in (b"(2,0;(1,2)_6)", None, 7):
+        with pytest.raises(TypeError, match="must be a str"):
+            parse_dataset(text)

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from math import factorial, gcd
@@ -658,6 +659,10 @@ def test_extension_symbolic_and_errors():
     # a conjugation value is a kernel Word, not a name
     with pytest.raises(TypeError, match=r"\('x', 'F'\)"):
         extension_presentation(kernel, q, LiftData({"x": "G"}, {("x", "F"): "F"}, {0: EMPTY}))
+    # a conjugation key is a tuple of two names, never unpacked into one
+    for key in ("xF", ("x", "F", "y"), 3, ("x", 1)):
+        with pytest.raises(TypeError, match="conjugation key .* got " + re.escape(repr(key))):
+            extension_presentation(kernel, q, LiftData({"x": "G"}, {key: gen("F")}, {0: EMPTY}))
     two_gen_kernel = Presentation(("F", "K"), ())
     with pytest.raises(ValueError):
         extension_presentation(
