@@ -44,7 +44,6 @@ from .genvec import (
     liftable_images,
     mod_equals_lmod,
     require_genus,
-    unit_for_perm,
 )
 
 SCHEMA_VERSION = 1
@@ -233,9 +232,11 @@ def _descriptor_spec(desc: GroupDescriptor, notes: tuple[str, ...] = ()) -> Norm
 
 
 def _exponents(rep: AnalysisReport, images: Iterable[Perm]) -> list[int]:
-    """The signed unit e of each image in the stabilizer: its lift has G F G^-1 = F^e."""
-    return [_signed_unit(unit_for_perm(rep.vector, p, rep.stab.units), rep.dataset.n)
-            for p in images]
+    """The signed unit e of each image in H1: its lift has G F G^-1 = F^e."""
+    units = [rep.stab.h1.unit_of(p) for p in images]
+    if None in units:
+        raise InternalInvariantError(f"a generator image lies outside H1 of {rep.vector}")
+    return [_signed_unit(u, rep.dataset.n) for u in units]
 
 
 def _doubled_builtin(rep: AnalysisReport) -> tuple[NormalizerSpec, NormalizerSpec]:
@@ -448,13 +449,13 @@ def descriptor_json(desc: GroupDescriptor) -> dict:
 
 def stabilizer_json(sr: StabilizerReport) -> dict:
     return {
-        "n": sr.n,
-        "c": list(sr.c),
+        "n": sr.h1.vector.n,
+        "c": list(sr.h1.vector.c),
         "H1_order": sr.h1.order,
         "H2_order": sr.h2.order,
-        "units": list(sr.units),
+        "units": list(sr.h1.units),
         "B": [[i, j] for i, j in sr.swaps],
-        "C": {str(u): render_word(sr.unit_words[u]) for u in sr.units},
+        "C": {str(u): render_word(sr.unit_words[u]) for u in sr.h1.units},
         "index_mod_lmod": sr.index_mod_lmod,
         "index_n_c": sr.index_n_c,
     }
@@ -501,12 +502,12 @@ def render_report(rep: AnalysisReport) -> str:
         f"Genus {rep.genus}, degree {rep.dataset.n}, {k} branch points",
         f"Generating vector: ({', '.join(map(str, rep.vector.c))}) mod {rep.vector.n}",
         f"|H1| = {rep.stab.h1.order}, |H2| = {rep.stab.h2.order}, "
-        f"units = {{{', '.join(map(str, rep.stab.units))}}}",
+        f"units = {{{', '.join(map(str, rep.stab.h1.units))}}}",
         f"[Mod:LMod] = {rep.stab.index_mod_lmod}",
         f"[N:C] = {rep.stab.index_n_c}",
         "B = " + (", ".join(f"({i},{j})" for i, j in rep.stab.swaps) or "(empty)"),
         "C: " + "; ".join(f"{u} -> {render_word(rep.stab.unit_words[u])}"
-                          for u in rep.stab.units),
+                          for u in rep.stab.h1.units),
     ]
     if rep.flags["mod_equals_lmod"]:
         lines.append(f"LMod = Mod(S_{{0,{k}}})")

@@ -138,7 +138,7 @@ def smith_normal_form(rows, ncols: int) -> tuple[tuple[int, ...], int]:
     Each row is a {column: value} dict, a relation on ncols unknowns with
     columns 0..ncols-1; the free rank is ncols - rank.  The rows are not
     modified.  A column, value or ncols that is not an int raises TypeError,
-    a column out of range ValueError; a bool counts as the int 0 or 1.
+    a column out of range or ncols < 0 ValueError; a bool counts as 0 or 1.
 
     The reduction works on the sparse rows throughout (Havas-Holt-Rees,
     "Recognizing badly presented Z-modules", 1993): _diagonalize splits the
@@ -147,6 +147,8 @@ def smith_normal_form(rows, ncols: int) -> tuple[tuple[int, ...], int]:
     """
     if type(ncols) is not int:
         raise TypeError(f"ncols must be an int, got {ncols!r}")
+    if ncols < 0:
+        raise ValueError(f"ncols must be >= 0, got {ncols}")
     live: dict[int, dict[int, int]] = {}
     for i, row in enumerate(rows):
         try:  # a sum of ints (bools among them) is an int, and only such a sum

@@ -48,6 +48,13 @@ RH_NON_INTEGER = "rh_non_integer"
 SCOPE_GENUS = "scope_genus"
 
 
+def _require_ints(**fields) -> None:
+    """TypeError naming the first field that is not an int (a bool is not)."""
+    for name, value in fields.items():
+        if type(value) is not int:
+            raise TypeError(f"{name} must be an int, got {value!r}")
+
+
 @dataclass(frozen=True, order=True)
 class DataSet:
     """A data set in its normal form: each d reduced into [0, m) and the
@@ -60,9 +67,7 @@ class DataSet:
     pairs: tuple[Pair, ...]
 
     def __post_init__(self):
-        for name, value in (("n", self.n), ("g0", self.g0)):
-            if type(value) is not int:
-                raise TypeError(f"{name} must be an int, got {value!r}")
+        _require_ints(n=self.n, g0=self.g0)
         if self.n < 2:
             raise ValueError(f"degree must be >= 2, got {self.n}")
         if self.g0 < 0:
@@ -291,6 +296,7 @@ def enumerate_spherical(genus: int) -> list[DataSet]:
 
 def hyperelliptic(genus: int) -> DataSet:
     """Order-2 action with 2g+2 branch points."""
+    _require_ints(genus=genus)
     if genus < 2:
         raise ValueError(f"hyperelliptic family needs genus >= 2, got {genus}")
     return require_valid(dataset(2, 0, ((1, 2),) * (2 * genus + 2)))
@@ -298,6 +304,7 @@ def hyperelliptic(genus: int) -> DataSet:
 
 def balanced_superelliptic(n: int, k: int) -> DataSet:
     """Degree-n action with k+1 alternating (1,n), (-1,n) pairs; genus k(n-1)."""
+    _require_ints(n=n, k=k)
     if n < 2 or k < 1:
         raise ValueError(f"balanced superelliptic family needs n >= 2, k >= 1, got n={n}, k={k}")
     return require_valid(dataset(n, 0, ((1, n), (n - 1, n)) * (k + 1)))

@@ -285,6 +285,8 @@ def sigma_names(k: int) -> list[str]:
 def psi_images(k: int) -> Mapping[str, Perm]:
     """The marked-point action of the half-twist generators: s_i -> (i, i+1),
     as a read-only mapping shared by every caller."""
+    if k < 2:
+        raise ValueError(f"need k >= 2 marked points, got {k}")
     return MappingProxyType({f"s{i}": transposition(i, i + 1, k) for i in range(1, k)})
 
 

@@ -218,13 +218,12 @@ class VectorStabilizer:
 
     vector: GeneratingVector
     units: tuple[int, ...]
-    generators: tuple[Perm, ...]
 
     @property
     def degree(self) -> int:
         return self.vector.k
 
-    @property
+    @cached_property
     def order(self) -> int:
         order = len(self.units)
         for count in Counter(self.vector.c).values():
@@ -240,8 +239,25 @@ class VectorStabilizer:
     def is_symmetric(self) -> bool:
         return self.index == 1
 
+    @cached_property
+    def unit_perms(self) -> Mapping[int, Perm]:
+        """Each unit's matching_perm, the sigma paired with it."""
+        return MappingProxyType({u: matching_perm(u, self.vector) for u in self.units})
+
+    @cached_property
+    def generators(self) -> tuple[Perm, ...]:
+        blocks = tuple(transposition(a + 1, b + 1, self.degree)
+                       for block in value_blocks(self.vector) for a, b in zip(block, block[1:]))
+        return blocks + tuple(self.unit_perms[u] for u in self.units if u != 1)
+
+    def unit_of(self, p: Perm) -> int | None:
+        """The unit paired with p, or None when p is not in the set."""
+        if len(p) != self.degree:
+            return None
+        return next((u for u in self.units if _is_fixed(u, p, self.vector)), None)
+
     def __contains__(self, p: Perm) -> bool:
-        return len(p) == self.degree and any(_is_fixed(u, p, self.vector) for u in self.units)
+        return self.unit_of(p) is not None
 
     @cached_property
     def _scaled(self) -> tuple[tuple[int, ...], ...]:
@@ -266,20 +282,16 @@ class VectorStabilizer:
 class StabilizerReport:
     """Generating data of the liftable (h1) and centralizer (h2) images.
 
-    swaps is the set B of equal-entry index pairs; unit_words maps each
-    stabilizing unit to a half-twist word whose image pairs with it in the
-    stabilizer (the unit 1 always maps to the empty word).  The full set of
-    (unit, sigma) pairs is stabilizer_bruteforce(v).
+    swaps is the set B of equal-entry index pairs; unit_words (C) maps each
+    unit u of h1 to a half-twist word with image h1.unit_perms[u] (the unit 1
+    to the empty word); index_mod_lmod = [Mod:LMod] = h1.index, and
+    index_n_c = [N:C] = len(h1.units).
     """
 
-    n: int
-    c: tuple[int, ...]
     h1: VectorStabilizer
     h2: VectorStabilizer
-    units: tuple[int, ...]
     swaps: tuple[tuple[int, int], ...]
     unit_words: Mapping[int, Word]
-    unit_perms: Mapping[int, Perm]
     index_mod_lmod: int
     index_n_c: int
 
@@ -294,26 +306,20 @@ def liftable_images(v: GeneratingVector, cross_check: bool = False) -> Stabilize
     k = v.k
     if k > MAX_BRANCH_POINTS:
         raise CapacityError(f"{k} branch points exceed the cap of {MAX_BRANCH_POINTS}")
-    units = tuple(stabilizing_units(v))
-    unit_perms = {u: matching_perm(u, v) for u in units}
-    unit_words = {u: (EMPTY if u == 1 else perm_to_half_twist_word(unit_perms[u]))
-                  for u in units}
+    h1 = VectorStabilizer(v, tuple(stabilizing_units(v)))
+    h2 = VectorStabilizer(v, (1,))
+    unit_words = {u: (EMPTY if u == 1 else perm_to_half_twist_word(p))
+                  for u, p in h1.unit_perms.items()}
     for u, w in unit_words.items():
-        if psi_image(w, k) != unit_perms[u] or not _is_fixed(u, unit_perms[u], v):
+        if psi_image(w, k) != h1.unit_perms[u] or not _is_fixed(u, h1.unit_perms[u], v):
             raise InternalInvariantError(f"unit word of {u} does not fix {v}")
-
-    block_gens = tuple(transposition(a + 1, b + 1, k)
-                       for block in value_blocks(v) for a, b in zip(block, block[1:]))
-    h2 = VectorStabilizer(v, (1,), block_gens)
-    h1 = VectorStabilizer(v, units, block_gens + tuple(unit_perms[u] for u in units if u != 1))
 
     if cross_check:
         _check_against_bruteforce(tuple(stabilizer_bruteforce(v)), h1, h2)
 
     return StabilizerReport(
-        n=v.n, c=v.c, h1=h1, h2=h2, units=units, swaps=tuple(equal_pairs(v)),
-        unit_words=MappingProxyType(unit_words), unit_perms=MappingProxyType(unit_perms),
-        index_mod_lmod=h1.index, index_n_c=len(units))
+        h1=h1, h2=h2, swaps=tuple(equal_pairs(v)), unit_words=MappingProxyType(unit_words),
+        index_mod_lmod=h1.index, index_n_c=len(h1.units))
 
 
 def _check_against_bruteforce(stab: tuple[tuple[int, Perm], ...],
@@ -349,15 +355,6 @@ def _generates(gens: tuple[Perm, ...], elements: list[Perm], k: int) -> bool:
                 reached.add(f)
                 walk.append(f)
     return reached == members and len(members) == len(elements)
-
-
-def unit_for_perm(v: GeneratingVector, sigma: Perm, units: tuple[int, ...]) -> int:
-    """The unique unit paired with sigma in the stabilizer, looked up among
-    units, the stabilizing units of v."""
-    for u in units:
-        if _is_fixed(u, sigma, v):
-            return u
-    raise ValueError(f"{sigma} is not in the liftable image of {v}")
 
 
 def mod_equals_lmod(v: GeneratingVector) -> bool:

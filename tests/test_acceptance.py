@@ -180,7 +180,7 @@ def test_criterion_7_oracle_equivalence_suite():
             for ds in enumerate_spherical(genus):
                 v = generating_vector(ds)
                 rep = liftable_images(v, cross_check=True)  # asserts vs brute force
-                assert rep.h1.order == rep.h2.order * len(rep.units)
+                assert rep.h1.order == rep.h2.order * len(rep.h1.units)
                 assert mod_equals_lmod(v) == rep.h1.is_symmetric
                 units = [u for u, _ in stabilizer_bruteforce(v)]
                 for _ in range(5):

@@ -174,7 +174,7 @@ def test_analyze_index_consistency_genus_2_to_4():
     for genus in (2, 3, 4):
         for ds in enumerate_spherical(genus):
             rep = analyze(ds)
-            assert rep.stab.h1.order == rep.stab.h2.order * len(rep.stab.units)
+            assert rep.stab.h1.order == rep.stab.h2.order * len(rep.stab.h1.units)
             assert rep.stab.index_mod_lmod * rep.stab.h1.order == factorial(ds.k)
             assert rep.genus == genus
 
@@ -346,7 +346,7 @@ def test_report_mappings_are_read_only():
     rep = analyze(ds)
     norm, _ = normalizer_centralizer(ds)
     for mapping, key in ((rep.flags, "doubled"), (rep.stab.unit_words, 1),
-                         (rep.stab.unit_perms, 1), (norm.conjugation_exponents, "G1")):
+                         (rep.stab.h1.unit_perms, 1), (norm.conjugation_exponents, "G1")):
         assert key in mapping
         with pytest.raises(TypeError):
             mapping[key] = mapping[key]
@@ -425,6 +425,14 @@ def test_normalizer_centralizer_builtin_order_six():
     assert same_relator_sets(cent.presentation, target_cent)
     assert norm.conjugation_exponents == {"G1": 1, "G3": -1, "G2": 1}
     assert norm.provenance == "built_in" and cent.provenance == "built_in"
+
+
+def test_exponents_refuse_an_image_outside_h1():
+    # H1 = <(1 2), (3 4)>; the images are the library's own, so (1 3) is a bug
+    rep = analyze(parse_dataset("(6,0;(1,2),(1,2),(1,3),(2,3))"))
+    assert analysis_module._exponents(rep, [identity_perm(4), transposition(3, 4, 4)]) == [1, -1]
+    with pytest.raises(InternalInvariantError, match="^a generator image lies outside H1 of "):
+        analysis_module._exponents(rep, [identity_perm(4), transposition(1, 3, 4)])
 
 
 def test_normalizer_centralizer_builtin_order_ten():
@@ -736,7 +744,7 @@ def test_superelliptic_family_invariants():
         points = 2 * k + 2
         v = GeneratingVector(n, (1, n - 1) * (k + 1))
         rep = liftable_images(v, cross_check=True)
-        assert rep.units == (1, n - 1)
+        assert rep.h1.units == (1, n - 1)
         gens = [transposition(i, i + 2, points) for i in range(1, points - 1)]
         gens.append(perm_from_cycles(
             [(2 * t + 1, 2 * t + 2) for t in range(k + 1)], points))

@@ -135,6 +135,10 @@ def test_snf_edges():
     for bad in ({2: 1}, {-1: 1}):
         with pytest.raises(ValueError):
             smith_normal_form([{0: 1}, bad], 2)
+    # a negative ncols used to come back as the free rank: ((), -1), ((), -3)
+    for rows, ncols in (([], -1), ([{}], -3), ([{0: 1}], -1)):
+        with pytest.raises(ValueError, match=f"^ncols must be >= 0, got {ncols}$"):
+            smith_normal_form(rows, ncols)
 
 
 def test_snf_refuses_what_is_not_an_int():

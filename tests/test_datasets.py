@@ -8,6 +8,8 @@ from itertools import product
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from liftmcg.arith_perm import CapacityError, units_mod
 from liftmcg.datasets import (
@@ -15,6 +17,7 @@ from liftmcg.datasets import (
     COND_II,
     COND_III,
     COND_IV,
+    MAX_BRANCH_POINTS,
     RH_NON_INTEGER,
     SCOPE_GENUS,
     DataSet,
@@ -328,6 +331,10 @@ def test_hyperelliptic_family():
     assert validate(ds).genus == 2
     with pytest.raises(ValueError):
         hyperelliptic(1)
+    # these used to fail inside the tuple product, naming no argument
+    for genus in (2.5, 3.0, True, "3"):
+        with pytest.raises(TypeError, match=f"^genus must be an int, got {genus!r}$"):
+            hyperelliptic(genus)
 
 
 def test_balanced_superelliptic_family():
@@ -337,6 +344,11 @@ def test_balanced_superelliptic_family():
     assert validate(balanced_superelliptic(3, 2)).genus == 4
     with pytest.raises(ValueError, match=r"got n=1, k=1"):
         balanced_superelliptic(1, 1)
+    for args, message in (((3, 2.5), "k must be an int, got 2.5"),
+                          ((3, True), "k must be an int, got True"),
+                          ((3.0, 2), "n must be an int, got 3.0")):
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            balanced_superelliptic(*args)
 
 
 def test_doubled_family():
@@ -362,6 +374,27 @@ def test_parse_render_roundtrip_enumerated():
     for genus in (2, 3, 4):
         for ds in enumerate_spherical(genus):
             assert parse_dataset(render_dataset(ds)) == ds
+
+
+@st.composite
+def datasets(draw):
+    """Any n >= 2 and g0 >= 0, and up to MAX_BRANCH_POINTS pairs with any d
+    (negative and large too) and m >= 1, drawn in runs of equal pairs; g0 > 0
+    may have no pairs."""
+    g0 = draw(st.integers(min_value=0))
+    runs = draw(st.lists(st.tuples(st.integers(), st.integers(min_value=1), st.integers(1, 6)),
+                         min_size=1 if g0 == 0 else 0, max_size=12))
+    pairs = [(d, m) for d, m, count in runs for _ in range(count)]
+    return dataset(draw(st.integers(min_value=2)), g0, pairs[:MAX_BRANCH_POINTS])
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(datasets())
+@example(dataset(4, 0, ((-1, 4), (3, 4), (7, 4), (1, 2))))  # one run (3,4)_3
+@example(dataset(2, 5, ()))
+@example(dataset(2, 0, ((1, 2),) * MAX_BRANCH_POINTS))
+def test_parse_render_roundtrip_generated(ds):
+    assert parse_dataset(render_dataset(ds)) == ds
 
 
 def test_parse_repetition_and_negatives():

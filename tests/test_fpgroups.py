@@ -168,6 +168,12 @@ def test_sphere_builders_refuse_a_non_int_degree_whatever_is_cached():
         psi_image(gen("s1"), 4.0)
     with pytest.raises(ValueError, match="need k >= 3 marked points, got True"):
         mod_sphere_presentation(True)
+    # psi used to give an empty mapping, (), or (0,) for these degrees
+    for k in (True, 1, 0, -2):
+        for build in (psi_images, psi_images.__wrapped__, lambda k: psi_image(EMPTY, k)):
+            with pytest.raises(ValueError, match=f"^need k >= 2 marked points, got {k}$"):
+                build(k)
+    assert dict(psi_images(2)) == {"s1": (1, 0)} and psi_image(EMPTY, 2) == (0, 1)
 
 
 def test_rs_refuses_bad_psi_after_a_cached_good_call():

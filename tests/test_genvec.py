@@ -1,8 +1,11 @@
 import random
-from dataclasses import replace
-from math import factorial
+from itertools import permutations
+from math import factorial, gcd
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from group_reference import closure, perm_closure
 from liftmcg.arith_perm import (
@@ -42,7 +45,6 @@ from liftmcg.genvec import (
     semidirect,
     stabilizer_bruteforce,
     stabilizing_units,
-    unit_for_perm,
     value_blocks,
 )
 
@@ -165,8 +167,8 @@ def test_liftable_images_superelliptic_alternating():
     v = vec(3, 1, 2, 1, 2)
     rep = liftable_images(v)
     assert rep.swaps == ((1, 3), (2, 4))
-    assert rep.units == (1, 2)
-    assert rep.unit_perms[2] == perm_from_cycles([(1, 2), (3, 4)], 4)
+    assert rep.h1.units == (1, 2)
+    assert rep.h1.unit_perms[2] == perm_from_cycles([(1, 2), (3, 4)], 4)
     assert rep.h1.order == 8 and rep.h2.order == 4
 
 
@@ -200,16 +202,20 @@ def test_liftable_images_matches_bruteforce_exhaustively(monkeypatch):
             closure2 = perm_closure(rep.h2.generators, v.k)
             assert list(closure1) == sorted(sigma for _, sigma in stab), v
             assert list(closure2) == sorted(sigma for u, sigma in stab if u == 1), v
-            assert rep.units == tuple(sorted({u for u, _ in stab})), v
-            assert len(stab) == rep.h1.order == rep.h2.order * len(rep.units), v
+            assert rep.h1.units == tuple(sorted({u for u, _ in stab})), v
+            assert len(stab) == rep.h1.order == rep.h2.order * len(rep.h1.units), v
             count += 1
     assert count == 349
 
 
 def test_cross_check_refuses_wrong_generators():
     # H1 = <(1 2), (3 4), (1 3)(2 4)> and H2 = <(1 2), (3 4)> in Sym(4); a
-    # generating set that falls short of the group, or leaves it, is refused
+    # generating set that falls short of the group, or leaves it, is refused.
+    # A VectorStabilizer derives its generators, so stand-ins carry wrong ones.
     from liftmcg.genvec import _check_against_bruteforce
+
+    def stand_in(h, gens):
+        return SimpleNamespace(generators=gens, degree=h.degree, units=h.units, order=h.order)
 
     v = vec(3, 1, 1, 2, 2)
     rep = liftable_images(v, cross_check=True)
@@ -217,19 +223,47 @@ def test_cross_check_refuses_wrong_generators():
     h1, h2 = rep.h1, rep.h2
     assert len(h1.generators) == 3 and len(h2.generators) == 2
     outside = transposition(1, 3, 4)
-    unit_perm = rep.unit_perms[2]
+    unit_perm = rep.h1.unit_perms[2]
     for gens in (h1.generators[:-1], h1.generators + (outside,)):
         with pytest.raises(InternalInvariantError,
                            match="^h1 differs from the stabilizer projection$"):
-            _check_against_bruteforce(stab, replace(h1, generators=gens), h2)
+            _check_against_bruteforce(stab, stand_in(h1, gens), h2)
     for gens in (h2.generators[:-1], h2.generators + (outside,), h2.generators + (unit_perm,)):
         with pytest.raises(InternalInvariantError, match="^h2 differs from the unit-1 slice$"):
-            _check_against_bruteforce(stab, h1, replace(h2, generators=gens))
+            _check_against_bruteforce(stab, h1, stand_in(h2, gens))
     # a sigma listed twice is not the group either
     with pytest.raises(InternalInvariantError,
                        match="^h1 differs from the stabilizer projection$"):
         _check_against_bruteforce(stab + stab[-1:], h1, h2)
     _check_against_bruteforce(stab, h1, h2)
+
+
+@st.composite
+def vectors(draw):
+    """Any generating vector with 2 <= k <= 7 and n <= 12, genus < 2 included."""
+    n = draw(st.integers(2, 12))
+    c = draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=6))
+    c.append(-sum(c) % n)
+    assume(c[-1] != 0 and gcd(n, *c) == 1)
+    return GeneratingVector(n, tuple(c))
+
+
+@settings(derandomize=True, deadline=None, max_examples=75)
+@given(vectors())
+@example(vec(3, 1, 2, 1, 2))  # H2 = <(1 3), (2 4)>, H1 = H2 and (1 2)(3 4): D4
+@example(vec(7, 1, 2, 4))  # H1 = Z3, H2 = 1
+@example(vec(8, 1, 3, 5, 7))  # H1 = Z2 x Z2, which no one unit permutation generates
+@example(vec(2, 1, 1, 1, 1, 1, 1))  # H1 = H2 = Sym(6)
+def test_vector_stabilizer_matches_bruteforce_on_generated_vectors(v):
+    # the derived generators pass the cross-check, and unit_of pairs every
+    # sigma of the stabilizer with its unit and nothing else with any
+    h1 = liftable_images(v, cross_check=True).h1
+    stab = stabilizer_bruteforce(v)
+    assert all(h1.unit_of(sigma) == u for u, sigma in stab), v
+    if not h1.is_symmetric:
+        members = {sigma for _, sigma in stab}
+        outside = next(p for p in permutations(range(v.k)) if p not in members)
+        assert h1.unit_of(outside) is None and outside not in h1, v
 
 
 def test_clmod_image_is_normal_in_lmod_image():
@@ -246,7 +280,7 @@ def test_liftable_images_ten_equal_entries():
     rep = liftable_images(v)
     assert rep.h1.order == factorial(10)
     assert rep.h1.is_symmetric and rep.h2.is_symmetric
-    assert rep.units == (1,)
+    assert rep.h1.units == (1,)
     assert len(rep.swaps) == 45
 
 
@@ -263,10 +297,11 @@ def test_matching_perm_is_greedy_and_unit_recoverable():
     v = vec(3, 1, 2, 1, 2)
     assert matching_perm(1, v) == identity_perm(4)
     sigma = matching_perm(2, v)
-    assert unit_for_perm(v, sigma, tuple(stabilizing_units(v))) == 2
+    h1 = liftable_images(v).h1
+    assert h1.unit_perms[2] == sigma and h1.unit_of(sigma) == 2
     # (1 2) takes c = (1, 2, 1, 2) to no unit multiple of it
-    with pytest.raises(ValueError, match="not in the liftable image"):
-        unit_for_perm(v, transposition(1, 2, 4), tuple(stabilizing_units(v)))
+    assert h1.unit_of(transposition(1, 2, 4)) is None
+    assert h1.unit_of(identity_perm(3)) is None  # wrong degree
     with pytest.raises(ValueError):
         matching_perm(2, vec(7, 1, 1, 5))  # 2 does not stabilize
 
@@ -398,7 +433,7 @@ def test_classify_agrees_with_liftable_images():
             rep = liftable_images(v)
             assert rep.h1.order == sizes[cls.case]
             if cls.twist is not None and cls.case != "ii_a":
-                assert cls.twist in rep.units
+                assert cls.twist in rep.h1.units
 
 
 def test_group_descriptor_validation():

@@ -189,8 +189,9 @@ def _cyclic_reduction(r):
 @TIER1
 @given(presentations())
 def test_identify_short_generators_keeps_the_abelianization(p):
+    # both apply only Tietze moves, so this holds on every input
     q = _identify_short_generators(p)
-    assert abelianization(q) == abelianization(p)
+    assert abelianization(p) == abelianization(q) == abelianization(tietze_simplify(p))
     assert set(q.generators) <= set(p.generators)
     for r in map(_cyclic_reduction, q.relators):
         assert len(r) > 2 or len(r) == 2 and r[0] == r[1], r
