@@ -35,7 +35,6 @@ from .fpgroups import (
     tietze_simplify,
 )
 from .genvec import (
-    GeneratingVector,
     GroupDescriptor,
     IrreducibleClassification,
     StabilizerReport,
@@ -84,7 +83,6 @@ def doubled_shape(ds: DataSet) -> bool:
 class AnalysisReport:
     dataset: DataSet
     genus: int
-    vector: GeneratingVector
     stab: StabilizerReport
     lmod_presentation: Presentation
     clmod_presentation: Presentation
@@ -150,7 +148,7 @@ def analyze(ds: DataSet) -> AnalysisReport:
             f"mod_equals_lmod is {flags['mod_equals_lmod']} but |H1| = {stab.h1.order}")
 
     return AnalysisReport(
-        dataset=ds, genus=genus, vector=v, stab=stab,
+        dataset=ds, genus=genus, stab=stab,
         lmod_presentation=lmod_p, clmod_presentation=clmod_p,
         lmod_kind=lmod_kind, clmod_kind=clmod_kind,
         lmod_images=lmod_images, clmod_images=clmod_images,
@@ -235,7 +233,7 @@ def _exponents(rep: AnalysisReport, images: Iterable[Perm]) -> list[int]:
     """The signed unit e of each image in H1: its lift has G F G^-1 = F^e."""
     units = [rep.stab.h1.unit_of(p) for p in images]
     if None in units:
-        raise InternalInvariantError(f"a generator image lies outside H1 of {rep.vector}")
+        raise InternalInvariantError(f"a generator image lies outside H1 of {rep.stab.h1.vector}")
     return [_signed_unit(u, rep.dataset.n) for u in units]
 
 
@@ -484,7 +482,7 @@ def report_json(rep: AnalysisReport) -> dict:
         "schema": SCHEMA_VERSION,
         "dataset": str(rep.dataset),
         "genus": rep.genus,
-        "gamma": {"n": rep.vector.n, "c": list(rep.vector.c)},
+        "gamma": {"n": rep.stab.h1.vector.n, "c": list(rep.stab.h1.vector.c)},
         "stab": stabilizer_json(rep.stab),
         "lmod_presentation": _presentation_block(
             rep.lmod_presentation, rep.lmod_kind, rep.stab.index_mod_lmod),
@@ -496,11 +494,12 @@ def report_json(rep: AnalysisReport) -> dict:
 
 
 def render_report(rep: AnalysisReport) -> str:
-    k = rep.vector.k
+    v = rep.stab.h1.vector
+    k = v.k
     lines = [
         f"Data set: {rep.dataset}",
         f"Genus {rep.genus}, degree {rep.dataset.n}, {k} branch points",
-        f"Generating vector: ({', '.join(map(str, rep.vector.c))}) mod {rep.vector.n}",
+        f"Generating vector: ({', '.join(map(str, v.c))}) mod {v.n}",
         f"|H1| = {rep.stab.h1.order}, |H2| = {rep.stab.h2.order}, "
         f"units = {{{', '.join(map(str, rep.stab.h1.units))}}}",
         f"[Mod:LMod] = {rep.stab.index_mod_lmod}",

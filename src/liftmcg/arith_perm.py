@@ -16,14 +16,16 @@ Conventions used throughout the package:
 The analysis lists no subgroup of Sym(k): genvec.VectorStabilizer labels
 right cosets (``coset_key``) instead.
 
-The Smith normal form is one elimination loop on the sparse rows, pivoting
-on entries of least absolute value in the columns met by the fewest rows;
-relation matrices of Reidemeister-Schreier presentations are sparse and
-nearly all +-1, so +-1 pivots do almost all of the work.
+The Smith normal form first splits off unit rows, +-x_j and +-x_i +- x_j,
+as substitutions through a table of column links; most rows of a
+Reidemeister-Schreier relation matrix read so once earlier substitutions
+are made.  One elimination loop on the sparse rows left then pivots on
+entries of least absolute value in the columns met by the fewest rows.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from math import gcd, lcm
 
 Perm = tuple[int, ...]
@@ -141,15 +143,23 @@ def smith_normal_form(rows, ncols: int) -> tuple[tuple[int, ...], int]:
     a column out of range or ncols < 0 ValueError; a bool counts as 0 or 1.
 
     The reduction works on the sparse rows throughout (Havas-Holt-Rees,
-    "Recognizing badly presented Z-modules", 1993): _diagonalize splits the
-    matrix into diagonal entries, which pairwise gcd/lcm steps then turn into
-    the divisibility chain.
+    "Recognizing badly presented Z-modules", 1993).  Unit rows go first, as
+    substitutions: each row is read through a table of column links, and a
+    row that then reads +-x_j sets x_j = 0, one that reads +-x_i +- x_j
+    (i < j) sets x_j to -+x_i.  Either is a unimodular step that splits off
+    an invariant factor 1, and the row is not stored.  A stored row that
+    holds a column linked after it is read again, found through an index of
+    the rows holding each column, until no stored row holds a linked column.
+    _diagonalize splits the rows left into diagonal entries, which pairwise
+    gcd/lcm steps then turn into the divisibility chain.
     """
     if type(ncols) is not int:
         raise TypeError(f"ncols must be an int, got {ncols!r}")
     if ncols < 0:
         raise ValueError(f"ncols must be >= 0, got {ncols}")
     live: dict[int, dict[int, int]] = {}
+    # j -> (root, sign) for x_j = sign * x_root; (-1, 0) for x_j = 0
+    link: dict[int, tuple[int, int]] = {}
     for i, row in enumerate(rows):
         try:  # a sum of ints (bools among them) is an int, and only such a sum
             exact = type(sum(row)) is int and type(sum(row.values())) is int
@@ -161,19 +171,97 @@ def smith_normal_form(rows, ncols: int) -> tuple[tuple[int, ...], int]:
         if entries:
             if min(entries) < 0 or max(entries) >= ncols:
                 raise ValueError(f"row {i} has a column outside 0..{ncols - 1}")
-            live[i] = entries
+            if link and not link.keys().isdisjoint(entries):
+                entries = _read(entries, link)
+                if not entries:
+                    continue
+            if _link_unit(entries, link) is None:
+                live[i] = entries
+    # the stored rows that hold a column linked after them
+    queue = [i for i, row in live.items() if not link.keys().isdisjoint(row)]
+    if queue:
+        holders: dict[int, list[int]] = defaultdict(list)  # column -> rows stored with it
+        for i, row in live.items():
+            for j in row:
+                holders[j].append(i)
+        while queue:
+            i = queue.pop()
+            row = live.get(i)
+            if row is None or link.keys().isdisjoint(row):
+                continue
+            entries = _read(row, link)
+            j = _link_unit(entries, link) if entries else None
+            if j is None and entries:
+                live[i] = entries
+                for j in entries.keys() - row.keys():
+                    holders[j].append(i)
+            else:
+                del live[i]
+                if j is not None:
+                    queue += holders.get(j, ())
     diagonal = _diagonalize(live)
     factors = [d for d in diagonal if d != 1]
     for a in range(len(factors)):
         for b in range(a + 1, len(factors)):
             x, y = factors[a], factors[b]
             factors[a], factors[b] = gcd(x, y), lcm(x, y)
-    factors = [1] * (len(diagonal) - len(factors)) + factors
+    factors = [1] * (len(link) + len(diagonal) - len(factors)) + factors
 
     for x, y in zip(factors, factors[1:]):
         if y % x:
             raise InternalInvariantError(f"divisibility chain broken: {factors}")
     return tuple(factors), ncols - len(factors)
+
+
+def _link_unit(row: dict[int, int], link: dict[int, tuple[int, int]]) -> int | None:
+    """Link and return the column that a row of root columns eliminates when
+    it reads +-x_j (x_j = 0) or +-x_i +- x_j with i < j (x_j = -+x_i); None,
+    and no link, for any other row."""
+    if len(row) == 1:
+        (j, v), = row.items()
+        if v == 1 or v == -1:
+            link[j] = (-1, 0)
+            return j
+    elif len(row) == 2:
+        (i, a), (j, b) = sorted(row.items())
+        if (a == 1 or a == -1) and (b == 1 or b == -1):
+            link[j] = (i, -a * b)
+            return j
+    return None
+
+
+def _read(row: dict[int, int], link: dict[int, tuple[int, int]]) -> dict[int, int]:
+    """The row with each linked column replaced by its root, zero entries
+    dropped."""
+    out: dict[int, int] = {}
+    for j, v in row.items():
+        if j in link:
+            root, sign = link[j]
+            if root in link:
+                root, sign = _root(j, link)
+            if not sign:
+                continue
+            j, v = root, v * sign
+        w = out.get(j, 0) + v
+        if w:
+            out[j] = w
+        else:
+            del out[j]
+    return out
+
+
+def _root(j: int, link: dict[int, tuple[int, int]]) -> tuple[int, int]:
+    """(root, sign) with x_j = sign * x_root, sign 0 when x_j = 0; the links
+    on the way are shortened to point at the root."""
+    path = []
+    while j in link:
+        path.append(j)
+        j = link[j][0]
+    sign = 1
+    for p in reversed(path):
+        sign *= link[p][1]
+        link[p] = (j, sign)
+    return j, sign
 
 
 def _diagonalize(rows: dict[int, dict[int, int]]) -> list[int]:

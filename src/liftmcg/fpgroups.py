@@ -277,6 +277,15 @@ def _per_degree(build):
     return per_degree
 
 
+def _require_degree(k: int, least: int) -> None:
+    """Refuse a degree k that is not an int (TypeError) or is below least
+    (ValueError); a bool counts as 0 or 1."""
+    if not isinstance(k, int):
+        raise TypeError(f"the degree k must be an int, got {k!r}")
+    if k < least:
+        raise ValueError(f"need k >= {least} marked points, got {k}")
+
+
 def sigma_names(k: int) -> list[str]:
     return [f"s{i}" for i in range(1, k)]
 
@@ -285,8 +294,7 @@ def sigma_names(k: int) -> list[str]:
 def psi_images(k: int) -> Mapping[str, Perm]:
     """The marked-point action of the half-twist generators: s_i -> (i, i+1),
     as a read-only mapping shared by every caller."""
-    if k < 2:
-        raise ValueError(f"need k >= 2 marked points, got {k}")
+    _require_degree(k, 2)
     return MappingProxyType({f"s{i}": transposition(i, i + 1, k) for i in range(1, k)})
 
 
@@ -300,8 +308,7 @@ def psi_image(w: Word, k: int) -> Perm:
 @_per_degree
 def mod_sphere_presentation(k: int) -> Presentation:
     """Half-twist presentation of the mapping class group of a k-marked sphere."""
-    if k < 3:
-        raise ValueError(f"need k >= 3 marked points, got {k}")
+    _require_degree(k, 3)
     s = {i: gen(f"s{i}") for i in range(1, k)}
     relators: list[Word] = []
     for i in range(1, k):
@@ -323,8 +330,7 @@ def a_name(i: int, j: int) -> str:
 def pmod_sphere_presentation(k: int) -> Presentation:
     """Pure mapping class group of the k-marked sphere on generators a_ij,
     1 <= i < j < k."""
-    if k < 3:
-        raise ValueError(f"need k >= 3 marked points, got {k}")
+    _require_degree(k, 3)
     # generator indices satisfy 1 <= i < j <= k-1
     names = [(i, j) for i in range(1, k - 1) for j in range(i + 1, k)]
     a = {(i, j): gen(a_name(i, j)) for i, j in names}

@@ -208,7 +208,7 @@ def test_presentations_pinned_and_killed_by_images_genus_2_to_4():
             for line in (render_dataset(ds), render_presentation(rep.lmod_presentation),
                          render_presentation(rep.clmod_presentation)):
                 digest.update((line + "\n").encode())
-            k = rep.vector.k
+            k = rep.stab.h1.vector.k
             for pres, images in ((rep.lmod_presentation, rep.lmod_images),
                                  (rep.clmod_presentation, rep.clmod_images)):
                 in_order = [images[g] for g in pres.generators]
@@ -280,7 +280,7 @@ def test_raw_and_simplified_abelianizations_agree_genus_2_to_6():
             rep = analyze(ds)
             for subgroup, simplified in ((rep.stab.h1, rep.lmod_presentation),
                                          (rep.stab.h2, rep.clmod_presentation)):
-                raw = _raw_presentation(rep.vector.k, subgroup)
+                raw = _raw_presentation(rep.stab.h1.vector.k, subgroup)
                 assert abelianization(raw) == abelianization(simplified), ds
                 count += 1
     assert count == 218

@@ -308,3 +308,108 @@ def small_matrices(draw):
 @given(small_matrices())
 def test_snf_matches_determinantal_divisors_generated(rows):
     assert _snf(rows) == _snf_by_minors(rows, len(rows[0]))
+
+
+# The unit-row phase: rows that read +-x_j or +-x_i +- x_j, read through the
+# substitutions made so far, split off an invariant factor 1 each; the rest
+# goes to the elimination loop.  Expected values come from the minors oracle
+# or are worked by hand.
+
+
+@pytest.mark.parametrize("rows", [
+    # one-entry unit rows, before and after the row that holds the column
+    [[0, -1, 0], [2, 3, 0]],
+    [[2, 3, 0], [0, 1, 0]],
+    # x0 and x1 linked with each sign pattern, then 2x0 + 4x1 + 6x2 and
+    # 3x1 + 3x2: the substitution's sign decides what is left
+    *[[[a, b, 0], [2, 4, 6], [0, 3, 3]] for a in (1, -1) for b in (1, -1)],
+    # a chain read as x3 = x2, x2 = -x1, x1 = 0, then a row on all four
+    [[0, 0, -1, 1], [0, 1, 1, 0], [0, 1, 0, 0], [2, 4, 6, 8]],
+    # the same chain with the stored row first, so it is read again after
+    [[2, 4, 6, 8], [0, 0, -1, 1], [0, 1, 1, 0], [0, 1, 0, 0]],
+    # x0 + x1 + x2 reads x0 once x2 = -x1, and the x0 = 0 it makes turns
+    # the first row, stored before either link, into x3 + x4
+    [[1, 0, 0, 1, 1], [1, 1, 1, 0, 0], [0, 1, 1, 0, 0], [0, 0, 0, 2, 0]],
+    # entries that cancel through links: the rows after the first read 0
+    [[1, -1, 0], [1, -1, 0], [-2, 2, 0], [0, 0, 5]],
+    [[1, 1, 1], [0, 1, -1], [1, 2, 0]],
+    # rows no link applies to: 2x, 2x + 3y, x + y + z and x + 2y
+    [[2, 0, 0], [0, 2, 3]],
+    [[1, 1, 1], [1, 2, 0], [0, 0, 4]],
+])
+def test_snf_unit_rows_match_minors(rows):
+    assert _snf(rows) == _snf_by_minors(rows, len(rows[0]))
+
+
+def test_snf_unit_rows_examples():
+    # worked by hand: x0 = 0, x2 = x1, so 2x1 + 2x2 reads 4x1
+    assert _snf([[1, 0, 0], [0, 1, -1], [0, 2, 2]]) == ((1, 1, 4), 0)
+    # x1 = -x0 makes 3x0 + 3x1 vanish
+    assert _snf([[3, 3], [1, 1]]) == ((1,), 1)
+    # every row a unit row: a rank-3 matrix on 4 columns
+    assert _snf([[0, 1, 0, 0], [1, 0, -1, 0], [0, 0, 1, 1]]) == ((1, 1, 1), 1)
+    # 2x2 + x4 is read again as 2x2 + x0 once x4 = x0; x0 + x5 + x6 reads
+    # x0 once x6 = -x5, and the x0 = 0 it then makes leaves 2x2
+    rows = [[1, 0, 0, 0, 0, 1, 1], [0, 0, 2, 0, 1, 0, 0],
+            [1, 0, 0, 0, -1, 0, 0], [0, 0, 0, 0, 0, 1, 1]]
+    assert _snf(rows) == _snf_by_minors(rows, 7) == ((1, 1, 1, 2), 3)
+    # a bool in a unit row counts as 1
+    assert smith_normal_form([{1: True, 0: -1}, {1: 2, 2: 4}], 3) == ((1, 2), 1)
+
+
+def test_snf_unit_rows_keep_the_refusals_in_row_order():
+    # the unit rows before the bad row have made their links by then
+    with pytest.raises(ValueError, match="^row 2 has a column outside 0..1$"):
+        smith_normal_form([{0: 1}, {0: 1, 1: -1}, {2: 1}], 2)
+    with pytest.raises(TypeError, match="^row 1 has a column or value that is not an int$"):
+        smith_normal_form([{0: 1, 1: 1}, {1: 1.0}], 2)
+    # x2 = x1 and x0 = 0 come after the first row, which then reads 3x1
+    rows = [{0: 1, 1: 1, 2: 2}, {1: 1, 2: -1}, {0: 1}]
+    assert smith_normal_form(rows, 3) == ((1, 1, 3), 0)
+    assert rows == [{0: 1, 1: 1, 2: 2}, {1: 1, 2: -1}, {0: 1}]
+
+
+def test_snf_unit_rows_cascade_along_long_chains():
+    # each row reads as a unit row only once its neighbour's column is
+    # zeroed, and the last row zeroes the first column of the cascade; a
+    # rescan of every stored row after each new link is quadratic here
+    m = 2000
+    up = [{t - 1: 1, t: 2} for t in range(1, m + 1)] + [{m: 1}]
+    down = [{t - 1: 2, t: 1} for t in range(1, m + 1)] + [{0: 1}]
+    for rows in (up, down):
+        assert smith_normal_form(rows, m + 1) == ((1,) * (m + 1), 0)
+
+
+@st.composite
+def unit_heavy_matrices(draw):
+    """Matrices of 1-6 rows and 1-6 columns whose rows are each a one- or
+    two-entry unit row, a short non-unit row or a denser row."""
+    ncols = draw(st.integers(1, 6))
+    column = st.integers(0, ncols - 1)
+    sign = st.sampled_from((1, -1))
+    matrix = []
+    for _ in range(draw(st.integers(1, 6))):
+        row = [0] * ncols
+        kind = draw(st.sampled_from(("one", "two", "short", "dense")))
+        if kind == "one":
+            row[draw(column)] = draw(sign)
+        elif kind == "two":  # the two columns may coincide
+            for _ in range(2):
+                row[draw(column)] += draw(sign)
+        elif kind == "short":
+            for _ in range(draw(st.integers(1, 2))):
+                row[draw(column)] += draw(st.sampled_from((2, -2, 3, -4, 6)))
+        else:
+            row = draw(st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols))
+        matrix.append(row)
+    return matrix
+
+
+# derandomized, so that Tier-1 runs the same examples on every run
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(unit_heavy_matrices())
+def test_snf_unit_heavy_matrices_match_minors(rows):
+    sparse = [{j: v for j, v in enumerate(r) if v} for r in rows]
+    before = [dict(r) for r in sparse]
+    assert smith_normal_form(sparse, len(rows[0])) == _snf_by_minors(rows, len(rows[0]))
+    assert sparse == before

@@ -73,7 +73,7 @@ def test_equal_to_reference_on_every_preimage_of_genus_2_to_5():
             rep = analyze(ds)
             for subgroup in (rep.stab.h1, rep.stab.h2):
                 if not subgroup.is_symmetric and subgroup.order > 1:
-                    degree.setdefault(subgroup, rep.vector.k)
+                    degree.setdefault(subgroup, rep.stab.h1.vector.k)
     assert len(degree) == 27
     letters = [_on_sphere(k, subgroup) for subgroup, k in degree.items()]
     # raw letters, new and reference
