@@ -32,6 +32,9 @@ Perm = tuple[int, ...]
 
 # bounds Reidemeister-Schreier's coset table (fpgroups): index x generators
 MAX_MATERIALIZED = 2_000_000
+# bounds Reidemeister-Schreier's rewriting (fpgroups): index x the letters of
+# the relators it rewrites; no class of genus <= 12 predicts more than 10.7M
+MAX_REWRITE_LETTERS = 20_000_000
 
 
 class CapacityError(ValueError):

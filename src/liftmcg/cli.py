@@ -8,8 +8,10 @@ genus < 2, or classify with k != 3), with the reason written where the
 output would go (stdout or --out); 3 analysis refused by a capacity guard.
 Exit codes 1 and 3 print one ``error:`` line on stderr.  ``main`` alone
 chooses between JSON and text: each verb hands it both outputs unbuilt.
-JSON output is byte-stable across runs for identical inputs.  The argument
-parser is built once per process, on the first call.
+JSON output is one line, with json.dumps' default separators, so that
+CPython writes it with its C encoder (an indent would select the pure-Python
+one), and byte-stable across runs for identical inputs.  The argument parser
+is built once per process, on the first call.
 """
 
 from __future__ import annotations
@@ -177,7 +179,7 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         payload, render, code = _VERBS[args.verb][0](args)
-        text = json.dumps(payload(), indent=2) if args.format == "json" else render()
+        text = json.dumps(payload()) if args.format == "json" else render()
     except (UsageError, DataSetParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -13,7 +13,8 @@ image, matching arith_perm.compose).
 The degree-k data, mod_sphere_presentation(k), pmod_sphere_presentation(k)
 and psi_images(k) (a read-only mapping), are built once per degree and kept
 for the life of the process; only an int k is memoized, so any other k is
-refused exactly as a fresh build refuses it.
+refused exactly as a fresh build refuses it.  A degree above
+MAX_BRANCH_POINTS is refused before anything is built.
 
 Reidemeister-Schreier enumerates the cosets itself, in one BFS that
 multiplies by each generator's image through one precomputed itemgetter, and
@@ -43,6 +44,7 @@ from types import MappingProxyType
 
 from .arith_perm import (
     MAX_MATERIALIZED,
+    MAX_REWRITE_LETTERS,
     CapacityError,
     InternalInvariantError,
     Perm,
@@ -52,6 +54,7 @@ from .arith_perm import (
     smith_normal_form,
     transposition,
 )
+from .datasets import MAX_BRANCH_POINTS
 
 Letter = tuple[str, int]
 Relator = tuple[int, ...]
@@ -278,12 +281,15 @@ def _per_degree(build):
 
 
 def _require_degree(k: int, least: int) -> None:
-    """Refuse a degree k that is not an int (TypeError) or is below least
-    (ValueError); a bool counts as 0 or 1."""
+    """Refuse a degree k that is not an int (TypeError), is below least
+    (ValueError) or exceeds MAX_BRANCH_POINTS (CapacityError); a bool counts
+    as 0 or 1."""
     if not isinstance(k, int):
         raise TypeError(f"the degree k must be an int, got {k!r}")
     if k < least:
         raise ValueError(f"need k >= {least} marked points, got {k}")
+    if k > MAX_BRANCH_POINTS:
+        raise CapacityError(f"{k} marked points exceed the cap of {MAX_BRANCH_POINTS}")
 
 
 def sigma_names(k: int) -> list[str]:
@@ -406,8 +412,10 @@ def reidemeister_schreier_full(p: Presentation, psi: Mapping[str, Perm],
     label equal for g and g' exactly when H*g = H*g', so any object with
     these three serves (the analysis passes a genvec.VectorStabilizer).
     After psi's check, and still before any coset is built, the run is
-    refused when the predicted index k!/|H| times the generator count
-    exceeds MAX_MATERIALIZED.
+    refused (CapacityError) when the predicted index k!/|H| times the
+    generator count exceeds MAX_MATERIALIZED, or the index times the letters
+    of p's relators, the most letters the rewrites can read, exceeds
+    MAX_REWRITE_LETTERS.
 
     One BFS numbers the right cosets, coset 0 being H, taking cosets in
     discovery order and generators in order; it multiplies by psi(g) and by
@@ -438,6 +446,11 @@ def reidemeister_schreier_full(p: Presentation, psi: Mapping[str, Perm],
         raise CapacityError(
             f"coset table of predicted index {index} with {ngens} "
             f"generators exceeds the cap of {MAX_MATERIALIZED} entries")
+    letters = sum(map(len, p.relators))
+    if index * letters > MAX_REWRITE_LETTERS:
+        raise CapacityError(
+            f"rewriting {letters} relator letters at each of {index} predicted "
+            f"cosets exceeds the cap of {MAX_REWRITE_LETTERS} letters")
 
     identity = identity_perm(degree)
     coset_key = subgroup.coset_key

@@ -556,7 +556,7 @@ def _user_lift_data(q, n):
 # `present --format json` for every spherical class of genus 2-6 and the
 # family members above: every default route to N(F) and C(F)
 PRESENT_SHA256 = (
-    "a83d19fa96244c11afac1fece784ca06824b72c21b17887625e2746fe5eff8e1")
+    "8f39e96fedd3f09d35d57b3960fcf73aa147224e2702c25896519c9bc95c019a")
 # sha256 of render_normalizer_specs and the unsorted-key normalizer_spec_json
 # of user lift data passed for both groups; test_one_sided_lift_data_keeps_the_other_route
 # reduces the one-sided calls to these

@@ -3,13 +3,24 @@ import json
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import jsonschema
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liftmcg import schemas
+from liftmcg.arith_perm import CapacityError
 from liftmcg.cli import main
-from liftmcg.datasets import enumerate_spherical, render_dataset
+from liftmcg.datasets import (
+    DataSet,
+    DataSetParseError,
+    enumerate_spherical,
+    parse_dataset,
+    render_dataset,
+)
 
 
 def run(capsys, *argv):
@@ -108,6 +119,28 @@ def test_analyze_capacity_exit_3(capsys):
     assert code == 3 and out == ""
     assert err.startswith("error: ") and "exceeds the cap" in err
     assert "Traceback" not in err
+
+
+def test_analyze_rewrite_volume_exit_3(capsys):
+    # genus 40, k = 42: passes the coset-table cap at index 11,480, but
+    # Reidemeister-Schreier would rewrite 95.1M relator letters
+    start = time.perf_counter()
+    code, out, err = run(capsys, "analyze", "(3,0;(1,3)_39,(2,3)_3)")
+    assert time.perf_counter() - start < 2.0
+    assert code == 3 and out == ""
+    assert err.startswith("error: rewriting 8284 relator letters") and err.count("\n") == 1
+
+
+def test_json_is_one_line_per_output(capsys):
+    calls = [("validate", "(2,0;(1,2)_6)"), ("enumerate", "2"),
+             ("analyze", "(6,0;(1,2),(1,2),(1,3),(2,3))"),
+             ("present", "(6,0;(1,2),(1,2),(1,3),(2,3))"),
+             ("classify", "(7,0;(1,7),(2,7),(4,7))"), ("table1",), ("verify",)]
+    for call in calls:
+        code, out, err = run(capsys, *call, "--format", "json")
+        assert code == 0 and err == "", call
+        assert out.count("\n") == 1 and out.endswith("}\n"), call
+        json.loads(out)
 
 
 def test_analyze_hyperelliptic_genus_6(capsys):
@@ -318,7 +351,7 @@ def test_consecutive_calls_share_no_state(tmp_path, capsys):
 # out-of-scope class, the modulus cap), each in both formats; `present` is
 # pinned by test_present_pinned
 CLI_OUTPUTS_SHA256 = (
-    "33cc51e562e377c715f36cb723904d8696834b1766064546861b839cb276423e")
+    "341ce0fd16d68f0907a222889a10f672ece6bd2196954bbd254f74c43967b788")
 REFUSALS = (
     ("validate", "(4,0;(1,2),(1,4)"),
     ("analyze", "(2,1;(1,2),(1,2))"),
@@ -339,3 +372,40 @@ def test_cli_outputs_pinned_genus_2_to_5(capsys):
             digest.update(repr((argv, code, captured.out, captured.err)).encode())
     assert len(classes) == 64
     assert digest.hexdigest() == CLI_OUTPUTS_SHA256
+
+
+# the text grammar's characters, other scripts' digits and a stray letter
+MUTATION_ALPHABET = "()0123456789,;_-+ \t\n\u0662\u00b2x"
+GENUS_2_TO_4 = [render_dataset(ds) for genus in range(2, 5) for ds in enumerate_spherical(genus)]
+
+
+def _mutate(text: str, edits) -> str:
+    for kind, at, char in edits:
+        if kind == "insert":
+            at %= len(text) + 1
+            text = text[:at] + char + text[at:]
+        elif text:
+            at %= len(text)
+            text = text[:at] + (char if kind == "substitute" else "") + text[at + 1:]
+    return text
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.sampled_from(GENUS_2_TO_4),
+       st.lists(st.tuples(st.sampled_from(("substitute", "insert", "delete")),
+                          st.integers(0, 200), st.sampled_from(MUTATION_ALPHABET)),
+                min_size=1, max_size=4))
+def test_mutated_data_sets_are_parsed_or_refused_cleanly(text, edits):
+    text = _mutate(text, edits)
+    try:
+        assert isinstance(parse_dataset(text), DataSet)
+    except (DataSetParseError, CapacityError):
+        pass
+    for verb in ("validate", "classify"):
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([verb, text])
+        err = err.getvalue()
+        assert code in (0, 1, 2, 3), (verb, text)
+        assert "Traceback" not in err, (verb, text)
+        assert sum(line.startswith("error:") for line in err.splitlines()) <= 1, (verb, text)

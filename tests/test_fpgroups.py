@@ -1,6 +1,7 @@
 import random
 import re
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from math import factorial, gcd
 
@@ -8,12 +9,13 @@ import pytest
 
 from group_reference import closure, relator_key, rename_presentation, same_relator_sets
 from liftmcg.arith_perm import (
+    MAX_REWRITE_LETTERS,
     CapacityError,
     identity_perm,
     perm_from_cycles,
     transposition,
 )
-from liftmcg.datasets import parse_dataset
+from liftmcg.datasets import enumerate_spherical, parse_dataset
 from liftmcg.fpgroups import (
     EMPTY,
     LiftData,
@@ -213,6 +215,49 @@ def test_rs_checks_psi_before_the_capacity_guard():
     with pytest.raises(ValueError, match=r"does not kill the relator s1\*s3\*s1\^-1") as err:
         reidemeister_schreier_full(p, swapped, trivial)
     assert not isinstance(err.value, CapacityError)
+
+
+def test_sphere_data_refuses_a_degree_past_the_branch_point_cap():
+    # pmod_sphere_presentation(200) would start on about 1.9e8 relators and
+    # mod_sphere_presentation(10**5) on about 1e10
+    psi_images(62)
+    for build in (mod_sphere_presentation, pmod_sphere_presentation, psi_images,
+                  lambda k: psi_image(EMPTY, k)):
+        for k in (63, 200, 10**6):
+            start = time.perf_counter()
+            with pytest.raises(CapacityError, match=f"^{k} marked points exceed the cap of 62$"):
+                build(k)
+            assert time.perf_counter() - start < 1.0
+
+
+def test_rs_refuses_a_rewrite_volume_past_the_cap():
+    # genus 40, k = 42: index 42!/(39! 3!) = 11,480 with 41 generators passes
+    # the coset-table cap, but rewriting 8,284 relator letters at every coset
+    # predicts 95.1M letters
+    h1 = liftable_images(generating_vector(parse_dataset("(3,0;(1,3)_39,(2,3)_3)"))).h1
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="^rewriting 8284 relator letters at each of "
+                                            "11480 predicted cosets exceeds the cap of "
+                                            "20000000 letters$"):
+        reidemeister_schreier_full(mod_sphere_presentation(42), psi_images(42), h1)
+    assert time.perf_counter() - start < 2.0
+
+
+def test_rewrite_volume_of_every_class_to_genus_12_is_under_the_cap():
+    # the prediction the guard makes, at each H1 and H2 the analysis passes to
+    # Reidemeister-Schreier (neither Sym(k) nor trivial), without running it
+    predictions = {}
+    for genus in range(2, 13):
+        for ds in enumerate_spherical(genus):
+            stab = liftable_images(generating_vector(ds))
+            for name, sub in (("H1", stab.h1), ("H2", stab.h2)):
+                if not (sub.is_symmetric or sub.order == 1):
+                    letters = sum(map(len, mod_sphere_presentation(sub.degree).relators))
+                    predictions[name, str(ds)] = sub.index * letters
+    assert len(predictions) == 934
+    worst = max(predictions, key=predictions.get)
+    assert worst == ("H2", "(4,0;(1,2)_6,(1,4)_3,(3,4)_3)")
+    assert predictions[worst] == 10_607_520 < MAX_REWRITE_LETTERS
 
 
 def test_sphere_data_and_psi_checks_under_concurrent_workers():
