@@ -13,7 +13,13 @@ from functools import lru_cache, reduce
 from math import gcd
 from types import MappingProxyType
 
-from .arith_perm import InternalInvariantError, Perm, identity_perm
+from .arith_perm import (
+    MAX_PMOD_SPHERE_DEGREE,
+    CapacityError,
+    InternalInvariantError,
+    Perm,
+    identity_perm,
+)
 from .datasets import DataSet, parse_dataset
 from .fpgroups import (
     EMPTY,
@@ -104,8 +110,9 @@ def _subgroup_presentation(subgroup) -> tuple[Presentation, Mapping[str, Perm], 
     """Simplified presentation of the psi-preimage of a subgroup of Sym(k).
 
     Index 1 is the full sphere mapping class group and the trivial subgroup
-    pulls back to the pure one; both have known presentations, so
-    Reidemeister-Schreier runs only at intermediate index, and its output
+    pulls back to the pure one, refused (CapacityError) before it is built
+    above MAX_PMOD_SPHERE_DEGREE marked points; both have known presentations,
+    so Reidemeister-Schreier runs only at intermediate index, and its output
     goes through _identify_short_generators before Tietze.  The result
     depends on the subgroup only as a set, so it is memoized on the set and
     shared, with read-only images, by every report whose H1 or H2 it is.
@@ -117,6 +124,8 @@ def _subgroup_presentation(subgroup) -> tuple[Presentation, Mapping[str, Perm], 
         p, kind = mod_sphere_presentation(k), "mod_sphere"
         images = {name: psi[name] for name in p.generators}
     elif subgroup.order == 1:
+        if k > MAX_PMOD_SPHERE_DEGREE:
+            raise CapacityError(f"{k} marked points exceed PMod's cap of {MAX_PMOD_SPHERE_DEGREE}")
         p, kind = tietze_simplify(pmod_sphere_presentation(k)), "pmod_sphere"
         images = {name: identity_perm(k) for name in p.generators}
     else:

@@ -4,9 +4,11 @@ and extension presentations.
 
 A Presentation keeps its generator names and stores each relator as a freely
 reduced tuple of signed ints: +i is generator i (1-based, in declaration
-order) and -i its inverse.  Names are read only at the edges: a Word, of
-(name, +-1) letters, builds words by hand and compile_word turns it into ints;
-the renderers and presentation_json map ints back to names.  A word is its
+order) and -i its inverse.  The library's own builders, the sphere
+presentations among them, write these ints directly, and names are read
+only at the edges: a Word, of (name, +-1) letters, builds words by hand for
+callers and hand-typed data and compile_word turns it into ints; the
+renderers and presentation_json map ints back to names.  A word is its
 letters composed left to right (rightmost applied first under the permutation
 image, matching arith_perm.compose).
 
@@ -37,7 +39,7 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cache, wraps
 from heapq import heappop, heappush
-from itertools import chain, groupby
+from itertools import chain, combinations, groupby
 from math import factorial
 from operator import itemgetter
 from types import MappingProxyType
@@ -313,19 +315,13 @@ def psi_image(w: Word, k: int) -> Perm:
 
 @_per_degree
 def mod_sphere_presentation(k: int) -> Presentation:
-    """Half-twist presentation of the mapping class group of a k-marked sphere."""
+    """Half-twist presentation of the mapping class group of a k-marked
+    sphere; generator i is s_i."""
     _require_degree(k, 3)
-    s = {i: gen(f"s{i}") for i in range(1, k)}
-    relators: list[Word] = []
-    for i in range(1, k):
-        for j in range(1, k):
-            if i != j and abs(i - j) > 1:
-                relators.append(commutator(s[i], s[j]))
-    for i in range(1, k - 1):
-        relators.append(s[i] * s[i + 1] * s[i] * (s[i + 1] * s[i] * s[i + 1]).inv())
-    chain = word(*(s[i] for i in range(1, k)))
-    relators += [chain ** k, word(chain, *(s[i] for i in range(k - 1, 0, -1)))]
-    return Presentation.from_words(sigma_names(k), relators)
+    far = [(i, j, -i, -j) for i in range(1, k) for j in range(1, k) if abs(i - j) > 1]
+    braid = [(i, i + 1, i, -i - 1, -i, -i - 1) for i in range(1, k - 1)]
+    full = tuple(range(1, k))  # s_1 s_2 ... s_{k-1}
+    return Presentation(sigma_names(k), far + braid + [full * k, full + full[::-1]])
 
 
 def a_name(i: int, j: int) -> str:
@@ -335,32 +331,23 @@ def a_name(i: int, j: int) -> str:
 @_per_degree
 def pmod_sphere_presentation(k: int) -> Presentation:
     """Pure mapping class group of the k-marked sphere on generators a_ij,
-    1 <= i < j < k."""
+    1 <= i < j < k, numbered in that (i, j) order."""
     _require_degree(k, 3)
-    # generator indices satisfy 1 <= i < j <= k-1
-    names = [(i, j) for i in range(1, k - 1) for j in range(i + 1, k)]
-    a = {(i, j): gen(a_name(i, j)) for i, j in names}
-    relators: list[Word] = []
-    quads = [(p, q, r, s)
-             for p in range(1, k - 1) for q in range(p + 1, k - 1)
-             for r in range(q + 1, k - 1) for s in range(r + 1, k)]
-    for p, q, r, s_ in quads:
-        relators.append(commutator(a[p, q], a[r, s_]))
-    for p, q, r, s_ in quads:
-        relators.append(commutator(a[p, s_], a[q, r]))
-    for p, q, r, s_ in quads:
-        relators.append(commutator(a[r, s_] * a[p, r] * a[r, s_].inv(), a[q, s_]))
-    for p in range(1, k - 1):
-        for q in range(p + 1, k - 1):
-            for r in range(q + 1, k):
-                w1 = a[p, r] * a[q, r] * a[p, q]
-                w2 = a[q, r] * a[p, q] * a[p, r]
-                w3 = a[p, q] * a[p, r] * a[q, r]
-                relators.append(w1 * w2.inv())
-                relators.append(w2 * w3.inv())
-    total = word(*(a[i, j] for i, j in names))
-    relators.append(total)
-    return Presentation.from_words([a_name(i, j) for i, j in names], relators)
+    pairs = list(combinations(range(1, k), 2))
+    a = {ij: n for n, ij in enumerate(pairs, start=1)}
+    disjoint, nested, crossed = [], [], []
+    for p, q, r, s in combinations(range(1, k), 4):
+        pq, rs, ps, qr, pr, qs = a[p, q], a[r, s], a[p, s], a[q, r], a[p, r], a[q, s]
+        disjoint.append((pq, rs, -pq, -rs))
+        nested.append((ps, qr, -ps, -qr))
+        crossed.append((rs, pr, -rs, qs, rs, -pr, -rs, -qs))  # [a_rs a_pr a_rs^-1, a_qs]
+    relators = disjoint + nested + crossed
+    for p, q, r in combinations(range(1, k), 3):
+        pq, pr, qr = a[p, q], a[p, r], a[q, r]
+        # a_pr a_qr a_pq = a_qr a_pq a_pr = a_pq a_pr a_qr
+        relators += [(pr, qr, pq, -pr, -pq, -qr), (qr, pq, pr, -qr, -pr, -pq)]
+    relators.append(tuple(range(1, len(pairs) + 1)))
+    return Presentation([a_name(i, j) for i, j in pairs], relators)
 
 
 # ---------------------------------------------------------------------------

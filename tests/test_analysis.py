@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -10,6 +11,8 @@ import pytest
 
 from group_reference import perm_closure, same_relator_sets
 from liftmcg.arith_perm import (
+    MAX_PMOD_SPHERE_DEGREE,
+    CapacityError,
     InternalInvariantError,
     OutOfScopeError,
     identity_perm,
@@ -121,6 +124,52 @@ def test_analyze_rejects_bad_inputs():
         analyze(dataset(2, 1, ((1, 2), (1, 2))))  # not spherical
     with pytest.raises(ValueError):
         analyze(parse_dataset("(6,0;(1,2),(1,3),(1,6))"))  # genus 1
+
+
+def _distinct_residues_mod_61(residues):
+    return parse_dataset("(61,0;" + ",".join(f"({d},61)" for d in residues) + ")")
+
+
+def test_analyze_refuses_the_pmod_route_past_its_cap():
+    # genus 720, k = 26: H1 is trivial, so LMod is PMod(S_{0,26}), whose
+    # Tietze run took 4.5 s unguarded
+    ds = _distinct_residues_mod_61((*range(1, 12), *range(13, 28)))
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="^26 marked points exceed PMod's cap of 24$"):
+        analyze(ds)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_pmod_route_cap_is_checked_before_building(monkeypatch):
+    # at the cap the route runs, one past it nothing is built; Tietze is
+    # skipped, since the cap is on the degree alone
+    monkeypatch.setattr(analysis_module, "tietze_simplify", lambda p: p)
+    at_cap = _distinct_residues_mod_61((*range(1, 24), 29))
+    past_cap = _distinct_residues_mod_61((*range(1, 20), *range(21, 25), 26, 60))
+    h2 = liftable_images(generating_vector(at_cap)).h2
+    assert (h2.order, h2.degree) == (1, MAX_PMOD_SPHERE_DEGREE)
+    p, _, kind = _subgroup_presentation.__wrapped__(h2)
+    assert kind == "pmod_sphere" and p is pmod_sphere_presentation(MAX_PMOD_SPHERE_DEGREE)
+    h2 = liftable_images(generating_vector(past_cap)).h2
+    assert (h2.order, h2.degree) == (1, MAX_PMOD_SPHERE_DEGREE + 1)
+    monkeypatch.setattr(analysis_module, "pmod_sphere_presentation", None)
+    with pytest.raises(CapacityError, match="^25 marked points exceed"):
+        _subgroup_presentation.__wrapped__(h2)
+
+
+def test_pmod_route_of_every_class_to_genus_30_is_under_the_cap():
+    # H1 or H2 is trivial exactly when the analysis takes the pmod_sphere route
+    degrees = {}
+    for genus in range(2, 31):
+        for ds in enumerate_spherical(genus):
+            stab = liftable_images(generating_vector(ds))
+            for name, sub in (("H1", stab.h1), ("H2", stab.h2)):
+                if sub.order == 1:
+                    degrees[name, str(ds)] = sub.degree
+    assert len(degrees) == 4156
+    worst = max(degrees, key=degrees.get)
+    assert worst == ("H2", "(12,0;(1,2),(1,3),(2,3),(1,4),(3,4),(1,6),(5,6),(1,12),(5,12))")
+    assert degrees[worst] == 9 <= MAX_PMOD_SPHERE_DEGREE
 
 
 def test_scope_errors_are_typed_with_the_command_line_reasons():

@@ -6,6 +6,8 @@ from concurrent.futures import ThreadPoolExecutor
 from math import factorial, gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from group_reference import closure, relator_key, rename_presentation, same_relator_sets
 from liftmcg.arith_perm import (
@@ -38,6 +40,7 @@ from liftmcg.fpgroups import (
     word,
 )
 from liftmcg.genvec import generating_vector, half_twist_word, liftable_images
+from sphere_reference import mismatched_degrees
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +153,18 @@ def test_sphere_data_built_once_per_degree():
     with pytest.raises(TypeError):
         del psi["s2"]
     assert dict(psi_images(4)) == {f"s{i}": transposition(i, i + 1, 4) for i in (1, 2, 3)}
+
+
+def test_sphere_builders_match_the_by_name_reference(monkeypatch):
+    # the by-name builders that the signed-int ones replaced; CI runs k = 21-30
+    assert mismatched_degrees(range(3, 21)) == []
+
+    def no_words(self):
+        raise AssertionError("a sphere builder constructed a Word")
+
+    monkeypatch.setattr(Word, "__post_init__", no_words)
+    for build in (mod_sphere_presentation, pmod_sphere_presentation):
+        assert build.__wrapped__(7) == build(7)
 
 
 def test_sphere_builders_refuse_a_non_int_degree_whatever_is_cached():
@@ -722,3 +737,47 @@ def test_extension_symbolic_and_errors():
             LiftData({"x": "G"},
                      {("x", "F"): gen("F"), ("x", "K"): gen("K")},
                      {0: "e1"}))
+
+
+def _freely_reduced(letters) -> tuple[int, ...]:
+    out: list[int] = []
+    for x in letters:
+        if out and out[-1] == -x:
+            out.pop()
+        else:
+            out.append(x)
+    return tuple(out)
+
+
+@st.composite
+def _extensions_of_a_cyclic_kernel(draw):
+    """A quotient Q on 1-3 generators with up to 4 relators of up to 6
+    letters, n, a unit exponent for each lift's conjugation of F, and the
+    power of F that each lifted relator evaluates to."""
+    ngens = draw(st.integers(1, 3))
+    letter = st.sampled_from([x for i in range(1, ngens + 1) for x in (i, -i)])
+    relators = draw(st.lists(st.lists(letter, min_size=1, max_size=6), max_size=4))
+    n = draw(st.integers(2, 12))
+    units = [u for u in range(1, n) if gcd(u, n) == 1]
+    exponents = draw(st.lists(st.sampled_from(units), min_size=ngens, max_size=ngens))
+    values = draw(st.lists(st.integers(-n, n), min_size=len(relators), max_size=len(relators)))
+    q = Presentation(("x", "y", "z")[:ngens], [_freely_reduced(r) for r in relators])
+    return q, n, exponents, values
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_extensions_of_a_cyclic_kernel())
+@example((Presentation(("x", "y"), ((1, 1), (1, 2, -1, -2))), 5, [2, 4], [1, -3]))
+def test_extension_modulo_the_kernel_has_the_quotients_abelianization(case):
+    # E = <F, lifts | F^n, lifted relators = F^v, X F X^-1 = F^e> and
+    # E / <<F>> = Q, whatever n, e and v are
+    q, n, exponents, values = case
+    lifts = {g: g.upper() for g in q.generators}
+    data = LiftData(lifts=lifts,
+                    conjugation={(g, "F"): gen("F") ** e for g, e in zip(q.generators, exponents)},
+                    evaluations={i: gen("F") ** v for i, v in enumerate(values)})
+    out = extension_presentation(Presentation(("F",), ((1,) * n,)), q, data)
+    assert out.generators == ("F", *lifts.values())
+    killed = [_freely_reduced(x - 1 if x > 0 else x + 1 for x in r if abs(x) != 1)
+              for r in out.relators]
+    assert abelianization(Presentation(out.generators[1:], killed)) == abelianization(q)
