@@ -8,9 +8,9 @@ The pipeline, bottom to top:
 * genvec — generating vectors, the (unit, permutation) action, stabilizers,
   the liftable/centralizer images as stabilizers of the vector, the
   3-branch-point classification;
-* fpgroups — words and presentations, sphere mapping-class presentations,
-  Reidemeister-Schreier with its own coset enumeration, Tietze
-  simplification, abelianization, extensions;
+* fpgroups — signed-int words and presentations, sphere mapping-class
+  presentations, Reidemeister-Schreier with its own coset enumeration,
+  Tietze simplification, abelianization, extensions;
 * analysis — end-to-end analysis, normalizer/centralizer presentations,
   homology matrix verification, the genus-3 table;
 * cli — the ``liftmcg`` command.
@@ -47,7 +47,6 @@ from .datasets import (
 from .fpgroups import (
     LiftData,
     Presentation,
-    Word,
     abelianization,
     extension_presentation,
     mod_sphere_presentation,

@@ -22,14 +22,11 @@ from .arith_perm import (
 )
 from .datasets import DataSet, parse_dataset
 from .fpgroups import (
-    EMPTY,
     LiftData,
     Presentation,
-    Word,
+    Relator,
     _identify_short_generators,
-    commutator,
     extension_presentation,
-    gen,
     mod_sphere_presentation,
     pmod_sphere_presentation,
     presentation_json,
@@ -38,17 +35,20 @@ from .fpgroups import (
     render_presentation,
     render_relator,
     render_word,
+    sigma_names,
     tietze_simplify,
 )
 from .genvec import (
     GroupDescriptor,
     IrreducibleClassification,
     StabilizerReport,
+    VectorStabilizer,
     classify_irreducible,
     generating_vector,
     liftable_images,
     mod_equals_lmod,
     require_genus,
+    stabilizing_units,
 )
 
 SCHEMA_VERSION = 1
@@ -144,7 +144,7 @@ def analyze(ds: DataSet) -> AnalysisReport:
     stab = liftable_images(v)
     lmod_p, lmod_images, lmod_kind = _subgroup_presentation(stab.h1)
     clmod_p, clmod_images, clmod_kind = _subgroup_presentation(stab.h2)
-    classification = classify_irreducible(v) if v.k == 3 else None
+    classification = classify_irreducible(stab.h1) if v.k == 3 else None
 
     flags = MappingProxyType({
         "mod_equals_lmod": mod_equals_lmod(v),
@@ -193,14 +193,15 @@ def _signed_unit(u: int, n: int) -> int:
 
 
 def _lift_data(quotient: Presentation, exponents: list[int],
-               evaluations: dict[int, Word | str],
+               evaluations: dict[int, Relator | str],
                names: list[str] | None = None) -> LiftData:
     """Lifts G1, G2, ... (or names) of the quotient generators; G F G^-1 = F^e."""
     if names is None:
         names = [f"G{i}" for i in range(1, len(quotient.generators) + 1)]
     return LiftData(
         lifts=dict(zip(quotient.generators, names)),
-        conjugation={(g, "F"): gen("F") ** e for g, e in zip(quotient.generators, exponents)},
+        conjugation={(g, "F"): (1 if e > 0 else -1,) * abs(e)
+                     for g, e in zip(quotient.generators, exponents)},
         evaluations=evaluations)
 
 
@@ -208,14 +209,14 @@ def _extension_spec(n: int, quotient: Presentation, data: LiftData, provenance: 
                     descriptor: GroupDescriptor | None = None,
                     notes: tuple[str, ...] = ()) -> NormalizerSpec:
     """The extension of <F | F^n> by the quotient; each lift's exponent is
-    read off its conjugation word, a power of F, and reported as a signed
-    unit.  An exponent that is not a unit mod n raises ValueError, since
-    G F G^-1 = F^e would then collapse F."""
+    the letter sum of its conjugation word, a power of F, reported as a
+    signed unit.  An exponent that is not a unit mod n raises ValueError,
+    since G F G^-1 = F^e would then collapse F."""
     pres = extension_presentation(Presentation(("F",), ((1,) * n,)), quotient, data)
     exponents = {}
     for g in quotient.generators:
         lift = data.lifts[g]
-        e = sum(x for _, x in data.conjugation[(g, "F")].letters) % n
+        e = sum(data.conjugation[(g, "F")]) % n
         if gcd(e, n) != 1:
             raise ValueError(f"conjugation exponent {e} of lift {lift} is not a unit mod {n}")
         exponents[lift] = _signed_unit(e, n)
@@ -233,7 +234,7 @@ def _descriptor_spec(desc: GroupDescriptor, notes: tuple[str, ...] = ()) -> Norm
         exponents = [_signed_unit(desc.twist or 1, desc.n)]
     else:
         raise ValueError(f"no presentation route for descriptor {desc}")
-    data = _lift_data(quotient, exponents, dict.fromkeys(range(len(quotient.relators)), EMPTY),
+    data = _lift_data(quotient, exponents, dict.fromkeys(range(len(quotient.relators)), ()),
                       names=list(quotient.generators))
     return _extension_spec(desc.n, quotient, data, "built_in", desc, notes)
 
@@ -251,19 +252,18 @@ def _doubled_builtin(rep: AnalysisReport) -> tuple[NormalizerSpec, NormalizerSpe
     signature (0; 2, 2, g+1, g+1).  Only the relator values are built in."""
     g = rep.genus
     n = rep.dataset.n
-    s1, s3, a13 = gen("s1"), gen("s3"), gen("a13")
-    lmod_q = Presentation.from_words(
-        ("s1", "s3", "a13"),
-        (s3 ** 2 * s1 ** -2, commutator(s1, s3), (s1 * a13) ** 2, (s3 * a13) ** 2))
-    clmod_q = Presentation.from_words(("s1", "a13"), ((s1 * a13) ** 2,))
+    # s3^2 s1^-2, [s1,s3], (s1 a13)^2, (s3 a13)^2
+    lmod_q = Presentation(("s1", "s3", "a13"),
+                          ((2, 2, -1, -1), (1, 2, -1, -2), (1, 3, 1, 3), (2, 3, 2, 3)))
+    clmod_q = Presentation(("s1", "a13"), ((1, 2, 1, 2),))  # (s1 a13)^2
     psi, one = psi_images(4), identity_perm(4)
     notes = ("lift data built in for the order-2g+2 glued-rotation family",)
     norm = _extension_spec(n, lmod_q, _lift_data(
         lmod_q, _exponents(rep, (psi["s1"], psi["s3"], one)),
-        {0: EMPTY, 1: EMPTY, 2: gen("F") ** (g + 2), 3: gen("F") ** (g + 1)},
+        {0: (), 1: (), 2: (1,) * (g + 2), 3: (1,) * (g + 1)},
         names=["G1", "G3", "G2"]), "built_in", notes=notes)
     cent = _extension_spec(n, clmod_q, _lift_data(
-        clmod_q, _exponents(rep, (psi["s1"], one)), {0: gen("F") ** (g + 2)}),
+        clmod_q, _exponents(rep, (psi["s1"], one)), {0: (1,) * (g + 2)}),
         "built_in", notes=notes)
     return norm, cent
 
@@ -281,7 +281,7 @@ def _generic_spec(rep: AnalysisReport, quotient: Presentation,
     evaluations carried as parameters unless the quotient is free."""
     n = rep.dataset.n
     exponents = _exponents(rep, (images[g] for g in quotient.generators))
-    evaluations: dict[int, Word | str] = {i: f"e{i + 1}" for i in range(len(quotient.relators))}
+    evaluations = {i: f"e{i + 1}" for i in range(len(quotient.relators))}
     data = _lift_data(quotient, exponents, evaluations)
     if evaluations:
         return _extension_spec(n, quotient, data, "symbolic", notes=(
@@ -426,7 +426,8 @@ def table_genus3() -> list[TableRow]:
     rows = []
     for i, text in enumerate(TABLE_GENUS3_INPUTS, start=1):
         ds = parse_dataset(text)
-        cls = classify_irreducible(generating_vector(ds))
+        v = generating_vector(ds)
+        cls = classify_irreducible(VectorStabilizer(v, tuple(stabilizing_units(v))))
         if cls.genus != 3:
             raise InternalInvariantError(f"{text} is not a genus-3 three-point class")
         rows.append(TableRow(i, ds, cls.normalizer, cls.centralizer, cls.case))
@@ -462,7 +463,8 @@ def stabilizer_json(sr: StabilizerReport) -> dict:
         "H2_order": sr.h2.order,
         "units": list(sr.h1.units),
         "B": [[i, j] for i, j in sr.swaps],
-        "C": {str(u): render_word(sr.unit_words[u]) for u in sr.h1.units},
+        "C": {str(u): render_word(sr.unit_words[u], sigma_names(sr.h1.degree))
+              for u in sr.h1.units},
         "index_mod_lmod": sr.index_mod_lmod,
         "index_n_c": sr.index_n_c,
     }
@@ -514,7 +516,7 @@ def render_report(rep: AnalysisReport) -> str:
         f"[Mod:LMod] = {rep.stab.index_mod_lmod}",
         f"[N:C] = {rep.stab.index_n_c}",
         "B = " + (", ".join(f"({i},{j})" for i, j in rep.stab.swaps) or "(empty)"),
-        "C: " + "; ".join(f"{u} -> {render_word(rep.stab.unit_words[u])}"
+        "C: " + "; ".join(f"{u} -> {render_word(rep.stab.unit_words[u], sigma_names(k))}"
                           for u in rep.stab.h1.units),
     ]
     if rep.flags["mod_equals_lmod"]:

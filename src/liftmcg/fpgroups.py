@@ -2,15 +2,15 @@
 Reidemeister-Schreier rewriting, Tietze simplification, abelianization,
 and extension presentations.
 
-A Presentation keeps its generator names and stores each relator as a freely
-reduced tuple of signed ints: +i is generator i (1-based, in declaration
-order) and -i its inverse.  The library's own builders, the sphere
-presentations among them, write these ints directly, and names are read
-only at the edges: a Word, of (name, +-1) letters, builds words by hand for
-callers and hand-typed data and compile_word turns it into ints; the
-renderers and presentation_json map ints back to names.  A word is its
-letters composed left to right (rightmost applied first under the permutation
-image, matching arith_perm.compose).
+Every word is a freely reduced tuple of signed ints: +i is generator i
+(1-based, in declaration order) and -i its inverse.  A Presentation keeps
+its generator names and stores each relator so; the half-twist words of
+genvec are words in s_1..s_{k-1} (s_t is letter t), and LiftData's words are
+over the kernel's generators, numbered as in its presentation.  Names are
+read only at the edges: render_word, the other renderers and
+presentation_json map ints back to names.  A word is its letters composed
+left to right (rightmost applied first under the permutation image,
+matching arith_perm.compose).
 
 The degree-k data, mod_sphere_presentation(k), pmod_sphere_presentation(k)
 and psi_images(k) (a read-only mapping), are built once per degree and kept
@@ -58,71 +58,34 @@ from .arith_perm import (
 )
 from .datasets import MAX_BRANCH_POINTS
 
-Letter = tuple[str, int]
 Relator = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Word:
-    """A freely reduced word by generator name, for building presentations
-    by hand; compile_word turns it into a relator."""
-
-    letters: tuple[Letter, ...] = ()
-
-    def __post_init__(self):
-        out: list[Letter] = []
-        for name, e in self.letters:
-            if type(e) is not int or e not in (1, -1):
-                raise ValueError(f"letter exponent must be the int 1 or -1, got {e!r}")
-            if out and out[-1][0] == name and out[-1][1] == -e:
-                out.pop()
-            else:
-                out.append((name, e))
-        object.__setattr__(self, "letters", tuple(out))
-
-    def __mul__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
-
-    def __pow__(self, e: int) -> "Word":
-        base = self if e > 0 else self.inv()
-        return Word(base.letters * abs(e))
-
-    def inv(self) -> "Word":
-        return Word(tuple((name, -e) for name, e in reversed(self.letters)))
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __str__(self) -> str:
-        return render_word(self)
-
-
-EMPTY = Word()
-
-
-def gen(name: str, e: int = 1) -> Word:
-    return Word(((name, 1 if e > 0 else -1),) * abs(e))
-
-
-def word(*parts: Word) -> Word:
-    return Word(tuple(chain.from_iterable(p.letters for p in parts)))
-
-
-def commutator(a: Word, b: Word) -> Word:
-    return a * b * a.inv() * b.inv()
-
-
-def compile_word(w: Word, index: Mapping[str, int]) -> Relator:
-    """w in signed ints, where index maps each generator name to its 1-based
-    number; ValueError for a name that index lacks."""
-    try:
-        return tuple(index[name] * e for name, e in w.letters)
-    except KeyError as exc:
-        raise ValueError(f"word uses undeclared generator {exc.args[0]!r}") from None
 
 
 def _inverted(r: Relator) -> Relator:
     return tuple(-x for x in reversed(r))
+
+
+def _free_reduction(letters: Iterable[int]) -> Relator:
+    """The freely reduced word of the letters, cancelled through one stack."""
+    out: list[int] = []
+    for x in letters:
+        if out and out[-1] == -x:
+            out.pop()
+        else:
+            out.append(x)
+    return tuple(out)
+
+
+def _check_letters(r: Relator, ngens: int, what: str) -> None:
+    """ValueError unless every letter of r is one of +-1..+-ngens and r is
+    freely reduced; what names r in the message."""
+    prev = 0
+    for x in r:
+        if type(x) is not int or not 0 < abs(x) <= ngens:
+            raise ValueError(f"{what} letter {x!r} is not one of +-1..+-{ngens}")
+        if x == -prev:
+            raise ValueError(f"{what} is not freely reduced")
+        prev = x
 
 
 def _letter_codes(ngens: int) -> list[str]:
@@ -142,18 +105,14 @@ def evaluate_perm(r: Relator, images: Sequence[Perm], degree: int) -> Perm:
     return out
 
 
-def _render(r: Relator, names: Sequence[str]) -> str:
+def render_word(r: Relator, names: Sequence[str]) -> str:
+    """Run-aggregated product string, names[i - 1] being generator i's name;
+    the empty word renders as "1"."""
     parts = []
     for x, run in groupby(r):
         count = len(list(run)) if x > 0 else -len(list(run))
         parts.append(names[abs(x) - 1] + ("" if count == 1 else f"^{count}"))
     return "*".join(parts) or "1"
-
-
-def render_word(w: Word) -> str:
-    """Run-aggregated product string; the empty word renders as "1"."""
-    names = tuple(dict.fromkeys(name for name, _ in w.letters))
-    return _render(compile_word(w, {name: i for i, name in enumerate(names, start=1)}), names)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +134,7 @@ class Presentation:
     """Generators by name and relators as freely reduced tuples of signed
     ints: +i is generator i (1-based, in declaration order), -i its inverse.
     The three fields are stored as tuples, whatever sequence they are given
-    as.  from_words builds one from Words."""
+    as."""
 
     generators: tuple[str, ...]
     relators: tuple[Relator, ...]
@@ -200,19 +159,7 @@ class Presentation:
         for r in chain(self.relators, (s.lhs for s in self.symbolic_relators)):
             if type(r) is not tuple:
                 raise TypeError(f"a relator is a tuple of signed ints, got {type(r).__name__}")
-            prev = 0
-            for x in r:
-                if type(x) is not int or not 0 < abs(x) <= ngens:
-                    raise ValueError(f"relator letter {x!r} is not one of +-1..+-{ngens}")
-                if x == -prev:
-                    raise ValueError("relator is not freely reduced")
-                prev = x
-
-    @classmethod
-    def from_words(cls, generators: Sequence[str],
-                   relators: Iterable[Word] = ()) -> "Presentation":
-        index = {name: i for i, name in enumerate(generators, start=1)}
-        return cls(tuple(generators), tuple(compile_word(w, index) for w in relators))
+            _check_letters(r, ngens, "relator")
 
     def __str__(self) -> str:
         return render_presentation(self)
@@ -230,8 +177,8 @@ def render_relator(r: Relator, names: Sequence[str]) -> str:
         cut -= 1
     u, v = r[:cut], _inverted(r[cut:])
     if not (u and v):
-        return f"{_render(u or v, names)} = 1"
-    return f"{_render(u, names)} = {_render(v, names)}"
+        return f"{render_word(u or v, names)} = 1"
+    return f"{render_word(u, names)} = {render_word(v, names)}"
 
 
 def render_presentation(p: Presentation) -> str:
@@ -239,7 +186,7 @@ def render_presentation(p: Presentation) -> str:
     if not names:
         return "<1>"
     rels = [render_relator(r, names) for r in p.relators]
-    rels += [f"{_render(s.lhs, names)} = {names[s.base - 1]}^{s.param}"
+    rels += [f"{render_word(s.lhs, names)} = {names[s.base - 1]}^{s.param}"
              for s in p.symbolic_relators]
     return f"<{', '.join(names)} | " + ", ".join(rels) + ">"
 
@@ -306,11 +253,13 @@ def psi_images(k: int) -> Mapping[str, Perm]:
     return MappingProxyType({f"s{i}": transposition(i, i + 1, k) for i in range(1, k)})
 
 
-def psi_image(w: Word, k: int) -> Perm:
-    """The marked-point permutation of a word in the half-twists s_1..s_{k-1}."""
-    psi = psi_images(k)
-    index = {name: i for i, name in enumerate(psi, start=1)}
-    return evaluate_perm(compile_word(w, index), tuple(psi.values()), k)
+def psi_image(r: Relator, k: int) -> Perm:
+    """The marked-point permutation of a word in the half-twists s_1..s_{k-1},
+    s_t being letter t; ValueError for a letter outside +-1..+-(k-1) or a
+    word that is not freely reduced."""
+    images = tuple(psi_images(k).values())
+    _check_letters(r, k - 1, "half-twist word")
+    return evaluate_perm(r, images, k)
 
 
 @_per_degree
@@ -375,7 +324,7 @@ def _check_psi(p: Presentation, images: tuple[Perm, ...], degree: int) -> None:
     identity = identity_perm(degree)
     for r in p.relators:
         if evaluate_perm(r, images, degree) != identity:
-            raise ValueError(f"psi does not kill the relator {_render(r, p.generators)}")
+            raise ValueError(f"psi does not kill the relator {render_word(r, p.generators)}")
 
 
 @dataclass(frozen=True)
@@ -762,28 +711,42 @@ def abelianization(p: Presentation) -> tuple[tuple[int, ...], int]:
 
 @dataclass(frozen=True)
 class LiftData:
-    """Lifting data for assembling a presentation of a group extension.
+    """Lifting data for assembling a presentation of a group extension; a
+    kernel word is a freely reduced tuple of signed ints over the kernel's
+    generators, numbered as in its presentation.
 
     lifts: quotient generator name -> lift name (disjoint from kernel names).
-    conjugation: (quotient gen, kernel gen) -> Word in kernel generators equal
-        to lift * kernel_gen * lift^-1; a key that is not a tuple of two str,
-        or a value that is not a Word, is a TypeError.
+    conjugation: (quotient gen, kernel gen) -> the kernel word equal to
+        lift * kernel_gen * lift^-1.
     evaluations: quotient relator index -> its value in the kernel, either a
-        concrete kernel word or a parameter name (undetermined exponent of the
-        kernel generator; cyclic kernels only); anything else is a TypeError.
+        kernel word or a parameter name (undetermined exponent of the kernel
+        generator; cyclic kernels only).
     """
 
     lifts: dict[str, str]
-    conjugation: dict[tuple[str, str], Word]
-    evaluations: dict[int, Word | str] = field(default_factory=dict)
+    conjugation: dict[tuple[str, str], Relator]
+    evaluations: dict[int, Relator | str] = field(default_factory=dict)
+
+
+def _kernel_word(w, kernel: Presentation, what: str) -> Relator:
+    """w, checked as a kernel word of LiftData; what names it in messages."""
+    if type(w) is not tuple or any(type(x) is not int for x in w):
+        raise TypeError(f"{what} is a tuple of signed ints, got {w!r}")
+    _check_letters(w, len(kernel.generators), what)
+    return w
 
 
 def extension_presentation(kernel: Presentation, quotient: Presentation,
                            data: LiftData) -> Presentation:
     """Presentation of an extension of the kernel by the quotient:
     kernel relators + lifted relators (set to their kernel values) +
-    conjugation relators.  A key of the lift data that names no quotient
-    generator, kernel generator or quotient relator raises ValueError."""
+    conjugation relators.  TypeError for data that is not a LiftData, a key
+    that is not a str pair, a word that is not a tuple of ints (a bool is not
+    an int) or an evaluation neither word nor str; ValueError for a key that
+    names no quotient generator, kernel generator or quotient relator, or a
+    word with a letter past the kernel's generators or not freely reduced."""
+    if not isinstance(data, LiftData):
+        raise TypeError(f"lift data is a LiftData, got {type(data).__name__}")
     if quotient.symbolic_relators or kernel.symbolic_relators:
         raise ValueError("nested symbolic relators are not supported")
     missing = [g for g in quotient.generators if g not in data.lifts]
@@ -799,8 +762,7 @@ def extension_presentation(kernel: Presentation, quotient: Presentation,
         if qg not in quotient.generators or kg not in kernel.generators:
             raise ValueError(f"conjugation word for ({qg!r}, {kg!r}), which is not a "
                              f"(quotient generator, kernel generator) pair")
-        if not isinstance(w, Word):
-            raise TypeError(f"conjugation word for ({qg!r}, {kg!r}) is a Word, got {w!r}")
+        _kernel_word(w, kernel, f"conjugation word for ({qg!r}, {kg!r})")
     for idx in data.evaluations:
         if idx not in range(len(quotient.relators)):
             raise ValueError(f"evaluation for relator {idx!r}, but the quotient "
@@ -810,7 +772,6 @@ def extension_presentation(kernel: Presentation, quotient: Presentation,
     if clash or len(set(lift_names)) != len(lift_names):
         raise ValueError(f"lift names must be fresh and distinct, got {lift_names}")
     shift = len(kernel.generators)
-    kernel_index = {name: i for i, name in enumerate(kernel.generators, start=1)}
 
     relators: list[Relator] = list(kernel.relators)
     symbolic: list[SymbolicRelator] = []
@@ -819,20 +780,20 @@ def extension_presentation(kernel: Presentation, quotient: Presentation,
             raise ValueError(f"missing evaluation for quotient relator {idx}")
         lifted = tuple(x + shift if x > 0 else x - shift for x in r)
         ev = data.evaluations[idx]
-        if isinstance(ev, Word):
-            relators.append(lifted + _inverted(compile_word(ev, kernel_index)))
-        elif isinstance(ev, str):
+        if isinstance(ev, str):
             if len(kernel.generators) != 1:
                 raise ValueError("symbolic evaluations need a cyclic kernel")
             symbolic.append(SymbolicRelator(lifted, 1, ev))
+        elif isinstance(ev, tuple):
+            what = f"evaluation for quotient relator {idx}"
+            relators.append(lifted + _inverted(_kernel_word(ev, kernel, what)))
         else:
-            raise TypeError(f"evaluation for quotient relator {idx} is a Word or a "
-                            f"parameter name (str), got {ev!r}")
+            raise TypeError(f"evaluation for quotient relator {idx} is a kernel word or "
+                            f"a parameter name (str), got {ev!r}")
     for lift, qg in enumerate(quotient.generators, start=shift + 1):
         for kg, name in enumerate(kernel.generators, start=1):
             if (qg, name) not in data.conjugation:
                 raise ValueError(f"missing conjugation word for ({qg}, {name})")
-            s_a = compile_word(data.conjugation[(qg, name)], kernel_index)
-            relators.append((lift, kg, -lift) + _inverted(s_a))
+            relators.append((lift, kg, -lift) + _inverted(data.conjugation[(qg, name)]))
 
     return Presentation((*kernel.generators, *lift_names), tuple(relators), tuple(symbolic))

@@ -6,9 +6,11 @@ The liftable image H1 is the set of sigma with act(u, sigma, v) = v for some
 unit u, and the centralizer image H2 the same set with u = 1; both are kept
 as VectorStabilizer, read off the vector without storing any element.  The
 unit's permutation is arith_perm.matching of the scaled entries onto the
-entries, and the 3-branch-point classification is read off H2 and H1's
-units.  The brute-force stabilizer is an oracle only: liftable_images
-compares with it when asked (cross_check=True), never by default.
+entries, and its half-twist word, like every word of the library, is a
+freely reduced tuple of signed ints, s_t being letter t.  The 3-branch-point
+classification is read off H1: its units and their permutations.  The
+brute-force stabilizer is an oracle only: liftable_images compares with it
+when asked (cross_check=True), never by default.
 
 The action convention: ``act(l, sigma, v)`` puts ``l * c_j`` at position
 ``sigma(j)``, i.e. position i of the result is ``l * c_{sigma^-1(i)}``.
@@ -39,7 +41,7 @@ from .arith_perm import (
     units_mod,
 )
 from .datasets import MAX_BRANCH_POINTS, DataSet, require_modulus, require_valid, riemann_hurwitz
-from .fpgroups import EMPTY, Word, gen, psi_image, word
+from .fpgroups import Relator, _free_reduction, psi_image
 
 MAX_BRUTE_DEGREE = 10
 
@@ -181,20 +183,19 @@ def matching_perm(unit: int, v: GeneratingVector) -> Perm:
     return sigma
 
 
-def half_twist_word(i: int, j: int) -> Word:
-    """Half-twist swapping 1-based points i < j, as a word in s_1..:
-    s_i ... s_{j-2} s_{j-1} s_{j-2}^-1 ... s_i^-1."""
+def half_twist_word(i: int, j: int) -> Relator:
+    """Half-twist swapping 1-based points i < j, as a word in s_1.., s_t
+    being letter t: s_i ... s_{j-2} s_{j-1} s_{j-2}^-1 ... s_i^-1."""
     if not 1 <= i < j:
         raise ValueError(f"need 1 <= i < j, got ({i}, {j})")
-    conj = word(*(gen(f"s{t}") for t in range(i, j - 1)))
-    return conj * gen(f"s{j - 1}") * conj.inv()
+    return (*range(i, j), *range(2 - j, 1 - i))
 
 
-def perm_to_half_twist_word(p: Perm) -> Word:
-    """Word in the half-twist generators mapping onto p: each cycle
+def perm_to_half_twist_word(p: Perm) -> Relator:
+    """Freely reduced word in the half-twists mapping onto p: each cycle
     (x_1,...,x_m), x_1 least, contributes (x_1,x_m)(x_1,x_{m-1})...(x_1,x_2)."""
-    return word(*(half_twist_word(cyc[0], other)
-                  for cyc in cycles_of(p) for other in reversed(cyc[1:])))
+    return _free_reduction(x for cyc in cycles_of(p) for other in reversed(cyc[1:])
+                           for x in half_twist_word(cyc[0], other))
 
 
 @dataclass(frozen=True)
@@ -283,15 +284,15 @@ class StabilizerReport:
     """Generating data of the liftable (h1) and centralizer (h2) images.
 
     swaps is the set B of equal-entry index pairs; unit_words (C) maps each
-    unit u of h1 to a half-twist word with image h1.unit_perms[u] (the unit 1
-    to the empty word); index_mod_lmod = [Mod:LMod] = h1.index, and
-    index_n_c = [N:C] = len(h1.units).
+    unit u of h1 to a half-twist word, s_t being letter t, with image
+    h1.unit_perms[u] (the unit 1 to the empty word ()); index_mod_lmod =
+    [Mod:LMod] = h1.index, and index_n_c = [N:C] = len(h1.units).
     """
 
     h1: VectorStabilizer
     h2: VectorStabilizer
     swaps: tuple[tuple[int, int], ...]
-    unit_words: Mapping[int, Word]
+    unit_words: Mapping[int, Relator]
     index_mod_lmod: int
     index_n_c: int
 
@@ -308,8 +309,7 @@ def liftable_images(v: GeneratingVector, cross_check: bool = False) -> Stabilize
         raise CapacityError(f"{k} branch points exceed the cap of {MAX_BRANCH_POINTS}")
     h1 = VectorStabilizer(v, tuple(stabilizing_units(v)))
     h2 = VectorStabilizer(v, (1,))
-    unit_words = {u: (EMPTY if u == 1 else perm_to_half_twist_word(p))
-                  for u, p in h1.unit_perms.items()}
+    unit_words = {u: perm_to_half_twist_word(p) for u, p in h1.unit_perms.items()}
     for u, w in unit_words.items():
         if psi_image(w, k) != h1.unit_perms[u] or not _is_fixed(u, h1.unit_perms[u], v):
             raise InternalInvariantError(f"unit word of {u} does not fix {v}")
@@ -427,32 +427,34 @@ class IrreducibleClassification:
     notes: tuple[str, ...] = ()
 
 
-def classify_irreducible(v: GeneratingVector) -> IrreducibleClassification:
+def classify_irreducible(h1: VectorStabilizer) -> IrreducibleClassification:
     """Normalizer/centralizer isomorphism types for 3-branch-point actions,
-    read off the stabilizer: Mod(S_{0,3}) = Sym(3), so LMod = H1.
+    read off H1, the stabilizer of the vector under all its stabilizing
+    units: Mod(S_{0,3}) = Sym(3), so LMod = H1.
 
     Cases: (ii_a) two equal entries, H2 != 1 -> N = C = Z_n x Z_2; else
     H1 = Z_m with m the number of stabilizing units, and its generator pairs
-    with the twist l: (i) m = 3, l*c_0 = c_1 -> N = Z_n x|_l Z_3; (ii_b) m = 2,
-    l != 1 -> N = Z_n x|_l Z_2; (iii) m = 1 -> N = C = Z_n.
-    OutOfScopeError for genus < 2, then for k != 3.
+    with the twist l: (i) m = 3, l's permutation sends position 0 to 1 ->
+    N = Z_n x|_l Z_3; (ii_b) m = 2, l != 1 -> N = Z_n x|_l Z_2; (iii) m = 1
+    -> N = C = Z_n.  OutOfScopeError for genus < 2, then for k != 3.
     """
+    v = h1.vector
     g = require_genus(v)
     if v.k != 3:
         raise OutOfScopeError(f"classification needs exactly 3 branch points, got {v.k}")
-    n, c = v.n, v.c
-    if len(set(c)) < 3:
+    n = v.n
+    if len(set(v.c)) < 3:
         desc = direct_product(n, 2)
         return IrreducibleClassification(
             case="ii_a", twist=1, lmod=cyclic(2), centralizer=desc, normalizer=desc,
             genus=g, notes=("normalizer type asserted, not derived",))
-    units = stabilizing_units(v)
+    units = h1.units
     m = len(units)
     if m == 1:
         return IrreducibleClassification(
             case="iii", twist=None, lmod=trivial_group(), centralizer=cyclic(n),
             normalizer=cyclic(n), genus=g)
-    twist = units[1] if m == 2 else next(u for u in units if u * c[0] % n == c[1])
+    twist = units[1] if m == 2 else next(u for u, p in h1.unit_perms.items() if p[0] == 1)
     return IrreducibleClassification(
         case="ii_b" if m == 2 else "i", twist=twist, lmod=cyclic(m), centralizer=cyclic(n),
         normalizer=semidirect(n, m, twist), genus=g)

@@ -22,8 +22,8 @@ from liftmcg.fpgroups import (
     Presentation,
     Relator,
     SchreierInfo,
-    _render,
     evaluate_perm,
+    render_word,
 )
 
 
@@ -96,7 +96,7 @@ def reidemeister_schreier_full(p: Presentation, psi: dict[str, Perm],
     relators: list[Relator] = []
     for r in p.relators:
         if evaluate_perm(r, images, degree) != identity:
-            raise ValueError(f"psi does not kill the relator {_render(r, p.generators)}")
+            raise ValueError(f"psi does not kill the relator {render_word(r, p.generators)}")
         # the rewrite of a freely reduced relator is freely reduced: between a
         # Schreier letter and its inverse it would walk a closed path of tree
         # edges, and a closed tree walk backtracks

@@ -1,22 +1,14 @@
 """The sphere presentation builders as they stood when they built each
-relator from by-name Words and compiled it through Presentation.from_words,
-kept verbatim as a test oracle: liftmcg.fpgroups.mod_sphere_presentation and
-pmod_sphere_presentation, which write signed ints, must equal these with ==.
-They are not memoized."""
+relator from by-name Words and compiled it through Presentation.from_words
+(now by_name.from_words), kept verbatim as a test oracle:
+liftmcg.fpgroups.mod_sphere_presentation and pmod_sphere_presentation, which
+write signed ints, must equal these with ==.  They are not memoized."""
 
 from __future__ import annotations
 
+from by_name import Word, commutator, from_words, gen, word
 from liftmcg import fpgroups
-from liftmcg.fpgroups import (
-    Presentation,
-    Word,
-    _require_degree,
-    a_name,
-    commutator,
-    gen,
-    sigma_names,
-    word,
-)
+from liftmcg.fpgroups import Presentation, _require_degree, a_name, sigma_names
 
 
 def mod_sphere_presentation(k: int) -> Presentation:
@@ -32,7 +24,7 @@ def mod_sphere_presentation(k: int) -> Presentation:
         relators.append(s[i] * s[i + 1] * s[i] * (s[i + 1] * s[i] * s[i + 1]).inv())
     chain = word(*(s[i] for i in range(1, k)))
     relators += [chain ** k, word(chain, *(s[i] for i in range(k - 1, 0, -1)))]
-    return Presentation.from_words(sigma_names(k), relators)
+    return from_words(sigma_names(k), relators)
 
 
 def pmod_sphere_presentation(k: int) -> Presentation:
@@ -62,7 +54,7 @@ def pmod_sphere_presentation(k: int) -> Presentation:
                 relators.append(w2 * w3.inv())
     total = word(*(a[i, j] for i, j in names))
     relators.append(total)
-    return Presentation.from_words([a_name(i, j) for i, j in names], relators)
+    return from_words([a_name(i, j) for i, j in names], relators)
 
 
 def mismatched_degrees(degrees) -> list[int]:

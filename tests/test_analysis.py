@@ -9,6 +9,7 @@ from dataclasses import replace
 import jsonschema
 import pytest
 
+from by_name import commutator, from_words, gen
 from group_reference import perm_closure, same_relator_sets
 from liftmcg.arith_perm import (
     MAX_PMOD_SPHERE_DEGREE,
@@ -30,13 +31,10 @@ from liftmcg.datasets import (
     render_dataset,
 )
 from liftmcg.fpgroups import (
-    EMPTY,
     LiftData,
     Presentation,
     abelianization,
-    commutator,
     evaluate_perm,
-    gen,
     mod_sphere_presentation,
     pmod_sphere_presentation,
     presentation_json,
@@ -183,9 +181,9 @@ def test_scope_errors_are_typed_with_the_command_line_reasons():
             (lambda: analyze(not_spherical), "not spherical (g0 != 0)"),
             (lambda: analyze(genus_one), "genus 1 is outside the genus >= 2 scope"),
             (lambda: normalizer_centralizer(genus_one), "genus 1 is outside the genus >= 2 scope"),
-            (lambda: classify_irreducible(generating_vector(genus_one)),
+            (lambda: classify_irreducible(liftable_images(generating_vector(genus_one)).h1),
              "genus 1 is outside the genus >= 2 scope"),
-            (lambda: classify_irreducible(generating_vector(hyperelliptic(2))),
+            (lambda: classify_irreducible(liftable_images(generating_vector(hyperelliptic(2))).h1),
              "classification needs exactly 3 branch points, got 6")):
         with pytest.raises(OutOfScopeError) as info:
             call()
@@ -452,7 +450,7 @@ def test_normalizer_centralizer_free_clmod():
     ds = doubled(parse_dataset("(6,0;(2,3),(1,6),(1,6))"))
     norm, cent = normalizer_centralizer(ds)
     F, G1, G2 = gen("F"), gen("G1"), gen("G2")
-    target = Presentation.from_words(("F", "G1", "G2"),
+    target = from_words(("F", "G1", "G2"),
                                      (F ** 6, commutator(G1, F), commutator(G2, F)))
     assert same_relator_sets(cent.presentation, target)
     assert cent.provenance == "built_in"
@@ -464,11 +462,11 @@ def test_normalizer_centralizer_free_clmod():
 def test_normalizer_centralizer_builtin_order_six():
     norm, cent = normalizer_centralizer(parse_dataset("(6,0;(1,2),(1,2),(1,3),(2,3))"))
     F, G1, G2, G3 = gen("F"), gen("G1"), gen("G2"), gen("G3")
-    target_norm = Presentation.from_words(("F", "G1", "G2", "G3"), (
+    target_norm = from_words(("F", "G1", "G2", "G3"), (
         F ** 6, commutator(G1, F), commutator(G2, F), commutator(G1, G3),
         (G1 * G2) ** 2 * F ** -4, G3 * F * G3.inv() * F,
         G1 ** 2 * G3 ** -2, (G3 * G2) ** 2 * F ** -3))
-    target_cent = Presentation.from_words(("F", "G1", "G2"), (
+    target_cent = from_words(("F", "G1", "G2"), (
         F ** 6, commutator(G1, F), commutator(G2, F), (G1 * G2) ** 2 * F ** -4))
     assert same_relator_sets(norm.presentation, target_norm)
     assert same_relator_sets(cent.presentation, target_cent)
@@ -489,7 +487,7 @@ def test_normalizer_centralizer_builtin_order_ten():
     ds = dataset(10, 0, ((1, 2), (1, 2), (1, 5), (-1, 5)))
     norm, cent = normalizer_centralizer(ds)
     F, G1, G2 = gen("F"), gen("G1"), gen("G2")
-    target_cent = Presentation.from_words(("F", "G1", "G2"), (
+    target_cent = from_words(("F", "G1", "G2"), (
         F ** 10, commutator(G1, F), commutator(G2, F), (G1 * G2) ** 2 * F ** -6))
     assert same_relator_sets(cent.presentation, target_cent)
     assert norm.conjugation_exponents == {"G1": 1, "G3": -1, "G2": 1}
@@ -500,7 +498,7 @@ def test_normalizer_centralizer_classification_route():
     assert norm.descriptor == direct_product(7, 2)
     assert cent.descriptor == direct_product(7, 2)
     F, G = gen("F"), gen("G")
-    target = Presentation.from_words(("F", "G"), (F ** 7, G ** 2, commutator(G, F)))
+    target = from_words(("F", "G"), (F ** 7, G ** 2, commutator(G, F)))
     assert same_relator_sets(norm.presentation, target)
     assert norm.notes  # type asserted, not derived
 
@@ -525,8 +523,8 @@ def test_normalizer_user_lift_data():
     q = rep.lmod_presentation
     data = LiftData(
         lifts={g: f"L{i}" for i, g in enumerate(q.generators, start=1)},
-        conjugation={(g, "F"): gen("F") ** 2 for g in q.generators},
-        evaluations={i: EMPTY for i in range(len(q.relators))})
+        conjugation={(g, "F"): (1, 1) for g in q.generators},
+        evaluations={i: () for i in range(len(q.relators))})
     norm, cent = normalizer_centralizer(ds, lifts=data, central_lifts=None)
     assert norm.provenance == "user_supplied"
     assert set(norm.conjugation_exponents.values()) == {2}
@@ -546,8 +544,8 @@ def test_user_lift_exponents_are_units():
     def lift_data(e):
         return LiftData(
             lifts={g: f"L{i}" for i, g in enumerate(q.generators, start=1)},
-            conjugation={(g, "F"): gen("F") ** e for g in q.generators},
-            evaluations={i: EMPTY for i in range(len(q.relators))})
+            conjugation={(g, "F"): (1 if e > 0 else -1,) * abs(e) for g in q.generators},
+            evaluations={i: () for i in range(len(q.relators))})
 
     for e, reported in ((6, -1), (-6, 1), (9, 2), (-1, -1)):
         norm, _ = normalizer_centralizer(ds, lifts=lift_data(e))
@@ -569,22 +567,31 @@ def test_user_lift_data_with_unknown_keys_is_refused():
     data = _user_lift_data(q, ds.n)
     assert normalizer_centralizer(ds, central_lifts=data)[1].provenance == "user_supplied"
     first, count = q.generators[0], len(q.relators)
-    past = {i: EMPTY for i in range(count, count + 3)}
+    past = {i: () for i in range(count, count + 3)}
     cases = [
         (LiftData({**data.lifts, "bogus": "B"}, data.conjugation, {**data.evaluations, **past}),
          "lift for 'bogus'"),
-        (LiftData(data.lifts, {**data.conjugation, ("bogus", "F"): EMPTY}, data.evaluations),
+        (LiftData(data.lifts, {**data.conjugation, ("bogus", "F"): ()}, data.evaluations),
          r"\('bogus', 'F'\)"),
-        (LiftData(data.lifts, {**data.conjugation, (first, "K"): EMPTY}, data.evaluations),
+        (LiftData(data.lifts, {**data.conjugation, (first, "K"): ()}, data.evaluations),
          rf"\('{first}', 'K'\)"),
         (LiftData(data.lifts, data.conjugation, {**data.evaluations, **past}),
          f"evaluation for relator {count},"),
-        (LiftData(data.lifts, data.conjugation, {**data.evaluations, -1: EMPTY}),
+        (LiftData(data.lifts, data.conjugation, {**data.evaluations, -1: ()}),
          "evaluation for relator -1,"),
     ]
     for bad, key in cases:
         with pytest.raises(ValueError, match=key):
             normalizer_centralizer(ds, central_lifts=bad)
+
+
+def test_lift_data_that_is_not_lift_data_is_refused():
+    # a dict used to fail on its missing attribute .lifts (AttributeError)
+    ds = parse_dataset("(7,0;(1,7),(2,7),(4,7))")
+    with pytest.raises(TypeError, match="^lift data is a LiftData, got dict$"):
+        normalizer_centralizer(ds, lifts={"x": 1})
+    with pytest.raises(TypeError, match="^lift data is a LiftData, got list$"):
+        normalizer_centralizer(ds, central_lifts=[])
 
 
 def _user_lift_data(q, n):
@@ -595,9 +602,10 @@ def _user_lift_data(q, n):
     units = units_mod(n)
     return LiftData(
         lifts={g: f"L{i}" for i, g in enumerate(q.generators, start=1)},
-        conjugation={(g, "F"): gen("F") ** (units[i % len(units)] - (0 if i % 2 else n))
+        conjugation={(g, "F"): (1,) * units[i % len(units)] if i % 2
+                     else (-1,) * (n - units[i % len(units)])
                      for i, g in enumerate(q.generators)},
-        evaluations={i: (EMPTY, gen("F") ** (i + 1), f"p{i}")[i % 3]
+        evaluations={i: ((), (1,) * (i + 1), f"p{i}")[i % 3]
                      for i in range(len(q.relators))})
 
 

@@ -206,6 +206,9 @@ def test_classify(capsys):
     code, out, _ = run(capsys, "classify", "(2,0;(1,2)_6)")
     assert code == 2
     assert "3 branch points" in out
+    # genus is refused before k != 3
+    code, out, _ = run(capsys, "classify", "(2,0;(1,2)_4)")
+    assert (code, out) == (2, "genus 1 is outside the genus >= 2 scope\n")
 
 
 def test_table1(capsys):

@@ -1,5 +1,5 @@
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial, gcd
 from types import SimpleNamespace
 
@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import half_twist_reference as reference
 from group_reference import closure, perm_closure
 from liftmcg.arith_perm import (
     CapacityError,
@@ -39,9 +40,11 @@ from liftmcg.genvec import (
     direct_product,
     equal_pairs,
     generating_vector,
+    half_twist_word,
     liftable_images,
     matching_perm,
     mod_equals_lmod,
+    perm_to_half_twist_word,
     semidirect,
     stabilizer_bruteforce,
     stabilizing_units,
@@ -175,7 +178,8 @@ def test_liftable_images_superelliptic_alternating():
 def test_liftable_images_seven():
     rep = liftable_images(vec(7, 1, 2, 4))
     assert rep.swaps == ()
-    assert set(rep.unit_words) == {1, 2, 4}
+    # unit 2 is s1 s2 s1^-1 * s1, whose seam cancels
+    assert rep.unit_words == {1: (), 2: (1, 2), 4: (1, 1, 2, -1)}
     assert psi_image(rep.unit_words[2], 3) == perm_from_cycles([(1, 2, 3)], 3)
     assert psi_image(rep.unit_words[4], 3) == perm_from_cycles([(1, 3, 2)], 3)
     assert rep.h1.order == 3 and rep.h2.order == 1
@@ -291,6 +295,27 @@ def test_unit_words_fix_the_vector():
             for u, w in rep.unit_words.items():
                 sigma = psi_image(w, v.k)
                 assert act(u, sigma, v) == v
+
+
+def test_half_twist_words_equal_the_by_name_reference():
+    # the by-name words compiled with s_i -> i: every half-twist and every
+    # permutation of Sym(k), k = 2-7, then every unit word of genus 2-10
+    for k in range(2, 8):
+        for i, j in combinations(range(1, k + 1), 2):
+            assert half_twist_word(i, j) == reference.compiled(
+                reference.half_twist_word(i, j), k), (i, j)
+        for p in permutations(range(k)):
+            assert perm_to_half_twist_word(p) == reference.compiled(
+                reference.perm_to_half_twist_word(p), k), p
+    count = 0
+    for genus in range(2, 11):
+        for ds in enumerate_spherical(genus):
+            rep = liftable_images(generating_vector(ds))
+            for u, w in rep.unit_words.items():
+                expect = reference.perm_to_half_twist_word(rep.h1.unit_perms[u])
+                assert w == reference.compiled(expect, rep.h1.degree), (str(ds), u)
+                count += 1
+    assert count == 526  # the unit 1's empty words among them
 
 
 def test_matching_perm_is_greedy_and_unit_recoverable():
@@ -410,7 +435,7 @@ def test_classify_table_rows():
         "(9,0;(1,3),(1,9),(5,9))": ("iii", cyclic(9), cyclic(9)),
     }
     for text, (case, normalizer, centralizer) in rows.items():
-        cls = classify_irreducible(generating_vector(parse_dataset(text)))
+        cls = classify_irreducible(liftable_images(generating_vector(parse_dataset(text))).h1)
         assert cls.case == case
         assert cls.normalizer == normalizer
         assert cls.centralizer == centralizer
@@ -418,9 +443,9 @@ def test_classify_table_rows():
 
 def test_classify_requires_three_points_and_genus():
     with pytest.raises(ValueError):
-        classify_irreducible(generating_vector(hyperelliptic(2)))
+        classify_irreducible(liftable_images(generating_vector(hyperelliptic(2))).h1)
     with pytest.raises(ValueError):
-        classify_irreducible(vec(3, 1, 1, 1))  # genus 1
+        classify_irreducible(liftable_images(vec(3, 1, 1, 1)).h1)  # genus 1
 
 
 def test_classify_agrees_with_liftable_images():
@@ -429,8 +454,8 @@ def test_classify_agrees_with_liftable_images():
         for v in all_vectors(genus):
             if v.k != 3:
                 continue
-            cls = classify_irreducible(v)
             rep = liftable_images(v)
+            cls = classify_irreducible(rep.h1)
             assert rep.h1.order == sizes[cls.case]
             if cls.twist is not None and cls.case != "ii_a":
                 assert cls.twist in rep.h1.units

@@ -17,13 +17,13 @@ from liftmcg.fpgroups import (
     _inverted,
     abelianization,
     evaluate_perm,
-    gen,
     mod_sphere_presentation,
     psi_images,
     reidemeister_schreier_full,
     tietze_simplify,
 )
 
+from by_name import from_words, gen
 import rs_reference as reference
 from group_reference import closure
 
@@ -93,7 +93,7 @@ def test_equal_to_reference_on_powers_with_inverse_letters():
     relators = [*mod_sphere_presentation(4).relators]
     for w in (t * (s1 * s2).inv(), t.inv() * s3, t.inv() * s1, s1 * s2.inv(),
               s3.inv() * t.inv() * s2, s2 * t):
-        u = Presentation.from_words(names, (w,)).relators[0]
+        u = from_words(names, (w,)).relators[0]
         m = 1
         while evaluate_perm(u * m, images, 4) != identity_perm(4):
             m += 1
