@@ -100,8 +100,9 @@ class AnalysisReport:
     flags: Mapping[str, bool]
 
 
-# distinct subgroups whose preimage presentations are kept; the H1 and H2 of
-# genus 10 alone are 70 subgroups
+# the bound of both memos below: distinct subgroups whose preimage
+# presentations are kept (the H1 and H2 of genus 10 alone are 70 subgroups),
+# and distinct data sets whose reports are kept
 PRESENTATION_MEMO_SIZE = 128
 
 
@@ -138,7 +139,19 @@ def _subgroup_presentation(subgroup) -> tuple[Presentation, Mapping[str, Perm], 
 def analyze(ds: DataSet) -> AnalysisReport:
     """Full pipeline: generating vector, stabilizer data, presentations of the
     liftable and centralizer preimages, classification when k = 3.
-    OutOfScopeError for an invalid data set, g0 != 0 or genus < 2."""
+    OutOfScopeError for an invalid data set, g0 != 0 or genus < 2;
+    TypeError for anything that is not a DataSet.
+
+    Memoized on the exact DataSet, like _subgroup_presentation: a repeat
+    call, normalizer_centralizer's included, returns the same read-only
+    report.  Only a DataSet reaches the memo; anything else goes to the
+    pipeline uncached and is refused before any work.  A refusal stores
+    nothing, so it is raised afresh on every call.
+    """
+    return _report_memo(ds) if type(ds) is DataSet else _analyze(ds)
+
+
+def _analyze(ds: DataSet) -> AnalysisReport:
     v = generating_vector(ds)
     genus = require_genus(v)
     stab = liftable_images(v)
@@ -162,6 +175,9 @@ def analyze(ds: DataSet) -> AnalysisReport:
         lmod_kind=lmod_kind, clmod_kind=clmod_kind,
         lmod_images=lmod_images, clmod_images=clmod_images,
         classification=classification, flags=flags)
+
+
+_report_memo = lru_cache(maxsize=PRESENTATION_MEMO_SIZE)(_analyze)
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +333,8 @@ def normalizer_centralizer(ds: DataSet, lifts: LiftData | None = None,
     for the order-2g+2 glued-rotation family; the generic extension of LMod
     or CLMod with symbolic relator evaluations (exact when the quotient
     presentation is free).  So each group's route is the same whether or
-    not the other was given lift data.
-    OutOfScopeError as for analyze.
+    not the other was given lift data.  The report is analyze's, read
+    through its memo; OutOfScopeError and TypeError as for analyze.
     """
     rep = analyze(ds)
     default = (_default_specs(rep) if lifts is None or central_lifts is None

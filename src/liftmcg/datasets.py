@@ -161,7 +161,12 @@ def _lcm_survives_a_drop(orders: list[int], full: int) -> bool:
 
 
 def require_valid(ds: DataSet) -> DataSet:
-    """ds itself, once it passes validate; else OutOfScopeError naming the failed conditions."""
+    """ds itself, once it passes validate; else OutOfScopeError naming the
+    failed conditions.  Anything that is not a DataSet raises TypeError
+    naming its type, before any work."""
+    if not isinstance(ds, DataSet):
+        raise TypeError(f"a data set must be a DataSet (parse_dataset reads one from text), "
+                        f"got {type(ds).__name__}")
     report = validate(ds)
     if not report.ok:
         raise OutOfScopeError("invalid: " + ", ".join(report.violations))

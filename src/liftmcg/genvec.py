@@ -436,19 +436,23 @@ def classify_irreducible(h1: VectorStabilizer) -> IrreducibleClassification:
     H1 = Z_m with m the number of stabilizing units, and its generator pairs
     with the twist l: (i) m = 3, l's permutation sends position 0 to 1 ->
     N = Z_n x|_l Z_3; (ii_b) m = 2, l != 1 -> N = Z_n x|_l Z_2; (iii) m = 1
-    -> N = C = Z_n.  OutOfScopeError for genus < 2, then for k != 3.
+    -> N = C = Z_n.  OutOfScopeError for genus < 2, then for k != 3; then
+    ValueError unless h1's units are every stabilizing unit, in order.
     """
     v = h1.vector
     g = require_genus(v)
     if v.k != 3:
         raise OutOfScopeError(f"classification needs exactly 3 branch points, got {v.k}")
+    units, stabilizing = tuple(h1.units), tuple(stabilizing_units(v))
+    if units != stabilizing:
+        raise ValueError(f"classification reads H1, whose units are {stabilizing}; "
+                         f"got a stabilizer with units {units}")
     n = v.n
     if len(set(v.c)) < 3:
         desc = direct_product(n, 2)
         return IrreducibleClassification(
             case="ii_a", twist=1, lmod=cyclic(2), centralizer=desc, normalizer=desc,
             genus=g, notes=("normalizer type asserted, not derived",))
-    units = h1.units
     m = len(units)
     if m == 1:
         return IrreducibleClassification(

@@ -4,7 +4,7 @@ import random
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import jsonschema
 import pytest
@@ -52,6 +52,7 @@ from liftmcg.genvec import (
     semidirect,
 )
 from liftmcg.analysis import (
+    _report_memo,
     _subgroup_presentation,
     analyze,
     balanced_superelliptic_shape,
@@ -205,14 +206,18 @@ def test_each_analysis_validates_its_data_set_once(monkeypatch, capsys):
     monkeypatch.setattr(cli_module, "validate", counting)
     main = cli_module.main
     four, three = "(6,0;(1,2),(1,2),(1,3),(2,3))", "(7,0;(1,7),(2,7),(4,7))"
-    for call in (lambda: analyze(parse_dataset(four)),
-                 lambda: normalizer_centralizer(parse_dataset(four)),
-                 lambda: main(["analyze", four]),
-                 lambda: main(["present", four]),
-                 lambda: main(["classify", three])):
+    # each call is cold: one miss of the report memo, and classify reads none
+    for call, misses in ((lambda: analyze(parse_dataset(four)), 1),
+                         (lambda: normalizer_centralizer(parse_dataset(four)), 1),
+                         (lambda: main(["analyze", four]), 1),
+                         (lambda: main(["present", four]), 1),
+                         (lambda: main(["classify", three]), 0)):
+        _report_memo.cache_clear()
         calls.clear()
         call()
         assert len(calls) == 1
+        info = _report_memo.cache_info()
+        assert (info.hits, info.misses) == (0, misses)
 
 
 def test_analyze_index_consistency_genus_2_to_4():
@@ -345,13 +350,23 @@ def test_memoized_reports_match_cold_runs_genus_2_to_6():
     cold = {}
     for ds in classes:
         _subgroup_presentation.cache_clear()
+        _report_memo.cache_clear()
         cold[ds] = _report_bytes(ds)
     _subgroup_presentation.cache_clear()
+    _report_memo.cache_clear()
     random.Random(9).shuffle(classes)
     for ds in classes:
         assert _report_bytes(ds) == cold[ds], ds
     info = _subgroup_presentation.cache_info()
     assert info.misses == 47 and info.hits == 2 * 109 - 47
+    reports = _report_memo.cache_info()
+    assert (reports.hits, reports.misses, reports.currsize) == (0, 109, 109)
+    # a second sweep reads every report from its memo, and no subgroup
+    for ds in classes:
+        assert _report_bytes(ds) == cold[ds], ds
+    assert _subgroup_presentation.cache_info() == info
+    reports = _report_memo.cache_info()
+    assert (reports.hits, reports.misses, reports.currsize) == (109, 109, 109)
 
 
 def test_memoized_reports_under_concurrent_workers():
@@ -364,6 +379,7 @@ def test_memoized_reports_under_concurrent_workers():
         return all(_report_bytes(ds) == expected[ds] for ds in order)
 
     _subgroup_presentation.cache_clear()
+    _report_memo.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -373,6 +389,69 @@ def test_memoized_reports_under_concurrent_workers():
     finally:
         sys.setswitchinterval(interval)
     assert _subgroup_presentation.cache_info().currsize == 26  # distinct subgroups
+    # every class is a miss at least once; two workers may both miss on one
+    reports = _report_memo.cache_info()
+    assert reports.currsize == len(classes)
+    assert reports.hits + reports.misses == 6 * len(classes)
+    assert len(classes) <= reports.misses < 6 * len(classes)
+
+
+def test_analyze_returns_the_memoized_report():
+    ds = parse_dataset("(7,0;(1,7),(2,7),(4,7))")
+    _report_memo.cache_clear()
+    first = analyze(ds)
+    assert analyze(ds) is first
+    assert analyze(parse_dataset(str(ds))) is first  # an equal DataSet is the same key
+    with pytest.raises(FrozenInstanceError):  # every caller gets this one object
+        first.genus = 0
+    info = _report_memo.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
+    assert info.maxsize == analysis_module.PRESENTATION_MEMO_SIZE == 128
+    assert _subgroup_presentation.cache_info().maxsize == 128
+
+
+def test_present_after_analyze_is_a_memo_hit_that_validates_nothing(monkeypatch, capsys):
+    import liftmcg.datasets as datasets_module
+
+    calls = []
+    real = datasets_module.validate
+    monkeypatch.setattr(datasets_module, "validate", lambda ds: calls.append(ds) or real(ds))
+    four = "(6,0;(1,2),(1,2),(1,3),(2,3))"
+    _report_memo.cache_clear()
+    ds = parse_dataset(four)
+    analyze(ds)
+    assert len(calls) == 1
+    for present in (lambda: normalizer_centralizer(ds), lambda: cli_main(["present", four])):
+        calls.clear()
+        before = _report_memo.cache_info()
+        present()
+        after = _report_memo.cache_info()
+        assert calls == []
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+def test_a_refused_class_is_refused_on_every_call_and_not_memoized():
+    # genus 1, and genus 40 past the rewrite-volume cap
+    for text, error in (("(6,0;(1,2),(1,3),(1,6))", OutOfScopeError),
+                        ("(3,0;(1,3)_39,(2,3)_3)", CapacityError)):
+        ds = parse_dataset(text)
+        _report_memo.cache_clear()
+        for call in (analyze, normalizer_centralizer, analyze):
+            with pytest.raises(error):
+                call(ds)
+        info = _report_memo.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 3, 0), text
+
+
+def test_analysis_refuses_what_is_not_a_data_set():
+    _report_memo.cache_clear()
+    for bad, name in (("(6,0;(1,2),(1,3),(1,6))", "str"), (None, "NoneType"), ([1], "list")):
+        for call in (analyze, normalizer_centralizer):
+            with pytest.raises(TypeError) as info:
+                call(bad)
+            assert str(info.value) == ("a data set must be a DataSet (parse_dataset reads "
+                                       f"one from text), got {name}")
+    assert _report_memo.cache_info()[:2] == (0, 0)  # nothing reached the memo
 
 
 def test_memoized_reports_are_read_only():

@@ -11,7 +11,7 @@ import jsonschema
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liftmcg import schemas
+from liftmcg import analysis, schemas
 from liftmcg.arith_perm import CapacityError
 from liftmcg.cli import main
 from liftmcg.datasets import (
@@ -346,6 +346,37 @@ def test_consecutive_calls_share_no_state(tmp_path, capsys):
     target = tmp_path / "v.txt"
     assert run(capsys, "validate", "--out", str(target), seven) == (0, "", "")
     assert run(capsys, "validate", seven) == text
+
+
+# the hyperelliptic (genus 2-5), balanced-superelliptic, glued-rotation and
+# doubled members that the benchmark's command-line mix analyzes and presents
+FAMILY_MEMBERS = (
+    "(2,0;(1,2)_6)", "(2,0;(1,2)_8)", "(2,0;(1,2)_10)", "(2,0;(1,2)_12)",
+    "(3,0;(1,3)_2,(2,3)_2)", "(3,0;(1,3)_3,(2,3)_3)", "(5,0;(1,5)_2,(4,5)_2)",
+    "(6,0;(1,2)_2,(1,3),(2,3))", "(4,0;(1,2)_2,(1,4),(3,4))",
+    "(10,0;(1,2)_2,(1,5),(4,5))", "(8,0;(1,2)_2,(1,8),(7,8))",
+    "(14,0;(1,2)_2,(1,7),(6,7))", "(12,0;(1,2)_2,(1,12),(11,12))",
+    "(18,0;(1,2)_2,(1,9),(8,9))", "(16,0;(1,2)_2,(1,16),(15,16))",
+    "(6,0;(1,3),(2,3),(1,6),(5,6))", "(8,0;(1,4),(3,4),(3,8),(5,8))",
+    "(10,0;(1,5),(4,5),(3,10),(7,10))",
+)
+
+
+def test_analyze_and_present_print_alike_whichever_verb_ran_first(capsys):
+    three_point = [render_dataset(ds) for genus in range(2, 6)
+                   for ds in enumerate_spherical(genus) if ds.k == 3]
+    assert len(three_point) == 26
+    for text in three_point + list(FAMILY_MEMBERS):
+        for fmt in ("text", "json"):
+            cold, after_other = {}, {}
+            for verb, other in (("analyze", "present"), ("present", "analyze")):
+                analysis._report_memo.cache_clear()
+                analysis._subgroup_presentation.cache_clear()
+                cold[verb] = run(capsys, verb, "--format", fmt, text)
+                after_other[other] = run(capsys, other, "--format", fmt, text)
+                assert analysis._report_memo.cache_info()[:2] == (1, 1)  # (hits, misses)
+            assert cold["analyze"][0] == cold["present"][0] == 0, (text, fmt)
+            assert after_other == cold, (text, fmt)
 
 
 # sha256 over (argv, exit code, stdout, stderr) of each call below, in order:

@@ -12,6 +12,7 @@ from group_reference import closure, perm_closure
 from liftmcg.arith_perm import (
     CapacityError,
     InternalInvariantError,
+    OutOfScopeError,
     compose,
     identity_perm,
     inverse,
@@ -34,6 +35,7 @@ from liftmcg.fpgroups import (
 from liftmcg.genvec import (
     GeneratingVector,
     GroupDescriptor,
+    VectorStabilizer,
     act,
     classify_irreducible,
     cyclic,
@@ -446,6 +448,29 @@ def test_classify_requires_three_points_and_genus():
         classify_irreducible(liftable_images(generating_vector(hyperelliptic(2))).h1)
     with pytest.raises(ValueError):
         classify_irreducible(liftable_images(vec(3, 1, 1, 1)).h1)  # genus 1
+
+
+def test_classify_refuses_a_stabilizer_that_is_not_h1():
+    # H2 of the first row holds the unit 1 alone; read as H1 it gave case iii
+    stab = liftable_images(generating_vector(parse_dataset("(7,0;(1,7),(2,7),(4,7))")))
+    assert classify_irreducible(stab.h1).case == "i"
+    with pytest.raises(ValueError, match=r"units are \(1, 2, 4\); got a stabilizer with "
+                                         r"units \(1,\)$"):
+        classify_irreducible(stab.h2)
+    # so are H1's units out of order, from which case ii_b read the twist
+    # as units[1]
+    v = generating_vector(parse_dataset("(8,0;(1,4),(1,8),(5,8))"))
+    assert classify_irreducible(VectorStabilizer(v, (1, 5))).twist == 5
+    with pytest.raises(ValueError, match=r"units are \(1, 5\); got a stabilizer with units"):
+        classify_irreducible(VectorStabilizer(v, (5, 1)))
+    # the genus and then k keep their OutOfScopeError ahead of the check, on
+    # vectors whose H2 lacks the stabilizing unit 4 or 2
+    for v, reason in ((vec(5, 1, 4), "genus 0 is outside the genus >= 2 scope"),
+                      (vec(3, 1, 1, 2, 2), "classification needs exactly 3 branch points, got 4")):
+        assert liftable_images(v).h1.units != (1,)
+        with pytest.raises(OutOfScopeError) as info:
+            classify_irreducible(liftable_images(v).h2)
+        assert str(info.value) == reason
 
 
 def test_classify_agrees_with_liftable_images():
