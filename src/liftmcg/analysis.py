@@ -20,7 +20,7 @@ from .arith_perm import (
     Perm,
     identity_perm,
 )
-from .datasets import DataSet, parse_dataset
+from .datasets import DataSet, parse_dataset, require_dataset
 from .fpgroups import (
     LiftData,
     Presentation,
@@ -144,11 +144,10 @@ def analyze(ds: DataSet) -> AnalysisReport:
 
     Memoized on the exact DataSet, like _subgroup_presentation: a repeat
     call, normalizer_centralizer's included, returns the same read-only
-    report.  Only a DataSet reaches the memo; anything else goes to the
-    pipeline uncached and is refused before any work.  A refusal stores
-    nothing, so it is raised afresh on every call.
+    report.  Anything else is refused before it reaches the memo.  A
+    refusal stores nothing, so it is raised afresh on every call.
     """
-    return _report_memo(ds) if type(ds) is DataSet else _analyze(ds)
+    return _report_memo(require_dataset(ds))
 
 
 def _analyze(ds: DataSet) -> AnalysisReport:

@@ -160,14 +160,19 @@ def _lcm_survives_a_drop(orders: list[int], full: int) -> bool:
     return all(reduce(lcm, distinct - {m}, 1) == full for m in distinct if orders.count(m) == 1)
 
 
+def require_dataset(ds: DataSet) -> DataSet:
+    """ds itself if it is a DataSet; else TypeError naming its type."""
+    if not isinstance(ds, DataSet):
+        raise TypeError(f"a data set must be a DataSet (parse_dataset reads one from text), "
+                        f"got {type(ds).__name__}")
+    return ds
+
+
 def require_valid(ds: DataSet) -> DataSet:
     """ds itself, once it passes validate; else OutOfScopeError naming the
     failed conditions.  Anything that is not a DataSet raises TypeError
     naming its type, before any work."""
-    if not isinstance(ds, DataSet):
-        raise TypeError(f"a data set must be a DataSet (parse_dataset reads one from text), "
-                        f"got {type(ds).__name__}")
-    report = validate(ds)
+    report = validate(require_dataset(ds))
     if not report.ok:
         raise OutOfScopeError("invalid: " + ", ".join(report.violations))
     return ds

@@ -22,6 +22,7 @@ from liftmcg.arith_perm import (
     units_mod,
 )
 from liftmcg.datasets import (
+    DataSet,
     balanced_superelliptic,
     dataset,
     doubled,
@@ -239,9 +240,14 @@ def test_default_analysis_runs_no_stabilizer_oracle(monkeypatch):
 
     monkeypatch.setattr(genvec_module, "stabilizer_bruteforce", refuse)
     monkeypatch.setattr(genvec_module, "_check_against_bruteforce", refuse)
+    _report_memo.cache_clear()  # a memoized report would run no stabilizer code at all
+    count = 0
     for genus in (2, 3, 4):
         for ds in enumerate_spherical(genus):
             analyze(ds)
+            count += 1
+    info = _report_memo.cache_info()
+    assert (info.hits, info.misses) == (0, count)  # every class ran the default path
 
 
 # sha256 of render_dataset, then the LMod and CLMod presentation renders, one
@@ -404,8 +410,14 @@ def test_analyze_returns_the_memoized_report():
     assert analyze(parse_dataset(str(ds))) is first  # an equal DataSet is the same key
     with pytest.raises(FrozenInstanceError):  # every caller gets this one object
         first.genus = 0
+
+    class Marked(DataSet):  # a subclass is a DataSet too, memoized under its own key
+        pass
+
+    marked = Marked(ds.n, ds.g0, ds.pairs)
+    assert analyze(marked) is analyze(marked) is not first
     info = _report_memo.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
+    assert (info.hits, info.misses, info.currsize) == (3, 2, 2)
     assert info.maxsize == analysis_module.PRESENTATION_MEMO_SIZE == 128
     assert _subgroup_presentation.cache_info().maxsize == 128
 
