@@ -42,13 +42,11 @@ from .genvec import (
     GroupDescriptor,
     IrreducibleClassification,
     StabilizerReport,
-    VectorStabilizer,
     classify_irreducible,
     generating_vector,
     liftable_images,
     mod_equals_lmod,
     require_genus,
-    stabilizing_units,
 )
 
 SCHEMA_VERSION = 1
@@ -94,8 +92,8 @@ class AnalysisReport:
     clmod_presentation: Presentation
     lmod_kind: str                      # "mod_sphere" | "pmod_sphere" | "schreier"
     clmod_kind: str
-    lmod_images: Mapping[str, Perm]     # marked-point image per presentation generator
-    clmod_images: Mapping[str, Perm]
+    lmod_images: tuple[Perm, ...]       # marked-point image of each generator, in order
+    clmod_images: tuple[Perm, ...]
     classification: IrreducibleClassification | None
     flags: Mapping[str, bool]
 
@@ -107,33 +105,32 @@ PRESENTATION_MEMO_SIZE = 128
 
 
 @lru_cache(maxsize=PRESENTATION_MEMO_SIZE)
-def _subgroup_presentation(subgroup) -> tuple[Presentation, Mapping[str, Perm], str]:
+def _subgroup_presentation(subgroup) -> tuple[Presentation, tuple[Perm, ...], str]:
     """Simplified presentation of the psi-preimage of a subgroup of Sym(k).
 
     Index 1 is the full sphere mapping class group and the trivial subgroup
     pulls back to the pure one, refused (CapacityError) before it is built
     above MAX_PMOD_SPHERE_DEGREE marked points; both have known presentations,
     so Reidemeister-Schreier runs only at intermediate index, and its output
-    goes through _identify_short_generators before Tietze.  The result
+    goes through _identify_short_generators before Tietze.  The images are
+    a tuple, one per generator of the presentation in order.  The result
     depends on the subgroup only as a set, so it is memoized on the set and
-    shared, with read-only images, by every report whose H1 or H2 it is.
+    shared by every report whose H1 or H2 it is.
     """
     k = subgroup.degree
-    psi = psi_images(k)
     if subgroup.is_symmetric:
         # kept unsimplified: index 1 is the ambient presentation itself
-        p, kind = mod_sphere_presentation(k), "mod_sphere"
-        images = {name: psi[name] for name in p.generators}
+        p, images, kind = mod_sphere_presentation(k), psi_images(k), "mod_sphere"
     elif subgroup.order == 1:
         if k > MAX_PMOD_SPHERE_DEGREE:
             raise CapacityError(f"{k} marked points exceed PMod's cap of {MAX_PMOD_SPHERE_DEGREE}")
         p, kind = tietze_simplify(pmod_sphere_presentation(k)), "pmod_sphere"
-        images = {name: identity_perm(k) for name in p.generators}
+        images = (identity_perm(k),) * len(p.generators)
     else:
-        raw, info = reidemeister_schreier_full(mod_sphere_presentation(k), psi, subgroup)
+        raw, info = reidemeister_schreier_full(mod_sphere_presentation(k), psi_images(k), subgroup)
         p, kind = tietze_simplify(_identify_short_generators(raw)), "schreier"
-        images = {name: info.generator_images[name] for name in p.generators}
-    return p, MappingProxyType(images), kind
+        images = tuple(info.generator_images[name] for name in p.generators)
+    return p, images, kind
 
 
 def analyze(ds: DataSet) -> AnalysisReport:
@@ -156,7 +153,7 @@ def _analyze(ds: DataSet) -> AnalysisReport:
     stab = liftable_images(v)
     lmod_p, lmod_images, lmod_kind = _subgroup_presentation(stab.h1)
     clmod_p, clmod_images, clmod_kind = _subgroup_presentation(stab.h2)
-    classification = classify_irreducible(stab.h1) if v.k == 3 else None
+    classification = classify_irreducible(v) if v.k == 3 else None
 
     flags = MappingProxyType({
         "mod_equals_lmod": mod_equals_lmod(v),
@@ -274,11 +271,11 @@ def _doubled_builtin(rep: AnalysisReport) -> tuple[NormalizerSpec, NormalizerSpe
     psi, one = psi_images(4), identity_perm(4)
     notes = ("lift data built in for the order-2g+2 glued-rotation family",)
     norm = _extension_spec(n, lmod_q, _lift_data(
-        lmod_q, _exponents(rep, (psi["s1"], psi["s3"], one)),
+        lmod_q, _exponents(rep, (psi[0], psi[2], one)),
         {0: (), 1: (), 2: (1,) * (g + 2), 3: (1,) * (g + 1)},
         names=["G1", "G3", "G2"]), "built_in", notes=notes)
     cent = _extension_spec(n, clmod_q, _lift_data(
-        clmod_q, _exponents(rep, (psi["s1"], one)), {0: (1,) * (g + 2)}),
+        clmod_q, _exponents(rep, (psi[0], one)), {0: (1,) * (g + 2)}),
         "built_in", notes=notes)
     return norm, cent
 
@@ -291,11 +288,11 @@ def _is_doubled_builtin(rep: AnalysisReport) -> bool:
 
 
 def _generic_spec(rep: AnalysisReport, quotient: Presentation,
-                  images: Mapping[str, Perm]) -> NormalizerSpec:
+                  images: tuple[Perm, ...]) -> NormalizerSpec:
     """Exponents from the units the generators' images pair with; relator
     evaluations carried as parameters unless the quotient is free."""
     n = rep.dataset.n
-    exponents = _exponents(rep, (images[g] for g in quotient.generators))
+    exponents = _exponents(rep, images)
     evaluations = {i: f"e{i + 1}" for i in range(len(quotient.relators))}
     data = _lift_data(quotient, exponents, evaluations)
     if evaluations:
@@ -441,8 +438,7 @@ def table_genus3() -> list[TableRow]:
     rows = []
     for i, text in enumerate(TABLE_GENUS3_INPUTS, start=1):
         ds = parse_dataset(text)
-        v = generating_vector(ds)
-        cls = classify_irreducible(VectorStabilizer(v, tuple(stabilizing_units(v))))
+        cls = classify_irreducible(generating_vector(ds))
         if cls.genus != 3:
             raise InternalInvariantError(f"{text} is not a genus-3 three-point class")
         rows.append(TableRow(i, ds, cls.normalizer, cls.centralizer, cls.case))
@@ -480,8 +476,8 @@ def stabilizer_json(sr: StabilizerReport) -> dict:
         "B": [[i, j] for i, j in sr.swaps],
         "C": {str(u): render_word(sr.unit_words[u], sigma_names(sr.h1.degree))
               for u in sr.h1.units},
-        "index_mod_lmod": sr.index_mod_lmod,
-        "index_n_c": sr.index_n_c,
+        "index_mod_lmod": sr.h1.index,
+        "index_n_c": len(sr.h1.units),
     }
 
 
@@ -511,7 +507,7 @@ def report_json(rep: AnalysisReport) -> dict:
         "gamma": {"n": rep.stab.h1.vector.n, "c": list(rep.stab.h1.vector.c)},
         "stab": stabilizer_json(rep.stab),
         "lmod_presentation": _presentation_block(
-            rep.lmod_presentation, rep.lmod_kind, rep.stab.index_mod_lmod),
+            rep.lmod_presentation, rep.lmod_kind, rep.stab.h1.index),
         "clmod_presentation": _presentation_block(
             rep.clmod_presentation, rep.clmod_kind, rep.stab.h2.index),
         "classification": classification_json(rep.classification),
@@ -528,8 +524,8 @@ def render_report(rep: AnalysisReport) -> str:
         f"Generating vector: ({', '.join(map(str, v.c))}) mod {v.n}",
         f"|H1| = {rep.stab.h1.order}, |H2| = {rep.stab.h2.order}, "
         f"units = {{{', '.join(map(str, rep.stab.h1.units))}}}",
-        f"[Mod:LMod] = {rep.stab.index_mod_lmod}",
-        f"[N:C] = {rep.stab.index_n_c}",
+        f"[Mod:LMod] = {rep.stab.h1.index}",
+        f"[N:C] = {len(rep.stab.h1.units)}",
         "B = " + (", ".join(f"({i},{j})" for i, j in rep.stab.swaps) or "(empty)"),
         "C: " + "; ".join(f"{u} -> {render_word(rep.stab.unit_words[u], sigma_names(k))}"
                           for u in rep.stab.h1.units),

@@ -45,7 +45,7 @@ from .datasets import (
     render_dataset,
     validate,
 )
-from .genvec import VectorStabilizer, classify_irreducible, generating_vector, stabilizing_units
+from .genvec import classify_irreducible, generating_vector
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -141,8 +141,7 @@ def _cmd_present(args):
 
 def _cmd_classify(args):
     ds = parse_dataset(args.dataset)
-    v = generating_vector(ds)
-    cls = classify_irreducible(VectorStabilizer(v, tuple(stabilizing_units(v))))
+    cls = classify_irreducible(generating_vector(ds))
     return (lambda: {"dataset": render_dataset(ds), **classification_json(cls)},
             lambda: (f"case ({cls.case}): N(F) = {cls.normalizer.render()}, "
                      f"C(F) = {cls.centralizer.render()}, LMod = {cls.lmod.render()}"), EXIT_OK)

@@ -13,22 +13,23 @@ left to right (rightmost applied first under the permutation image,
 matching arith_perm.compose).
 
 The degree-k data, mod_sphere_presentation(k), pmod_sphere_presentation(k)
-and psi_images(k) (a read-only mapping), are built once per degree and kept
-for the life of the process; only an int k is memoized, so any other k is
-refused exactly as a fresh build refuses it.  A degree above
-MAX_BRANCH_POINTS is refused before anything is built.
+and psi_images(k) (a tuple, entry i - 1 the image of s_i), are built once
+per degree and kept for the life of the process; only an int k is memoized,
+so any other k is refused exactly as a fresh build refuses it.  A degree
+above MAX_BRANCH_POINTS is refused before anything is built.
 
 Reidemeister-Schreier enumerates the cosets itself, in one BFS that
 multiplies by each generator's image through one precomputed itemgetter, and
 needs of a subgroup only its degree, order and coset labels: the analysis
-passes genvec's vector stabilizers, never a stored group.  Its one check of
-psi, that psi is onto and kills every relator, runs before any coset is
-built, once per distinct presentation and images.  Tietze simplification is
-deterministic; one engine writes a relator as a str of code points, one per
-letter, so that substitution, search and inversion are str methods, and
-takes every step by one rule.  The analysis first passes
-Reidemeister-Schreier output through _identify_short_generators, a signed
-union-find on its short relators.
+passes genvec's vector stabilizers, never a stored group.  It reads psi as
+one image per generator, in order, and checks once, before any coset is
+built and once per distinct presentation and images, that psi is onto and
+kills every relator.  Tietze simplification is deterministic; one engine
+writes a relator as a str of code points, one per letter, so that
+substitution, search and inversion are str methods, takes every step by one
+rule and refuses a step that leaves more than MAX_REWRITE_LETTERS letters.
+The analysis first passes Reidemeister-Schreier output through
+_identify_short_generators, a signed union-find on its short relators.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from heapq import heappop, heappush
 from itertools import chain, combinations, groupby
 from math import factorial
 from operator import itemgetter
-from types import MappingProxyType
 
 from .arith_perm import (
     MAX_MATERIALIZED,
@@ -246,18 +246,18 @@ def sigma_names(k: int) -> list[str]:
 
 
 @_per_degree
-def psi_images(k: int) -> Mapping[str, Perm]:
-    """The marked-point action of the half-twist generators: s_i -> (i, i+1),
-    as a read-only mapping shared by every caller."""
+def psi_images(k: int) -> tuple[Perm, ...]:
+    """The marked-point action of the half-twist generators: entry i - 1 is
+    the image (i, i+1) of s_i, generator i of mod_sphere_presentation(k)."""
     _require_degree(k, 2)
-    return MappingProxyType({f"s{i}": transposition(i, i + 1, k) for i in range(1, k)})
+    return tuple(transposition(i, i + 1, k) for i in range(1, k))
 
 
 def psi_image(r: Relator, k: int) -> Perm:
     """The marked-point permutation of a word in the half-twists s_1..s_{k-1},
     s_t being letter t; ValueError for a letter outside +-1..+-(k-1) or a
     word that is not freely reduced."""
-    images = tuple(psi_images(k).values())
+    images = psi_images(k)
     _check_letters(r, k - 1, "half-twist word")
     return evaluate_perm(r, images, k)
 
@@ -336,14 +336,16 @@ class SchreierInfo:
     generator_images: dict[str, Perm]
 
 
-def reidemeister_schreier_full(p: Presentation, psi: Mapping[str, Perm],
+def reidemeister_schreier_full(p: Presentation, images: Sequence[Perm],
                                subgroup) -> tuple[Presentation, SchreierInfo]:
     """Presentation of the psi-preimage of a subgroup of Sym(k), plus the
     index and the Schreier generators' images.
 
-    psi's images must have the subgroup's degree, include every adjacent
-    transposition of Sym(k), so psi is onto and the subgroup lies in its
-    image, and kill every relator of p; otherwise ValueError (_check_psi).
+    images, psi of each generator of p in order (TypeError for a Mapping,
+    ValueError for another count), must have the subgroup's degree, include
+    every adjacent transposition of Sym(k), so psi is onto and the subgroup
+    lies in its image, and kill every relator of p; otherwise ValueError
+    (_check_psi).
     The subgroup needs only ``degree``, ``order`` and ``coset_key(g)``, a
     label equal for g and g' exactly when H*g = H*g', so any object with
     these three serves (the analysis passes a genvec.VectorStabilizer).
@@ -373,8 +375,11 @@ def reidemeister_schreier_full(p: Presentation, psi: Mapping[str, Perm],
     inverse, and tietze_simplify, which drops those, returns what it would
     from every rewrite at every coset.
     """
+    if isinstance(images, Mapping):
+        raise TypeError("psi's images are a sequence in p's generator order, not a mapping")
+    if len(images := tuple(images)) != len(p.generators):
+        raise ValueError(f"{len(images)} images of psi for {len(p.generators)} generators")
     degree = subgroup.degree
-    images = tuple(psi[g] for g in p.generators)
     _check_psi(p, images, degree)
     ngens = len(images)
     index = factorial(degree) // subgroup.order
@@ -507,6 +512,7 @@ class _TietzeEngine:
         self.inv = {c: c ^ 1 for c in letters}
         self.gen_of = {c: c & ~1 for c in letters}
         self.rels = relators
+        self.letters = 0    # the letters of the relators kept
         self.held: dict[int, tuple] = {}      # position -> (cyclic reduction, bucket)
         self.buckets: dict[tuple, list[int]] = {}    # (length, generators) -> positions
         # generator code point -> positions whose relator may contain it; read
@@ -543,10 +549,12 @@ class _TietzeEngine:
         self.held[pos] = core, bucket
         bucket.append(pos)
         heappush(self.heap, (len(s), pos))
+        self.letters += len(s)
 
     def _drop(self, pos: int) -> str:
         s, self.rels[pos] = self.rels[pos], ""
         self.held.pop(pos)[1].remove(pos)
+        self.letters -= len(s)
         return s
 
     def _shortest_with_once(self) -> tuple[int, int] | None:
@@ -566,7 +574,8 @@ class _TietzeEngine:
 
     def eliminate(self) -> int | None:
         """Eliminate the latest generator occurring once in the shortest such
-        relator; return it, or None when no relator has one."""
+        relator; return it, or None when no relator has one.  CapacityError
+        when the relators then hold more than MAX_REWRITE_LETTERS letters."""
         rels, occurs = self.rels, self.occurs
         step = self._shortest_with_once()
         if step is None:
@@ -594,6 +603,9 @@ class _TietzeEngine:
         kept = [t for t in touched if rels[t]]
         for h in {ord(c) & ~1 for c in repl}:
             occurs[h].update(kept)
+        if self.letters > MAX_REWRITE_LETTERS:
+            raise CapacityError(f"a Tietze step left {self.letters} relator letters, "
+                                f"past the cap of {MAX_REWRITE_LETTERS}")
         return ord(letter) >> 1
 
 
@@ -609,7 +621,8 @@ def tietze_simplify(p: Presentation) -> Presentation:
     list survives.  Steps repeat until no relator has such a generator; the
     result presents an isomorphic group.
 
-    More than MAX_TIETZE_GENERATORS generators raise CapacityError.
+    More than MAX_TIETZE_GENERATORS generators raise CapacityError, as does a
+    step that leaves more than MAX_REWRITE_LETTERS letters.
     """
     if p.symbolic_relators:
         raise ValueError("cannot simplify a presentation with symbolic relators")

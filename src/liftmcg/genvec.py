@@ -7,10 +7,12 @@ unit u, and the centralizer image H2 the same set with u = 1; both are kept
 as VectorStabilizer, read off the vector without storing any element.  The
 unit's permutation is arith_perm.matching of the scaled entries onto the
 entries, and its half-twist word, like every word of the library, is a
-freely reduced tuple of signed ints, s_t being letter t.  The 3-branch-point
-classification is read off H1: its units and their permutations.  The
-brute-force stabilizer is an oracle only: liftable_images compares with it
-when asked (cross_check=True), never by default.
+freely reduced tuple of signed ints, s_t being letter t.  [Mod:LMod] and
+[N:C] are read off H1, its index and unit count, never stored apart.  The
+3-branch-point classification takes the vector, builds H1 from it and reads
+the case off its units and their permutations.  The brute-force stabilizer
+is an oracle only: liftable_images compares with it when asked
+(cross_check=True), never by default.
 
 The action convention: ``act(l, sigma, v)`` puts ``l * c_j`` at position
 ``sigma(j)``, i.e. position i of the result is ``l * c_{sigma^-1(i)}``.
@@ -285,16 +287,14 @@ class StabilizerReport:
 
     swaps is the set B of equal-entry index pairs; unit_words (C) maps each
     unit u of h1 to a half-twist word, s_t being letter t, with image
-    h1.unit_perms[u] (the unit 1 to the empty word ()); index_mod_lmod =
-    [Mod:LMod] = h1.index, and index_n_c = [N:C] = len(h1.units).
+    h1.unit_perms[u] (the unit 1 to the empty word ()).  [Mod:LMod] is
+    h1.index and [N:C] is len(h1.units).
     """
 
     h1: VectorStabilizer
     h2: VectorStabilizer
     swaps: tuple[tuple[int, int], ...]
     unit_words: Mapping[int, Relator]
-    index_mod_lmod: int
-    index_n_c: int
 
 
 def liftable_images(v: GeneratingVector, cross_check: bool = False) -> StabilizerReport:
@@ -318,8 +318,7 @@ def liftable_images(v: GeneratingVector, cross_check: bool = False) -> Stabilize
         _check_against_bruteforce(tuple(stabilizer_bruteforce(v)), h1, h2)
 
     return StabilizerReport(
-        h1=h1, h2=h2, swaps=tuple(equal_pairs(v)), unit_words=MappingProxyType(unit_words),
-        index_mod_lmod=h1.index, index_n_c=len(h1.units))
+        h1=h1, h2=h2, swaps=tuple(equal_pairs(v)), unit_words=MappingProxyType(unit_words))
 
 
 def _check_against_bruteforce(stab: tuple[tuple[int, Perm], ...],
@@ -427,7 +426,7 @@ class IrreducibleClassification:
     notes: tuple[str, ...] = ()
 
 
-def classify_irreducible(h1: VectorStabilizer) -> IrreducibleClassification:
+def classify_irreducible(v: GeneratingVector) -> IrreducibleClassification:
     """Normalizer/centralizer isomorphism types for 3-branch-point actions,
     read off H1, the stabilizer of the vector under all its stabilizing
     units: Mod(S_{0,3}) = Sym(3), so LMod = H1.
@@ -436,29 +435,27 @@ def classify_irreducible(h1: VectorStabilizer) -> IrreducibleClassification:
     H1 = Z_m with m the number of stabilizing units, and its generator pairs
     with the twist l: (i) m = 3, l's permutation sends position 0 to 1 ->
     N = Z_n x|_l Z_3; (ii_b) m = 2, l != 1 -> N = Z_n x|_l Z_2; (iii) m = 1
-    -> N = C = Z_n.  OutOfScopeError for genus < 2, then for k != 3; then
-    ValueError unless h1's units are every stabilizing unit, in order.
+    -> N = C = Z_n.  TypeError unless v is a GeneratingVector; then
+    OutOfScopeError for genus < 2, then for k != 3.
     """
-    v = h1.vector
+    if not isinstance(v, GeneratingVector):
+        raise TypeError(f"classification reads a GeneratingVector, got {type(v).__name__}")
     g = require_genus(v)
     if v.k != 3:
         raise OutOfScopeError(f"classification needs exactly 3 branch points, got {v.k}")
-    units, stabilizing = tuple(h1.units), tuple(stabilizing_units(v))
-    if units != stabilizing:
-        raise ValueError(f"classification reads H1, whose units are {stabilizing}; "
-                         f"got a stabilizer with units {units}")
     n = v.n
     if len(set(v.c)) < 3:
         desc = direct_product(n, 2)
         return IrreducibleClassification(
             case="ii_a", twist=1, lmod=cyclic(2), centralizer=desc, normalizer=desc,
             genus=g, notes=("normalizer type asserted, not derived",))
-    m = len(units)
+    h1 = VectorStabilizer(v, tuple(stabilizing_units(v)))
+    m = len(h1.units)
     if m == 1:
         return IrreducibleClassification(
             case="iii", twist=None, lmod=trivial_group(), centralizer=cyclic(n),
             normalizer=cyclic(n), genus=g)
-    twist = units[1] if m == 2 else next(u for u, p in h1.unit_perms.items() if p[0] == 1)
+    twist = h1.units[1] if m == 2 else next(u for u, p in h1.unit_perms.items() if p[0] == 1)
     return IrreducibleClassification(
         case="ii_b" if m == 2 else "i", twist=twist, lmod=cyclic(m), centralizer=cyclic(n),
         normalizer=semidirect(n, m, twist), genus=g)

@@ -101,8 +101,8 @@ def test_criterion_2_doubled_family_indices():
                 report = validate(ds)
                 assert report.ok and report.genus == g
                 rep = liftable_images(generating_vector(ds))
-                assert rep.index_mod_lmod == 6
-                assert rep.index_n_c == 2
+                assert rep.h1.index == 6
+                assert len(rep.h1.units) == 2
         # no branch order 2: index 12 (no such class exists at genus 2:
         # the only genus-1 base with n1 != 2 doubles to n = g + 1)
         bases = {4: "(6,0;(2,3),(1,6),(1,6))",
@@ -114,8 +114,8 @@ def test_criterion_2_doubled_family_indices():
             assert report.ok and report.genus == g
             assert all(m != 2 for _, m in ds.pairs)
             rep = liftable_images(generating_vector(ds))
-            assert rep.index_mod_lmod == 12
-            assert rep.index_n_c == 2
+            assert rep.h1.index == 12
+            assert len(rep.h1.units) == 2
 
 
 def test_criterion_3_hyperelliptic():
@@ -125,7 +125,7 @@ def test_criterion_3_hyperelliptic():
             assert rep.stab.h1.order == factorial(2 * g + 2)
             assert rep.stab.h1.is_symmetric
             assert rep.flags["mod_equals_lmod"]
-            assert rep.stab.index_mod_lmod == 1
+            assert rep.stab.h1.index == 1
             assert rep.lmod_presentation == mod_sphere_presentation(2 * g + 2)
 
 

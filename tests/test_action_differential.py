@@ -21,7 +21,6 @@ from liftmcg.datasets import (
 )
 from liftmcg.genvec import (
     GeneratingVector,
-    VectorStabilizer,
     classify_irreducible,
     generating_vector,
     liftable_images,
@@ -48,7 +47,7 @@ def test_classification_on_every_three_point_class_genus_2_to_30():
     for genus, v in vectors:
         for c in (permutations(v.c) if genus <= 12 else (v.c,)):
             w = GeneratingVector(v.n, c)
-            cls = classify_irreducible(VectorStabilizer(w, tuple(stabilizing_units(w))))
+            cls = classify_irreducible(w)
             assert cls == reference.classify_irreducible(w), w
             cases.add(cls.case)
     assert cases == {"i", "ii_a", "ii_b", "iii"}

@@ -304,6 +304,23 @@ def test_classify_json(capsys):
     assert payload["lmod"]["text"] == "Z3"
 
 
+def test_classify_verb_agrees_with_analyze_genus_2_to_8(capsys):
+    # the verb and analyze each build H1 from the vector, on separate paths
+    three_point = [ds for genus in range(2, 9) for ds in enumerate_spherical(genus)
+                   if ds.k == 3]
+    assert len(three_point) == 61
+    cases = set()
+    for ds in three_point:
+        text = render_dataset(ds)
+        analysis._report_memo.cache_clear()
+        code, out, err = run(capsys, "classify", "--format", "json", text)
+        assert (code, err) == (0, "") and analysis._report_memo.cache_info().misses == 0
+        expected = analysis.classification_json(analysis.analyze(ds).classification)
+        assert json.loads(out) == {"dataset": text, **expected}, text
+        cases.add(expected["case"])
+    assert cases == {"i", "ii_a", "ii_b", "iii"}
+
+
 def test_analyze_text_irreducible_and_pure_centralizer(capsys):
     code, out, _ = run(capsys, "analyze", "(7,0;(1,7),(2,7),(4,7))")
     assert code == 0

@@ -128,10 +128,18 @@ def test_sphere_data_built_once_per_degree():
     assert psi_images(4) is psi_images(4)
     psi = psi_images(4)
     with pytest.raises(TypeError):
-        psi["s1"] = identity_perm(4)
+        psi[0] = identity_perm(4)
     with pytest.raises(TypeError):
-        del psi["s2"]
-    assert dict(psi_images(4)) == {f"s{i}": transposition(i, i + 1, 4) for i in (1, 2, 3)}
+        del psi[1]
+    assert psi == ((1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2))
+
+
+def test_psi_images_are_the_adjacent_transpositions_by_position():
+    # entry i - 1 is the image of s_i, generator i of mod_sphere_presentation(k)
+    for k in range(2, 31):
+        assert psi_images(k) == tuple(transposition(i, i + 1, k) for i in range(1, k))
+        if k >= 3:
+            assert len(psi_images(k)) == len(mod_sphere_presentation(k).generators)
 
 
 def test_sphere_builders_match_the_by_name_reference(monkeypatch):
@@ -170,18 +178,17 @@ def test_sphere_builders_refuse_a_non_int_degree_whatever_is_cached():
         for build in (psi_images, psi_images.__wrapped__, lambda k: psi_image((), k)):
             with pytest.raises(ValueError, match=f"^need k >= 2 marked points, got {k}$"):
                 build(k)
-    assert dict(psi_images(2)) == {"s1": (1, 0)} and psi_image((), 2) == (0, 1)
+    assert psi_images(2) == ((1, 0),) and psi_image((), 2) == (0, 1)
 
 
 def test_rs_refuses_bad_psi_after_a_cached_good_call():
     p, psi = mod_sphere_presentation(4), psi_images(4)
     klein = closure([transposition(1, 2, 4), transposition(3, 4, 4)], 4)
     good = reidemeister_schreier_full(p, psi, klein)
-    without_34 = {**psi, "s3": transposition(1, 2, 4)}
+    without_34 = (*psi[:2], transposition(1, 2, 4))
     # every adjacent transposition, but s1 and s3 no longer commute
-    shuffled = {"s1": transposition(2, 3, 4), "s2": transposition(1, 2, 4),
-                "s3": transposition(3, 4, 4)}
-    wrong_degree = {**psi, "s2": transposition(2, 3, 5)}
+    shuffled = (transposition(2, 3, 4), transposition(1, 2, 4), transposition(3, 4, 4))
+    wrong_degree = (psi[0], transposition(2, 3, 5), psi[2])
     for _ in range(2):
         with pytest.raises(ValueError, match="must include every adjacent transposition"):
             reidemeister_schreier_full(p, without_34, klein)
@@ -194,7 +201,31 @@ def test_rs_refuses_bad_psi_after_a_cached_good_call():
     copy = Presentation(p.generators, p.relators)
     with pytest.raises(ValueError, match="does not kill the relator"):
         reidemeister_schreier_full(copy, shuffled, klein)
-    assert reidemeister_schreier_full(copy, dict(psi), klein) == good
+    assert reidemeister_schreier_full(copy, list(psi), klein) == good
+
+
+def test_rs_takes_one_image_per_generator_in_order():
+    # a mapping by generator name, and a count other than the generators',
+    # are refused before psi is checked
+    from liftmcg import fpgroups
+
+    p, psi = mod_sphere_presentation(4), psi_images(4)
+    klein = closure([transposition(1, 2, 4), transposition(3, 4, 4)], 4)
+    good = reidemeister_schreier_full(p, psi, klein)
+    checked = fpgroups._check_psi.cache_info()
+    for bad, error, message in (
+            (dict(zip(p.generators, psi)), TypeError,
+             "psi's images are a sequence in p's generator order, not a mapping"),
+            (psi[:2], ValueError, "2 images of psi for 3 generators"),
+            ((*psi, psi[0]), ValueError, "4 images of psi for 3 generators")):
+        with pytest.raises(error) as info:
+            reidemeister_schreier_full(p, bad, klein)
+        assert str(info.value) == message
+        assert reidemeister_schreier_full(p, psi, klein) == good
+    after = fpgroups._check_psi.cache_info()
+    # no refusal reached the check, and each good call was a hit on it
+    assert (after.hits - checked.hits, after.misses, after.currsize) == (
+        3, checked.misses, checked.currsize)
 
 
 def test_rs_checks_psi_before_the_capacity_guard():
@@ -205,7 +236,7 @@ def test_rs_checks_psi_before_the_capacity_guard():
     trivial = closure([], 10)
     with pytest.raises(CapacityError):
         reidemeister_schreier_full(p, psi, trivial)
-    swapped = {**psi, "s1": psi["s2"], "s2": psi["s1"]}
+    swapped = (psi[1], psi[0], *psi[2:])
     with pytest.raises(ValueError, match=r"does not kill the relator s1\*s3\*s1\^-1") as err:
         reidemeister_schreier_full(p, swapped, trivial)
     assert not isinstance(err.value, CapacityError)
@@ -262,8 +293,7 @@ def test_sphere_data_and_psi_checks_under_concurrent_workers():
     p, psi = mod_sphere_presentation(4), psi_images(4)
     klein = closure([transposition(1, 2, 4), transposition(3, 4, 4)], 4)
     good = reidemeister_schreier_full(p, psi, klein)
-    shuffled = {"s1": transposition(2, 3, 4), "s2": transposition(1, 2, 4),
-                "s3": transposition(3, 4, 4)}
+    shuffled = (transposition(2, 3, 4), transposition(1, 2, 4), transposition(3, 4, 4))
     fresh = {k: mod_sphere_presentation.__wrapped__(k) for k in range(3, 10)}
 
     def worker(seed):
@@ -273,7 +303,7 @@ def test_sphere_data_and_psi_checks_under_concurrent_workers():
             if mod_sphere_presentation(k) != fresh[k]:
                 return False
             if rng.random() < 0.5:
-                if reidemeister_schreier_full(p, dict(psi), klein) != good:
+                if reidemeister_schreier_full(p, list(psi), klein) != good:
                     return False
             else:
                 with pytest.raises(ValueError, match="does not kill"):
@@ -306,7 +336,7 @@ def test_mod_sphere_relators_die_in_symmetric_group():
         p = mod_sphere_presentation(k)
         psi = psi_images(k)
         for r in p.relators:
-            assert evaluate_perm(r, [psi[g] for g in p.generators], k) == identity_perm(k)
+            assert evaluate_perm(r, psi, k) == identity_perm(k)
 
 
 def test_pmod_sphere_small():
@@ -372,7 +402,7 @@ def test_rs_index_one_is_renaming():
     for k in (3, 4, 5, 6):
         p = mod_sphere_presentation(k)
         psi = psi_images(k)
-        full = closure([psi[g] for g in p.generators], k)
+        full = closure(psi, k)
         out, info = reidemeister_schreier_full(p, psi, full)
         s = {i: gen(f"s{i}") for i in range(1, k)}
         reversed_commutators = from_words(p.generators, [
@@ -466,7 +496,7 @@ def test_rs_generator_images_cover_generators_and_lie_in_subgroup():
 def test_rs_rejects_subgroup_outside_image():
     # psi image of <s1> alone is <(1,2)>; the Klein subgroup is not inside
     p = Presentation(("s1",), ())
-    psi = {"s1": transposition(1, 2, 4)}
+    psi = (transposition(1, 2, 4),)
     H = closure([transposition(3, 4, 4)], 4)
     with pytest.raises(ValueError):
         reidemeister_schreier_full(p, psi, H)
@@ -476,7 +506,7 @@ def test_rs_requires_psi_onto_the_symmetric_group():
     # H = <(1,2)> lies inside the image <(1,2)> of psi, but psi is not onto
     # Sym(4), which Reidemeister-Schreier requires
     p = Presentation(("s1",), ())
-    psi = {"s1": transposition(1, 2, 4)}
+    psi = (transposition(1, 2, 4),)
     H = closure([transposition(1, 2, 4)], 4)
     with pytest.raises(ValueError, match="adjacent transposition"):
         reidemeister_schreier_full(p, psi, H)
@@ -490,8 +520,7 @@ def _free_on_half_twists(k):
 
 def test_rs_index_examples():
     p, psi = _free_on_half_twists(4)
-    adjacents = list(psi.values())
-    assert reidemeister_schreier_full(p, psi, closure(adjacents, 4))[1].index == 1
+    assert reidemeister_schreier_full(p, psi, closure(psi, 4))[1].index == 1
     klein = closure([transposition(1, 2, 4), transposition(3, 4, 4)], 4)
     assert reidemeister_schreier_full(p, psi, klein)[1].index == 6
     p3, psi3 = _free_on_half_twists(3)
@@ -548,6 +577,26 @@ def test_tietze_examples():
     assert tietze_simplify(from_words(("a", "b"), (a * b,))) == Presentation(("a",), ())
     t = tietze_simplify(pmod_sphere_presentation(4))
     assert len(t.generators) == 2 and not t.relators
+
+
+def test_tietze_refuses_a_step_past_the_letter_cap(monkeypatch):
+    # Tietze's one step on PMod(S_{0,6}) takes its 210 letters to 424
+    from liftmcg import fpgroups
+
+    p = pmod_sphere_presentation(6)
+    assert sum(map(len, p.relators)) == 210
+    monkeypatch.setattr(fpgroups, "MAX_REWRITE_LETTERS", 424)
+    out = tietze_simplify(p)
+    assert (len(out.generators), sum(map(len, out.relators))) == (9, 424)
+    for cap in (423, 200):    # the input is not measured, only what a step leaves
+        monkeypatch.setattr(fpgroups, "MAX_REWRITE_LETTERS", cap)
+        with pytest.raises(CapacityError, match=f"^a Tietze step left 424 relator letters, "
+                                                f"past the cap of {cap}$"):
+            tietze_simplify(p)
+    # with no step to take, nothing is refused
+    monkeypatch.setattr(fpgroups, "MAX_REWRITE_LETTERS", 0)
+    commuting = Presentation(("a", "b"), ((1, 2, -1, -2),))
+    assert tietze_simplify(commuting) == commuting
 
 
 def test_tietze_dedupes_and_drops_trivial():

@@ -164,7 +164,7 @@ def test_liftable_images_hyperelliptic():
     assert rep.unit_words == {1: rep.unit_words[1]} and not rep.unit_words[1]
     assert rep.h1.order == 720 and rep.h2.order == 720
     assert rep.h1.is_symmetric and rep.h2.is_symmetric
-    assert rep.index_mod_lmod == 1 and rep.index_n_c == 1
+    assert rep.h1.index == 1 and len(rep.h1.units) == 1
 
 
 def test_liftable_images_superelliptic_alternating():
@@ -437,7 +437,7 @@ def test_classify_table_rows():
         "(9,0;(1,3),(1,9),(5,9))": ("iii", cyclic(9), cyclic(9)),
     }
     for text, (case, normalizer, centralizer) in rows.items():
-        cls = classify_irreducible(liftable_images(generating_vector(parse_dataset(text))).h1)
+        cls = classify_irreducible(generating_vector(parse_dataset(text)))
         assert cls.case == case
         assert cls.normalizer == normalizer
         assert cls.centralizer == centralizer
@@ -445,31 +445,30 @@ def test_classify_table_rows():
 
 def test_classify_requires_three_points_and_genus():
     with pytest.raises(ValueError):
-        classify_irreducible(liftable_images(generating_vector(hyperelliptic(2))).h1)
+        classify_irreducible(generating_vector(hyperelliptic(2)))
     with pytest.raises(ValueError):
-        classify_irreducible(liftable_images(vec(3, 1, 1, 1)).h1)  # genus 1
+        classify_irreducible(vec(3, 1, 1, 1))  # genus 1
 
 
-def test_classify_refuses_a_stabilizer_that_is_not_h1():
-    # H2 of the first row holds the unit 1 alone; read as H1 it gave case iii
-    stab = liftable_images(generating_vector(parse_dataset("(7,0;(1,7),(2,7),(4,7))")))
-    assert classify_irreducible(stab.h1).case == "i"
-    with pytest.raises(ValueError, match=r"units are \(1, 2, 4\); got a stabilizer with "
-                                         r"units \(1,\)$"):
-        classify_irreducible(stab.h2)
-    # so are H1's units out of order, from which case ii_b read the twist
-    # as units[1]
-    v = generating_vector(parse_dataset("(8,0;(1,4),(1,8),(5,8))"))
-    assert classify_irreducible(VectorStabilizer(v, (1, 5))).twist == 5
-    with pytest.raises(ValueError, match=r"units are \(1, 5\); got a stabilizer with units"):
-        classify_irreducible(VectorStabilizer(v, (5, 1)))
-    # the genus and then k keep their OutOfScopeError ahead of the check, on
-    # vectors whose H2 lacks the stabilizing unit 4 or 2
-    for v, reason in ((vec(5, 1, 4), "genus 0 is outside the genus >= 2 scope"),
+def test_classify_takes_the_vector():
+    # it builds H1 itself: a stabilizer, H1 or H2, is refused by type
+    v = generating_vector(parse_dataset("(7,0;(1,7),(2,7),(4,7))"))
+    stab = liftable_images(v)
+    assert classify_irreducible(v).case == "i"
+    for bad in (stab.h1, stab.h2, stab, parse_dataset("(7,0;(1,7),(2,7),(4,7))"), (7, 1, 2, 4)):
+        with pytest.raises(TypeError) as info:
+            classify_irreducible(bad)
+        assert str(info.value) == ("classification reads a GeneratingVector, "
+                                   f"got {type(bad).__name__}")
+    # case ii_b reads its twist off H1's units in order
+    assert classify_irreducible(generating_vector(parse_dataset("(8,0;(1,4),(1,8),(5,8))"))
+                                ).twist == 5
+    # genus < 2 is refused before k != 3
+    for v, reason in ((vec(2, 1, 1), "genus 0 is outside the genus >= 2 scope"),
+                      (vec(2, 1, 1, 1, 1), "genus 1 is outside the genus >= 2 scope"),
                       (vec(3, 1, 1, 2, 2), "classification needs exactly 3 branch points, got 4")):
-        assert liftable_images(v).h1.units != (1,)
         with pytest.raises(OutOfScopeError) as info:
-            classify_irreducible(liftable_images(v).h2)
+            classify_irreducible(v)
         assert str(info.value) == reason
 
 
@@ -480,7 +479,7 @@ def test_classify_agrees_with_liftable_images():
             if v.k != 3:
                 continue
             rep = liftable_images(v)
-            cls = classify_irreducible(rep.h1)
+            cls = classify_irreducible(v)
             assert rep.h1.order == sizes[cls.case]
             if cls.twist is not None and cls.case != "ii_a":
                 assert cls.twist in rep.h1.units

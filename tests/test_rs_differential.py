@@ -52,8 +52,11 @@ def _dropped_are_rotations(kept, every):
 
 
 def _check_against_reference(subgroup, p, psi):
+    """psi holds one image per generator of p, in order; the reference reads
+    it by generator name."""
     out, info = reidemeister_schreier_full(p, psi, subgroup)
-    ref, ref_info = reference.reidemeister_schreier_full(p, psi, subgroup)
+    ref, ref_info = reference.reidemeister_schreier_full(
+        p, dict(zip(p.generators, psi)), subgroup)
     assert info == ref_info
     assert out.generators == ref.generators
     assert _dropped_are_rotations(out.relators, ref.relators)
@@ -88,14 +91,13 @@ def test_equal_to_reference_on_powers_with_inverse_letters():
     # before
     names = ("s1", "s2", "s3", "t")
     s1, s2, s3, t = map(gen, names)
-    psi = {**psi_images(4), "t": evaluate_perm((1, 2), list(psi_images(4).values()), 4)}
-    images = [psi[name] for name in names]
+    psi = (*psi_images(4), evaluate_perm((1, 2), psi_images(4), 4))
     relators = [*mod_sphere_presentation(4).relators]
     for w in (t * (s1 * s2).inv(), t.inv() * s3, t.inv() * s1, s1 * s2.inv(),
               s3.inv() * t.inv() * s2, s2 * t):
         u = from_words(names, (w,)).relators[0]
         m = 1
-        while evaluate_perm(u * m, images, 4) != identity_perm(4):
+        while evaluate_perm(u * m, psi, 4) != identity_perm(4):
             m += 1
         relators.append(u * m)
     relators.append(_inverted(relators[-1])[1:] + _inverted(relators[-1])[:1])
@@ -111,7 +113,7 @@ def test_equal_to_reference_at_degrees_one_and_two():
     # the coset walk composes by itemgetter, which returns a bare entry for
     # one index and takes no zero indices
     t_cubed = Presentation(("t",), ((1, 1, 1),))
-    _check_against_reference(closure([], 1), t_cubed, {"t": (0,)})
+    _check_against_reference(closure([], 1), t_cubed, ((0,),))
     s1_squared = Presentation(("s1",), ((1, 1),))
     for subgroup in (closure([], 2), closure([(1, 0)], 2)):
         _check_against_reference(subgroup, s1_squared, psi_images(2))
