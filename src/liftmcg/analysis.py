@@ -22,16 +22,17 @@ from .arith_perm import (
 )
 from .datasets import DataSet, parse_dataset, require_dataset
 from .fpgroups import (
+    PRESENTATION_MEMO_SIZE,
     LiftData,
     Presentation,
     Relator,
     _identify_short_generators,
+    _reidemeister_schreier,
     extension_presentation,
     mod_sphere_presentation,
     pmod_sphere_presentation,
     presentation_json,
     psi_images,
-    reidemeister_schreier_full,
     render_presentation,
     render_relator,
     render_word,
@@ -98,12 +99,6 @@ class AnalysisReport:
     flags: Mapping[str, bool]
 
 
-# the bound of both memos below: distinct subgroups whose preimage
-# presentations are kept (the H1 and H2 of genus 10 alone are 70 subgroups),
-# and distinct data sets whose reports are kept
-PRESENTATION_MEMO_SIZE = 128
-
-
 @lru_cache(maxsize=PRESENTATION_MEMO_SIZE)
 def _subgroup_presentation(subgroup) -> tuple[Presentation, tuple[Perm, ...], str]:
     """Simplified presentation of the psi-preimage of a subgroup of Sym(k).
@@ -112,10 +107,13 @@ def _subgroup_presentation(subgroup) -> tuple[Presentation, tuple[Perm, ...], st
     pulls back to the pure one, refused (CapacityError) before it is built
     above MAX_PMOD_SPHERE_DEGREE marked points; both have known presentations,
     so Reidemeister-Schreier runs only at intermediate index, and its output
-    goes through _identify_short_generators before Tietze.  The images are
-    a tuple, one per generator of the presentation in order.  The result
-    depends on the subgroup only as a set, so it is memoized on the set and
-    shared by every report whose H1 or H2 it is.
+    goes through _identify_short_generators before Tietze.  That run skips
+    Reidemeister-Schreier's own memo: only the simplified result is kept, so
+    the raw output is freed once it is simplified.  The images are a tuple,
+    one per generator of the presentation in order.  The result depends on
+    the subgroup only as a set, so it is memoized on the set, keeping the
+    PRESENTATION_MEMO_SIZE most recently used, and shared by every report
+    whose H1 or H2 it is.
     """
     k = subgroup.degree
     if subgroup.is_symmetric:
@@ -127,7 +125,7 @@ def _subgroup_presentation(subgroup) -> tuple[Presentation, tuple[Perm, ...], st
         p, kind = tietze_simplify(pmod_sphere_presentation(k)), "pmod_sphere"
         images = (identity_perm(k),) * len(p.generators)
     else:
-        raw, info = reidemeister_schreier_full(mod_sphere_presentation(k), psi_images(k), subgroup)
+        raw, info = _reidemeister_schreier(mod_sphere_presentation(k), psi_images(k), subgroup)
         p, kind = tietze_simplify(_identify_short_generators(raw)), "schreier"
         images = tuple(info.generator_images[name] for name in p.generators)
     return p, images, kind

@@ -20,14 +20,19 @@ above MAX_BRANCH_POINTS is refused before anything is built.
 
 Reidemeister-Schreier enumerates the cosets itself, in one BFS that
 multiplies by each generator's image through one precomputed itemgetter, and
-needs of a subgroup only its degree, order and coset labels: the analysis
-passes genvec's vector stabilizers, never a stored group.  It reads psi as
-one image per generator, in order, and checks once, before any coset is
-built and once per distinct presentation and images, that psi is onto and
-kills every relator.  Tietze simplification is deterministic; one engine
-writes a relator as a str of code points, one per letter, so that
-substitution, search and inversion are str methods, takes every step by one
-rule and refuses a step that leaves more than MAX_REWRITE_LETTERS letters.
+needs of a subgroup only its degree, order and coset labels, and a hash and
+== by the set: the analysis passes genvec's vector stabilizers, never a
+stored group.  It reads psi as one image per generator, in order, and checks
+on every call, before any coset is built, that psi is onto and kills every
+relator; a check that passes is remembered per presentation and images.  The
+output is memoized on (presentation, images, subgroup), so a subgroup that
+recurs as a set is rewritten once; the analysis keeps only the simplified
+presentation and calls the same checked rewrite uncached.  Both memos keep
+PRESENTATION_MEMO_SIZE entries.  A Presentation keeps its abelianization once
+computed.  Tietze simplification is deterministic; one engine writes a
+relator as a str of code points, one per letter, so that substitution,
+search and inversion are str methods, takes every step by one rule and
+refuses a step that leaves more than MAX_REWRITE_LETTERS letters.
 The analysis first passes Reidemeister-Schreier output through
 _identify_short_generators, a signed union-find on its short relators.
 """
@@ -38,11 +43,12 @@ import sys
 from collections import defaultdict
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from functools import cache, wraps
+from functools import cache, cached_property, lru_cache, wraps
 from heapq import heappop, heappush
 from itertools import chain, combinations, groupby
 from math import factorial
 from operator import itemgetter
+from types import MappingProxyType
 
 from .arith_perm import (
     MAX_MATERIALIZED,
@@ -59,6 +65,11 @@ from .arith_perm import (
 from .datasets import MAX_BRANCH_POINTS
 
 Relator = tuple[int, ...]
+
+# the bound of every memo keyed on a presentation or a subgroup: psi's check,
+# the raw Reidemeister-Schreier output, and analysis's simplified
+# presentations and reports (the H1 and H2 of genus 10 alone are 70 subgroups)
+PRESENTATION_MEMO_SIZE = 128
 
 
 def _inverted(r: Relator) -> Relator:
@@ -163,6 +174,19 @@ class Presentation:
 
     def __str__(self) -> str:
         return render_presentation(self)
+
+    @cached_property
+    def _abelianization(self) -> tuple[tuple[int, ...], int]:
+        """abelianization(self), kept in the instance once computed."""
+        rows = []
+        for r in self.relators:
+            row: dict[int, int] = {}
+            for x in r:
+                j = abs(x) - 1
+                row[j] = row.get(j, 0) + (1 if x > 0 else -1)
+            rows.append(row)
+        factors, free_rank = smith_normal_form(rows, ncols=len(self.generators))
+        return tuple(d for d in factors if d != 1), free_rank
 
 
 def render_relator(r: Relator, names: Sequence[str]) -> str:
@@ -309,14 +333,14 @@ def _right_multiplier(g: Perm) -> Callable[[Perm], Perm]:
     return itemgetter(*g) if len(g) > 1 else lambda p: compose(p, g)
 
 
-@cache
+@lru_cache(maxsize=PRESENTATION_MEMO_SIZE)
 def _check_psi(p: Presentation, images: tuple[Perm, ...], degree: int) -> None:
     """What Reidemeister-Schreier needs of psi: its images have the degree,
     include every adjacent transposition of Sym(degree), so psi is onto, and
     kill every relator of p; otherwise ValueError, checked in that order.
-    Memoized for the life of the process: a triple that passes is not
-    checked again, and one that raises stores nothing, so it raises again
-    on every call."""
+    Memoized on the PRESENTATION_MEMO_SIZE triples most recently used: a
+    triple that passes is not checked again while it is held, and one that
+    raises stores nothing, so it raises again on every call."""
     if any(len(x) != degree for x in images):
         raise ValueError(f"psi's images must have degree {degree}")
     if not {transposition(i, i + 1, degree) for i in range(1, degree)} <= set(images):
@@ -329,11 +353,12 @@ def _check_psi(p: Presentation, images: tuple[Perm, ...], degree: int) -> None:
 
 @dataclass(frozen=True)
 class SchreierInfo:
-    """The coset index and, for each Schreier generator, its marked-point
-    image, an element of the subgroup."""
+    """The coset index and, for each Schreier generator by name, its
+    marked-point image, an element of the subgroup; the mapping is
+    read-only, since a memoized result is shared by every caller."""
 
     index: int
-    generator_images: dict[str, Perm]
+    generator_images: Mapping[str, Perm]
 
 
 def reidemeister_schreier_full(p: Presentation, images: Sequence[Perm],
@@ -347,13 +372,22 @@ def reidemeister_schreier_full(p: Presentation, images: Sequence[Perm],
     lies in its image, and kill every relator of p; otherwise ValueError
     (_check_psi).
     The subgroup needs only ``degree``, ``order`` and ``coset_key(g)``, a
-    label equal for g and g' exactly when H*g = H*g', so any object with
-    these three serves (the analysis passes a genvec.VectorStabilizer).
+    label equal for g and g' exactly when H*g = H*g', and it must be
+    hashable with == meaning the same set of permutations (TypeError,
+    before any work, for one that is unhashable), so any object with these
+    serves (the analysis passes a genvec.VectorStabilizer).
     After psi's check, and still before any coset is built, the run is
     refused (CapacityError) when the predicted index k!/|H| times the
     generator count exceeds MAX_MATERIALIZED, or the index times the letters
     of p's relators, the most letters the rewrites can read, exceeds
     MAX_REWRITE_LETTERS.
+
+    The refusals of images run on every call; the result is then memoized
+    on (p, images, subgroup), keeping the PRESENTATION_MEMO_SIZE most
+    recently used, and a call that raises stores nothing.  A hit returns
+    the objects built on the miss, shared and read-only: subgroups equal as
+    sets, from whatever vectors, get one result, which depends only on the
+    set.
 
     One BFS numbers the right cosets, coset 0 being H, taking cosets in
     discovery order and generators in order; it multiplies by psi(g) and by
@@ -375,12 +409,37 @@ def reidemeister_schreier_full(p: Presentation, images: Sequence[Perm],
     inverse, and tietze_simplify, which drops those, returns what it would
     from every rewrite at every coset.
     """
+    return _rs_memo(p, _checked_images(p, images, subgroup), subgroup)
+
+
+def _reidemeister_schreier(p: Presentation, images: Sequence[Perm],
+                           subgroup) -> tuple[Presentation, SchreierInfo]:
+    """reidemeister_schreier_full, refusing alike, without its memo: for a
+    caller that keeps only what it derives from the raw output."""
+    return _rewrite(p, _checked_images(p, images, subgroup), subgroup)
+
+
+def _checked_images(p: Presentation, images: Sequence[Perm], subgroup) -> tuple[Perm, ...]:
+    """images as a tuple, after Reidemeister-Schreier's refusals of the
+    arguments, in order: the images' type and count, an unhashable
+    subgroup, and _check_psi."""
     if isinstance(images, Mapping):
         raise TypeError("psi's images are a sequence in p's generator order, not a mapping")
     if len(images := tuple(images)) != len(p.generators):
         raise ValueError(f"{len(images)} images of psi for {len(p.generators)} generators")
+    try:
+        hash(subgroup)
+    except TypeError:
+        raise TypeError("the subgroup must be hashable, with == meaning the same set, "
+                        f"got {type(subgroup).__name__}") from None
+    _check_psi(p, images, subgroup.degree)
+    return images
+
+
+def _rewrite(p: Presentation, images: tuple[Perm, ...],
+             subgroup) -> tuple[Presentation, SchreierInfo]:
+    """Reidemeister-Schreier on checked images, from the capacity guards on."""
     degree = subgroup.degree
-    _check_psi(p, images, degree)
     ngens = len(images)
     index = factorial(degree) // subgroup.order
     if index * ngens > MAX_MATERIALIZED:
@@ -472,7 +531,11 @@ def reidemeister_schreier_full(p: Presentation, images: Sequence[Perm],
             if letters:
                 relators.append(tuple(letters))
 
-    return Presentation(tuple(gen_images), tuple(relators)), SchreierInfo(index, gen_images)
+    return (Presentation(tuple(gen_images), tuple(relators)),
+            SchreierInfo(index, MappingProxyType(gen_images)))
+
+
+_rs_memo = lru_cache(maxsize=PRESENTATION_MEMO_SIZE)(_rewrite)
 
 
 # ---------------------------------------------------------------------------
@@ -704,18 +767,15 @@ def _identify_short_generators(p: Presentation) -> Presentation:
 
 
 def abelianization(p: Presentation) -> tuple[tuple[int, ...], int]:
-    """Invariant factors (> 1) and free rank of the abelianized group."""
+    """Invariant factors (> 1) and free rank of the abelianized group, by the
+    Smith normal form of the relation matrix.  Computed once per Presentation
+    object and kept in it, so a repeat call on that object, such as on a
+    memoized Reidemeister-Schreier output, reads it back; an equal but
+    distinct Presentation computes it afresh.  Symbolic relators are refused
+    (ValueError) on every call."""
     if p.symbolic_relators:
         raise ValueError("cannot abelianize a presentation with symbolic relators")
-    rows = []
-    for r in p.relators:
-        row: dict[int, int] = {}
-        for x in r:
-            j = abs(x) - 1
-            row[j] = row.get(j, 0) + (1 if x > 0 else -1)
-        rows.append(row)
-    factors, free_rank = smith_normal_form(rows, ncols=len(p.generators))
-    return tuple(d for d in factors if d != 1), free_rank
+    return p._abelianization
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,7 @@ from liftmcg.analysis import (
     verify_doubled_matrices,
 )
 from liftmcg import analysis as analysis_module
+from liftmcg import fpgroups
 from liftmcg import schemas
 from liftmcg.cli import main as cli_main
 
@@ -334,6 +335,7 @@ def _raw_presentation(k, subgroup):
 def test_raw_and_simplified_abelianizations_agree_genus_2_to_6():
     # includes H2 of (4,0;(1,2)_2,(1,4)_2,(3,4)_2), a 1620 x 361 relation
     # matrix, and H1 and H2 of (4,0;(1,2)_3,(1,4)_3,(3,4)), 3780 x 701
+    fpgroups._rs_memo.cache_clear()
     count = 0
     for genus in (2, 3, 4, 5, 6):
         for ds in enumerate_spherical(genus):
@@ -344,6 +346,10 @@ def test_raw_and_simplified_abelianizations_agree_genus_2_to_6():
                 assert abelianization(raw) == abelianization(simplified), ds
                 count += 1
     assert count == 218
+    # 142 preimages are Reidemeister-Schreier output, of 38 distinct subgroups:
+    # H2 = H1 when [N:C] = 1, and subgroups recur across classes
+    info = fpgroups._rs_memo.cache_info()
+    assert (info.hits + info.misses, info.misses) == (142, 38)
 
 
 def _report_bytes(ds) -> str:
@@ -421,6 +427,7 @@ def test_analyze_returns_the_memoized_report():
     assert (info.hits, info.misses, info.currsize) == (3, 2, 2)
     assert info.maxsize == analysis_module.PRESENTATION_MEMO_SIZE == 128
     assert _subgroup_presentation.cache_info().maxsize == 128
+    assert fpgroups._check_psi.cache_info().maxsize == fpgroups._rs_memo.cache_info().maxsize == 128
 
 
 def test_present_after_analyze_is_a_memo_hit_that_validates_nothing(monkeypatch, capsys):

@@ -567,6 +567,118 @@ def test_rs_deterministic():
     assert reidemeister_schreier_full(p, psi, klein) == reidemeister_schreier_full(p, psi, klein)
 
 
+def test_rs_memo_returns_one_result_per_subgroup_set():
+    # H2 of the first class and H1 of the second come from different vectors
+    # but are one subgroup of Sym(4), <(1 2), (3 4)>
+    from liftmcg import fpgroups
+
+    h2 = liftable_images(generating_vector(parse_dataset("(3,0;(1,3)_2,(2,3)_2)"))).h2
+    h1 = liftable_images(generating_vector(parse_dataset("(4,0;(1,2)_2,(1,4),(3,4))"))).h1
+    assert h1.vector != h2.vector and h1 == h2
+    p, psi = mod_sphere_presentation(4), psi_images(4)
+    fpgroups._rs_memo.cache_clear()
+    first = reidemeister_schreier_full(p, psi, h2)
+    assert reidemeister_schreier_full(Presentation(p.generators, p.relators), list(psi), h1) is first
+    info = fpgroups._rs_memo.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    # the shared result is what a fresh rewrite builds, and it is read-only
+    assert first == fpgroups._rewrite(p, psi, h1)
+    raw, schreier = first
+    with pytest.raises(TypeError):
+        schreier.generator_images["x0_s1"] = identity_perm(4)
+    with pytest.raises(TypeError):
+        del schreier.generator_images[raw.generators[0]]
+    assert list(schreier.generator_images) == list(raw.generators)
+
+
+class _Unhashable:
+    """A subgroup-like object without a hash; touching it is an error."""
+
+    __hash__ = None
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the subgroup's {name} was read")
+
+
+def test_rs_memo_stores_no_refusal():
+    from liftmcg import fpgroups
+
+    p, psi = mod_sphere_presentation(4), psi_images(4)
+    klein = closure([transposition(1, 2, 4), transposition(3, 4, 4)], 4)
+    good = reidemeister_schreier_full(p, psi, klein)
+    held = fpgroups._rs_memo.cache_info().currsize
+    shuffled = (transposition(2, 3, 4), transposition(1, 2, 4), transposition(3, 4, 4))
+    # genus 40, k = 42: past the rewrite-volume cap
+    k42 = liftable_images(generating_vector(parse_dataset("(3,0;(1,3)_39,(2,3)_3)"))).h1
+    checked = fpgroups._check_psi.cache_info()
+    for _ in range(3):
+        with pytest.raises(ValueError, match="does not kill the relator"):
+            reidemeister_schreier_full(p, shuffled, klein)
+        with pytest.raises(CapacityError, match="predicted cosets exceeds the cap"):
+            reidemeister_schreier_full(mod_sphere_presentation(42), psi_images(42), k42)
+        with pytest.raises(TypeError) as err:
+            reidemeister_schreier_full(p, psi, _Unhashable())
+        assert str(err.value) == ("the subgroup must be hashable, with == meaning the "
+                                  "same set, got _Unhashable")
+        assert fpgroups._rs_memo.cache_info().currsize == held
+        assert reidemeister_schreier_full(p, psi, klein) is good
+    after = fpgroups._check_psi.cache_info()
+    # the unhashable subgroup reached no check; the k = 42 psi was checked once
+    assert (after.misses, after.hits) == (checked.misses + 4, checked.hits + 5)
+
+
+def test_analysis_leaves_the_rs_memo_empty():
+    # the analysis keeps only the simplified presentation, so its raw
+    # Reidemeister-Schreier output is never held
+    from liftmcg import fpgroups
+    from liftmcg.analysis import _report_memo, _subgroup_presentation, analyze
+
+    fpgroups._rs_memo.cache_clear()
+    _subgroup_presentation.cache_clear()
+    _report_memo.cache_clear()
+    for genus in (2, 3, 4, 5, 6):
+        for ds in enumerate_spherical(genus):
+            analyze(ds)
+    assert _subgroup_presentation.cache_info().misses == 47
+    info = fpgroups._rs_memo.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+
+def test_abelianization_is_kept_per_presentation(monkeypatch):
+    from liftmcg import fpgroups
+
+    calls = []
+    real = fpgroups.smith_normal_form
+    monkeypatch.setattr(fpgroups, "smith_normal_form",
+                        lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    count = 0
+    for genus in (2, 3, 4, 5):
+        for ds in enumerate_spherical(genus):
+            v = generating_vector(ds)
+            stab = liftable_images(v)
+            for subgroup in (stab.h1, stab.h2):
+                if subgroup.is_symmetric or subgroup.order == 1:
+                    continue
+                raw, _ = reidemeister_schreier_full(
+                    mod_sphere_presentation(v.k), psi_images(v.k), subgroup)
+                kept = abelianization(raw)
+                calls.clear()
+                assert abelianization(raw) is kept and not calls
+                fresh = Presentation(raw.generators, raw.relators)
+                assert fresh == raw and abelianization(fresh) == kept, ds
+                assert len(calls) == 1
+                count += 1
+    assert count == 85
+
+
+def test_abelianization_refuses_symbolic_relators_on_every_call():
+    p = Presentation(("a",), ((1, 1, 1),), (SymbolicRelator((1,), 1, "e1"),))
+    for _ in range(3):
+        with pytest.raises(ValueError, match="cannot abelianize a presentation with symbolic"):
+            abelianization(p)
+    assert abelianization(Presentation(p.generators, p.relators)) == ((3,), 0)
+
+
 # ---------------------------------------------------------------------------
 # Tietze
 
