@@ -33,7 +33,7 @@ Perm = tuple[int, ...]
 # bounds Reidemeister-Schreier's coset table (fpgroups): index x generators
 MAX_MATERIALIZED = 2_000_000
 # bounds Reidemeister-Schreier's rewriting (fpgroups): index x the letters of
-# the relators it rewrites; no class of genus <= 12 predicts more than 10.7M
+# the relators it rewrites; no class of genus <= 12 predicts more than 7.3M
 MAX_REWRITE_LETTERS = 20_000_000
 # bounds the trivial-subgroup route (analysis): Tietze on PMod(S_{0,k}) grows as
 # k^6, 2.5 s at k = 24 on 2 vCPUs; no class of genus <= 30 takes it above k = 9

@@ -99,14 +99,6 @@ def _check_letters(r: Relator, ngens: int, what: str) -> None:
         prev = x
 
 
-def _letter_codes(ngens: int) -> list[str]:
-    """code[x] is the code point of the signed int letter x: chr(2i) for i,
-    and chr(2i + 1) for -i at index -i.  A relator written in them is a str,
-    whose rotations are its substrings when it is written twice."""
-    return ["", *(chr(2 * i) for i in range(1, ngens + 1)),
-            *(chr(2 * i + 1) for i in range(ngens, 0, -1))]
-
-
 def evaluate_perm(r: Relator, images: Sequence[Perm], degree: int) -> Perm:
     """The product of the letters of r, images[i - 1] being generator i's."""
     out = identity_perm(degree)
@@ -289,9 +281,10 @@ def psi_image(r: Relator, k: int) -> Perm:
 @_per_degree
 def mod_sphere_presentation(k: int) -> Presentation:
     """Half-twist presentation of the mapping class group of a k-marked
-    sphere; generator i is s_i."""
+    sphere; generator i is s_i.  Each far commutator [s_i, s_j], j > i + 1,
+    is listed once."""
     _require_degree(k, 3)
-    far = [(i, j, -i, -j) for i in range(1, k) for j in range(1, k) if abs(i - j) > 1]
+    far = [(i, j, -i, -j) for i in range(1, k) for j in range(i + 2, k)]
     braid = [(i, i + 1, i, -i - 1, -i, -i - 1) for i in range(1, k - 1)]
     full = tuple(range(1, k))  # s_1 s_2 ... s_{k-1}
     return Presentation(sigma_names(k), far + braid + [full * k, full + full[::-1]])
@@ -399,15 +392,14 @@ def reidemeister_schreier_full(p: Presentation, images: Sequence[Perm],
     reached and the Schreier letter read (0 on a tree edge), which the
     rewrites and the psi(u)-orbits below walk.
 
-    The relators are the nonempty rewrites, one per cyclic class, relator by
-    relator and coset by coset in order.  An input relator equal to an
-    earlier one up to rotation and inversion is skipped: its rewrites are
-    rotations of the earlier one's or of their inverses.  A relator u^p,
-    with u primitive and p > 1, is rewritten only at the least coset of each
-    psi(u)-orbit, since its rewrite at c*u is a rotation of that at c.  So
-    each dropped rewrite is a rotation of an earlier kept one or of its
-    inverse, and tietze_simplify, which drops those, returns what it would
-    from every rewrite at every coset.
+    The relators are the nonempty rewrites, relator by relator and coset by
+    coset in order.  A relator u^p, with u primitive and p > 1, is rewritten
+    only at the least coset of each psi(u)-orbit, since its rewrite at c*u
+    is a rotation of that at c.  So each dropped rewrite is a rotation of an
+    earlier kept one, and tietze_simplify, which drops those, returns what
+    it would from every rewrite at every coset.  An input relator that
+    repeats an earlier one up to rotation and inversion is rewritten all
+    the same; tietze_simplify drops its rewrites.
     """
     return _rs_memo(p, _checked_images(p, images, subgroup), subgroup)
 
@@ -482,26 +474,15 @@ def _rewrite(p: Presentation, images: tuple[Perm, ...],
         raise InternalInvariantError(
             f"coset index {len(reps)} times |H| = {subgroup.order} is not {degree}!")
 
-    code = _letter_codes(ngens)
     relators: list[Relator] = []
-    # length -> the earlier relators of that length, each written twice,
-    # joined by chr(1), which is no letter
-    rewritten: dict[int, str] = {}
     for r in p.relators:
         if not r:
             continue
-        w = "".join(map(code.__getitem__, r))
-        same_length = rewritten.get(len(w), "")
-        if same_length and (w in same_length
-                            or "".join([code[-x] for x in reversed(r)]) in same_length):
-            continue
-        twice = w * 2
-        rewritten[len(w)] = same_length + "\x01" + twice
-        # r = u^power with u primitive: its least period, a divisor of its
-        # length, is where w recurs in w*w
-        period = twice.find(w, 1)
+        # r = u^power with u primitive: its least period, a divisor of its length
+        n = len(r)
+        period = next(d for d in range(1, n + 1) if n % d == 0 and r[:d] * (n // d) == r)
         starts = range(index)
-        if period < len(r):
+        if period < n:
             # c -> c*u, and the least coset of each psi(u)-orbit
             step = list(range(index))
             for x in r[:period]:
@@ -544,6 +525,14 @@ _rs_memo = lru_cache(maxsize=PRESENTATION_MEMO_SIZE)(_rewrite)
 # Generator i (1-based) is the letter chr(2i) and its inverse chr(2i + 1), so
 # the last generator's inverse must be a code point.
 MAX_TIETZE_GENERATORS = (sys.maxunicode - 1) // 2
+
+
+def _letter_codes(ngens: int) -> list[str]:
+    """code[x] is the code point of the signed int letter x: chr(2i) for i,
+    and chr(2i + 1) for -i at index -i.  A relator written in them is a str,
+    whose rotations are its substrings when it is written twice."""
+    return ["", *(chr(2 * i) for i in range(1, ngens + 1)),
+            *(chr(2 * i + 1) for i in range(ngens, 0, -1))]
 
 
 def _join_reduced(parts: Iterable[str]) -> str:

@@ -1,8 +1,10 @@
 """The sphere presentation builders as they stood when they built each
 relator from by-name Words and compiled it through Presentation.from_words
 (now by_name.from_words), kept verbatim as a test oracle:
-liftmcg.fpgroups.mod_sphere_presentation and pmod_sphere_presentation, which
-write signed ints, must equal these with ==.  They are not memoized."""
+liftmcg.fpgroups.pmod_sphere_presentation, which writes signed ints, must
+equal its version with ==, and mod_sphere_presentation must equal its version
+less the commutators [s_j,s_i], j > i + 1, each the inverse of the earlier
+[s_i,s_j], which the library lists once.  They are not memoized."""
 
 from __future__ import annotations
 
@@ -57,9 +59,18 @@ def pmod_sphere_presentation(k: int) -> Presentation:
     return from_words([a_name(i, j) for i, j in names], relators)
 
 
+def _far_commutations_once(p: Presentation) -> Presentation:
+    """p less its commutators [s_j,s_i] with j > i + 1, in order."""
+    k = len(p.generators) + 1
+    repeats = {(j, i, -j, -i) for i in range(1, k) for j in range(i + 2, k)}
+    return Presentation(p.generators, tuple(r for r in p.relators if r not in repeats))
+
+
 def mismatched_degrees(degrees) -> list[int]:
     """The degrees among degrees at which a library builder differs from
-    its by-name version above."""
+    its by-name version above, mod_sphere's taken with each far commutation
+    once."""
     return [k for k in degrees
-            if fpgroups.mod_sphere_presentation(k) != mod_sphere_presentation(k)
+            if fpgroups.mod_sphere_presentation(k)
+            != _far_commutations_once(mod_sphere_presentation(k))
             or fpgroups.pmod_sphere_presentation(k) != pmod_sphere_presentation(k)]

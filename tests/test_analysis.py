@@ -256,7 +256,7 @@ def test_default_analysis_runs_no_stabilizer_oracle(monkeypatch):
 # sha256 of render_dataset, then the LMod and CLMod presentation renders, one
 # per line, for every spherical class of genus 2-4 in enumeration order
 GENUS_2_TO_4_PRESENTATIONS_SHA256 = (
-    "170269656b98abd3d17ad424f4e8e3cd0655bb73047ea7378346a08eb2309ba2")
+    "b946a62d76f78df4231687c972e3862c4bf7be13ce0a6050a83f2939391fc9d4")
 
 
 def test_presentations_pinned_and_killed_by_images_genus_2_to_4():
@@ -282,7 +282,7 @@ def test_presentations_pinned_and_killed_by_images_genus_2_to_4():
 # the same digest for every spherical class of genus 5-6, the Tietze-heavy
 # classes included (H1 of (3,0;(1,3)_4,(2,3)_4) alone simplifies 6,813 letters)
 GENUS_5_TO_6_PRESENTATIONS_SHA256 = (
-    "8e4083c124ddeefec0fd3453781d63ea32c73e75862a12a12db32552ea35dd61")
+    "351aa333e4dac06167ac9927c42f1f4ae25e7fd9347ddbe73d70ab74abb0c431")
 
 
 def test_presentations_pinned_genus_5_to_6():
@@ -304,7 +304,7 @@ def test_presentations_pinned_genus_5_to_6():
 # centralizer, one sorted-key line each; this pins the letter lists of the
 # simplified, extension and symbolic presentations, not only their renders
 GENUS_2_TO_6_JSON_SHA256 = (
-    "5fd229f31ce237a80b0be4d7cf5a8e91a475f46de04b6469f2667b9dc8bb6a19")
+    "9854a27a1027de521372947d6fb3698e6c5311392a72776368a55bd97d57649f")
 
 
 def test_json_pinned_genus_2_to_6():
@@ -712,7 +712,7 @@ def _user_lift_data(q, n):
 # `present --format json` for every spherical class of genus 2-6 and the
 # family members above: every default route to N(F) and C(F)
 PRESENT_SHA256 = (
-    "8f39e96fedd3f09d35d57b3960fcf73aa147224e2702c25896519c9bc95c019a")
+    "16b424e5d028047e0c0ef5319935047b58bb46cec79cba55ecc38d704a114694")
 # sha256 of render_normalizer_specs and the unsorted-key normalizer_spec_json
 # of user lift data passed for both groups; test_one_sided_lift_data_keeps_the_other_route
 # reduces the one-sided calls to these

@@ -123,12 +123,12 @@ def test_analyze_capacity_exit_3(capsys):
 
 def test_analyze_rewrite_volume_exit_3(capsys):
     # genus 40, k = 42: passes the coset-table cap at index 11,480, but
-    # Reidemeister-Schreier would rewrite 95.1M relator letters
+    # Reidemeister-Schreier would rewrite 59.3M relator letters
     start = time.perf_counter()
     code, out, err = run(capsys, "analyze", "(3,0;(1,3)_39,(2,3)_3)")
     assert time.perf_counter() - start < 2.0
     assert code == 3 and out == ""
-    assert err.startswith("error: rewriting 8284 relator letters") and err.count("\n") == 1
+    assert err.startswith("error: rewriting 5164 relator letters") and err.count("\n") == 1
 
 
 def test_json_is_one_line_per_output(capsys):
@@ -402,7 +402,7 @@ def test_analyze_and_present_print_alike_whichever_verb_ran_first(capsys):
 # out-of-scope class, the modulus cap), each in both formats; `present` is
 # pinned by test_present_pinned
 CLI_OUTPUTS_SHA256 = (
-    "341ce0fd16d68f0907a222889a10f672ece6bd2196954bbd254f74c43967b788")
+    "a1f8085cf9d187bacf85d9670a6b99e3b6b08f3aecde9066c802f728117e7698")
 REFUSALS = (
     ("validate", "(4,0;(1,2),(1,4)"),
     ("analyze", "(2,1;(1,2),(1,2))"),

@@ -114,12 +114,23 @@ def test_relator_key_cyclic_and_inverse():
 def test_mod_sphere_counts():
     p = mod_sphere_presentation(4)
     assert len(p.generators) == 3
-    assert len(p.relators) == 6  # 2 commutations + 2 braids + chain + palindrome
+    assert len(p.relators) == 5  # [s1,s3] + 2 braids + chain + palindrome
     assert abelianization(p) == ((6,), 0)
     with pytest.raises(ValueError):
         mod_sphere_presentation(2)
     with pytest.raises(ValueError, match="need k >= 3 marked points, got 2"):
         pmod_sphere_presentation(2)
+
+
+def test_sphere_builders_list_no_relator_twice():
+    # no relator repeats another up to rotation and inversion; Mod(S_{0,k})
+    # states each far commutation [s_i,s_j], j > i + 1, once
+    for k in range(3, 63):
+        keys = [relator_key(r) for r in mod_sphere_presentation(k).relators]
+        assert len(keys) == len(set(keys)) == (k - 2) * (k - 3) // 2 + (k - 2) + 2, k
+    for k in range(3, 25):
+        keys = [relator_key(r) for r in pmod_sphere_presentation(k).relators]
+        assert len(keys) == len(set(keys)), k
 
 
 def test_sphere_data_built_once_per_degree():
@@ -257,11 +268,11 @@ def test_sphere_data_refuses_a_degree_past_the_branch_point_cap():
 
 def test_rs_refuses_a_rewrite_volume_past_the_cap():
     # genus 40, k = 42: index 42!/(39! 3!) = 11,480 with 41 generators passes
-    # the coset-table cap, but rewriting 8,284 relator letters at every coset
-    # predicts 95.1M letters
+    # the coset-table cap, but rewriting 5,164 relator letters at every coset
+    # predicts 59.3M letters
     h1 = liftable_images(generating_vector(parse_dataset("(3,0;(1,3)_39,(2,3)_3)"))).h1
     start = time.perf_counter()
-    with pytest.raises(CapacityError, match="^rewriting 8284 relator letters at each of "
+    with pytest.raises(CapacityError, match="^rewriting 5164 relator letters at each of "
                                             "11480 predicted cosets exceeds the cap of "
                                             "20000000 letters$"):
         reidemeister_schreier_full(mod_sphere_presentation(42), psi_images(42), h1)
@@ -282,7 +293,7 @@ def test_rewrite_volume_of_every_class_to_genus_12_is_under_the_cap():
     assert len(predictions) == 934
     worst = max(predictions, key=predictions.get)
     assert worst == ("H2", "(4,0;(1,2)_6,(1,4)_3,(3,4)_3)")
-    assert predictions[worst] == 10_607_520 < MAX_REWRITE_LETTERS
+    assert predictions[worst] == 7_281_120 < MAX_REWRITE_LETTERS
 
 
 def test_sphere_data_and_psi_checks_under_concurrent_workers():
@@ -414,11 +425,11 @@ def test_rs_index_one_is_renaming():
 
 
 def test_rs_one_rewrite_per_cyclic_class():
-    # over the trivial subgroup of Sym(3), index 6: s1^2 is rewritten once
-    # per psi(s1)-orbit (3 of size 2), the braid at all 6 cosets, (s1*s2)^3
-    # once per psi(s1*s2)-orbit (2 of size 3); the braid's rotation and
-    # inverse and s1^-2 repeat earlier relators and are skipped, and the
-    # empty relator has no rewrite
+    # over the trivial subgroup of Sym(3), index 6: s1^2 and s1^-2 are
+    # rewritten once per psi(s1)-orbit (3 of size 2), the braid, its rotation
+    # and its inverse at all 6 cosets, (s1*s2)^3 once per psi(s1*s2)-orbit
+    # (2 of size 3), and the empty relator has no rewrite; the repeated input
+    # relators are rewritten, and Tietze drops what they add
     s1, s2 = gen("s1"), gen("s2")
     braid = s1 * s2 * s1 * (s2 * s1 * s2).inv()
     p = from_words(("s1", "s2"), (
@@ -426,9 +437,12 @@ def test_rs_one_rewrite_per_cyclic_class():
         (s1 * s2) ** 3, s1 ** -2, EMPTY))
     out, info = reidemeister_schreier_full(p, psi_images(3), closure([], 3))
     assert info.index == 6
-    assert len(out.relators) == 3 + 6 + 2
+    assert len(out.relators) == 3 + 6 + 6 + 6 + 2 + 3 == 26
     distinct = Presentation(p.generators, (p.relators[1], p.relators[2], p.relators[5]))
-    assert reidemeister_schreier_full(distinct, psi_images(3), closure([], 3))[0] == out
+    distinct_out = reidemeister_schreier_full(distinct, psi_images(3), closure([], 3))[0]
+    assert len(distinct_out.relators) == 3 + 6 + 2
+    assert distinct_out.generators == out.generators
+    assert tietze_simplify(distinct_out) == tietze_simplify(out)
 
 
 def test_rs_prop_case_one_abelianization():
