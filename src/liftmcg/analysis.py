@@ -27,7 +27,8 @@ from .fpgroups import (
     Presentation,
     Relator,
     _identify_short_generators,
-    _reidemeister_schreier,
+    _rewrite,
+    _sphere_data,
     extension_presentation,
     mod_sphere_presentation,
     pmod_sphere_presentation,
@@ -106,14 +107,14 @@ def _subgroup_presentation(subgroup) -> tuple[Presentation, tuple[Perm, ...], st
     Index 1 is the full sphere mapping class group and the trivial subgroup
     pulls back to the pure one, refused (CapacityError) before it is built
     above MAX_PMOD_SPHERE_DEGREE marked points; both have known presentations,
-    so Reidemeister-Schreier runs only at intermediate index, and its output
-    goes through _identify_short_generators before Tietze.  That run skips
-    Reidemeister-Schreier's own memo: only the simplified result is kept, so
-    the raw output is freed once it is simplified.  The images are a tuple,
-    one per generator of the presentation in order.  The result depends on
-    the subgroup only as a set, so it is memoized on the set, keeping the
-    PRESENTATION_MEMO_SIZE most recently used, and shared by every report
-    whose H1 or H2 it is.
+    so Reidemeister-Schreier runs only at intermediate index, as the core
+    _rewrite on _sphere_data(k), whose psi is checked once per degree, and
+    its output goes through _identify_short_generators before Tietze; only
+    the simplified result is kept, so the raw output is freed once it is
+    simplified.  The images are a tuple, one per generator of the
+    presentation in order.  The result depends on the subgroup only as a
+    set, so it is memoized on the set, keeping the PRESENTATION_MEMO_SIZE
+    most recently used, and shared by every report whose H1 or H2 it is.
     """
     k = subgroup.degree
     if subgroup.is_symmetric:
@@ -125,7 +126,7 @@ def _subgroup_presentation(subgroup) -> tuple[Presentation, tuple[Perm, ...], st
         p, kind = tietze_simplify(pmod_sphere_presentation(k)), "pmod_sphere"
         images = (identity_perm(k),) * len(p.generators)
     else:
-        raw, info = _reidemeister_schreier(mod_sphere_presentation(k), psi_images(k), subgroup)
+        raw, info = _rewrite(*_sphere_data(k), subgroup)
         p, kind = tietze_simplify(_identify_short_generators(raw)), "schreier"
         images = tuple(info.generator_images[name] for name in p.generators)
     return p, images, kind

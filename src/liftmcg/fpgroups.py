@@ -22,13 +22,12 @@ Reidemeister-Schreier enumerates the cosets itself, in one BFS that
 multiplies by each generator's image through one precomputed itemgetter, and
 needs of a subgroup only its degree, order and coset labels, and a hash and
 == by the set: the analysis passes genvec's vector stabilizers, never a
-stored group.  It reads psi as one image per generator, in order, and checks
-on every call, before any coset is built, that psi is onto and kills every
-relator; a check that passes is remembered per presentation and images.  The
-output is memoized on (presentation, images, subgroup), so a subgroup that
-recurs as a set is rewritten once; the analysis keeps only the simplified
-presentation and calls the same checked rewrite uncached.  Both memos keep
-PRESENTATION_MEMO_SIZE entries.  A Presentation keeps its abelianization once
+stored group.  _rewrite is its one core, on psi given as one image per
+generator, in order, and checked onto and to kill every relator.
+reidemeister_schreier_full checks a caller's psi on a miss of its memo, keyed
+on (presentation, images, subgroup) and keeping PRESENTATION_MEMO_SIZE
+entries; the analysis calls _rewrite uncached on _sphere_data(k), whose psi
+is checked once per degree.  A Presentation keeps its abelianization once
 computed.  Tietze simplification is deterministic; one engine writes a
 relator as a str of code points, one per letter, so that substitution,
 search and inversion are str methods, takes every step by one rule and
@@ -66,9 +65,9 @@ from .datasets import MAX_BRANCH_POINTS
 
 Relator = tuple[int, ...]
 
-# the bound of every memo keyed on a presentation or a subgroup: psi's check,
-# the raw Reidemeister-Schreier output, and analysis's simplified
-# presentations and reports (the H1 and H2 of genus 10 alone are 70 subgroups)
+# the bound of every memo keyed on a presentation or a subgroup: the raw
+# Reidemeister-Schreier output, and analysis's simplified presentations and
+# reports (the H1 and H2 of genus 10 alone are 70 subgroups)
 PRESENTATION_MEMO_SIZE = 128
 
 
@@ -242,6 +241,7 @@ def _per_degree(build):
     def per_degree(k):
         return memo(k) if type(k) is int else build(k)
 
+    per_degree.cache_clear = memo.cache_clear
     return per_degree
 
 
@@ -326,14 +326,10 @@ def _right_multiplier(g: Perm) -> Callable[[Perm], Perm]:
     return itemgetter(*g) if len(g) > 1 else lambda p: compose(p, g)
 
 
-@lru_cache(maxsize=PRESENTATION_MEMO_SIZE)
 def _check_psi(p: Presentation, images: tuple[Perm, ...], degree: int) -> None:
     """What Reidemeister-Schreier needs of psi: its images have the degree,
     include every adjacent transposition of Sym(degree), so psi is onto, and
-    kill every relator of p; otherwise ValueError, checked in that order.
-    Memoized on the PRESENTATION_MEMO_SIZE triples most recently used: a
-    triple that passes is not checked again while it is held, and one that
-    raises stores nothing, so it raises again on every call."""
+    kill every relator of p; otherwise ValueError, checked in that order."""
     if any(len(x) != degree for x in images):
         raise ValueError(f"psi's images must have degree {degree}")
     if not {transposition(i, i + 1, degree) for i in range(1, degree)} <= set(images):
@@ -342,6 +338,15 @@ def _check_psi(p: Presentation, images: tuple[Perm, ...], degree: int) -> None:
     for r in p.relators:
         if evaluate_perm(r, images, degree) != identity:
             raise ValueError(f"psi does not kill the relator {render_word(r, p.generators)}")
+
+
+@_per_degree
+def _sphere_data(k: int) -> tuple[Presentation, tuple[Perm, ...]]:
+    """(mod_sphere_presentation(k), psi_images(k)), psi checked once per
+    degree: the pair the analysis rewrites over."""
+    p, images = mod_sphere_presentation(k), psi_images(k)
+    _check_psi(p, images, k)
+    return p, images
 
 
 @dataclass(frozen=True)
@@ -363,7 +368,7 @@ def reidemeister_schreier_full(p: Presentation, images: Sequence[Perm],
     ValueError for another count), must have the subgroup's degree, include
     every adjacent transposition of Sym(k), so psi is onto and the subgroup
     lies in its image, and kill every relator of p; otherwise ValueError
-    (_check_psi).
+    (_check_psi), checked on a miss of the memo below.
     The subgroup needs only ``degree``, ``order`` and ``coset_key(g)``, a
     label equal for g and g' exactly when H*g = H*g', and it must be
     hashable with == meaning the same set of permutations (TypeError,
@@ -375,9 +380,11 @@ def reidemeister_schreier_full(p: Presentation, images: Sequence[Perm],
     of p's relators, the most letters the rewrites can read, exceeds
     MAX_REWRITE_LETTERS.
 
-    The refusals of images run on every call; the result is then memoized
-    on (p, images, subgroup), keeping the PRESENTATION_MEMO_SIZE most
-    recently used, and a call that raises stores nothing.  A hit returns
+    The refusals of the images' type and count and of an unhashable subgroup
+    run on every call.  The rest, psi's check included, is memoized on
+    (p, images, subgroup), keeping the PRESENTATION_MEMO_SIZE most recently
+    used: a hit means that key passed the check before, and a call that
+    raises stores nothing, so it raises afresh on every call.  A hit returns
     the objects built on the miss, shared and read-only: subgroups equal as
     sets, from whatever vectors, get one result, which depends only on the
     set.
@@ -401,20 +408,6 @@ def reidemeister_schreier_full(p: Presentation, images: Sequence[Perm],
     repeats an earlier one up to rotation and inversion is rewritten all
     the same; tietze_simplify drops its rewrites.
     """
-    return _rs_memo(p, _checked_images(p, images, subgroup), subgroup)
-
-
-def _reidemeister_schreier(p: Presentation, images: Sequence[Perm],
-                           subgroup) -> tuple[Presentation, SchreierInfo]:
-    """reidemeister_schreier_full, refusing alike, without its memo: for a
-    caller that keeps only what it derives from the raw output."""
-    return _rewrite(p, _checked_images(p, images, subgroup), subgroup)
-
-
-def _checked_images(p: Presentation, images: Sequence[Perm], subgroup) -> tuple[Perm, ...]:
-    """images as a tuple, after Reidemeister-Schreier's refusals of the
-    arguments, in order: the images' type and count, an unhashable
-    subgroup, and _check_psi."""
     if isinstance(images, Mapping):
         raise TypeError("psi's images are a sequence in p's generator order, not a mapping")
     if len(images := tuple(images)) != len(p.generators):
@@ -424,13 +417,21 @@ def _checked_images(p: Presentation, images: Sequence[Perm], subgroup) -> tuple[
     except TypeError:
         raise TypeError("the subgroup must be hashable, with == meaning the same set, "
                         f"got {type(subgroup).__name__}") from None
+    return _rs_memo(p, images, subgroup)
+
+
+@lru_cache(maxsize=PRESENTATION_MEMO_SIZE)
+def _rs_memo(p: Presentation, images: tuple[Perm, ...],
+             subgroup) -> tuple[Presentation, SchreierInfo]:
+    """_check_psi, then _rewrite: reidemeister_schreier_full's memo."""
     _check_psi(p, images, subgroup.degree)
-    return images
+    return _rewrite(p, images, subgroup)
 
 
 def _rewrite(p: Presentation, images: tuple[Perm, ...],
              subgroup) -> tuple[Presentation, SchreierInfo]:
-    """Reidemeister-Schreier on checked images, from the capacity guards on."""
+    """Reidemeister-Schreier on images that passed _check_psi, from the
+    capacity guards on; nothing is memoized."""
     degree = subgroup.degree
     ngens = len(images)
     index = factorial(degree) // subgroup.order
@@ -514,9 +515,6 @@ def _rewrite(p: Presentation, images: tuple[Perm, ...],
 
     return (Presentation(tuple(gen_images), tuple(relators)),
             SchreierInfo(index, MappingProxyType(gen_images)))
-
-
-_rs_memo = lru_cache(maxsize=PRESENTATION_MEMO_SIZE)(_rewrite)
 
 
 # ---------------------------------------------------------------------------

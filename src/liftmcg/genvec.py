@@ -254,8 +254,8 @@ class VectorStabilizer:
         return blocks + tuple(self.unit_perms[u] for u in self.units if u != 1)
 
     def unit_of(self, p: Perm) -> int | None:
-        """The unit paired with p, or None when p is not in the set."""
-        if len(p) != self.degree:
+        """The unit paired with p, or None unless p is a permutation in the set."""
+        if sorted(p) != list(range(self.degree)):
             return None
         return next((u for u in self.units if _is_fixed(u, p, self.vector)), None)
 

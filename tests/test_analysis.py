@@ -427,7 +427,7 @@ def test_analyze_returns_the_memoized_report():
     assert (info.hits, info.misses, info.currsize) == (3, 2, 2)
     assert info.maxsize == analysis_module.PRESENTATION_MEMO_SIZE == 128
     assert _subgroup_presentation.cache_info().maxsize == 128
-    assert fpgroups._check_psi.cache_info().maxsize == fpgroups._rs_memo.cache_info().maxsize == 128
+    assert fpgroups._rs_memo.cache_info().maxsize == 128
 
 
 def test_present_after_analyze_is_a_memo_hit_that_validates_nothing(monkeypatch, capsys):

@@ -215,7 +215,7 @@ def test_rs_refuses_bad_psi_after_a_cached_good_call():
     assert reidemeister_schreier_full(copy, list(psi), klein) == good
 
 
-def test_rs_takes_one_image_per_generator_in_order():
+def test_rs_takes_one_image_per_generator_in_order(monkeypatch):
     # a mapping by generator name, and a count other than the generators',
     # are refused before psi is checked
     from liftmcg import fpgroups
@@ -223,7 +223,10 @@ def test_rs_takes_one_image_per_generator_in_order():
     p, psi = mod_sphere_presentation(4), psi_images(4)
     klein = closure([transposition(1, 2, 4), transposition(3, 4, 4)], 4)
     good = reidemeister_schreier_full(p, psi, klein)
-    checked = fpgroups._check_psi.cache_info()
+    checked, real = [], fpgroups._check_psi
+    monkeypatch.setattr(fpgroups, "_check_psi",
+                        lambda *args: checked.append(args) or real(*args))
+    held = fpgroups._rs_memo.cache_info()
     for bad, error, message in (
             (dict(zip(p.generators, psi)), TypeError,
              "psi's images are a sequence in p's generator order, not a mapping"),
@@ -233,10 +236,12 @@ def test_rs_takes_one_image_per_generator_in_order():
             reidemeister_schreier_full(p, bad, klein)
         assert str(info.value) == message
         assert reidemeister_schreier_full(p, psi, klein) == good
-    after = fpgroups._check_psi.cache_info()
-    # no refusal reached the check, and each good call was a hit on it
-    assert (after.hits - checked.hits, after.misses, after.currsize) == (
-        3, checked.misses, checked.currsize)
+    after = fpgroups._rs_memo.cache_info()
+    # no refusal reached the check or the memo, and each good call was a hit
+    # on the memo, which checks nothing again
+    assert checked == []
+    assert (after.hits - held.hits, after.misses, after.currsize) == (
+        3, held.misses, held.currsize)
 
 
 def test_rs_checks_psi_before_the_capacity_guard():
@@ -298,7 +303,7 @@ def test_rewrite_volume_of_every_class_to_genus_12_is_under_the_cap():
 
 def test_sphere_data_and_psi_checks_under_concurrent_workers():
     # a failing pair must never be remembered as checked, and every thread
-    # must get the data a fresh build gives
+    # must get the data a fresh build gives, psi's checked pair included
     from liftmcg import fpgroups
 
     p, psi = mod_sphere_presentation(4), psi_images(4)
@@ -313,6 +318,8 @@ def test_sphere_data_and_psi_checks_under_concurrent_workers():
             k = rng.randrange(3, 10)
             if mod_sphere_presentation(k) != fresh[k]:
                 return False
+            if fpgroups._sphere_data(k) != (fresh[k], psi_images(k)):
+                return False
             if rng.random() < 0.5:
                 if reidemeister_schreier_full(p, list(psi), klein) != good:
                     return False
@@ -321,7 +328,8 @@ def test_sphere_data_and_psi_checks_under_concurrent_workers():
                     reidemeister_schreier_full(p, shuffled, klein)
         return True
 
-    fpgroups._check_psi.cache_clear()
+    fpgroups._rs_memo.cache_clear()
+    fpgroups._sphere_data.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -330,7 +338,8 @@ def test_sphere_data_and_psi_checks_under_concurrent_workers():
             assert all(f.result(timeout=120) for f in futures)
     finally:
         sys.setswitchinterval(interval)
-    assert fpgroups._check_psi.cache_info().currsize == 1
+    # the good key alone is held
+    assert fpgroups._rs_memo.cache_info().currsize == 1
 
 
 def test_mod_sphere_k3_index_of_trivial_subgroup():
@@ -407,21 +416,17 @@ def test_pure_generators_as_half_twist_words():
 
 
 def test_rs_index_one_is_renaming():
-    # at index 1 every generator g is the Schreier generator x0_g, and RS
-    # renames p less its reversed commutators [s_i,s_j], i > j + 1, each the
-    # inverse of the earlier [s_j,s_i]
+    # at index 1 every generator g is the Schreier generator x0_g, with image
+    # psi(g), and RS renames p exactly: the same relators in the same order
     for k in (3, 4, 5, 6):
         p = mod_sphere_presentation(k)
         psi = psi_images(k)
-        full = closure(psi, k)
-        out, info = reidemeister_schreier_full(p, psi, full)
-        s = {i: gen(f"s{i}") for i in range(1, k)}
-        reversed_commutators = from_words(p.generators, [
-            commutator(s[i], s[j]) for i in range(1, k) for j in range(1, i - 1)]).relators
-        assert len(reversed_commutators) == (k - 2) * (k - 3) // 2
-        mapping = {f"x0_{g}": g for g in p.generators}
-        assert info.index == 1 and rename_presentation(out, mapping) == Presentation(
-            p.generators, tuple(r for r in p.relators if r not in reversed_commutators))
+        out, info = reidemeister_schreier_full(p, psi, closure(psi, k))
+        assert info.index == 1
+        assert out.generators == tuple(f"x0_s{i}" for i in range(1, k))
+        assert tuple(info.generator_images.values()) == psi
+        assert out.relators == p.relators
+        assert rename_presentation(out, {f"x0_{g}": g for g in p.generators}) == p
 
 
 def test_rs_one_rewrite_per_cyclic_class():
@@ -614,7 +619,7 @@ class _Unhashable:
         raise AssertionError(f"the subgroup's {name} was read")
 
 
-def test_rs_memo_stores_no_refusal():
+def test_rs_memo_stores_no_refusal(monkeypatch):
     from liftmcg import fpgroups
 
     p, psi = mod_sphere_presentation(4), psi_images(4)
@@ -624,7 +629,9 @@ def test_rs_memo_stores_no_refusal():
     shuffled = (transposition(2, 3, 4), transposition(1, 2, 4), transposition(3, 4, 4))
     # genus 40, k = 42: past the rewrite-volume cap
     k42 = liftable_images(generating_vector(parse_dataset("(3,0;(1,3)_39,(2,3)_3)"))).h1
-    checked = fpgroups._check_psi.cache_info()
+    checked, real = [], fpgroups._check_psi
+    monkeypatch.setattr(fpgroups, "_check_psi",
+                        lambda p, images, degree: checked.append(images) or real(p, images, degree))
     for _ in range(3):
         with pytest.raises(ValueError, match="does not kill the relator"):
             reidemeister_schreier_full(p, shuffled, klein)
@@ -636,9 +643,39 @@ def test_rs_memo_stores_no_refusal():
                                   "same set, got _Unhashable")
         assert fpgroups._rs_memo.cache_info().currsize == held
         assert reidemeister_schreier_full(p, psi, klein) is good
-    after = fpgroups._check_psi.cache_info()
-    # the unhashable subgroup reached no check; the k = 42 psi was checked once
-    assert (after.misses, after.hits) == (checked.misses + 4, checked.hits + 5)
+    # the unhashable subgroup reached no check, the good key was a hit, and
+    # each refused key was checked afresh on every call
+    assert checked == [shuffled, psi_images(42)] * 3
+
+
+def test_analysis_checks_psi_once_per_degree(monkeypatch):
+    # on the Schreier route the analysis rewrites over _sphere_data(k), whose
+    # psi is checked once per degree, whatever the subgroup
+    from liftmcg import fpgroups
+    from liftmcg.analysis import _report_memo, _subgroup_presentation, analyze
+
+    fpgroups._sphere_data.cache_clear()
+    _subgroup_presentation.cache_clear()
+    _report_memo.cache_clear()
+    checked, real = [], fpgroups._check_psi
+    monkeypatch.setattr(fpgroups, "_check_psi",
+                        lambda p, images, degree: checked.append(degree) or real(p, images, degree))
+    degrees = set()
+    for genus in (2, 3, 4, 5, 6):
+        for ds in enumerate_spherical(genus):
+            rep = analyze(ds)
+            if "schreier" in (rep.lmod_kind, rep.clmod_kind):
+                degrees.add(rep.stab.h1.degree)
+    assert sorted(checked) == sorted(degrees) == [3, 4, 5, 6, 7, 8]
+    assert fpgroups._sphere_data(4) == (mod_sphere_presentation(4), psi_images(4))
+    # a good call through the public entry does not excuse a bad psi after it
+    p, psi = fpgroups._sphere_data(4)
+    klein = closure([transposition(1, 2, 4), transposition(3, 4, 4)], 4)
+    reidemeister_schreier_full(p, psi, klein)
+    shuffled = (transposition(2, 3, 4), transposition(1, 2, 4), transposition(3, 4, 4))
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"does not kill the relator s1\*s3\*s1\^-1"):
+            reidemeister_schreier_full(p, shuffled, klein)
 
 
 def test_analysis_leaves_the_rs_memo_empty():

@@ -272,6 +272,16 @@ def test_vector_stabilizer_matches_bruteforce_on_generated_vectors(v):
         assert h1.unit_of(outside) is None and outside not in h1, v
 
 
+def test_membership_refuses_what_is_not_a_permutation():
+    # every entry of (3,0;(1,3)_6) is 1, so H1 = H2 = Sym(6) and every tuple
+    # of six entries in range reads the vector back; only permutations count
+    stab = liftable_images(generating_vector(parse_dataset("(3,0;(1,3)_6)")))
+    assert stab.h1.is_symmetric and stab.h2.is_symmetric
+    for p in ((0,) * 6, (0, 1, 2, 3, 4, 4), (1, 2, 3, 4, 5, 6), (0, 1, 2, 3, 4)):
+        assert stab.h1.unit_of(p) is None and p not in stab.h1 and p not in stab.h2, p
+    assert stab.h1.unit_of((5, 4, 3, 2, 1, 0)) == 1 and (5, 4, 3, 2, 1, 0) in stab.h2
+
+
 def test_clmod_image_is_normal_in_lmod_image():
     for genus in (2, 3):
         for v in all_vectors(genus):
