@@ -106,7 +106,9 @@ def perm_from_cycles(cycles: list[tuple[int, ...]], degree: int) -> Perm:
 
 
 def cycles_of(p: Perm) -> list[tuple[int, ...]]:
-    """Nontrivial cycles, 1-based, each starting at its least point."""
+    """Nontrivial cycles of a permutation, 1-based, each from its least point."""
+    if sorted(p) != list(range(len(p))):
+        raise ValueError(f"{p!r} is not a permutation of 0..{len(p) - 1}")
     seen = [False] * len(p)
     cycles = []
     for start in range(len(p)):

@@ -114,9 +114,9 @@ class ValidationReport:
 def validate(ds: DataSet) -> ValidationReport:
     """Check the five data-set conditions; genus is reported only when all pass.
 
-    Genus < 2 is arithmetically fine but flagged (classification refuses it).
-    """
-    n, g0, pairs = ds.n, ds.g0, ds.pairs
+    Genus < 2 is arithmetically fine but flagged (classification refuses it);
+    anything that is not a DataSet raises TypeError naming its type."""
+    n, g0, pairs = require_dataset(ds).n, ds.g0, ds.pairs
     violations: list[str] = []
 
     if any(m < 2 or n % m != 0 or gcd(d, m) != 1 for d, m in pairs):
@@ -172,7 +172,7 @@ def require_valid(ds: DataSet) -> DataSet:
     """ds itself, once it passes validate; else OutOfScopeError naming the
     failed conditions.  Anything that is not a DataSet raises TypeError
     naming its type, before any work."""
-    report = validate(require_dataset(ds))
+    report = validate(ds)
     if not report.ok:
         raise OutOfScopeError("invalid: " + ", ".join(report.violations))
     return ds
@@ -328,9 +328,9 @@ def doubled(base: DataSet) -> DataSet:
     and (-d, m).  The base orders must satisfy the divisor conditions, but
     its closing sum is not required: the printed center exponent is a
     power-normalized stand-in and only the two non-center pairs survive.
-    The result is fully validated and has twice the genus of the base.
-    """
-    if base.k != 3 or base.g0 != 0:
+    The result is fully validated and has twice the genus of the base.  A
+    base that is not a DataSet raises TypeError."""
+    if require_dataset(base).k != 3 or base.g0 != 0:
         raise ValueError(f"doubled family needs a 3-pair spherical base, got {base}")
     if (1, base.n) not in base.pairs:
         raise ValueError(f"doubled family needs a base containing (1,{base.n})")

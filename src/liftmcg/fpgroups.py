@@ -18,22 +18,18 @@ per degree and kept for the life of the process; only an int k is memoized,
 so any other k is refused exactly as a fresh build refuses it.  A degree
 above MAX_BRANCH_POINTS is refused before anything is built.
 
-Reidemeister-Schreier enumerates the cosets itself, in one BFS that
-multiplies by each generator's image through one precomputed itemgetter, and
-needs of a subgroup only its degree, order and coset labels, and a hash and
-== by the set: the analysis passes genvec's vector stabilizers, never a
-stored group.  _rewrite is its one core, on psi given as one image per
-generator, in order, and checked onto and to kill every relator.
-reidemeister_schreier_full checks a caller's psi on a miss of its memo, keyed
-on (presentation, images, subgroup) and keeping PRESENTATION_MEMO_SIZE
-entries; the analysis calls _rewrite uncached on _sphere_data(k), whose psi
-is checked once per degree.  A Presentation keeps its abelianization once
-computed.  Tietze simplification is deterministic; one engine writes a
-relator as a str of code points, one per letter, so that substitution,
-search and inversion are str methods, takes every step by one rule and
-refuses a step that leaves more than MAX_REWRITE_LETTERS letters.
-The analysis first passes Reidemeister-Schreier output through
-_identify_short_generators, a signed union-find on its short relators.
+Reidemeister-Schreier asks of psi, one image per generator in order, only
+that it kill every relator, and of a subgroup only its degree, index, coset
+labels and a hash and == by the set: the analysis passes genvec's vector
+stabilizers.  Its coset walk is the one check that psi's image meets every
+coset; the analysis calls its core, _rewrite, uncached on _sphere_data(k).
+A Presentation keeps its abelianization once computed.  Tietze
+simplification is deterministic; one engine writes a relator as a str of
+code points, one per letter, so that substitution, search and inversion are
+str methods, takes every step by one rule and refuses a step that leaves
+more than MAX_REWRITE_LETTERS letters.  The analysis first passes
+Reidemeister-Schreier output through _identify_short_generators, a signed
+union-find on its short relators.
 """
 
 from __future__ import annotations
@@ -45,7 +41,6 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache, wraps
 from heapq import heappop, heappush
 from itertools import chain, combinations, groupby
-from math import factorial
 from operator import itemgetter
 from types import MappingProxyType
 
@@ -133,10 +128,8 @@ class SymbolicRelator:
 
 @dataclass(frozen=True)
 class Presentation:
-    """Generators by name and relators as freely reduced tuples of signed
-    ints: +i is generator i (1-based, in declaration order), -i its inverse.
-    The three fields are stored as tuples, whatever sequence they are given
-    as."""
+    """Generators by name and relators as signed-int words, the three fields
+    stored as tuples, whatever sequence they are given as."""
 
     generators: tuple[str, ...]
     relators: tuple[Relator, ...]
@@ -229,12 +222,9 @@ def presentation_json(p: Presentation) -> dict:
 
 
 def _per_degree(build):
-    """build, memoized on k for the life of the process, one entry per degree.
-
-    Only an int k reaches the memo: any other k (4.0 equals 4 and hashes
-    alike) goes to build uncached, so it is refused exactly as a fresh build
-    refuses it, whatever the memo holds.  A build that raises stores nothing.
-    """
+    """build, memoized on an int k for the life of the process; any other k
+    (4.0 equals 4 and hashes alike) goes to build uncached, so it is refused
+    exactly as a fresh build refuses it.  A build that raises stores nothing."""
     memo = cache(build)
 
     @wraps(build)
@@ -327,13 +317,10 @@ def _right_multiplier(g: Perm) -> Callable[[Perm], Perm]:
 
 
 def _check_psi(p: Presentation, images: tuple[Perm, ...], degree: int) -> None:
-    """What Reidemeister-Schreier needs of psi: its images have the degree,
-    include every adjacent transposition of Sym(degree), so psi is onto, and
-    kill every relator of p; otherwise ValueError, checked in that order."""
+    """psi's images must have the degree and kill every relator of p, else
+    ValueError, checked in that order; the coset walk checks the rest."""
     if any(len(x) != degree for x in images):
         raise ValueError(f"psi's images must have degree {degree}")
-    if not {transposition(i, i + 1, degree) for i in range(1, degree)} <= set(images):
-        raise ValueError("psi's images must include every adjacent transposition")
     identity = identity_perm(degree)
     for r in p.relators:
         if evaluate_perm(r, images, degree) != identity:
@@ -359,55 +346,50 @@ class SchreierInfo:
     generator_images: Mapping[str, Perm]
 
 
+def _require_presentation(p, what: str) -> Presentation:
+    """p itself if it is a Presentation; else TypeError naming what it is."""
+    if not isinstance(p, Presentation):
+        raise TypeError(f"{what} must be a Presentation, got {type(p).__name__}")
+    return p
+
+
 def reidemeister_schreier_full(p: Presentation, images: Sequence[Perm],
                                subgroup) -> tuple[Presentation, SchreierInfo]:
-    """Presentation of the psi-preimage of a subgroup of Sym(k), plus the
+    """Presentation of the psi-preimage of a subgroup H of Sym(k), plus the
     index and the Schreier generators' images.
 
-    images, psi of each generator of p in order (TypeError for a Mapping,
-    ValueError for another count), must have the subgroup's degree, include
-    every adjacent transposition of Sym(k), so psi is onto and the subgroup
-    lies in its image, and kill every relator of p; otherwise ValueError
-    (_check_psi), checked on a miss of the memo below.
-    The subgroup needs only ``degree``, ``order`` and ``coset_key(g)``, a
-    label equal for g and g' exactly when H*g = H*g', and it must be
-    hashable with == meaning the same set of permutations (TypeError,
-    before any work, for one that is unhashable), so any object with these
-    serves (the analysis passes a genvec.VectorStabilizer).
-    After psi's check, and still before any coset is built, the run is
-    refused (CapacityError) when the predicted index k!/|H| times the
-    generator count exceeds MAX_MATERIALIZED, or the index times the letters
-    of p's relators, the most letters the rewrites can read, exceeds
-    MAX_REWRITE_LETTERS.
+    images is psi of each generator of p in order.  On every call, before
+    any work: TypeError for a p that is not a Presentation, images in a
+    Mapping, or a subgroup that is unhashable or lacks ``degree``, ``index``
+    or ``coset_key(g)`` (a label equal for g and g' exactly when H*g =
+    H*g'), and ValueError for a count of images other than p's generators'.
+    Any such subgroup whose == means the same set serves (the analysis
+    passes a genvec.VectorStabilizer).
 
-    The refusals of the images' type and count and of an unhashable subgroup
-    run on every call.  The rest, psi's check included, is memoized on
-    (p, images, subgroup), keeping the PRESENTATION_MEMO_SIZE most recently
-    used: a hit means that key passed the check before, and a call that
-    raises stores nothing, so it raises afresh on every call.  A hit returns
-    the objects built on the miss, shared and read-only: subgroups equal as
-    sets, from whatever vectors, get one result, which depends only on the
-    set.
+    The rest is memoized on (p, images, subgroup), keeping the
+    PRESENTATION_MEMO_SIZE most recently used: a call that raises stores
+    nothing, and a hit returns the objects built on the miss, shared and
+    read-only, so subgroups equal as sets get one result.  A miss refuses,
+    in order: psi's images of another degree or not killing a relator of p
+    (ValueError, _check_psi); an index that times the generator count
+    exceeds MAX_MATERIALIZED, or times the letters of p's relators exceeds
+    MAX_REWRITE_LETTERS (CapacityError, before any coset is built); a coset
+    walk that does not reach exactly the index of cosets, as when psi's
+    image misses a coset (ValueError, before any relator is rewritten).
+    So psi need not be onto Sym(k).
 
     One BFS numbers the right cosets, coset 0 being H, taking cosets in
-    discovery order and generators in order; it multiplies by psi(g) and by
-    each rep(d)^-1 through an itemgetter built once.  An edge c --g--> d that
+    discovery order and generators in order.  An edge c --g--> d that
     reaches a new coset is a tree edge and gives d its representative
     rep(c) psi(g); every other edge gives the Schreier generator x{c}_{g},
-    with image rep(c) psi(g) rep(d)^-1.  Each edge is written both ways when
-    it is found, into one table: per coset, per signed letter, the coset
-    reached and the Schreier letter read (0 on a tree edge), which the
-    rewrites and the psi(u)-orbits below walk.
-
-    The relators are the nonempty rewrites, relator by relator and coset by
-    coset in order.  A relator u^p, with u primitive and p > 1, is rewritten
-    only at the least coset of each psi(u)-orbit, since its rewrite at c*u
-    is a rotation of that at c.  So each dropped rewrite is a rotation of an
-    earlier kept one, and tietze_simplify, which drops those, returns what
-    it would from every rewrite at every coset.  An input relator that
-    repeats an earlier one up to rotation and inversion is rewritten all
-    the same; tietze_simplify drops its rewrites.
+    with image rep(c) psi(g) rep(d)^-1.  The relators are the nonempty
+    rewrites, relator by relator and coset by coset in order; a relator
+    u^p, with u primitive and p > 1, is rewritten only at the least coset of
+    each psi(u)-orbit, since its rewrite at c*u is a rotation of that at c,
+    which tietze_simplify drops, as it drops the rewrites of an input
+    relator that repeats an earlier one up to rotation and inversion.
     """
+    _require_presentation(p, "the presentation")
     if isinstance(images, Mapping):
         raise TypeError("psi's images are a sequence in p's generator order, not a mapping")
     if len(images := tuple(images)) != len(p.generators):
@@ -417,6 +399,9 @@ def reidemeister_schreier_full(p: Presentation, images: Sequence[Perm],
     except TypeError:
         raise TypeError("the subgroup must be hashable, with == meaning the same set, "
                         f"got {type(subgroup).__name__}") from None
+    if not all(hasattr(subgroup, name) for name in ("degree", "index", "coset_key")):
+        raise TypeError("the subgroup needs degree, index and coset_key, "
+                        f"got {type(subgroup).__name__}")
     return _rs_memo(p, images, subgroup)
 
 
@@ -430,11 +415,10 @@ def _rs_memo(p: Presentation, images: tuple[Perm, ...],
 
 def _rewrite(p: Presentation, images: tuple[Perm, ...],
              subgroup) -> tuple[Presentation, SchreierInfo]:
-    """Reidemeister-Schreier on images that passed _check_psi, from the
-    capacity guards on; nothing is memoized."""
-    degree = subgroup.degree
+    """Reidemeister-Schreier from the capacity guards on, on images that
+    passed _check_psi and trusting subgroup.index; nothing is memoized."""
     ngens = len(images)
-    index = factorial(degree) // subgroup.order
+    index = subgroup.index
     if index * ngens > MAX_MATERIALIZED:
         raise CapacityError(
             f"coset table of predicted index {index} with {ngens} "
@@ -445,7 +429,7 @@ def _rewrite(p: Presentation, images: tuple[Perm, ...],
             f"rewriting {letters} relator letters at each of {index} predicted "
             f"cosets exceeds the cap of {MAX_REWRITE_LETTERS} letters")
 
-    identity = identity_perm(degree)
+    identity = identity_perm(subgroup.degree)
     coset_key = subgroup.coset_key
     times = [_right_multiplier(g) for g in images]
     # per coset d, the map p -> p * rep(d)^-1
@@ -462,6 +446,8 @@ def _rewrite(p: Presentation, images: tuple[Perm, ...],
             d = index_of.get(key)
             s = 0
             if d is None:
+                if len(reps) == index:       # the walk stops at once past the index
+                    raise ValueError(f"psi's images reach more than the subgroup's {index} cosets")
                 d = index_of[key] = len(reps)
                 reps.append(img)
                 times_rep_inv.append(_right_multiplier(inverse(img)))
@@ -472,8 +458,7 @@ def _rewrite(p: Presentation, images: tuple[Perm, ...],
             edges[c][x] = d, s
             edges[d][-x] = c, -s
     if len(reps) != index:
-        raise InternalInvariantError(
-            f"coset index {len(reps)} times |H| = {subgroup.order} is not {degree}!")
+        raise ValueError(f"psi's images reach {len(reps)} of the subgroup's {index} cosets")
 
     relators: list[Relator] = []
     for r in p.relators:
@@ -671,10 +656,11 @@ def tietze_simplify(p: Presentation) -> Presentation:
     list survives.  Steps repeat until no relator has such a generator; the
     result presents an isomorphic group.
 
-    More than MAX_TIETZE_GENERATORS generators raise CapacityError, as does a
-    step that leaves more than MAX_REWRITE_LETTERS letters.
+    A p that is not a Presentation raises TypeError; more than
+    MAX_TIETZE_GENERATORS generators, or a step that leaves more than
+    MAX_REWRITE_LETTERS letters, CapacityError.
     """
-    if p.symbolic_relators:
+    if _require_presentation(p, "the presentation").symbolic_relators:
         raise ValueError("cannot simplify a presentation with symbolic relators")
     names = p.generators
     n = len(names)
@@ -758,9 +744,10 @@ def abelianization(p: Presentation) -> tuple[tuple[int, ...], int]:
     Smith normal form of the relation matrix.  Computed once per Presentation
     object and kept in it, so a repeat call on that object, such as on a
     memoized Reidemeister-Schreier output, reads it back; an equal but
-    distinct Presentation computes it afresh.  Symbolic relators are refused
-    (ValueError) on every call."""
-    if p.symbolic_relators:
+    distinct Presentation computes it afresh.  Anything that is not a
+    Presentation (TypeError) and symbolic relators (ValueError) are refused
+    on every call."""
+    if _require_presentation(p, "the presentation").symbolic_relators:
         raise ValueError("cannot abelianize a presentation with symbolic relators")
     return p._abelianization
 
@@ -800,11 +787,14 @@ def extension_presentation(kernel: Presentation, quotient: Presentation,
                            data: LiftData) -> Presentation:
     """Presentation of an extension of the kernel by the quotient:
     kernel relators + lifted relators (set to their kernel values) +
-    conjugation relators.  TypeError for data that is not a LiftData, a key
-    that is not a str pair, a word that is not a tuple of ints (a bool is not
-    an int) or an evaluation neither word nor str; ValueError for a key that
-    names no quotient generator, kernel generator or quotient relator, or a
-    word with a letter past the kernel's generators or not freely reduced."""
+    conjugation relators.  TypeError for a kernel or quotient that is not a
+    Presentation, data that is not a LiftData, a key that is not a str pair,
+    a word that is not a tuple of ints (a bool is not an int) or an
+    evaluation neither word nor str; ValueError for a key that names no
+    quotient generator, kernel generator or quotient relator, or a word with
+    a letter past the kernel's generators or not freely reduced."""
+    _require_presentation(kernel, "the kernel")
+    _require_presentation(quotient, "the quotient")
     if not isinstance(data, LiftData):
         raise TypeError(f"lift data is a LiftData, got {type(data).__name__}")
     if quotient.symbolic_relators or kernel.symbolic_relators:

@@ -4,13 +4,15 @@ perm_closure lists the elements of the subgroup some permutations generate.
 PermGroup is a subgroup of Sym(degree) with its elements stored: the
 reference that genvec's stabilizers, which store nothing, are checked
 against, and a subgroup Reidemeister-Schreier accepts (it has ``degree``,
-``order`` and ``coset_key``).  relator_key and same_relator_sets compare
-presentations up to the order of their relators, cyclic rotation and
-inversion.
+``index`` and ``coset_key``).  PointStabilizer is Stab(0) in Sym(degree),
+stored as nothing, for permutation actions of any degree.  relator_key
+and same_relator_sets compare presentations up to the order of their
+relators, cyclic rotation and inversion.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import factorial
 
 from liftmcg.arith_perm import Perm, compose, identity_perm
@@ -58,6 +60,10 @@ class PermGroup:
         return len(self.elements)
 
     @property
+    def index(self) -> int:
+        return factorial(self.degree) // len(self.elements)
+
+    @property
     def is_symmetric(self) -> bool:
         return len(self.elements) == factorial(self.degree)
 
@@ -78,6 +84,21 @@ class PermGroup:
     def coset_key(self, g: Perm) -> Perm:
         """Canonical label of the right coset H*g: its least element."""
         return min(compose(h, g) for h in self.elements)
+
+
+@dataclass(frozen=True)
+class PointStabilizer:
+    """Stab(0) in Sym(degree), of index degree: the right coset H*g is
+    labelled by g^-1(0), since (h*g)^-1(0) = g^-1(0) for h fixing 0."""
+
+    degree: int
+
+    @property
+    def index(self) -> int:
+        return self.degree
+
+    def coset_key(self, g: Perm) -> int:
+        return g.index(0)
 
 
 def rename_presentation(p: Presentation, mapping: dict[str, str]) -> Presentation:

@@ -10,7 +10,7 @@ import jsonschema
 import pytest
 
 from by_name import commutator, from_words, gen
-from group_reference import perm_closure, same_relator_sets
+from group_reference import PointStabilizer, perm_closure, same_relator_sets
 from liftmcg.arith_perm import (
     MAX_PMOD_SPHERE_DEGREE,
     CapacityError,
@@ -350,6 +350,38 @@ def test_raw_and_simplified_abelianizations_agree_genus_2_to_6():
     # H2 = H1 when [N:C] = 1, and subgroups recur across classes
     info = fpgroups._rs_memo.cache_info()
     assert (info.hits + info.misses, info.misses) == (142, 38)
+
+
+def clmod_over_the_units_action(genera) -> int:
+    """Check, on every class of the genera with more than one stabilizing
+    unit, that CLMod is the kernel of LMod -> U: Reidemeister-Schreier of
+    LMod's presentation, psi sending each generator to the regular action of
+    the unit of its image on U = {u_0, u_1, ...} (u moves point i to the
+    index of u * u_i), over Stab(0) in Sym(|U|), has CLMod's
+    abelianization.  Returns the number of classes checked."""
+    count = 0
+    for genus in genera:
+        for ds in enumerate_spherical(genus):
+            rep = analyze(ds)
+            h1 = rep.stab.h1
+            units, n = h1.units, h1.vector.n
+            if len(units) == 1:
+                continue
+            position = {u: i for i, u in enumerate(units)}
+            regular = {u: tuple(position[u * w % n] for w in units) for u in units}
+            psi = [regular[h1.unit_of(image)] for image in rep.lmod_images]
+            raw, info = reidemeister_schreier_full(rep.lmod_presentation, psi,
+                                                   PointStabilizer(len(units)))
+            assert info.index == len(units), ds
+            assert abelianization(raw) == abelianization(rep.clmod_presentation), ds
+            count += 1
+    return count
+
+
+def test_clmod_is_the_kernel_of_lmod_onto_the_units_genus_2_to_6():
+    # psi's images are fixed-point-free wherever |U| > 2, so none is a
+    # transposition; CI runs genus 7-8 (35 classes)
+    assert clmod_over_the_units_action((2, 3, 4, 5, 6)) == 41
 
 
 def _report_bytes(ds) -> str:

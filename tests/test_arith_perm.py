@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from group_reference import perm_closure
 from liftmcg.arith_perm import (
     compose,
+    cycles_of,
     identity_perm,
     inverse,
     perm_from_cycles,
@@ -73,6 +74,14 @@ def test_perm_from_cycles_refuses_shared_and_out_of_range_points():
                             ([(0, 1)], r"point 0 out of range 1\.\.3")):
         with pytest.raises(ValueError, match=message):
             perm_from_cycles(cycles, 3)
+
+
+def test_cycles_of_refuses_what_is_not_a_permutation():
+    assert cycles_of((1, 2, 0, 3)) == [(1, 2, 3)] and cycles_of(()) == []
+    # (5,) used to raise IndexError, (0, 0, 1) to give [] and (1, 1, 0) [(1, 2)]
+    for p in ((5,), (0, 0, 1), (1, 1, 0), (1, 2, 3), (-1, 0)):
+        with pytest.raises(ValueError, match=r"is not a permutation of 0\.\."):
+            cycles_of(p)
 
 
 def test_inverse():

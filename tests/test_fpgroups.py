@@ -3,6 +3,7 @@ import re
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from math import factorial, gcd
 
 import pytest
@@ -10,15 +11,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from by_name import EMPTY, Word, commutator, from_words, gen
-from group_reference import closure, relator_key, rename_presentation, same_relator_sets
+from group_reference import (
+    PermGroup,
+    closure,
+    relator_key,
+    rename_presentation,
+    same_relator_sets,
+)
 from liftmcg.arith_perm import (
     MAX_REWRITE_LETTERS,
     CapacityError,
+    compose,
     identity_perm,
+    inverse,
     perm_from_cycles,
     transposition,
 )
-from liftmcg.datasets import enumerate_spherical, parse_dataset
+from liftmcg.datasets import doubled, enumerate_spherical, parse_dataset, validate
 from liftmcg.fpgroups import (
     LiftData,
     Presentation,
@@ -35,7 +44,13 @@ from liftmcg.fpgroups import (
     render_word,
     tietze_simplify,
 )
-from liftmcg.genvec import generating_vector, half_twist_word, liftable_images
+from liftmcg.genvec import (
+    VectorStabilizer,
+    act,
+    generating_vector,
+    half_twist_word,
+    liftable_images,
+)
 from sphere_reference import mismatched_degrees
 
 
@@ -196,12 +211,13 @@ def test_rs_refuses_bad_psi_after_a_cached_good_call():
     p, psi = mod_sphere_presentation(4), psi_images(4)
     klein = closure([transposition(1, 2, 4), transposition(3, 4, 4)], 4)
     good = reidemeister_schreier_full(p, psi, klein)
+    # kills every relator, but its image Sym(3) meets 3 of klein's 6 cosets
     without_34 = (*psi[:2], transposition(1, 2, 4))
     # every adjacent transposition, but s1 and s3 no longer commute
     shuffled = (transposition(2, 3, 4), transposition(1, 2, 4), transposition(3, 4, 4))
     wrong_degree = (psi[0], transposition(2, 3, 5), psi[2])
     for _ in range(2):
-        with pytest.raises(ValueError, match="must include every adjacent transposition"):
+        with pytest.raises(ValueError, match="^psi's images reach 3 of the subgroup's 6 cosets$"):
             reidemeister_schreier_full(p, without_34, klein)
         with pytest.raises(ValueError, match=r"does not kill the relator s1\*s3\*s1\^-1\*s3\^-1$"):
             reidemeister_schreier_full(p, shuffled, klein)
@@ -522,13 +538,84 @@ def test_rs_rejects_subgroup_outside_image():
 
 
 def test_rs_requires_psi_onto_the_symmetric_group():
-    # H = <(1,2)> lies inside the image <(1,2)> of psi, but psi is not onto
-    # Sym(4), which Reidemeister-Schreier requires
+    # H = <(1,2)> lies inside the image <(1,2)> of psi, but that image meets
+    # only H of its 12 cosets, so the walk from H reaches no other
     p = Presentation(("s1",), ())
     psi = (transposition(1, 2, 4),)
     H = closure([transposition(1, 2, 4)], 4)
-    with pytest.raises(ValueError, match="adjacent transposition"):
+    with pytest.raises(ValueError, match="^psi's images reach 1 of the subgroup's 12 cosets$"):
         reidemeister_schreier_full(p, psi, H)
+
+
+@dataclass(frozen=True)
+class _StatedIndex:
+    """A subgroup whose stated index is not the number of its cosets."""
+
+    group: PermGroup
+    index: int
+
+    @property
+    def degree(self):
+        return self.group.degree
+
+    def coset_key(self, g):
+        return self.group.coset_key(g)
+
+
+def test_rs_takes_any_psi_whose_image_meets_every_coset():
+    # psi onto Sym({1,2,3}) in Sym(4): with <(1 2 3 4)> it makes all of
+    # Sym(4), so the walk reaches all 6 cosets; with klein only 12 elements
+    p = Presentation(("a", "b"), ((1, 1), (2, 2), (1, 2) * 3))
+    psi = (transposition(1, 2, 4), transposition(2, 3, 4))
+    rotation = closure([perm_from_cycles([(1, 2, 3, 4)], 4)], 4)
+    out, info = reidemeister_schreier_full(p, psi, rotation)
+    assert info.index == 6 and all(x in rotation for x in info.generator_images.values())
+    # Sym(3) meets <(1 2 3 4)> in the identity alone: the preimage is trivial
+    assert abelianization(out) == ((), 0)
+    klein = closure([transposition(1, 2, 4), transposition(3, 4, 4)], 4)
+    with pytest.raises(ValueError, match="^psi's images reach 3 of the subgroup's 6 cosets$"):
+        reidemeister_schreier_full(p, psi, klein)
+    # a 3-cycle's powers meet the 3 cosets of <(1 2)> in Sym(3)
+    out, info = reidemeister_schreier_full(Presentation(("a",), ((1, 1, 1),)),
+                                           (perm_from_cycles([(1, 2, 3)], 3),),
+                                           closure([transposition(1, 2, 3)], 3))
+    assert (info.index, abelianization(out)) == (3, ((), 0))
+    # the index is trusted: a walk past it stops at once, below it is refused
+    for stated, message in ((2, "reach more than the subgroup's 2 cosets"),
+                            (12, "reach 6 of the subgroup's 12 cosets")):
+        with pytest.raises(ValueError, match=message):
+            reidemeister_schreier_full(p, psi, _StatedIndex(rotation, stated))
+
+
+def test_rs_commutes_with_relabelling_the_points_genus_2_to_5():
+    # sigma fixes v exactly when g sigma g^-1 fixes act(1, g, v), so conjugating
+    # psi and H by g relabels the points: the walk, the Schreier generators
+    # and the rewrites are the same, and each generator's image is conjugated
+    rng = random.Random(42)
+    count = 0
+    for genus in (2, 3, 4, 5):
+        for ds in enumerate_spherical(genus):
+            v = generating_vector(ds)
+            stab = liftable_images(v)
+            k = v.k
+            p = mod_sphere_presentation(k)
+            for h in (stab.h1, stab.h2):
+                if h.is_symmetric or h.order == 1:
+                    continue
+                count += 1
+                g = tuple(rng.sample(range(k), k))
+
+                def conjugated(x, g=g, g_inv=inverse(g)):
+                    return compose(compose(g, x), g_inv)
+
+                out, info = reidemeister_schreier_full(p, psi_images(k), h)
+                moved = VectorStabilizer(act(1, g, v), h.units)
+                got, got_info = reidemeister_schreier_full(
+                    p, tuple(map(conjugated, psi_images(k))), moved)
+                assert (got, got_info.index) == (out, info.index), (ds, h.units, g)
+                assert dict(got_info.generator_images) == {
+                    name: conjugated(x) for name, x in info.generator_images.items()}
+    assert count == 85
 
 
 def _free_on_half_twists(k):
@@ -563,7 +650,7 @@ def test_rs_index_times_order_random():
 class _NoCosets:
     """The trivial subgroup of Sym(10), refusing to label any coset."""
 
-    degree, order = 10, 1
+    degree, index = 10, factorial(10)
 
     def coset_key(self, g):
         raise AssertionError("a coset was built")
@@ -646,6 +733,51 @@ def test_rs_memo_stores_no_refusal(monkeypatch):
     # the unhashable subgroup reached no check, the good key was a hit, and
     # each refused key was checked afresh on every call
     assert checked == [shuffled, psi_images(42)] * 3
+
+
+class _OrderNotIndex:
+    """A subgroup as Reidemeister-Schreier once read it: degree, order, coset_key."""
+
+    degree, order = 4, 24
+
+    def coset_key(self, g):
+        raise AssertionError("a coset was built")
+
+
+_KERNEL = Presentation(("t",), ((1, 1),))
+_QUOTIENT = Presentation(("a",), ((1, 1),))
+_LIFTS = LiftData({"a": "A"}, {("a", "t"): (1,)}, {0: ()})
+_DATA_SET = "a data set must be a DataSet (parse_dataset reads one from text), got str"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: abelianization("x"), "the presentation must be a Presentation, got str"),
+    (lambda: tietze_simplify(None), "the presentation must be a Presentation, got NoneType"),
+    (lambda: reidemeister_schreier_full(None, psi_images(4), closure([], 4)),
+     "the presentation must be a Presentation, got NoneType"),
+    (lambda: reidemeister_schreier_full(mod_sphere_presentation(4), psi_images(4), None),
+     "the subgroup needs degree, index and coset_key, got NoneType"),
+    (lambda: reidemeister_schreier_full(mod_sphere_presentation(4), psi_images(4),
+                                        _OrderNotIndex()),
+     "the subgroup needs degree, index and coset_key, got _OrderNotIndex"),
+    (lambda: extension_presentation(None, _QUOTIENT, _LIFTS),
+     "the kernel must be a Presentation, got NoneType"),
+    (lambda: extension_presentation(_KERNEL, None, _LIFTS),
+     "the quotient must be a Presentation, got NoneType"),
+    (lambda: validate("x"), _DATA_SET),
+    (lambda: doubled("x"), _DATA_SET),
+], ids=["abelianization", "tietze", "rs-presentation", "rs-none-subgroup",
+        "rs-subgroup-without-index", "extension-kernel", "extension-quotient",
+        "validate", "doubled"])
+def test_entry_points_refuse_the_wrong_type_before_any_work(monkeypatch, call, message):
+    # each raised AttributeError from deep inside; no check of psi is reached
+    from liftmcg import fpgroups
+
+    monkeypatch.setattr(fpgroups, "_check_psi", lambda *args: pytest.fail("psi was checked"))
+    with pytest.raises(TypeError) as err:
+        call()
+    assert str(err.value) == message
+    assert extension_presentation(_KERNEL, _QUOTIENT, _LIFTS).generators == ("t", "A")
 
 
 def test_analysis_checks_psi_once_per_degree(monkeypatch):

@@ -282,6 +282,31 @@ def test_membership_refuses_what_is_not_a_permutation():
     assert stab.h1.unit_of((5, 4, 3, 2, 1, 0)) == 1 and (5, 4, 3, 2, 1, 0) in stab.h2
 
 
+def test_vector_stabilizer_refuses_units_that_are_no_subgroup_of_the_fixing_ones():
+    # at v = (1,1,1,1) mod 4 only the unit 1 fixes v: (1, 3) used to give
+    # order 48 > 4! and index 0, (1, 1) order 48, and (3,) index 1, which
+    # Reidemeister-Schreier then trusted, though no sigma has act(3, sigma, v) = v
+    v = vec(4, 1, 1, 1, 1)
+    for units in ((1, 3), (1, 1), (3,), (), (1, 5), (1, 0)):
+        with pytest.raises(ValueError, match=r"^units .* are no subgroup of those fixing "):
+            VectorStabilizer(v, units)
+    assert VectorStabilizer(v, (1,)).index == 1
+    # (7,0;(1,7),(2,7),(4,7)) is fixed by the units 1, 2 and 4 mod 7; 2 alone
+    # with 1 is not closed (2 * 2 = 4), nor is 1 with 4 (4 * 4 = 2)
+    v = vec(7, 1, 2, 4)
+    assert VectorStabilizer(v, (1, 2, 4)).index == 2
+    for units in ((1, 2), (1, 4), (2, 4), (1, 2, 4, 3)):
+        with pytest.raises(ValueError, match="are no subgroup"):
+            VectorStabilizer(v, units)
+
+
+def test_half_twist_word_refuses_what_is_not_a_permutation():
+    # (0, 0, 1) used to give the word () and (1, 1, 0) the word (1,)
+    for p in ((0, 0, 1), (1, 1, 0), (5,)):
+        with pytest.raises(ValueError, match="is not a permutation"):
+            perm_to_half_twist_word(p)
+
+
 def test_clmod_image_is_normal_in_lmod_image():
     for genus in (2, 3):
         for v in all_vectors(genus):
