@@ -26,7 +26,6 @@ from .fpgroups import (
     LiftData,
     Presentation,
     Relator,
-    _identify_short_generators,
     _rewrite,
     _sphere_data,
     extension_presentation,
@@ -44,6 +43,7 @@ from .genvec import (
     GroupDescriptor,
     IrreducibleClassification,
     StabilizerReport,
+    _classify_h1,
     classify_irreducible,
     generating_vector,
     liftable_images,
@@ -109,12 +109,12 @@ def _subgroup_presentation(subgroup) -> tuple[Presentation, tuple[Perm, ...], st
     above MAX_PMOD_SPHERE_DEGREE marked points; both have known presentations,
     so Reidemeister-Schreier runs only at intermediate index, as the core
     _rewrite on _sphere_data(k), whose psi is checked once per degree, and
-    its output goes through _identify_short_generators before Tietze; only
-    the simplified result is kept, so the raw output is freed once it is
-    simplified.  The images are a tuple, one per generator of the
-    presentation in order.  The result depends on the subgroup only as a
-    set, so it is memoized on the set, keeping the PRESENTATION_MEMO_SIZE
-    most recently used, and shared by every report whose H1 or H2 it is.
+    its output goes to tietze_simplify; only the simplified result is kept,
+    so the raw output is freed once it is simplified.  The images are a
+    tuple, one per generator of the presentation in order.  The result
+    depends on the subgroup only as a set, so it is memoized on the set,
+    keeping the PRESENTATION_MEMO_SIZE most recently used, and shared by
+    every report whose H1 or H2 it is.
     """
     k = subgroup.degree
     if subgroup.is_symmetric:
@@ -127,7 +127,7 @@ def _subgroup_presentation(subgroup) -> tuple[Presentation, tuple[Perm, ...], st
         images = (identity_perm(k),) * len(p.generators)
     else:
         raw, info = _rewrite(*_sphere_data(k), subgroup)
-        p, kind = tietze_simplify(_identify_short_generators(raw)), "schreier"
+        p, kind = tietze_simplify(raw), "schreier"
         images = tuple(info.generator_images[name] for name in p.generators)
     return p, images, kind
 
@@ -152,7 +152,7 @@ def _analyze(ds: DataSet) -> AnalysisReport:
     stab = liftable_images(v)
     lmod_p, lmod_images, lmod_kind = _subgroup_presentation(stab.h1)
     clmod_p, clmod_images, clmod_kind = _subgroup_presentation(stab.h2)
-    classification = classify_irreducible(v) if v.k == 3 else None
+    classification = _classify_h1(stab.h1, genus) if v.k == 3 else None
 
     flags = MappingProxyType({
         "mod_equals_lmod": mod_equals_lmod(v),

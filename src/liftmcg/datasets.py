@@ -194,8 +194,9 @@ def _scaled_key(pairs: tuple[Pair, ...], unit: int) -> tuple[tuple[int, int], ..
 
 
 def equivalence_witness(d1: DataSet, d2: DataSet) -> tuple[int, Perm] | None:
-    """A pair (unit, sigma) with (unit*d_i mod n_i, n_i) = d2.pairs[sigma[i]], or None."""
-    if (d1.n, d1.g0, d1.k) != (d2.n, d2.g0, d2.k):
+    """A pair (unit, sigma) with (unit*d_i mod n_i, n_i) = d2.pairs[sigma[i]], or None;
+    TypeError unless both are DataSets."""
+    if (require_dataset(d1).n, d1.g0, d1.k) != (require_dataset(d2).n, d2.g0, d2.k):
         return None
     require_modulus(d1.n)
     for unit in units_mod(d1.n):
@@ -211,8 +212,9 @@ def are_equivalent(d1: DataSet, d2: DataSet) -> bool:
 
 def canonical_form(ds: DataSet) -> DataSet:
     """Lexicographically least sorted pair list over all unit multiples;
-    n > MAX_MODULUS raises CapacityError, as do the equivalence tests."""
-    require_modulus(ds.n)
+    n > MAX_MODULUS raises CapacityError, as do the equivalence tests, and
+    anything that is not a DataSet TypeError."""
+    require_modulus(require_dataset(ds).n)
     best = min(_scaled_key(ds.pairs, unit) for unit in units_mod(ds.n))
     return DataSet(ds.n, ds.g0, tuple((d, m) for m, d in best))
 
@@ -453,9 +455,10 @@ def parse_dataset(text: str) -> DataSet:
 
 
 def render_dataset(ds: DataSet) -> str:
-    """Inverse of parse_dataset; runs of equal pairs use the _r suffix."""
+    """Inverse of parse_dataset; runs of equal pairs use the _r suffix.
+    TypeError for anything that is not a DataSet."""
     chunks = []
-    for (d, m), run in groupby(ds.pairs):
+    for (d, m), run in groupby(require_dataset(ds).pairs):
         count = len(list(run))
         chunks.append(f"({d},{m})" + (f"_{count}" if count > 1 else ""))
     return f"({ds.n},{ds.g0};" + ",".join(chunks) + ")"

@@ -27,9 +27,8 @@ A Presentation keeps its abelianization once computed.  Tietze
 simplification is deterministic; one engine writes a relator as a str of
 code points, one per letter, so that substitution, search and inversion are
 str methods, takes every step by one rule and refuses a step that leaves
-more than MAX_REWRITE_LETTERS letters.  The analysis first passes
-Reidemeister-Schreier output through _identify_short_generators, a signed
-union-find on its short relators.
+more than MAX_REWRITE_LETTERS letters; tietze_simplify runs it after a signed
+union-find on the relators of cyclic length 1 or 2.
 """
 
 from __future__ import annotations
@@ -86,17 +85,28 @@ def _check_letters(r: Relator, ngens: int, what: str) -> None:
     freely reduced; what names r in the message."""
     prev = 0
     for x in r:
-        if type(x) is not int or not 0 < abs(x) <= ngens:
-            raise ValueError(f"{what} letter {x!r} is not one of +-1..+-{ngens}")
+        _check_letter(x, ngens, what)
         if x == -prev:
             raise ValueError(f"{what} is not freely reduced")
         prev = x
 
 
+def _check_letter(x: int, ngens: int, what: str = "word") -> None:
+    """ValueError unless x is one of +-1..+-ngens (a bool is not an int);
+    what names its word in the message."""
+    if type(x) is not int or not 0 < abs(x) <= ngens:
+        raise ValueError(f"{what} letter {x!r} is not one of +-1..+-{ngens}")
+
+
 def evaluate_perm(r: Relator, images: Sequence[Perm], degree: int) -> Perm:
-    """The product of the letters of r, images[i - 1] being generator i's."""
+    """The product of the letters of r, images[i - 1] being generator i's;
+    ValueError for an image of another degree or a letter outside
+    +-1..+-len(images)."""
+    if any(len(p) != degree for p in images):
+        raise ValueError(f"the images must have degree {degree}")
     out = identity_perm(degree)
     for x in r:
+        _check_letter(x, len(images))
         p = images[abs(x) - 1]
         out = compose(out, p if x > 0 else inverse(p))
     return out
@@ -104,9 +114,11 @@ def evaluate_perm(r: Relator, images: Sequence[Perm], degree: int) -> Perm:
 
 def render_word(r: Relator, names: Sequence[str]) -> str:
     """Run-aggregated product string, names[i - 1] being generator i's name;
-    the empty word renders as "1"."""
+    the empty word renders as "1".  ValueError for a letter outside
+    +-1..+-len(names)."""
     parts = []
     for x, run in groupby(r):
+        _check_letter(x, len(names))
         count = len(list(run)) if x > 0 else -len(list(run))
         parts.append(names[abs(x) - 1] + ("" if count == 1 else f"^{count}"))
     return "*".join(parts) or "1"
@@ -173,6 +185,13 @@ class Presentation:
         return tuple(d for d in factors if d != 1), free_rank
 
 
+def _require_presentation(p, what: str) -> Presentation:
+    """p itself if it is a Presentation; else TypeError naming what it is."""
+    if not isinstance(p, Presentation):
+        raise TypeError(f"{what} must be a Presentation, got {type(p).__name__}")
+    return p
+
+
 def render_relator(r: Relator, names: Sequence[str]) -> str:
     """r as an equation u = v, v^-1 being its maximal all-inverse suffix, or
     as [a,b] = 1."""
@@ -190,7 +209,7 @@ def render_relator(r: Relator, names: Sequence[str]) -> str:
 
 
 def render_presentation(p: Presentation) -> str:
-    names = p.generators
+    names = _require_presentation(p, "the presentation").generators
     if not names:
         return "<1>"
     rels = [render_relator(r, names) for r in p.relators]
@@ -204,7 +223,7 @@ def _letters_json(r: Relator, names: Sequence[str]) -> list[list]:
 
 
 def presentation_json(p: Presentation) -> dict:
-    names = p.generators
+    names = _require_presentation(p, "the presentation").generators
     out = {
         "generators": list(names),
         "relators": [_letters_json(r, names) for r in p.relators],
@@ -344,13 +363,6 @@ class SchreierInfo:
 
     index: int
     generator_images: Mapping[str, Perm]
-
-
-def _require_presentation(p, what: str) -> Presentation:
-    """p itself if it is a Presentation; else TypeError naming what it is."""
-    if not isinstance(p, Presentation):
-        raise TypeError(f"{what} must be a Presentation, got {type(p).__name__}")
-    return p
 
 
 def reidemeister_schreier_full(p: Presentation, images: Sequence[Perm],
@@ -645,30 +657,36 @@ class _TietzeEngine:
 
 
 def tietze_simplify(p: Presentation) -> Presentation:
-    """Eliminate generators that occur exactly once in some relator, dropping
-    trivial and duplicate relators along the way.
-
-    Each step takes the relator that is least by (length, list position)
-    among those with a generator occurring exactly once in it, eliminates the
+    """The same group by Tietze moves: first a signed union-find removes the
+    generators that relators of cyclic length 1 or 2 make trivial or equal to
+    another letter (_identify_short_generators); then each step of the
+    engine takes the relator least by (length, list position) among those
+    with a generator occurring exactly once in it, eliminates the
     latest-declared such generator, and substitutes the freely reduced
     rotation of that relator for it everywhere.  Empty relators are dropped;
     of two relators equal up to rotation and inversion the earlier in the
-    list survives.  Steps repeat until no relator has such a generator; the
-    result presents an isomorphic group.
+    list survives.  Steps repeat until no relator has such a generator.
 
-    A p that is not a Presentation raises TypeError; more than
-    MAX_TIETZE_GENERATORS generators, or a step that leaves more than
-    MAX_REWRITE_LETTERS letters, CapacityError.
+    Refused before any work: a p that is not a Presentation (TypeError),
+    symbolic relators (ValueError), more than MAX_TIETZE_GENERATORS
+    generators (CapacityError).  A step that leaves more than
+    MAX_REWRITE_LETTERS letters raises CapacityError.
     """
     if _require_presentation(p, "the presentation").symbolic_relators:
         raise ValueError("cannot simplify a presentation with symbolic relators")
-    names = p.generators
-    n = len(names)
+    n = len(p.generators)
     if n > MAX_TIETZE_GENERATORS:
         raise CapacityError(f"{n} generators exceed the Tietze cap of {MAX_TIETZE_GENERATORS}")
+    return _tietze_engine(p.generators, *_identify_short_generators(n, p.relators))
+
+
+def _tietze_engine(names: Sequence[str], relators: Iterable[Relator], gone=()) -> Presentation:
+    """The engine on relators over generators 1..len(names) less those in gone:
+    tietze_simplify's second phase, and tests/tietze_reference.py's counterpart."""
+    n = len(names)
     code = _letter_codes(n)
-    engine = _TietzeEngine(n, ["".join(map(code.__getitem__, r)) for r in p.relators])
-    gone = set(iter(engine.eliminate, None))
+    engine = _TietzeEngine(n, ["".join(map(code.__getitem__, r)) for r in relators])
+    gone = {*gone, *iter(engine.eliminate, None)}
     kept = [i for i in range(1, n + 1) if i not in gone]
     # survivors are renumbered, with one shared int per signed letter
     letter = {}
@@ -679,17 +697,15 @@ def tietze_simplify(p: Presentation) -> Presentation:
         tuple(tuple(map(letter.__getitem__, s)) for s in engine.rels if s))
 
 
-def _identify_short_generators(p: Presentation) -> Presentation:
-    """p less the generators that relators of cyclic length 1 or 2 make
-    trivial or identify with another, by a signed union-find.  Relators are
-    read in list order, in rounds, rewritten through the representatives and
-    freely reduced, until all their letters are representatives.  A cyclic
-    reduction of one letter makes its generator trivial, one of two letters
-    of distinct generators makes the later the inverse of the other, and the
-    relator is dropped.  On Reidemeister-Schreier output tietze_simplify
-    gives the same from the result as from p, but not on every input.
-    """
-    n = len(p.generators)
+def _identify_short_generators(n: int, relators: Sequence[Relator]) -> tuple[list, set[int]]:
+    """tietze_simplify's first phase, a signed union-find on relators over
+    generators 1..n: the relators rewritten and the letters eliminated, both
+    signs.  Relators are read in list order, in rounds, rewritten through the
+    representatives and freely reduced, until all their letters are
+    representatives.  A cyclic reduction of one letter makes its generator
+    trivial, one of two letters of distinct generators makes the later the
+    inverse of the other, and the relator becomes empty.  On RS output the
+    engine then gives what it gives alone, but not on every input."""
     # up[x] is the signed letter that x equals: x at a representative, 0 if
     # trivial; a negative letter is a negative index, and up[-x] = -up[x]
     up = [*range(n + 1), *range(-n, 0)]
@@ -703,7 +719,7 @@ def _identify_short_generators(p: Presentation) -> Presentation:
             up[z], up[-z] = y, -y
         return y
 
-    rels = list(p.relators)
+    rels = list(relators)
     gone: set[int] = set()    # the letters that are no longer representatives
     todo = range(len(rels))
     while todo:
@@ -728,11 +744,7 @@ def _identify_short_generators(p: Presentation) -> Presentation:
                 out = ()
             rels[t] = tuple(out)
         todo = [t for t, r in enumerate(rels) if not gone.isdisjoint(r)]
-    kept = [g for g in range(1, n + 1) if up[g] == g]
-    for j, g in enumerate(kept, start=1):    # up, done with, numbers the survivors
-        up[g], up[-g] = j, -j
-    return Presentation(tuple(p.generators[g - 1] for g in kept),
-                        tuple(tuple(map(up.__getitem__, r)) for r in rels if r))
+    return rels, gone
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,14 @@ class GeneratingVector:
         return r // (2 * full)
 
 
+def _require_vector(v: GeneratingVector, what: str) -> GeneratingVector:
+    """v itself if it is a GeneratingVector; else TypeError naming what reads
+    it and the type it got."""
+    if not isinstance(v, GeneratingVector):
+        raise TypeError(f"{what} reads a GeneratingVector, got {type(v).__name__}")
+    return v
+
+
 def generating_vector(ds: DataSet) -> GeneratingVector:
     """The vector with c_i = (n/n_i) d_i in the data set's stored pair order;
     validates once, with OutOfScopeError if invalid or not spherical."""
@@ -107,7 +115,7 @@ def require_genus(v: GeneratingVector) -> int:
 
 def act(unit: int, sigma: Perm, v: GeneratingVector) -> GeneratingVector:
     """Left action: entry j is multiplied by the unit and moved to sigma(j)."""
-    if gcd(unit, v.n) != 1:
+    if gcd(unit, _require_vector(v, "act").n) != 1:
         raise ValueError(f"{unit} is not a unit mod {v.n}")
     if len(sigma) != v.k:
         raise ValueError(f"permutation degree {len(sigma)} != {v.k}")
@@ -124,7 +132,7 @@ def _is_fixed(unit: int, sigma: Perm, v: GeneratingVector) -> bool:
 
 def stabilizer_bruteforce(v: GeneratingVector) -> list[tuple[int, Perm]]:
     """All (unit, sigma) pairs fixing the vector, ordered by (unit, sigma)."""
-    if v.k > MAX_BRUTE_DEGREE:
+    if _require_vector(v, "stabilizer_bruteforce").k > MAX_BRUTE_DEGREE:
         raise CapacityError(f"brute force over {v.k}! permutations refused")
     units = units_mod(v.n)
     stab = [(u, sigma)
@@ -223,7 +231,8 @@ class VectorStabilizer:
     units: tuple[int, ...]
 
     def __post_init__(self):
-        n, c, units = self.vector.n, sorted(self.vector.c), self.units
+        n, units = _require_vector(self.vector, "VectorStabilizer").n, self.units
+        c = sorted(self.vector.c)
         if (1 not in units or len(set(units)) != len(units)
                 or {a * b % n for a in units for b in units} != set(units)
                 or any(not 0 < u < n or sorted([u * x % n for x in c]) != c for u in units)):
@@ -309,9 +318,10 @@ def liftable_images(v: GeneratingVector, cross_check: bool = False) -> Stabilize
 
     cross_check=True also compares them with the brute-force stabilizer
     (k <= MAX_BRUTE_DEGREE) and raises InternalInvariantError on a mismatch.
-    More than MAX_BRANCH_POINTS branch points raise CapacityError.
+    More than MAX_BRANCH_POINTS branch points raise CapacityError, and
+    anything that is not a GeneratingVector TypeError.
     """
-    k = v.k
+    k = _require_vector(v, "liftable_images").k
     if k > MAX_BRANCH_POINTS:
         raise CapacityError(f"{k} branch points exceed the cap of {MAX_BRANCH_POINTS}")
     h1 = VectorStabilizer(v, tuple(stabilizing_units(v)))
@@ -365,7 +375,7 @@ def _generates(gens: tuple[Perm, ...], elements: list[Perm], k: int) -> bool:
 
 def mod_equals_lmod(v: GeneratingVector) -> bool:
     """Whether every mapping class lifts: all entries equal and n | k."""
-    return len(set(v.c)) == 1 and v.k % v.n == 0
+    return len(set(_require_vector(v, "mod_equals_lmod").c)) == 1 and v.k % v.n == 0
 
 
 # ---------------------------------------------------------------------------
@@ -445,18 +455,21 @@ def classify_irreducible(v: GeneratingVector) -> IrreducibleClassification:
     -> N = C = Z_n.  TypeError unless v is a GeneratingVector; then
     OutOfScopeError for genus < 2, then for k != 3.
     """
-    if not isinstance(v, GeneratingVector):
-        raise TypeError(f"classification reads a GeneratingVector, got {type(v).__name__}")
-    g = require_genus(v)
+    g = require_genus(_require_vector(v, "classification"))
     if v.k != 3:
         raise OutOfScopeError(f"classification needs exactly 3 branch points, got {v.k}")
-    n = v.n
-    if len(set(v.c)) < 3:
+    return _classify_h1(VectorStabilizer(v, tuple(stabilizing_units(v))), g)
+
+
+def _classify_h1(h1: VectorStabilizer, g: int) -> IrreducibleClassification:
+    """classify_irreducible(h1.vector) read off h1, the vector's stabilizer
+    under all its stabilizing units, given its genus g >= 2 and k = 3."""
+    n = h1.vector.n
+    if len(set(h1.vector.c)) < 3:
         desc = direct_product(n, 2)
         return IrreducibleClassification(
             case="ii_a", twist=1, lmod=cyclic(2), centralizer=desc, normalizer=desc,
             genus=g, notes=("normalizer type asserted, not derived",))
-    h1 = VectorStabilizer(v, tuple(stabilizing_units(v)))
     m = len(h1.units)
     if m == 1:
         return IrreducibleClassification(

@@ -253,6 +253,24 @@ def test_default_analysis_runs_no_stabilizer_oracle(monkeypatch):
     assert (info.hits, info.misses) == (0, count)  # every class ran the default path
 
 
+def test_analysis_builds_h1_once_per_class(monkeypatch):
+    # a three-point class is classified off the H1 that liftable_images built
+    import liftmcg.genvec as genvec_module
+
+    calls, real = [], genvec_module.stabilizing_units
+    monkeypatch.setattr(genvec_module, "stabilizing_units",
+                        lambda v: calls.append(v) or real(v))
+    _report_memo.cache_clear()
+    classes = [ds for genus in (2, 3, 4, 5, 6) for ds in enumerate_spherical(genus)]
+    reports = [analyze(ds) for ds in classes]
+    assert len(calls) == len(classes), len(calls)
+    # the same classification as the public call, which builds H1 from the vector
+    classified = [rep for rep in reports if rep.classification is not None]
+    assert len(classified) > 20
+    for rep in classified:
+        assert rep.classification == classify_irreducible(rep.stab.h1.vector), rep.dataset
+
+
 # sha256 of render_dataset, then the LMod and CLMod presentation renders, one
 # per line, for every spherical class of genus 2-4 in enumeration order
 GENUS_2_TO_4_PRESENTATIONS_SHA256 = (

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 import sys
@@ -27,15 +28,26 @@ from liftmcg.arith_perm import (
     perm_from_cycles,
     transposition,
 )
-from liftmcg.datasets import doubled, enumerate_spherical, parse_dataset, validate
+from liftmcg.datasets import (
+    are_equivalent,
+    canonical_form,
+    doubled,
+    enumerate_spherical,
+    equivalence_witness,
+    parse_dataset,
+    render_dataset,
+    validate,
+)
 from liftmcg.fpgroups import (
     LiftData,
     Presentation,
     SymbolicRelator,
     abelianization,
+    evaluate_perm,
     extension_presentation,
     mod_sphere_presentation,
     pmod_sphere_presentation,
+    presentation_json,
     psi_image,
     psi_images,
     reidemeister_schreier_full,
@@ -50,6 +62,8 @@ from liftmcg.genvec import (
     generating_vector,
     half_twist_word,
     liftable_images,
+    mod_equals_lmod,
+    stabilizer_bruteforce,
 )
 from sphere_reference import mismatched_degrees
 
@@ -63,6 +77,23 @@ def test_word_render():
     assert render_word((1, 1, -2, -2, -2), ("a", "b")) == "a^2*b^-3"
     assert render_word((1, 2, -1), ("a", "b")) == "a*b*a^-1"
     assert render_word((2, -1, -1), ("s1", "s2")) == "s2*s1^-2"
+
+
+def test_word_helpers_refuse_a_letter_past_their_generators():
+    # letter 0 read images[-1] and names[-1], the last generator inverted, and
+    # True read as letter 1; images of another degree gave a product of theirs
+    psi = psi_images(4)
+    for bad in ((0,), (4,), (-4,), (True,), (1, 1.0)):
+        with pytest.raises(ValueError, match=r"^word letter .* is not one of \+-1\.\.\+-3$"):
+            evaluate_perm(bad, psi, 4)
+    with pytest.raises(ValueError, match="^the images must have degree 5$"):
+        evaluate_perm((1,), psi, 5)
+    with pytest.raises(ValueError, match="^the images must have degree 4$"):
+        evaluate_perm((), (*psi[:2], transposition(1, 2, 5)), 4)
+    for bad in ((0,), (2,), (-2,), (True,), (1, 1, 0)):
+        with pytest.raises(ValueError, match=r"^word letter .* is not one of \+-1\.\.\+-1$"):
+            render_word(bad, ("a",))
+    assert evaluate_perm((1, -3), psi, 4) == compose(psi[0], inverse(psi[2]))
 
 
 def test_render_relator_and_presentation():
@@ -748,6 +779,7 @@ _KERNEL = Presentation(("t",), ((1, 1),))
 _QUOTIENT = Presentation(("a",), ((1, 1),))
 _LIFTS = LiftData({"a": "A"}, {("a", "t"): (1,)}, {0: ()})
 _DATA_SET = "a data set must be a DataSet (parse_dataset reads one from text), got str"
+_DS = parse_dataset("(7,0;(1,7),(2,7),(4,7))")
 
 
 @pytest.mark.parametrize("call, message", [
@@ -766,9 +798,22 @@ _DATA_SET = "a data set must be a DataSet (parse_dataset reads one from text), g
      "the quotient must be a Presentation, got NoneType"),
     (lambda: validate("x"), _DATA_SET),
     (lambda: doubled("x"), _DATA_SET),
+    (lambda: canonical_form("x"), _DATA_SET),
+    (lambda: are_equivalent(None, _DS), _DATA_SET.replace("str", "NoneType")),
+    (lambda: equivalence_witness(_DS, "x"), _DATA_SET),
+    (lambda: render_dataset(None), _DATA_SET.replace("str", "NoneType")),
+    (lambda: liftable_images(_DS), "liftable_images reads a GeneratingVector, got DataSet"),
+    (lambda: act(1, (0, 1, 2), "x"), "act reads a GeneratingVector, got str"),
+    (lambda: mod_equals_lmod(None), "mod_equals_lmod reads a GeneratingVector, got NoneType"),
+    (lambda: VectorStabilizer(_DS, (1,)), "VectorStabilizer reads a GeneratingVector, got DataSet"),
+    (lambda: stabilizer_bruteforce("x"), "stabilizer_bruteforce reads a GeneratingVector, got str"),
+    (lambda: presentation_json(_DS), "the presentation must be a Presentation, got DataSet"),
+    (lambda: render_presentation("x"), "the presentation must be a Presentation, got str"),
 ], ids=["abelianization", "tietze", "rs-presentation", "rs-none-subgroup",
         "rs-subgroup-without-index", "extension-kernel", "extension-quotient",
-        "validate", "doubled"])
+        "validate", "doubled", "canonical-form", "are-equivalent", "equivalence-witness",
+        "render-dataset", "liftable-images", "act", "mod-equals-lmod", "vector-stabilizer",
+        "stabilizer-bruteforce", "presentation-json", "render-presentation"])
 def test_entry_points_refuse_the_wrong_type_before_any_work(monkeypatch, call, message):
     # each raised AttributeError from deep inside; no check of psi is reached
     from liftmcg import fpgroups
@@ -872,6 +917,17 @@ def test_tietze_examples():
     assert tietze_simplify(from_words(("a", "b"), (a * b,))) == Presentation(("a",), ())
     t = tietze_simplify(pmod_sphere_presentation(4))
     assert len(t.generators) == 2 and not t.relators
+
+
+def test_tietze_output_on_pmod_sphere_is_pinned():
+    # the pmod_sphere route's output for k = 3-24, one repr((generators,
+    # relators)) line each, as the engine alone gave it before the union-find
+    # became tietze_simplify's first phase
+    digest = hashlib.sha256()
+    for k in range(3, 25):
+        q = tietze_simplify(pmod_sphere_presentation(k))
+        digest.update(repr((q.generators, q.relators)).encode() + b"\n")
+    assert digest.hexdigest() == "1edf22b2f866fad9f52fb4588b8b62d10633269b1aae65b5013644a9df4e9524"
 
 
 def test_tietze_refuses_a_step_past_the_letter_cap(monkeypatch):

@@ -1,7 +1,8 @@
-"""tietze_simplify against the engine it replaced (tests/tietze_reference.py):
-the two must give equal presentations, letter for letter, on every input.
-The analysis path, the union-find _identify_short_generators and then
-tietze_simplify, must give the same on every preimage the analysis meets."""
+"""Tietze simplification against the engine it replaced
+(tests/tietze_reference.py).  The engine alone, fpgroups._tietze_engine, must
+give presentations equal to the reference's, letter for letter, on every
+input; tietze_simplify, the union-find _identify_short_generators and then the
+engine, must give the same on every preimage the analysis meets."""
 
 import hashlib
 import sys
@@ -16,7 +17,9 @@ from liftmcg.datasets import enumerate_spherical
 from liftmcg.fpgroups import (
     MAX_TIETZE_GENERATORS,
     Presentation,
+    SymbolicRelator,
     _identify_short_generators,
+    _tietze_engine,
     abelianization,
     tietze_simplify,
 )
@@ -57,21 +60,12 @@ def assert_equal_on_every_preimage(genera, count):
         assert tietze_simplify(raw) == reference.tietze_simplify(raw), subgroup
 
 
-def test_equal_on_every_preimage_of_genus_2_to_7():
-    assert_equal_on_every_preimage((2, 3, 4, 5, 6, 7), 66)
-
-
-def analysis_path(raw):
-    """What the analysis makes of a raw Reidemeister-Schreier presentation."""
-    return tietze_simplify(_identify_short_generators(raw))
-
-
 def test_analysis_path_equal_on_every_preimage_of_genus_2_to_7():
     degree = distinct_preimages((2, 3, 4, 5, 6, 7))
     assert len(degree) == 66
     for subgroup, k in degree.items():
         raw = _raw_presentation(k, subgroup)
-        q = analysis_path(raw)
+        q = tietze_simplify(raw)
         assert q == reference.tietze_simplify(raw), subgroup
         if not subgroup.is_symmetric and subgroup.order > 1:
             assert _subgroup_presentation(subgroup)[0] == q, subgroup
@@ -79,18 +73,17 @@ def test_analysis_path_equal_on_every_preimage_of_genus_2_to_7():
 
 # The count of distinct H1 and H2 of genus 9-10 and the sha256 over
 # tietze_simplify of their raw presentations, one repr((generators,
-# relators)) line each in enumeration order.  The analysis path gives the
-# same output there, so the pin holds for both.  The reference engine is too
-# slow there, so CI steps recompute tietze_digest((9, 10)) and
-# tietze_digest((9, 10), analysis_path) against this pin instead of Tier-1.
+# relators)) line each in enumeration order.  The reference engine is too
+# slow there, so a CI step recomputes tietze_digest((9, 10)) against this
+# pin instead of Tier-1.
 GENUS_9_TO_10_TIETZE = (104, "49793bdd212851c4012978e1dea4c8636e761d8688bd9b425e157ed9c4cb5488")
 
 
-def tietze_digest(genera, simplify=tietze_simplify):
+def tietze_digest(genera):
     digest = hashlib.sha256()
     degree = distinct_preimages(genera)
     for subgroup, k in degree.items():
-        q = simplify(_raw_presentation(k, subgroup))
+        q = tietze_simplify(_raw_presentation(k, subgroup))
         digest.update(repr((q.generators, q.relators)).encode() + b"\n")
     return len(degree), digest.hexdigest()
 
@@ -126,6 +119,21 @@ def presentations(draw):
 
 a, b, c, d, e = map(gen, NAMES)
 
+# Three inputs on which the union-find, which renames in rounds instead of
+# replaying the engine's steps, changes what the engine then gives; both
+# results are pinned in test_rounds_before_the_engine.
+ROUNDS = (
+    # The cyclic reduction of the first relator is b, so the engine drops the
+    # second at entry as its duplicate, while the union-find makes b trivial.
+    from_words(NAMES[:2], (b.inv() * a.inv() * b * a * b, b)),
+    Presentation(tuple("abcdef"), (
+        (2, -1), (-3, -6, -6, 4), (-3, -4), (-5, 4, 2, 1, 1), (-1,), (2, -1), (-1, 6, -2),
+        (-4, 6, 6, 3), (4, 3, 1, 2, 3), (-5, -3), (-6, 5, -6, 2, 4, 6))),
+    Presentation(tuple("abcd"), (
+        (-2, -3, -3, -1, -1, -1, -2, -2), (-2, -3, 1, 2, 1), (-2, -1, 3), (1, -2), (-3,),
+        (1, 2, 1, -2, -3), (2, -1, -1, 3, -2), (), (2, -1, -3, -1, -2), (-1, -3, 2))),
+)
+
 
 @TIER1
 @given(presentations())
@@ -134,20 +142,11 @@ a, b, c, d, e = map(gen, NAMES)
                                          a.inv() * c * b * d * c.inv())))
 # eliminating b from a*b*a^-1 leaves a^-1*a before reduction
 @example(from_words(NAMES[:3], (a * b * a.inv(), a.inv() * b.inv() * c * c)))
-# The next three fail for a pass that renames through a union-find in rounds
-# instead of replaying the engine's steps, as _identify_short_generators
-# does, so it stays out of tietze_simplify.  The cyclic reduction of the first
-# relator is b, so the engine drops the second at entry as its duplicate and
-# keeps <a, b | b^-1*a^-1*b*a*b = 1>; the rounds give <a | >.
-@example(from_words(NAMES[:2], (b.inv() * a.inv() * b * a * b, b)))
-# <c | c^2 = 1, c^3 = 1>; the rounds give <1>
-@example(Presentation(tuple("abcdef"), (
-    (2, -1), (-3, -6, -6, 4), (-3, -4), (-5, 4, 2, 1, 1), (-1,), (2, -1), (-1, 6, -2),
-    (-4, 6, 6, 3), (4, 3, 1, 2, 3), (-5, -3), (-6, 5, -6, 2, 4, 6))))
-# <a, d | a^2 = 1>; the rounds give <a, d | a^6 = 1, a^2 = 1>
-@example(Presentation(tuple("abcd"), (
-    (-2, -3, -3, -1, -1, -1, -2, -2), (-2, -3, 1, 2, 1), (-2, -1, 3), (1, -2), (-3,),
-    (1, 2, 1, -2, -3), (2, -1, -1, 3, -2), (), (2, -1, -3, -1, -2), (-1, -3, 2))))
+# The three ROUNDS presentations, where the union-find's rounds, the first
+# phase of tietze_simplify, give another result than the engine's steps.
+@example(ROUNDS[0])
+@example(ROUNDS[1])
+@example(ROUNDS[2])
 # The next two were the seams of the engine's former rename phase.  Renaming
 # c to a^-1 makes the second relator a rotation of the first, which is
 # dropped when the longer relators are bucketed: <a | >.
@@ -174,7 +173,18 @@ a, b, c, d, e = map(gen, NAMES)
 # <a | a^2 = 1>, not <a | >.
 @example(from_words(NAMES[:2], (a * b.inv(), a * b)))
 def test_equal_on_generated_presentations(p):
-    assert tietze_simplify(p) == reference.tietze_simplify(p)
+    assert _tietze_engine(p.generators, p.relators) == reference.tietze_simplify(p)
+
+
+def test_rounds_before_the_engine():
+    # what tietze_simplify returns where its union-find and the engine alone differ
+    engine = ["<a, b | b^-1*a^-1*b*a*b = 1>", "<c | c^2 = 1, c^3 = 1>", "<a, d | a^2 = 1>"]
+    public = ["<a | >", "<1>", "<a, d | a^6 = 1, a^2 = 1>"]
+    for p, alone, whole in zip(ROUNDS, engine, public):
+        assert str(_tietze_engine(p.generators, p.relators)) == alone
+        assert str(reference.tietze_simplify(p)) == alone
+        assert str(tietze_simplify(p)) == whole
+        assert abelianization(tietze_simplify(p)) == abelianization(p)
 
 
 def _cyclic_reduction(r):
@@ -189,9 +199,15 @@ def _cyclic_reduction(r):
 @given(presentations())
 def test_identify_short_generators_keeps_the_abelianization(p):
     # both apply only Tietze moves, so this holds on every input
-    q = _identify_short_generators(p)
+    n = len(p.generators)
+    rels, gone = _identify_short_generators(n, p.relators)
+    assert gone == {-x for x in gone} and gone <= set(range(-n, n + 1)) - {0}
+    number = {}
+    for j, g in enumerate((g for g in range(1, n + 1) if g not in gone), start=1):
+        number[g], number[-g] = j, -j
+    q = Presentation(tuple(p.generators[g - 1] for g in number if g > 0),
+                     tuple(tuple(map(number.__getitem__, r)) for r in rels if r))
     assert abelianization(p) == abelianization(q) == abelianization(tietze_simplify(p))
-    assert set(q.generators) <= set(p.generators)
     for r in map(_cyclic_reduction, q.relators):
         assert len(r) > 2 or len(r) == 2 and r[0] == r[1], r
 
@@ -210,8 +226,17 @@ def test_equal_on_letters_past_the_surrogates_and_the_basic_plane():
     assert tietze_simplify(p) == reference.tietze_simplify(p)
 
 
-def test_refuses_past_the_encoding_cap():
+def test_refuses_past_the_encoding_cap(monkeypatch):
+    # every refusal comes before the union-find, tietze_simplify's first phase
+    from liftmcg import fpgroups
+
+    monkeypatch.setattr(fpgroups, "_identify_short_generators",
+                        lambda *args: pytest.fail("the union-find ran"))
     assert 2 * MAX_TIETZE_GENERATORS + 1 == sys.maxunicode
-    p = Presentation(tuple(f"x{i}" for i in range(MAX_TIETZE_GENERATORS + 1)), ())
+    p = Presentation(tuple(f"x{i}" for i in range(MAX_TIETZE_GENERATORS + 1)), ((1,),))
     with pytest.raises(CapacityError, match="557056 generators exceed the Tietze cap"):
         tietze_simplify(p)
+    with pytest.raises(ValueError, match="symbolic relators"):
+        tietze_simplify(Presentation(("a",), (), (SymbolicRelator((1,), 1, "e"),)))
+    with pytest.raises(TypeError, match="must be a Presentation"):
+        tietze_simplify(((1,),))
