@@ -126,9 +126,10 @@ def _subgroup_presentation(subgroup) -> tuple[Presentation, tuple[Perm, ...], st
         p, kind = tietze_simplify(pmod_sphere_presentation(k)), "pmod_sphere"
         images = (identity_perm(k),) * len(p.generators)
     else:
-        raw, info = _rewrite(*_sphere_data(k), subgroup)
+        raw, raw_images = _rewrite(*_sphere_data(k), subgroup)
         p, kind = tietze_simplify(raw), "schreier"
-        images = tuple(info.generator_images[name] for name in p.generators)
+        image_of = dict(zip(raw.generators, raw_images))
+        images = tuple(image_of[name] for name in p.generators)
     return p, images, kind
 
 

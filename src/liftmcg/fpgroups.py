@@ -21,8 +21,9 @@ above MAX_BRANCH_POINTS is refused before anything is built.
 Reidemeister-Schreier asks of psi, one image per generator in order, only
 that it kill every relator, and of a subgroup only its degree, index, coset
 labels and a hash and == by the set: the analysis passes genvec's vector
-stabilizers.  Its coset walk is the one check that psi's image meets every
-coset; the analysis calls its core, _rewrite, uncached on _sphere_data(k).
+stabilizers; it returns its generators' images as it takes psi's.  Its
+coset walk is the one check that psi's image meets every coset; the
+analysis calls its core, _rewrite, uncached on _sphere_data(k).
 A Presentation keeps its abelianization once computed.  Tietze
 simplification is deterministic; one engine writes a relator as a str of
 code points, one per letter, so that substitution, search and inversion are
@@ -98,18 +99,24 @@ def _check_letter(x: int, ngens: int, what: str = "word") -> None:
         raise ValueError(f"{what} letter {x!r} is not one of +-1..+-{ngens}")
 
 
+def _product(r: Relator, images: Sequence[Perm], degree: int) -> Perm:
+    """evaluate_perm without its checks, which the caller has made."""
+    out = identity_perm(degree)
+    for x in r:
+        p = images[abs(x) - 1]
+        out = compose(out, p if x > 0 else inverse(p))
+    return out
+
+
 def evaluate_perm(r: Relator, images: Sequence[Perm], degree: int) -> Perm:
     """The product of the letters of r, images[i - 1] being generator i's;
     ValueError for an image of another degree or a letter outside
     +-1..+-len(images)."""
     if any(len(p) != degree for p in images):
         raise ValueError(f"the images must have degree {degree}")
-    out = identity_perm(degree)
     for x in r:
         _check_letter(x, len(images))
-        p = images[abs(x) - 1]
-        out = compose(out, p if x > 0 else inverse(p))
-    return out
+    return _product(r, images, degree)
 
 
 def render_word(r: Relator, names: Sequence[str]) -> str:
@@ -131,7 +138,8 @@ def render_word(r: Relator, names: Sequence[str]) -> str:
 @dataclass(frozen=True)
 class SymbolicRelator:
     """A relation ``lhs = base^param`` with an undetermined integer exponent:
-    lhs is a relator in signed ints and base a generator number."""
+    lhs is a relator in signed ints, base a generator number and param the
+    exponent's nonempty name."""
 
     lhs: Relator
     base: int
@@ -163,6 +171,10 @@ class Presentation:
                 raise TypeError(f"a symbolic relator is a SymbolicRelator, got {s!r}")
             if type(s.base) is not int or not 1 <= s.base <= ngens:
                 raise ValueError(f"symbolic base {s.base!r} is not a generator number")
+            if not isinstance(s.param, str):
+                raise TypeError(f"a symbolic exponent is named by a str, got {s.param!r}")
+            if not s.param:
+                raise ValueError("a symbolic exponent's name is empty")
         for r in chain(self.relators, (s.lhs for s in self.symbolic_relators)):
             if type(r) is not tuple:
                 raise TypeError(f"a relator is a tuple of signed ints, got {type(r).__name__}")
@@ -284,7 +296,7 @@ def psi_image(r: Relator, k: int) -> Perm:
     word that is not freely reduced."""
     images = psi_images(k)
     _check_letters(r, k - 1, "half-twist word")
-    return evaluate_perm(r, images, k)
+    return _product(r, images, k)
 
 
 @_per_degree
@@ -336,13 +348,13 @@ def _right_multiplier(g: Perm) -> Callable[[Perm], Perm]:
 
 
 def _check_psi(p: Presentation, images: tuple[Perm, ...], degree: int) -> None:
-    """psi's images must have the degree and kill every relator of p, else
-    ValueError, checked in that order; the coset walk checks the rest."""
+    """psi's images must have the degree and kill every relator of p (whose
+    letters p checked), else ValueError, in that order; the walk checks the rest."""
     if any(len(x) != degree for x in images):
         raise ValueError(f"psi's images must have degree {degree}")
     identity = identity_perm(degree)
     for r in p.relators:
-        if evaluate_perm(r, images, degree) != identity:
+        if _product(r, images, degree) != identity:
             raise ValueError(f"psi does not kill the relator {render_word(r, p.generators)}")
 
 
@@ -355,22 +367,11 @@ def _sphere_data(k: int) -> tuple[Presentation, tuple[Perm, ...]]:
     return p, images
 
 
-@dataclass(frozen=True)
-class SchreierInfo:
-    """The coset index and, for each Schreier generator by name, its
-    marked-point image, an element of the subgroup; the mapping is
-    read-only, since a memoized result is shared by every caller."""
-
-    index: int
-    generator_images: Mapping[str, Perm]
-
-
 def reidemeister_schreier_full(p: Presentation, images: Sequence[Perm],
-                               subgroup) -> tuple[Presentation, SchreierInfo]:
-    """Presentation of the psi-preimage of a subgroup H of Sym(k), plus the
-    index and the Schreier generators' images.
-
-    images is psi of each generator of p in order.  On every call, before
+                               subgroup) -> tuple[Presentation, tuple[Perm, ...]]:
+    """Presentation of the psi-preimage of a subgroup H of Sym(k), and a tuple
+    of its generators' marked-point images in H, in order, as images is psi of
+    each generator of p in order; the index is H's own.  On every call, before
     any work: TypeError for a p that is not a Presentation, images in a
     Mapping, or a subgroup that is unhashable or lacks ``degree``, ``index``
     or ``coset_key(g)`` (a label equal for g and g' exactly when H*g =
@@ -419,14 +420,14 @@ def reidemeister_schreier_full(p: Presentation, images: Sequence[Perm],
 
 @lru_cache(maxsize=PRESENTATION_MEMO_SIZE)
 def _rs_memo(p: Presentation, images: tuple[Perm, ...],
-             subgroup) -> tuple[Presentation, SchreierInfo]:
+             subgroup) -> tuple[Presentation, tuple[Perm, ...]]:
     """_check_psi, then _rewrite: reidemeister_schreier_full's memo."""
     _check_psi(p, images, subgroup.degree)
     return _rewrite(p, images, subgroup)
 
 
 def _rewrite(p: Presentation, images: tuple[Perm, ...],
-             subgroup) -> tuple[Presentation, SchreierInfo]:
+             subgroup) -> tuple[Presentation, tuple[Perm, ...]]:
     """Reidemeister-Schreier from the capacity guards on, on images that
     passed _check_psi and trusting subgroup.index; nothing is memoized."""
     ngens = len(images)
@@ -450,7 +451,8 @@ def _rewrite(p: Presentation, images: tuple[Perm, ...],
     # coset c -> per signed letter x, (c*x, its Schreier letter or 0): one
     # shared int per signed Schreier letter; -x reads from the end of the row
     edges: list[list[tuple[int, int]]] = [[(0, 0)] * (2 * ngens + 1)]
-    gen_images: dict[str, Perm] = {}         # in discovery order: the output generators
+    names: list[str] = []                    # in discovery order: the output generators
+    gen_images: list[Perm] = []              # and their images
     for c, rep in enumerate(reps):           # reps grows while it is walked
         for x, times_g in enumerate(times, 1):
             img = times_g(rep)
@@ -465,7 +467,8 @@ def _rewrite(p: Presentation, images: tuple[Perm, ...],
                 times_rep_inv.append(_right_multiplier(inverse(img)))
                 edges.append([(0, 0)] * (2 * ngens + 1))
             else:
-                gen_images[f"x{c}_{p.generators[x - 1]}"] = times_rep_inv[d](img)
+                names.append(f"x{c}_{p.generators[x - 1]}")
+                gen_images.append(times_rep_inv[d](img))
                 s = len(gen_images)
             edges[c][x] = d, s
             edges[d][-x] = c, -s
@@ -510,8 +513,7 @@ def _rewrite(p: Presentation, images: tuple[Perm, ...],
             if letters:
                 relators.append(tuple(letters))
 
-    return (Presentation(tuple(gen_images), tuple(relators)),
-            SchreierInfo(index, MappingProxyType(gen_images)))
+    return Presentation(tuple(names), tuple(relators)), tuple(gen_images)
 
 
 # ---------------------------------------------------------------------------
@@ -780,11 +782,20 @@ class LiftData:
     evaluations: quotient relator index -> its value in the kernel, either a
         kernel word or a parameter name (undetermined exponent of the kernel
         generator; cyclic kernels only).
+    Each is kept as a read-only copy of the mapping given; anything else is
+    refused (TypeError).  extension_presentation checks the contents.
     """
 
-    lifts: dict[str, str]
-    conjugation: dict[tuple[str, str], Relator]
-    evaluations: dict[int, Relator | str] = field(default_factory=dict)
+    lifts: Mapping[str, str]
+    conjugation: Mapping[tuple[str, str], Relator]
+    evaluations: Mapping[int, Relator | str] = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name in ("lifts", "conjugation", "evaluations"):
+            value = getattr(self, name)
+            if not isinstance(value, Mapping):
+                raise TypeError(f"LiftData's {name} is a mapping, got {type(value).__name__}")
+            object.__setattr__(self, name, MappingProxyType(dict(value)))
 
 
 def _kernel_word(w, kernel: Presentation, what: str) -> Relator:

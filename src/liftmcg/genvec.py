@@ -212,9 +212,10 @@ def perm_to_half_twist_word(p: Perm) -> Relator:
 class VectorStabilizer:
     """The sigma in Sym(k) with act(u, sigma, v) = v for some u in units.
 
-    units must be a subgroup of the stabilizing units, else ValueError: all of
-    them give the liftable image H1, (1,) the centralizer image H2.  Nothing
-    is materialized.  H2 permutes equal entries, so its order is the product
+    units, kept as a tuple whatever sequence it is given as, must be a
+    subgroup of the stabilizing units, else ValueError: all of them give the
+    liftable image H1, (1,) the centralizer image H2.  Nothing is
+    materialized.  H2 permutes equal entries, so its order is the product
     of the factorials of the block sizes and |H1| = |H2| * |units|; the right
     coset H*g is labelled by the least unit multiple of the entries read
     through g, (u * c[g[i]] mod n)_i, because H*g = H*g' exactly when those
@@ -231,8 +232,9 @@ class VectorStabilizer:
     units: tuple[int, ...]
 
     def __post_init__(self):
-        n, units = _require_vector(self.vector, "VectorStabilizer").n, self.units
-        c = sorted(self.vector.c)
+        n = _require_vector(self.vector, "VectorStabilizer").n
+        object.__setattr__(self, "units", tuple(self.units))
+        units, c = self.units, sorted(self.vector.c)
         if (1 not in units or len(set(units)) != len(units)
                 or {a * b % n for a in units for b in units} != set(units)
                 or any(not 0 < u < n or sorted([u * x % n for x in c]) != c for u in units)):

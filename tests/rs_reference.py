@@ -21,16 +21,15 @@ from liftmcg.arith_perm import (
 from liftmcg.fpgroups import (
     Presentation,
     Relator,
-    SchreierInfo,
     evaluate_perm,
     render_word,
 )
 
 
 def reidemeister_schreier_full(p: Presentation, psi: dict[str, Perm],
-                               subgroup) -> tuple[Presentation, SchreierInfo]:
+                               subgroup) -> tuple[Presentation, tuple[Perm, ...]]:
     """Presentation of the psi-preimage of a subgroup of Sym(k), plus the
-    index and the Schreier generators' images.
+    Schreier generators' images, one per generator in order.
 
     psi's images must include every adjacent transposition of Sym(k), so psi
     is onto and the subgroup lies in its image; otherwise ValueError.  The
@@ -119,5 +118,5 @@ def reidemeister_schreier_full(p: Presentation, psi: dict[str, Perm],
             if letters:
                 relators.append(tuple(letters))
 
-    return Presentation(tuple(gen_images), tuple(relators)), SchreierInfo(index, gen_images)
+    return Presentation(tuple(gen_images), tuple(relators)), tuple(gen_images.values())
 

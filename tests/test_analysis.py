@@ -388,9 +388,11 @@ def clmod_over_the_units_action(genera) -> int:
             position = {u: i for i, u in enumerate(units)}
             regular = {u: tuple(position[u * w % n] for w in units) for u in units}
             psi = [regular[h1.unit_of(image)] for image in rep.lmod_images]
-            raw, info = reidemeister_schreier_full(rep.lmod_presentation, psi,
-                                                   PointStabilizer(len(units)))
-            assert info.index == len(units), ds
+            raw, images = reidemeister_schreier_full(rep.lmod_presentation, psi,
+                                                     PointStabilizer(len(units)))
+            # |U| cosets: |U| * (r - 1) + 1 generators from LMod's r
+            ngens = len(rep.lmod_presentation.generators)
+            assert len(images) == len(units) * (ngens - 1) + 1, ds
             assert abelianization(raw) == abelianization(rep.clmod_presentation), ds
             count += 1
     return count
@@ -573,10 +575,10 @@ def _raw_rs_digest(genera) -> tuple[int, str]:
             for subgroup in (stab.h1, stab.h2):
                 if subgroup.is_symmetric or subgroup.order == 1:
                     continue
-                raw, info = reidemeister_schreier_full(
+                raw, images = reidemeister_schreier_full(
                     mod_sphere_presentation(v.k), psi_images(v.k), subgroup)
-                images = sorted((name, list(img)) for name, img in info.generator_images.items())
-                line = json.dumps([presentation_json(raw), info.index, images])
+                named = sorted((name, list(img)) for name, img in zip(raw.generators, images))
+                line = json.dumps([presentation_json(raw), subgroup.index, named])
                 digest.update((line + "\n").encode())
                 count += 1
     return count, digest.hexdigest()

@@ -7,6 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import factorial, gcd
 
+import jsonschema
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from group_reference import (
     rename_presentation,
     same_relator_sets,
 )
+from liftmcg import schemas
 from liftmcg.arith_perm import (
     MAX_REWRITE_LETTERS,
     CapacityError,
@@ -129,6 +131,22 @@ def test_presentation_validates_letters():
     with pytest.raises(ValueError):
         Presentation(("",), ((1, 1),))
     assert Presentation(("a", "b"), ((1, 2, -1, -2), (), (-2, -2))).relators[2] == (-2, -2)
+
+
+def test_symbolic_exponent_is_a_nonempty_name():
+    # an int exponent rendered "F = F^5", read as a literal power, and its
+    # JSON failed the presentation schema; "" rendered "F = F^"
+    for param, error in ((5, TypeError), (None, TypeError), (("e1",), TypeError),
+                         ("", ValueError)):
+        with pytest.raises(error, match="symbolic exponent"):
+            Presentation(("F",), (), (SymbolicRelator((1,), 1, param),))
+    p = Presentation(("F",), (), (SymbolicRelator((1,), 1, "e1"),))
+    assert str(p) == "<F | F = F^e1>"
+    payload = {**presentation_json(p), "text": str(p)}
+    jsonschema.validate(payload, schemas._PRESENTATION)
+    payload["symbolic_relators"][0]["param"] = 5
+    with pytest.raises(jsonschema.ValidationError, match="5 is not of type 'string'"):
+        jsonschema.validate(payload, schemas._PRESENTATION)
 
 
 def test_presentation_stores_tuples():
@@ -392,8 +410,10 @@ def test_sphere_data_and_psi_checks_under_concurrent_workers():
 def test_mod_sphere_k3_index_of_trivial_subgroup():
     p = mod_sphere_presentation(3)
     psi = psi_images(3)
-    _, info = reidemeister_schreier_full(p, psi, closure([], 3))
-    assert info.index == 6
+    trivial = closure([], 3)
+    out, images = reidemeister_schreier_full(p, psi, trivial)
+    # 6 cosets: of the 6 * 2 edges, all but the 5 of the tree give a generator
+    assert trivial.index == 6 and len(images) == len(out.generators) == 7
 
 
 def test_mod_sphere_relators_die_in_symmetric_group():
@@ -468,10 +488,9 @@ def test_rs_index_one_is_renaming():
     for k in (3, 4, 5, 6):
         p = mod_sphere_presentation(k)
         psi = psi_images(k)
-        out, info = reidemeister_schreier_full(p, psi, closure(psi, k))
-        assert info.index == 1
+        out, images = reidemeister_schreier_full(p, psi, closure(psi, k))
         assert out.generators == tuple(f"x0_s{i}" for i in range(1, k))
-        assert tuple(info.generator_images.values()) == psi
+        assert images == psi
         assert out.relators == p.relators
         assert rename_presentation(out, {f"x0_{g}": g for g in p.generators}) == p
 
@@ -487,8 +506,8 @@ def test_rs_one_rewrite_per_cyclic_class():
     p = from_words(("s1", "s2"), (
         EMPTY, s1 ** 2, braid, s2 * s1 * s2.inv() * s1.inv() * s2.inv() * s1, braid.inv(),
         (s1 * s2) ** 3, s1 ** -2, EMPTY))
-    out, info = reidemeister_schreier_full(p, psi_images(3), closure([], 3))
-    assert info.index == 6
+    out, images = reidemeister_schreier_full(p, psi_images(3), closure([], 3))
+    assert len(images) == 6 * 2 - 5
     assert len(out.relators) == 3 + 6 + 6 + 6 + 2 + 3 == 26
     distinct = Presentation(p.generators, (p.relators[1], p.relators[2], p.relators[5]))
     distinct_out = reidemeister_schreier_full(distinct, psi_images(3), closure([], 3))[0]
@@ -536,9 +555,9 @@ def test_rs_schreier_rank_bookkeeping():
                  [perm_from_cycles([(1, 2), (3, 4)], 4)],
                  [transposition(2, 3, 4)]):
         H = closure(gens, 4)
-        out, info = reidemeister_schreier_full(p, psi, H)
-        assert len(out.generators) == info.index * len(p.generators) - (info.index - 1)
-        assert info.index * H.order == 24
+        out, images = reidemeister_schreier_full(p, psi, H)
+        assert len(images) == len(out.generators) == H.index * len(p.generators) - (H.index - 1)
+        assert H.index * H.order == 24
 
 
 def test_rs_generator_images_cover_generators_and_lie_in_subgroup():
@@ -550,11 +569,10 @@ def test_rs_generator_images_cover_generators_and_lie_in_subgroup():
                  [perm_from_cycles([(1, 2), (3, 4)], 4)],
                  [transposition(2, 3, 4)]):
         H = closure(gens, 4)
-        out, info = reidemeister_schreier_full(p, psi, H)
-        assert set(info.generator_images) == set(out.generators)
-        for image in info.generator_images.values():
+        out, images = reidemeister_schreier_full(p, psi, H)
+        assert len(images) == len(out.generators)
+        for image in images:
             assert image in H  # Schreier generators live in the subgroup
-        images = [info.generator_images[g] for g in out.generators]
         for r in out.relators:
             assert evaluate_perm(r, images, 4) == tuple(range(4))
 
@@ -599,18 +617,18 @@ def test_rs_takes_any_psi_whose_image_meets_every_coset():
     p = Presentation(("a", "b"), ((1, 1), (2, 2), (1, 2) * 3))
     psi = (transposition(1, 2, 4), transposition(2, 3, 4))
     rotation = closure([perm_from_cycles([(1, 2, 3, 4)], 4)], 4)
-    out, info = reidemeister_schreier_full(p, psi, rotation)
-    assert info.index == 6 and all(x in rotation for x in info.generator_images.values())
+    out, images = reidemeister_schreier_full(p, psi, rotation)
+    assert len(images) == 6 * 2 - 5 and all(x in rotation for x in images)
     # Sym(3) meets <(1 2 3 4)> in the identity alone: the preimage is trivial
     assert abelianization(out) == ((), 0)
     klein = closure([transposition(1, 2, 4), transposition(3, 4, 4)], 4)
     with pytest.raises(ValueError, match="^psi's images reach 3 of the subgroup's 6 cosets$"):
         reidemeister_schreier_full(p, psi, klein)
     # a 3-cycle's powers meet the 3 cosets of <(1 2)> in Sym(3)
-    out, info = reidemeister_schreier_full(Presentation(("a",), ((1, 1, 1),)),
-                                           (perm_from_cycles([(1, 2, 3)], 3),),
-                                           closure([transposition(1, 2, 3)], 3))
-    assert (info.index, abelianization(out)) == (3, ((), 0))
+    out, images = reidemeister_schreier_full(Presentation(("a",), ((1, 1, 1),)),
+                                             (perm_from_cycles([(1, 2, 3)], 3),),
+                                             closure([transposition(1, 2, 3)], 3))
+    assert (len(images), abelianization(out)) == (3 * 1 - 2, ((), 0))
     # the index is trusted: a walk past it stops at once, below it is refused
     for stated, message in ((2, "reach more than the subgroup's 2 cosets"),
                             (12, "reach 6 of the subgroup's 12 cosets")):
@@ -639,13 +657,12 @@ def test_rs_commutes_with_relabelling_the_points_genus_2_to_5():
                 def conjugated(x, g=g, g_inv=inverse(g)):
                     return compose(compose(g, x), g_inv)
 
-                out, info = reidemeister_schreier_full(p, psi_images(k), h)
+                out, images = reidemeister_schreier_full(p, psi_images(k), h)
                 moved = VectorStabilizer(act(1, g, v), h.units)
-                got, got_info = reidemeister_schreier_full(
+                got, got_images = reidemeister_schreier_full(
                     p, tuple(map(conjugated, psi_images(k))), moved)
-                assert (got, got_info.index) == (out, info.index), (ds, h.units, g)
-                assert dict(got_info.generator_images) == {
-                    name: conjugated(x) for name, x in info.generator_images.items()}
+                assert got == out, (ds, h.units, g)
+                assert got_images == tuple(map(conjugated, images))
     assert count == 85
 
 
@@ -657,12 +674,13 @@ def _free_on_half_twists(k):
 
 def test_rs_index_examples():
     p, psi = _free_on_half_twists(4)
-    assert reidemeister_schreier_full(p, psi, closure(psi, 4))[1].index == 1
+    # a subgroup of index i in the free group of rank r has rank i * (r - 1) + 1
+    assert len(reidemeister_schreier_full(p, psi, closure(psi, 4))[1]) == 1 * 2 + 1
     klein = closure([transposition(1, 2, 4), transposition(3, 4, 4)], 4)
-    assert reidemeister_schreier_full(p, psi, klein)[1].index == 6
+    assert len(reidemeister_schreier_full(p, psi, klein)[1]) == 6 * 2 + 1
     p3, psi3 = _free_on_half_twists(3)
     sub = closure([transposition(2, 3, 3)], 3)
-    assert reidemeister_schreier_full(p3, psi3, sub)[1].index == 3
+    assert len(reidemeister_schreier_full(p3, psi3, sub)[1]) == 3 * 1 + 1
 
 
 def test_rs_index_times_order_random():
@@ -672,9 +690,9 @@ def test_rs_index_times_order_random():
         sub_gens = [tuple(rng.sample(range(k), k)) for _ in range(rng.randrange(1, 3))]
         sub = closure(sub_gens, k)
         p, psi = _free_on_half_twists(k)
-        out, info = reidemeister_schreier_full(p, psi, sub)
-        assert info.index * sub.order == factorial(k)
-        assert len(out.generators) == info.index * (k - 1) - info.index + 1
+        out, images = reidemeister_schreier_full(p, psi, sub)
+        assert sub.index * sub.order == factorial(k)
+        assert len(images) == len(out.generators) == sub.index * (k - 1) - sub.index + 1
         assert not out.relators
 
 
@@ -720,12 +738,12 @@ def test_rs_memo_returns_one_result_per_subgroup_set():
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
     # the shared result is what a fresh rewrite builds, and it is read-only
     assert first == fpgroups._rewrite(p, psi, h1)
-    raw, schreier = first
+    raw, images = first
     with pytest.raises(TypeError):
-        schreier.generator_images["x0_s1"] = identity_perm(4)
+        images[0] = identity_perm(4)
     with pytest.raises(TypeError):
-        del schreier.generator_images[raw.generators[0]]
-    assert list(schreier.generator_images) == list(raw.generators)
+        del images[0]
+    assert len(images) == len(raw.generators)
 
 
 class _Unhashable:
@@ -796,6 +814,11 @@ _DS = parse_dataset("(7,0;(1,7),(2,7),(4,7))")
      "the kernel must be a Presentation, got NoneType"),
     (lambda: extension_presentation(_KERNEL, None, _LIFTS),
      "the quotient must be a Presentation, got NoneType"),
+    (lambda: LiftData(None, {}, {}), "LiftData's lifts is a mapping, got NoneType"),
+    (lambda: LiftData({"a": "G"}, [(("a", "F"), (1,))], {0: ()}),
+     "LiftData's conjugation is a mapping, got list"),
+    (lambda: LiftData({"a": "G"}, {("a", "F"): (1,)}, [()]),
+     "LiftData's evaluations is a mapping, got list"),
     (lambda: validate("x"), _DATA_SET),
     (lambda: doubled("x"), _DATA_SET),
     (lambda: canonical_form("x"), _DATA_SET),
@@ -811,6 +834,7 @@ _DS = parse_dataset("(7,0;(1,7),(2,7),(4,7))")
     (lambda: render_presentation("x"), "the presentation must be a Presentation, got str"),
 ], ids=["abelianization", "tietze", "rs-presentation", "rs-none-subgroup",
         "rs-subgroup-without-index", "extension-kernel", "extension-quotient",
+        "lift-data-lifts", "lift-data-conjugation", "lift-data-evaluations",
         "validate", "doubled", "canonical-form", "are-equivalent", "equivalence-witness",
         "render-dataset", "liftable-images", "act", "mod-equals-lmod", "vector-stabilizer",
         "stabilizer-bruteforce", "presentation-json", "render-presentation"])
@@ -1159,6 +1183,17 @@ def test_extension_refuses_a_letter_outside_the_kernel_or_an_unreduced_word():
     kernel, q, good = _one_word()
     assert extension_presentation(kernel, q, good).relators == (
         _f(6), (2, 2), (2, 1, -2, -1))
+
+
+def test_lift_data_keeps_read_only_copies():
+    lifts, conjugation, evaluations = {"x": "G"}, {("x", "F"): (1,)}, {0: ()}
+    data = LiftData(lifts, conjugation, evaluations)
+    lifts["y"], conjugation["y", "F"], evaluations[1] = "H", (1,), ()
+    assert data == LiftData({"x": "G"}, {("x", "F"): (1,)}, {0: ()})
+    for field_name in ("lifts", "conjugation", "evaluations"):
+        with pytest.raises(TypeError):
+            getattr(data, field_name)["y"] = "H"
+    assert LiftData({}, {}).evaluations == {}
 
 
 def test_extension_refuses_data_that_is_not_lift_data():

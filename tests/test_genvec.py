@@ -300,6 +300,19 @@ def test_vector_stabilizer_refuses_units_that_are_no_subgroup_of_the_fixing_ones
             VectorStabilizer(v, units)
 
 
+def test_vector_stabilizer_keeps_its_units_as_a_tuple():
+    # a list was kept: after units.append(3) the cached order stayed 2 while
+    # units named a unit that does not fix the vector
+    v = GeneratingVector(4, (1, 1, 2))
+    units = [1]
+    h = VectorStabilizer(v, units)
+    units.append(3)
+    assert type(h.units) is tuple and h.units == (1,) and h.order == 2
+    assert h == VectorStabilizer(v, (1,)) and hash(h) == hash(VectorStabilizer(v, (1,)))
+    with pytest.raises(ValueError, match=r"^units \(1, 3\) are no subgroup"):
+        VectorStabilizer(v, units)
+
+
 def test_half_twist_word_refuses_what_is_not_a_permutation():
     # (0, 0, 1) used to give the word () and (1, 1, 0) the word (1,)
     for p in ((0, 0, 1), (1, 1, 0), (5,)):
