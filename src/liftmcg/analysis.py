@@ -2,6 +2,8 @@
 presentations for the liftable/centralizer groups, normalizer and centralizer
 presentations over the covered surface, the check of those presentations in
 homology for the order-6 glued rotation, and the genus-3 classification table.
+The presentations of LMod and CLMod are fpgroups.preimage_presentation of H1
+and H2, which picks the route and keeps the memo on the subgroup.
 """
 
 from __future__ import annotations
@@ -13,31 +15,21 @@ from functools import lru_cache, reduce
 from math import gcd
 from types import MappingProxyType
 
-from .arith_perm import (
-    MAX_PMOD_SPHERE_DEGREE,
-    CapacityError,
-    InternalInvariantError,
-    Perm,
-    identity_perm,
-)
+from .arith_perm import InternalInvariantError, Perm, identity_perm
 from .datasets import DataSet, parse_dataset, require_dataset
 from .fpgroups import (
     PRESENTATION_MEMO_SIZE,
     LiftData,
     Presentation,
     Relator,
-    _rewrite,
-    _sphere_data,
     extension_presentation,
-    mod_sphere_presentation,
-    pmod_sphere_presentation,
+    preimage_presentation,
     presentation_json,
     psi_images,
     render_presentation,
     render_relator,
     render_word,
     sigma_names,
-    tietze_simplify,
 )
 from .genvec import (
     GroupDescriptor,
@@ -100,49 +92,17 @@ class AnalysisReport:
     flags: Mapping[str, bool]
 
 
-@lru_cache(maxsize=PRESENTATION_MEMO_SIZE)
-def _subgroup_presentation(subgroup) -> tuple[Presentation, tuple[Perm, ...], str]:
-    """Simplified presentation of the psi-preimage of a subgroup of Sym(k).
-
-    Index 1 is the full sphere mapping class group and the trivial subgroup
-    pulls back to the pure one, refused (CapacityError) before it is built
-    above MAX_PMOD_SPHERE_DEGREE marked points; both have known presentations,
-    so Reidemeister-Schreier runs only at intermediate index, as the core
-    _rewrite on _sphere_data(k), whose psi is checked once per degree, and
-    its output goes to tietze_simplify; only the simplified result is kept,
-    so the raw output is freed once it is simplified.  The images are a
-    tuple, one per generator of the presentation in order.  The result
-    depends on the subgroup only as a set, so it is memoized on the set,
-    keeping the PRESENTATION_MEMO_SIZE most recently used, and shared by
-    every report whose H1 or H2 it is.
-    """
-    k = subgroup.degree
-    if subgroup.is_symmetric:
-        # kept unsimplified: index 1 is the ambient presentation itself
-        p, images, kind = mod_sphere_presentation(k), psi_images(k), "mod_sphere"
-    elif subgroup.order == 1:
-        if k > MAX_PMOD_SPHERE_DEGREE:
-            raise CapacityError(f"{k} marked points exceed PMod's cap of {MAX_PMOD_SPHERE_DEGREE}")
-        p, kind = tietze_simplify(pmod_sphere_presentation(k)), "pmod_sphere"
-        images = (identity_perm(k),) * len(p.generators)
-    else:
-        raw, raw_images = _rewrite(*_sphere_data(k), subgroup)
-        p, kind = tietze_simplify(raw), "schreier"
-        image_of = dict(zip(raw.generators, raw_images))
-        images = tuple(image_of[name] for name in p.generators)
-    return p, images, kind
-
-
 def analyze(ds: DataSet) -> AnalysisReport:
     """Full pipeline: generating vector, stabilizer data, presentations of the
     liftable and centralizer preimages, classification when k = 3.
     OutOfScopeError for an invalid data set, g0 != 0 or genus < 2;
     TypeError for anything that is not a DataSet.
 
-    Memoized on the exact DataSet, like _subgroup_presentation: a repeat
-    call, normalizer_centralizer's included, returns the same read-only
-    report.  Anything else is refused before it reaches the memo.  A
-    refusal stores nothing, so it is raised afresh on every call.
+    Memoized on the exact DataSet, as preimage_presentation is on the
+    subgroup as a set: a repeat call, normalizer_centralizer's included,
+    returns the same read-only report.  Anything else is refused before it
+    reaches the memo.  A refusal stores nothing, so it is raised afresh on
+    every call.
     """
     return _report_memo(require_dataset(ds))
 
@@ -151,8 +111,8 @@ def _analyze(ds: DataSet) -> AnalysisReport:
     v = generating_vector(ds)
     genus = require_genus(v)
     stab = liftable_images(v)
-    lmod_p, lmod_images, lmod_kind = _subgroup_presentation(stab.h1)
-    clmod_p, clmod_images, clmod_kind = _subgroup_presentation(stab.h2)
+    lmod_p, lmod_images, lmod_kind = preimage_presentation(stab.h1)
+    clmod_p, clmod_images, clmod_kind = preimage_presentation(stab.h2)
     classification = _classify_h1(stab.h1, genus) if v.k == 3 else None
 
     flags = MappingProxyType({

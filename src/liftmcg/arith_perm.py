@@ -26,6 +26,7 @@ entries of least absolute value in the columns met by the fewest rows.
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Mapping
 from math import gcd, lcm
 
 Perm = tuple[int, ...]
@@ -35,8 +36,9 @@ MAX_MATERIALIZED = 2_000_000
 # bounds Reidemeister-Schreier's rewriting (fpgroups): index x the letters of
 # the relators it rewrites; no class of genus <= 12 predicts more than 7.3M
 MAX_REWRITE_LETTERS = 20_000_000
-# bounds the trivial-subgroup route (analysis): Tietze on PMod(S_{0,k}) grows as
-# k^6, 2.5 s at k = 24 on 2 vCPUs; no class of genus <= 30 takes it above k = 9
+# bounds fpgroups.preimage_presentation's trivial-subgroup route: Tietze on
+# PMod(S_{0,k}) grows as k^6, 2.5 s at k = 24 on 2 vCPUs; no class of genus
+# <= 30 takes it above k = 9
 MAX_PMOD_SPHERE_DEGREE = 24
 
 
@@ -147,8 +149,9 @@ def smith_normal_form(rows, ncols: int) -> tuple[tuple[int, ...], int]:
 
     Each row is a {column: value} dict, a relation on ncols unknowns with
     columns 0..ncols-1; the free rank is ncols - rank.  The rows are not
-    modified.  A column, value or ncols that is not an int raises TypeError,
-    a column out of range or ncols < 0 ValueError; a bool counts as 0 or 1.
+    modified.  A row that is not a mapping, or a column, value or ncols that
+    is not an int raises TypeError, a column out of range or ncols < 0
+    ValueError; a bool counts as 0 or 1.
 
     The reduction works on the sparse rows throughout (Havas-Holt-Rees,
     "Recognizing badly presented Z-modules", 1993).  Unit rows go first, as
@@ -169,6 +172,8 @@ def smith_normal_form(rows, ncols: int) -> tuple[tuple[int, ...], int]:
     # j -> (root, sign) for x_j = sign * x_root; (-1, 0) for x_j = 0
     link: dict[int, tuple[int, int]] = {}
     for i, row in enumerate(rows):
+        if not isinstance(row, Mapping):
+            raise TypeError(f"row {i} is not a mapping, got {type(row).__name__}")
         try:  # a sum of ints (bools among them) is an int, and only such a sum
             exact = type(sum(row)) is int and type(sum(row.values())) is int
         except TypeError:

@@ -14,16 +14,17 @@ matching arith_perm.compose).
 
 The degree-k data, mod_sphere_presentation(k), pmod_sphere_presentation(k)
 and psi_images(k) (a tuple, entry i - 1 the image of s_i), are built once
-per degree and kept for the life of the process; only an int k is memoized,
-so any other k is refused exactly as a fresh build refuses it.  A degree
-above MAX_BRANCH_POINTS is refused before anything is built.
+per degree and kept for the life of the process; a degree that is not an
+int, is too small or exceeds MAX_BRANCH_POINTS is refused before the memo
+is read.  Mod(S_{0,k}) checks psi_images(k) against its relators when built.
 
 Reidemeister-Schreier asks of psi, one image per generator in order, only
 that it kill every relator, and of a subgroup only its degree, index, coset
-labels and a hash and == by the set: the analysis passes genvec's vector
-stabilizers; it returns its generators' images as it takes psi's.  Its
-coset walk is the one check that psi's image meets every coset; the
-analysis calls its core, _rewrite, uncached on _sphere_data(k).
+labels and a hash and == by the set; it returns its generators' images as
+it takes psi's.  Its coset walk is the one check that psi's image meets
+every coset.  preimage_presentation, the one place that picks a route,
+presents the psi-preimage of a subgroup of Sym(k): Mod(S_{0,k}), PMod(S_{0,k})
+or the core _rewrite on Mod(S_{0,k}), simplified.
 A Presentation keeps its abelianization once computed.  Tietze
 simplification is deterministic; one engine writes a relator as a str of
 code points, one per letter, so that substitution, search and inversion are
@@ -46,6 +47,7 @@ from types import MappingProxyType
 
 from .arith_perm import (
     MAX_MATERIALIZED,
+    MAX_PMOD_SPHERE_DEGREE,
     MAX_REWRITE_LETTERS,
     CapacityError,
     InternalInvariantError,
@@ -61,7 +63,7 @@ from .datasets import MAX_BRANCH_POINTS
 Relator = tuple[int, ...]
 
 # the bound of every memo keyed on a presentation or a subgroup: the raw
-# Reidemeister-Schreier output, and analysis's simplified presentations and
+# Reidemeister-Schreier output, the simplified preimages, and analysis's
 # reports (the H1 and H2 of genus 10 alone are 70 subgroups)
 PRESENTATION_MEMO_SIZE = 128
 
@@ -206,11 +208,11 @@ def _require_presentation(p, what: str) -> Presentation:
 
 def render_relator(r: Relator, names: Sequence[str]) -> str:
     """r as an equation u = v, v^-1 being its maximal all-inverse suffix, or
-    as [a,b] = 1."""
+    as [a,b] = 1; ValueError for a letter outside +-1..+-len(names)."""
     if len(r) == 4:
         a, b, c, d = r
         if a > 0 and b > 0 and c == -a and d == -b and a != b:
-            return f"[{names[a - 1]},{names[b - 1]}] = 1"
+            return f"[{render_word((a,), names)},{render_word((b,), names)}] = 1"
     cut = len(r)
     while cut > 0 and r[cut - 1] < 0:
         cut -= 1
@@ -252,20 +254,6 @@ def presentation_json(p: Presentation) -> dict:
 # sphere mapping class group presentations
 
 
-def _per_degree(build):
-    """build, memoized on an int k for the life of the process; any other k
-    (4.0 equals 4 and hashes alike) goes to build uncached, so it is refused
-    exactly as a fresh build refuses it.  A build that raises stores nothing."""
-    memo = cache(build)
-
-    @wraps(build)
-    def per_degree(k):
-        return memo(k) if type(k) is int else build(k)
-
-    per_degree.cache_clear = memo.cache_clear
-    return per_degree
-
-
 def _require_degree(k: int, least: int) -> None:
     """Refuse a degree k that is not an int (TypeError), is below least
     (ValueError) or exceeds MAX_BRANCH_POINTS (CapacityError); a bool counts
@@ -278,15 +266,32 @@ def _require_degree(k: int, least: int) -> None:
         raise CapacityError(f"{k} marked points exceed the cap of {MAX_BRANCH_POINTS}")
 
 
+def _per_degree(least: int):
+    """A builder of degree-k data, memoized on k for the life of the process.
+    _require_degree(k, least) runs before the memo is read, so a k it refuses
+    (4.0 equals 4 and hashes alike) is refused whatever is cached.  A build
+    that raises stores nothing."""
+    def wrap(build):
+        memo = cache(build)
+
+        @wraps(build)
+        def per_degree(k):
+            _require_degree(k, least)
+            return memo(k)
+
+        per_degree.cache_clear = memo.cache_clear
+        return per_degree
+    return wrap
+
+
 def sigma_names(k: int) -> list[str]:
     return [f"s{i}" for i in range(1, k)]
 
 
-@_per_degree
+@_per_degree(2)
 def psi_images(k: int) -> tuple[Perm, ...]:
     """The marked-point action of the half-twist generators: entry i - 1 is
     the image (i, i+1) of s_i, generator i of mod_sphere_presentation(k)."""
-    _require_degree(k, 2)
     return tuple(transposition(i, i + 1, k) for i in range(1, k))
 
 
@@ -299,27 +304,39 @@ def psi_image(r: Relator, k: int) -> Perm:
     return _product(r, images, k)
 
 
-@_per_degree
+def _check_psi(p: Presentation, images: tuple[Perm, ...], degree: int) -> None:
+    """psi's images must have the degree and kill every relator of p (whose
+    letters p checked), else ValueError, in that order; RS's walk checks the rest."""
+    if any(len(x) != degree for x in images):
+        raise ValueError(f"psi's images must have degree {degree}")
+    identity = identity_perm(degree)
+    for r in p.relators:
+        if _product(r, images, degree) != identity:
+            raise ValueError(f"psi does not kill the relator {render_word(r, p.generators)}")
+
+
+@_per_degree(3)
 def mod_sphere_presentation(k: int) -> Presentation:
     """Half-twist presentation of the mapping class group of a k-marked
     sphere; generator i is s_i.  Each far commutator [s_i, s_j], j > i + 1,
-    is listed once."""
-    _require_degree(k, 3)
+    is listed once.  psi_images(k) is checked to kill every relator when the
+    presentation is built, so once per degree."""
     far = [(i, j, -i, -j) for i in range(1, k) for j in range(i + 2, k)]
     braid = [(i, i + 1, i, -i - 1, -i, -i - 1) for i in range(1, k - 1)]
     full = tuple(range(1, k))  # s_1 s_2 ... s_{k-1}
-    return Presentation(sigma_names(k), far + braid + [full * k, full + full[::-1]])
+    p = Presentation(sigma_names(k), far + braid + [full * k, full + full[::-1]])
+    _check_psi(p, psi_images(k), k)
+    return p
 
 
 def a_name(i: int, j: int) -> str:
     return f"a{i}{j}"
 
 
-@_per_degree
+@_per_degree(3)
 def pmod_sphere_presentation(k: int) -> Presentation:
     """Pure mapping class group of the k-marked sphere on generators a_ij,
     1 <= i < j < k, numbered in that (i, j) order."""
-    _require_degree(k, 3)
     pairs = list(combinations(range(1, k), 2))
     a = {ij: n for n, ij in enumerate(pairs, start=1)}
     disjoint, nested, crossed = [], [], []
@@ -347,26 +364,6 @@ def _right_multiplier(g: Perm) -> Callable[[Perm], Perm]:
     return itemgetter(*g) if len(g) > 1 else lambda p: compose(p, g)
 
 
-def _check_psi(p: Presentation, images: tuple[Perm, ...], degree: int) -> None:
-    """psi's images must have the degree and kill every relator of p (whose
-    letters p checked), else ValueError, in that order; the walk checks the rest."""
-    if any(len(x) != degree for x in images):
-        raise ValueError(f"psi's images must have degree {degree}")
-    identity = identity_perm(degree)
-    for r in p.relators:
-        if _product(r, images, degree) != identity:
-            raise ValueError(f"psi does not kill the relator {render_word(r, p.generators)}")
-
-
-@_per_degree
-def _sphere_data(k: int) -> tuple[Presentation, tuple[Perm, ...]]:
-    """(mod_sphere_presentation(k), psi_images(k)), psi checked once per
-    degree: the pair the analysis rewrites over."""
-    p, images = mod_sphere_presentation(k), psi_images(k)
-    _check_psi(p, images, k)
-    return p, images
-
-
 def reidemeister_schreier_full(p: Presentation, images: Sequence[Perm],
                                subgroup) -> tuple[Presentation, tuple[Perm, ...]]:
     """Presentation of the psi-preimage of a subgroup H of Sym(k), and a tuple
@@ -376,8 +373,8 @@ def reidemeister_schreier_full(p: Presentation, images: Sequence[Perm],
     Mapping, or a subgroup that is unhashable or lacks ``degree``, ``index``
     or ``coset_key(g)`` (a label equal for g and g' exactly when H*g =
     H*g'), and ValueError for a count of images other than p's generators'.
-    Any such subgroup whose == means the same set serves (the analysis
-    passes a genvec.VectorStabilizer).
+    Any such subgroup whose == means the same set serves, as a
+    genvec.VectorStabilizer does.
 
     The rest is memoized on (p, images, subgroup), keeping the
     PRESENTATION_MEMO_SIZE most recently used: a call that raises stores
@@ -412,10 +409,15 @@ def reidemeister_schreier_full(p: Presentation, images: Sequence[Perm],
     except TypeError:
         raise TypeError("the subgroup must be hashable, with == meaning the same set, "
                         f"got {type(subgroup).__name__}") from None
-    if not all(hasattr(subgroup, name) for name in ("degree", "index", "coset_key")):
-        raise TypeError("the subgroup needs degree, index and coset_key, "
-                        f"got {type(subgroup).__name__}")
+    _require_subgroup(subgroup, ("degree", "index", "coset_key"))
     return _rs_memo(p, images, subgroup)
+
+
+def _require_subgroup(subgroup, needs: tuple[str, ...]) -> None:
+    """TypeError unless the subgroup has every attribute that needs names."""
+    if not all(hasattr(subgroup, name) for name in needs):
+        raise TypeError(f"the subgroup needs {', '.join(needs[:-1])} and {needs[-1]}, "
+                        f"got {type(subgroup).__name__}")
 
 
 @lru_cache(maxsize=PRESENTATION_MEMO_SIZE)
@@ -747,6 +749,39 @@ def _identify_short_generators(n: int, relators: Sequence[Relator]) -> tuple[lis
             rels[t] = tuple(out)
         todo = [t for t, r in enumerate(rels) if not gone.isdisjoint(r)]
     return rels, gone
+
+
+# ---------------------------------------------------------------------------
+# psi-preimages
+
+
+@lru_cache(maxsize=PRESENTATION_MEMO_SIZE)
+def preimage_presentation(subgroup) -> tuple[Presentation, tuple[Perm, ...], str]:
+    """(presentation, images, kind) of the psi-preimage in Mod(S_{0,k}) of a
+    subgroup of Sym(k), such as a genvec.VectorStabilizer; the images are a
+    tuple, one marked-point image per generator in order.  Index 1 gives
+    Mod(S_{0,k}) unsimplified ("mod_sphere"); the trivial subgroup gives
+    PMod(S_{0,k}) simplified ("pmod_sphere"), refused (CapacityError) before
+    it is built above MAX_PMOD_SPHERE_DEGREE marked points; any other gives
+    _rewrite on Mod(S_{0,k}) and psi_images(k), uncached, then
+    tietze_simplify ("schreier"), the survivors keeping their raw images.
+    TypeError for a subgroup that is unhashable or lacks an attribute read
+    here.  Memoized on the subgroup as a set, keeping the
+    PRESENTATION_MEMO_SIZE most recently used; a refusal stores nothing.
+    """
+    _require_subgroup(subgroup, ("degree", "is_symmetric", "order", "index", "coset_key"))
+    k = subgroup.degree
+    if subgroup.is_symmetric:
+        return mod_sphere_presentation(k), psi_images(k), "mod_sphere"
+    if subgroup.order == 1:
+        if k > MAX_PMOD_SPHERE_DEGREE:
+            raise CapacityError(f"{k} marked points exceed PMod's cap of {MAX_PMOD_SPHERE_DEGREE}")
+        p = tietze_simplify(pmod_sphere_presentation(k))
+        return p, (identity_perm(k),) * len(p.generators), "pmod_sphere"
+    raw, raw_images = _rewrite(mod_sphere_presentation(k), psi_images(k), subgroup)
+    p = tietze_simplify(raw)
+    image_of = dict(zip(raw.generators, raw_images))
+    return p, tuple(image_of[name] for name in p.generators), "schreier"
 
 
 # ---------------------------------------------------------------------------

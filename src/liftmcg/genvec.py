@@ -114,11 +114,15 @@ def require_genus(v: GeneratingVector) -> int:
 
 
 def act(unit: int, sigma: Perm, v: GeneratingVector) -> GeneratingVector:
-    """Left action: entry j is multiplied by the unit and moved to sigma(j)."""
+    """Left action: entry j is multiplied by the unit and moved to sigma(j).
+    ValueError for a unit that is not one mod n, or a sigma of another
+    degree or that is no permutation of 0..k-1."""
     if gcd(unit, _require_vector(v, "act").n) != 1:
         raise ValueError(f"{unit} is not a unit mod {v.n}")
     if len(sigma) != v.k:
         raise ValueError(f"permutation degree {len(sigma)} != {v.k}")
+    if sorted(sigma) != list(range(v.k)):
+        raise ValueError(f"{sigma} is not a permutation of 0..{v.k - 1}")
     out = [0] * v.k
     for j, x in enumerate(v.c):
         out[sigma[j]] = unit * x % v.n
@@ -221,6 +225,7 @@ class VectorStabilizer:
     through g, (u * c[g[i]] mod n)_i, because H*g = H*g' exactly when those
     labels agree.  The generators are the adjacent transpositions inside each
     block of equal entries followed by the unit permutations other than 1.
+    A unit that is not an int, a bool included, raises TypeError.
 
     Equality is that of the set of sigma, so stabilizers of different
     vectors compare equal when they are the same subgroup of Sym(k): the
@@ -234,6 +239,8 @@ class VectorStabilizer:
     def __post_init__(self):
         n = _require_vector(self.vector, "VectorStabilizer").n
         object.__setattr__(self, "units", tuple(self.units))
+        if any(type(u) is not int for u in self.units):
+            raise TypeError(f"the units must be ints, got {self.units!r}")
         units, c = self.units, sorted(self.vector.c)
         if (1 not in units or len(set(units)) != len(units)
                 or {a * b % n for a in units for b in units} != set(units)

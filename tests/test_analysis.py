@@ -38,6 +38,7 @@ from liftmcg.fpgroups import (
     evaluate_perm,
     mod_sphere_presentation,
     pmod_sphere_presentation,
+    preimage_presentation,
     presentation_json,
     psi_images,
     reidemeister_schreier_full,
@@ -54,7 +55,6 @@ from liftmcg.genvec import (
 )
 from liftmcg.analysis import (
     _report_memo,
-    _subgroup_presentation,
     analyze,
     balanced_superelliptic_shape,
     doubled_shape,
@@ -144,18 +144,18 @@ def test_analyze_refuses_the_pmod_route_past_its_cap():
 def test_pmod_route_cap_is_checked_before_building(monkeypatch):
     # at the cap the route runs, one past it nothing is built; Tietze is
     # skipped, since the cap is on the degree alone
-    monkeypatch.setattr(analysis_module, "tietze_simplify", lambda p: p)
+    monkeypatch.setattr(fpgroups, "tietze_simplify", lambda p: p)
     at_cap = _distinct_residues_mod_61((*range(1, 24), 29))
     past_cap = _distinct_residues_mod_61((*range(1, 20), *range(21, 25), 26, 60))
     h2 = liftable_images(generating_vector(at_cap)).h2
     assert (h2.order, h2.degree) == (1, MAX_PMOD_SPHERE_DEGREE)
-    p, _, kind = _subgroup_presentation.__wrapped__(h2)
+    p, _, kind = preimage_presentation.__wrapped__(h2)
     assert kind == "pmod_sphere" and p is pmod_sphere_presentation(MAX_PMOD_SPHERE_DEGREE)
     h2 = liftable_images(generating_vector(past_cap)).h2
     assert (h2.order, h2.degree) == (1, MAX_PMOD_SPHERE_DEGREE + 1)
-    monkeypatch.setattr(analysis_module, "pmod_sphere_presentation", None)
+    monkeypatch.setattr(fpgroups, "pmod_sphere_presentation", None)
     with pytest.raises(CapacityError, match="^25 marked points exceed"):
-        _subgroup_presentation.__wrapped__(h2)
+        preimage_presentation.__wrapped__(h2)
 
 
 def test_pmod_route_of_every_class_to_genus_30_is_under_the_cap():
@@ -350,20 +350,28 @@ def _raw_presentation(k, subgroup):
     return reidemeister_schreier_full(mod_sphere_presentation(k), psi_images(k), subgroup)[0]
 
 
-def test_raw_and_simplified_abelianizations_agree_genus_2_to_6():
-    # includes H2 of (4,0;(1,2)_2,(1,4)_2,(3,4)_2), a 1620 x 361 relation
-    # matrix, and H1 and H2 of (4,0;(1,2)_3,(1,4)_3,(3,4)), 3780 x 701
-    fpgroups._rs_memo.cache_clear()
+def raw_and_simplified_abelianizations_agree(genera) -> int:
+    """Check, on H1 and H2 of every class of the genera, that the raw
+    presentation of the preimage and analyze's simplified one have the same
+    abelianization.  Returns the number of preimages checked."""
     count = 0
-    for genus in (2, 3, 4, 5, 6):
+    for genus in genera:
         for ds in enumerate_spherical(genus):
             rep = analyze(ds)
             for subgroup, simplified in ((rep.stab.h1, rep.lmod_presentation),
                                          (rep.stab.h2, rep.clmod_presentation)):
-                raw = _raw_presentation(rep.stab.h1.vector.k, subgroup)
-                assert abelianization(raw) == abelianization(simplified), ds
+                raw = _raw_presentation(subgroup.degree, subgroup)
+                assert abelianization(raw) == abelianization(simplified), (str(ds), subgroup)
                 count += 1
-    assert count == 218
+    return count
+
+
+def test_raw_and_simplified_abelianizations_agree_genus_2_to_6():
+    # includes H2 of (4,0;(1,2)_2,(1,4)_2,(3,4)_2), a 1620 x 361 relation
+    # matrix, and H1 and H2 of (4,0;(1,2)_3,(1,4)_3,(3,4)), 3780 x 701; CI
+    # runs genus 7-8 (194 preimages)
+    fpgroups._rs_memo.cache_clear()
+    assert raw_and_simplified_abelianizations_agree((2, 3, 4, 5, 6)) == 218
     # 142 preimages are Reidemeister-Schreier output, of 38 distinct subgroups:
     # H2 = H1 when [N:C] = 1, and subgroups recur across classes
     info = fpgroups._rs_memo.cache_info()
@@ -414,22 +422,22 @@ def test_memoized_reports_match_cold_runs_genus_2_to_6():
     classes = [ds for genus in (2, 3, 4, 5, 6) for ds in enumerate_spherical(genus)]
     cold = {}
     for ds in classes:
-        _subgroup_presentation.cache_clear()
+        preimage_presentation.cache_clear()
         _report_memo.cache_clear()
         cold[ds] = _report_bytes(ds)
-    _subgroup_presentation.cache_clear()
+    preimage_presentation.cache_clear()
     _report_memo.cache_clear()
     random.Random(9).shuffle(classes)
     for ds in classes:
         assert _report_bytes(ds) == cold[ds], ds
-    info = _subgroup_presentation.cache_info()
+    info = preimage_presentation.cache_info()
     assert info.misses == 47 and info.hits == 2 * 109 - 47
     reports = _report_memo.cache_info()
     assert (reports.hits, reports.misses, reports.currsize) == (0, 109, 109)
     # a second sweep reads every report from its memo, and no subgroup
     for ds in classes:
         assert _report_bytes(ds) == cold[ds], ds
-    assert _subgroup_presentation.cache_info() == info
+    assert preimage_presentation.cache_info() == info
     reports = _report_memo.cache_info()
     assert (reports.hits, reports.misses, reports.currsize) == (109, 109, 109)
 
@@ -443,7 +451,7 @@ def test_memoized_reports_under_concurrent_workers():
         random.Random(seed).shuffle(order)
         return all(_report_bytes(ds) == expected[ds] for ds in order)
 
-    _subgroup_presentation.cache_clear()
+    preimage_presentation.cache_clear()
     _report_memo.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -453,7 +461,7 @@ def test_memoized_reports_under_concurrent_workers():
             assert all(f.result(timeout=120) for f in futures)
     finally:
         sys.setswitchinterval(interval)
-    assert _subgroup_presentation.cache_info().currsize == 26  # distinct subgroups
+    assert preimage_presentation.cache_info().currsize == 26  # distinct subgroups
     # every class is a miss at least once; two workers may both miss on one
     reports = _report_memo.cache_info()
     assert reports.currsize == len(classes)
@@ -478,7 +486,7 @@ def test_analyze_returns_the_memoized_report():
     info = _report_memo.cache_info()
     assert (info.hits, info.misses, info.currsize) == (3, 2, 2)
     assert info.maxsize == analysis_module.PRESENTATION_MEMO_SIZE == 128
-    assert _subgroup_presentation.cache_info().maxsize == 128
+    assert preimage_presentation.cache_info().maxsize == 128
     assert fpgroups._rs_memo.cache_info().maxsize == 128
 
 

@@ -159,6 +159,10 @@ def test_snf_refuses_what_is_not_an_int():
             smith_normal_form(rows, ncols)
     with pytest.raises(TypeError, match="row 1"):
         smith_normal_form([{0: 2}, {1: 3.0}], 2)
+    # a row that is not a mapping used to raise AttributeError
+    for row in ([1, 2], (0,), {1, 2}):
+        with pytest.raises(TypeError, match=f"^row 0 is not a mapping, got {type(row).__name__}$"):
+            smith_normal_form([row], 2)
     for ncols in (2.0, True, "2"):
         with pytest.raises(TypeError, match="ncols must be an int"):
             smith_normal_form([{0: 2}], ncols)

@@ -11,7 +11,7 @@ import jsonschema
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liftmcg import analysis, schemas
+from liftmcg import analysis, fpgroups, schemas
 from liftmcg.arith_perm import CapacityError
 from liftmcg.cli import main
 from liftmcg.datasets import (
@@ -388,7 +388,7 @@ def test_analyze_and_present_print_alike_whichever_verb_ran_first(capsys):
             cold, after_other = {}, {}
             for verb, other in (("analyze", "present"), ("present", "analyze")):
                 analysis._report_memo.cache_clear()
-                analysis._subgroup_presentation.cache_clear()
+                fpgroups.preimage_presentation.cache_clear()
                 cold[verb] = run(capsys, verb, "--format", fmt, text)
                 after_other[other] = run(capsys, other, "--format", fmt, text)
                 assert analysis._report_memo.cache_info()[:2] == (1, 1)  # (hits, misses)

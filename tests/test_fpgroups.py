@@ -49,6 +49,7 @@ from liftmcg.fpgroups import (
     extension_presentation,
     mod_sphere_presentation,
     pmod_sphere_presentation,
+    preimage_presentation,
     presentation_json,
     psi_image,
     psi_images,
@@ -95,6 +96,10 @@ def test_word_helpers_refuse_a_letter_past_their_generators():
     for bad in ((0,), (2,), (-2,), (True,), (1, 1, 0)):
         with pytest.raises(ValueError, match=r"^word letter .* is not one of \+-1\.\.\+-1$"):
             render_word(bad, ("a",))
+    # a commutator letter past the names raised IndexError
+    for bad in ((1, 2, -1, -2), (2, 1, -2, -1), (1, -2), (0,)):
+        with pytest.raises(ValueError, match=r"^word letter .* is not one of \+-1\.\.\+-1$"):
+            render_relator(bad, ("a",))
     assert evaluate_perm((1, -3), psi, 4) == compose(psi[0], inverse(psi[2]))
 
 
@@ -231,18 +236,16 @@ def test_sphere_builders_match_the_by_name_reference(monkeypatch):
 
 def test_sphere_builders_refuse_a_non_int_degree_whatever_is_cached():
     # 4.0 == 4 and hashes alike, so a memo keyed on k alone would answer it
-    # with the cached degree-4 data; each refusal is the unmemoized build's
+    # with the cached degree-4 data; the degree is checked before the memo
     for build in (mod_sphere_presentation, pmod_sphere_presentation, psi_images):
         build(4)
-        for k in (4.0, "4", [4]):
-            with pytest.raises(TypeError) as cached:
-                build(k)
-            with pytest.raises(TypeError) as fresh:
-                build.__wrapped__(k)
-            assert str(cached.value) == str(fresh.value)
-        for k in (1.0, 2.0, 4.0):  # below the bound or not, the same refusal
-            with pytest.raises(TypeError, match=f"^the degree k must be an int, got {k}$"):
-                build(k)
+        for _ in range(2):  # with degree 4 cached, then with nothing cached
+            # below the bound or not, the same refusal
+            for k in (4.0, "4", [4], 1.0, 2.0):
+                with pytest.raises(TypeError) as err:
+                    build(k)
+                assert str(err.value) == f"the degree k must be an int, got {k!r}"
+            build.cache_clear()
     assert psi_image((1,), 4) == transposition(1, 2, 4)
     with pytest.raises(TypeError, match=r"^the degree k must be an int, got 4\.0$"):
         psi_image((1,), 4.0)
@@ -250,7 +253,7 @@ def test_sphere_builders_refuse_a_non_int_degree_whatever_is_cached():
         mod_sphere_presentation(True)
     # psi used to give an empty mapping, (), or (0,) for these degrees
     for k in (True, 1, 0, -2):
-        for build in (psi_images, psi_images.__wrapped__, lambda k: psi_image((), k)):
+        for build in (psi_images, lambda k: psi_image((), k)):
             with pytest.raises(ValueError, match=f"^need k >= 2 marked points, got {k}$"):
                 build(k)
     assert psi_images(2) == ((1, 0),) and psi_image((), 2) == (0, 1)
@@ -368,22 +371,22 @@ def test_rewrite_volume_of_every_class_to_genus_12_is_under_the_cap():
 
 def test_sphere_data_and_psi_checks_under_concurrent_workers():
     # a failing pair must never be remembered as checked, and every thread
-    # must get the data a fresh build gives, psi's checked pair included
+    # must get the data a fresh build gives, Mod(S_{0,k}) checking psi as it
+    # is built
     from liftmcg import fpgroups
 
     p, psi = mod_sphere_presentation(4), psi_images(4)
     klein = closure([transposition(1, 2, 4), transposition(3, 4, 4)], 4)
     good = reidemeister_schreier_full(p, psi, klein)
     shuffled = (transposition(2, 3, 4), transposition(1, 2, 4), transposition(3, 4, 4))
-    fresh = {k: mod_sphere_presentation.__wrapped__(k) for k in range(3, 10)}
+    fresh = {k: (mod_sphere_presentation.__wrapped__(k), psi_images.__wrapped__(k))
+             for k in range(3, 10)}
 
     def worker(seed):
         rng = random.Random(seed)
         for _ in range(60):
             k = rng.randrange(3, 10)
-            if mod_sphere_presentation(k) != fresh[k]:
-                return False
-            if fpgroups._sphere_data(k) != (fresh[k], psi_images(k)):
+            if (mod_sphere_presentation(k), psi_images(k)) != fresh[k]:
                 return False
             if rng.random() < 0.5:
                 if reidemeister_schreier_full(p, list(psi), klein) != good:
@@ -394,7 +397,8 @@ def test_sphere_data_and_psi_checks_under_concurrent_workers():
         return True
 
     fpgroups._rs_memo.cache_clear()
-    fpgroups._sphere_data.cache_clear()
+    mod_sphere_presentation.cache_clear()
+    psi_images.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -763,8 +767,10 @@ def test_rs_memo_stores_no_refusal(monkeypatch):
     good = reidemeister_schreier_full(p, psi, klein)
     held = fpgroups._rs_memo.cache_info().currsize
     shuffled = (transposition(2, 3, 4), transposition(1, 2, 4), transposition(3, 4, 4))
-    # genus 40, k = 42: past the rewrite-volume cap
+    # genus 40, k = 42: past the rewrite-volume cap; Mod(S_{0,42}) checks
+    # psi once, as it is built
     k42 = liftable_images(generating_vector(parse_dataset("(3,0;(1,3)_39,(2,3)_3)"))).h1
+    p42 = mod_sphere_presentation(42)
     checked, real = [], fpgroups._check_psi
     monkeypatch.setattr(fpgroups, "_check_psi",
                         lambda p, images, degree: checked.append(images) or real(p, images, degree))
@@ -772,7 +778,7 @@ def test_rs_memo_stores_no_refusal(monkeypatch):
         with pytest.raises(ValueError, match="does not kill the relator"):
             reidemeister_schreier_full(p, shuffled, klein)
         with pytest.raises(CapacityError, match="predicted cosets exceeds the cap"):
-            reidemeister_schreier_full(mod_sphere_presentation(42), psi_images(42), k42)
+            reidemeister_schreier_full(p42, psi_images(42), k42)
         with pytest.raises(TypeError) as err:
             reidemeister_schreier_full(p, psi, _Unhashable())
         assert str(err.value) == ("the subgroup must be hashable, with == meaning the "
@@ -829,19 +835,27 @@ _DS = parse_dataset("(7,0;(1,7),(2,7),(4,7))")
     (lambda: act(1, (0, 1, 2), "x"), "act reads a GeneratingVector, got str"),
     (lambda: mod_equals_lmod(None), "mod_equals_lmod reads a GeneratingVector, got NoneType"),
     (lambda: VectorStabilizer(_DS, (1,)), "VectorStabilizer reads a GeneratingVector, got DataSet"),
+    (lambda: VectorStabilizer(generating_vector(_DS), (1.0,)), "the units must be ints, got (1.0,)"),
+    (lambda: VectorStabilizer(generating_vector(_DS), (True,)), "the units must be ints, got (True,)"),
     (lambda: stabilizer_bruteforce("x"), "stabilizer_bruteforce reads a GeneratingVector, got str"),
     (lambda: presentation_json(_DS), "the presentation must be a Presentation, got DataSet"),
     (lambda: render_presentation("x"), "the presentation must be a Presentation, got str"),
+    (lambda: preimage_presentation(None),
+     "the subgroup needs degree, is_symmetric, order, index and coset_key, got NoneType"),
 ], ids=["abelianization", "tietze", "rs-presentation", "rs-none-subgroup",
         "rs-subgroup-without-index", "extension-kernel", "extension-quotient",
         "lift-data-lifts", "lift-data-conjugation", "lift-data-evaluations",
         "validate", "doubled", "canonical-form", "are-equivalent", "equivalence-witness",
         "render-dataset", "liftable-images", "act", "mod-equals-lmod", "vector-stabilizer",
-        "stabilizer-bruteforce", "presentation-json", "render-presentation"])
+        "vector-stabilizer-float-unit", "vector-stabilizer-bool-unit",
+        "stabilizer-bruteforce", "presentation-json", "render-presentation",
+        "preimage-presentation"])
 def test_entry_points_refuse_the_wrong_type_before_any_work(monkeypatch, call, message):
-    # each raised AttributeError from deep inside; no check of psi is reached
+    # each raised AttributeError from deep inside, or took its wrong type; no
+    # check of psi is reached (Mod(S_{0,4}) checks its own as it is built)
     from liftmcg import fpgroups
 
+    mod_sphere_presentation(4)
     monkeypatch.setattr(fpgroups, "_check_psi", lambda *args: pytest.fail("psi was checked"))
     with pytest.raises(TypeError) as err:
         call()
@@ -850,13 +864,13 @@ def test_entry_points_refuse_the_wrong_type_before_any_work(monkeypatch, call, m
 
 
 def test_analysis_checks_psi_once_per_degree(monkeypatch):
-    # on the Schreier route the analysis rewrites over _sphere_data(k), whose
-    # psi is checked once per degree, whatever the subgroup
+    # on the Schreier route the analysis rewrites over mod_sphere_presentation(k),
+    # which checks psi once per degree as it is built, whatever the subgroup
     from liftmcg import fpgroups
-    from liftmcg.analysis import _report_memo, _subgroup_presentation, analyze
+    from liftmcg.analysis import _report_memo, analyze
 
-    fpgroups._sphere_data.cache_clear()
-    _subgroup_presentation.cache_clear()
+    mod_sphere_presentation.cache_clear()
+    fpgroups.preimage_presentation.cache_clear()
     _report_memo.cache_clear()
     checked, real = [], fpgroups._check_psi
     monkeypatch.setattr(fpgroups, "_check_psi",
@@ -865,12 +879,11 @@ def test_analysis_checks_psi_once_per_degree(monkeypatch):
     for genus in (2, 3, 4, 5, 6):
         for ds in enumerate_spherical(genus):
             rep = analyze(ds)
-            if "schreier" in (rep.lmod_kind, rep.clmod_kind):
+            if {"schreier", "mod_sphere"} & {rep.lmod_kind, rep.clmod_kind}:
                 degrees.add(rep.stab.h1.degree)
-    assert sorted(checked) == sorted(degrees) == [3, 4, 5, 6, 7, 8]
-    assert fpgroups._sphere_data(4) == (mod_sphere_presentation(4), psi_images(4))
+    assert sorted(checked) == sorted(degrees) == [3, 4, 5, 6, 7, 8, 10, 12, 14]
     # a good call through the public entry does not excuse a bad psi after it
-    p, psi = fpgroups._sphere_data(4)
+    p, psi = mod_sphere_presentation(4), psi_images(4)
     klein = closure([transposition(1, 2, 4), transposition(3, 4, 4)], 4)
     reidemeister_schreier_full(p, psi, klein)
     shuffled = (transposition(2, 3, 4), transposition(1, 2, 4), transposition(3, 4, 4))
@@ -883,15 +896,15 @@ def test_analysis_leaves_the_rs_memo_empty():
     # the analysis keeps only the simplified presentation, so its raw
     # Reidemeister-Schreier output is never held
     from liftmcg import fpgroups
-    from liftmcg.analysis import _report_memo, _subgroup_presentation, analyze
+    from liftmcg.analysis import _report_memo, analyze
 
     fpgroups._rs_memo.cache_clear()
-    _subgroup_presentation.cache_clear()
+    fpgroups.preimage_presentation.cache_clear()
     _report_memo.cache_clear()
     for genus in (2, 3, 4, 5, 6):
         for ds in enumerate_spherical(genus):
             analyze(ds)
-    assert _subgroup_presentation.cache_info().misses == 47
+    assert fpgroups.preimage_presentation.cache_info().misses == 47
     info = fpgroups._rs_memo.cache_info()
     assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
@@ -943,15 +956,24 @@ def test_tietze_examples():
     assert len(t.generators) == 2 and not t.relators
 
 
-def test_tietze_output_on_pmod_sphere_is_pinned():
-    # the pmod_sphere route's output for k = 3-24, one repr((generators,
-    # relators)) line each, as the engine alone gave it before the union-find
-    # became tietze_simplify's first phase
+# sha256 of the pmod_sphere route's output, one repr((generators, relators))
+# line per degree, as the engine alone gave it before the union-find became
+# tietze_simplify's first phase.  Tier-1 checks k = 3-16; k = 17-24 take most
+# of the time, and a CI step checks them.
+PMOD_TIETZE_K3_TO_16 = "38ab32be3f34e2dd20d913f58508b6ee407dab59921ea3c554bb4bb3fc901352"
+PMOD_TIETZE_K17_TO_24 = "5bbf1b72b63cc182ef9663bea117940841827299159503223609525c2233db21"
+
+
+def pmod_tietze_digest(degrees) -> str:
     digest = hashlib.sha256()
-    for k in range(3, 25):
+    for k in degrees:
         q = tietze_simplify(pmod_sphere_presentation(k))
         digest.update(repr((q.generators, q.relators)).encode() + b"\n")
-    assert digest.hexdigest() == "1edf22b2f866fad9f52fb4588b8b62d10633269b1aae65b5013644a9df4e9524"
+    return digest.hexdigest()
+
+
+def test_tietze_output_on_pmod_sphere_is_pinned():
+    assert pmod_tietze_digest(range(3, 17)) == PMOD_TIETZE_K3_TO_16
 
 
 def test_tietze_refuses_a_step_past_the_letter_cap(monkeypatch):

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations, permutations
 from math import factorial, gcd
 from types import SimpleNamespace
@@ -118,6 +119,10 @@ def test_act_rejects_non_unit_and_bad_degree():
         act(2, identity_perm(4), vec(6, 3, 3, 2, 4))  # gcd(2, 6) != 1
     with pytest.raises(ValueError):
         act(5, identity_perm(3), vec(6, 3, 3, 2, 4))  # degree mismatch
+    # these raised IndexError, or said the entries were not nonzero residues
+    for sigma in ((0, 1, 3), (0, 0, 1), (-1, 0, 1)):
+        with pytest.raises(ValueError, match=re.escape(f"{sigma} is not a permutation of 0..2")):
+            act(1, sigma, vec(7, 1, 2, 4))
 
 
 def test_act_left_action_laws():

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from liftmcg.analysis import _subgroup_presentation
 from liftmcg.arith_perm import CapacityError
 from liftmcg.datasets import enumerate_spherical
 from liftmcg.fpgroups import (
@@ -21,6 +20,7 @@ from liftmcg.fpgroups import (
     _identify_short_generators,
     _tietze_engine,
     abelianization,
+    preimage_presentation,
     tietze_simplify,
 )
 from liftmcg.genvec import generating_vector, liftable_images
@@ -68,7 +68,7 @@ def test_analysis_path_equal_on_every_preimage_of_genus_2_to_7():
         q = tietze_simplify(raw)
         assert q == reference.tietze_simplify(raw), subgroup
         if not subgroup.is_symmetric and subgroup.order > 1:
-            assert _subgroup_presentation(subgroup)[0] == q, subgroup
+            assert preimage_presentation(subgroup)[0] == q, subgroup
 
 
 # The count of distinct H1 and H2 of genus 9-10 and the sha256 over
