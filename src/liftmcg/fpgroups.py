@@ -29,8 +29,8 @@ A Presentation keeps its abelianization once computed.  Tietze
 simplification is deterministic; one engine writes a relator as a str of
 code points, one per letter, so that substitution, search and inversion are
 str methods, takes every step by one rule and refuses a step that leaves
-more than MAX_REWRITE_LETTERS letters; tietze_simplify runs it after a signed
-union-find on the relators of cyclic length 1 or 2.
+more than MAX_REWRITE_LETTERS letters; tietze_simplify runs it on the
+survivors of a signed union-find on the relators of cyclic length 1 or 2.
 """
 
 from __future__ import annotations
@@ -526,14 +526,6 @@ def _rewrite(p: Presentation, images: tuple[Perm, ...],
 MAX_TIETZE_GENERATORS = (sys.maxunicode - 1) // 2
 
 
-def _letter_codes(ngens: int) -> list[str]:
-    """code[x] is the code point of the signed int letter x: chr(2i) for i,
-    and chr(2i + 1) for -i at index -i.  A relator written in them is a str,
-    whose rotations are its substrings when it is written twice."""
-    return ["", *(chr(2 * i) for i in range(1, ngens + 1)),
-            *(chr(2 * i + 1) for i in range(ngens, 0, -1))]
-
-
 def _join_reduced(parts: Iterable[str]) -> str:
     """The free reduction of the join of freely reduced parts: letters cancel
     only where two parts meet."""
@@ -548,9 +540,10 @@ def _join_reduced(parts: Iterable[str]) -> str:
 
 
 class _TietzeEngine:
-    """Tietze state on code-point strings: generator i (1-based, declaration
-    order) is the letter chr(2i) and its inverse chr(2i + 1), so two letters
-    cancel when their code points differ in the last bit alone.
+    """Tietze state on code-point strings over the ngens generators still to
+    simplify, numbered 1..ngens in declaration order: generator j is the letter
+    chr(2j) and its inverse chr(2j + 1), so two letters cancel when their code
+    points differ in the last bit alone.
 
     rels is the given list, rewritten in place, with "" where a relator is
     gone, so comparing positions compares list order.  _shortest_with_once
@@ -685,17 +678,21 @@ def tietze_simplify(p: Presentation) -> Presentation:
 
 
 def _tietze_engine(names: Sequence[str], relators: Iterable[Relator], gone=()) -> Presentation:
-    """The engine on relators over generators 1..len(names) less those in gone:
-    tietze_simplify's second phase, and tests/tietze_reference.py's counterpart."""
-    n = len(names)
-    code = _letter_codes(n)
-    engine = _TietzeEngine(n, ["".join(map(code.__getitem__, r)) for r in relators])
-    gone = {*gone, *iter(engine.eliminate, None)}
-    kept = [i for i in range(1, n + 1) if i not in gone]
+    """The engine on relators over generators 1..len(names) that hold no letter
+    in gone: tietze_simplify's second phase, and tests/tietze_reference.py's
+    counterpart.  Only the m generators not in gone are encoded, numbered
+    1..m in declaration order, and empty relators are not entered."""
+    kept = [i for i in range(1, len(names) + 1) if i not in gone]
+    code = {}    # signed int -> code point
+    for j, i in enumerate(kept, start=1):
+        code[i], code[-i] = chr(2 * j), chr(2 * j + 1)
+    engine = _TietzeEngine(len(kept), ["".join(map(code.__getitem__, r)) for r in relators if r])
+    out = {*iter(engine.eliminate, None)}
+    kept = [i for j, i in enumerate(kept, start=1) if j not in out]
     # survivors are renumbered, with one shared int per signed letter
     letter = {}
     for j, i in enumerate(kept, start=1):
-        letter[chr(2 * i)], letter[chr(2 * i + 1)] = j, -j
+        letter[code[i]], letter[code[-i]] = j, -j
     return Presentation(
         tuple(names[i - 1] for i in kept),
         tuple(tuple(map(letter.__getitem__, s)) for s in engine.rels if s))

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liftmcg.arith_perm import CapacityError
-from liftmcg.datasets import enumerate_spherical
+from liftmcg.datasets import enumerate_spherical, parse_dataset
 from liftmcg.fpgroups import (
     MAX_TIETZE_GENERATORS,
     Presentation,
@@ -187,6 +187,30 @@ def test_rounds_before_the_engine():
         assert abelianization(tietze_simplify(p)) == abelianization(p)
 
 
+def test_engine_encodes_only_the_union_finds_survivors(monkeypatch):
+    # the engine spans the generators the union-find left, and no relator it
+    # emptied; ROUNDS and a genus-4 H1 whose union-find removes 49 of 61
+    from liftmcg import fpgroups
+
+    entered = []
+
+    class Recording(fpgroups._TietzeEngine):
+        def __init__(self, ngens, relators):
+            entered.append((ngens, list(relators)))
+            super().__init__(ngens, relators)
+
+    monkeypatch.setattr(fpgroups, "_TietzeEngine", Recording)
+    vector = generating_vector(parse_dataset("(4,0;(1,2)_4,(1,4),(3,4))"))
+    h1 = liftable_images(vector).h1
+    for p in (*ROUNDS, _raw_presentation(vector.k, h1)):
+        n = len(p.generators)
+        gone = _identify_short_generators(n, p.relators)[1]
+        entered.clear()
+        tietze_simplify(p)
+        [(ngens, relators)] = entered
+        assert ngens == n - len(gone) // 2 and "" not in relators, p
+
+
 def _cyclic_reduction(r):
     i, j = 0, len(r)
     while j - i >= 2 and r[i] == -r[j - 1]:
@@ -214,16 +238,23 @@ def test_identify_short_generators_keeps_the_abelianization(p):
 
 def test_equal_on_letters_past_the_surrogates_and_the_basic_plane():
     # generators 27648-28671 are written with surrogate code points, and
-    # generators past 32767 with code points past U+FFFF
-    names = tuple(f"x{i}" for i in range(1, 40001))
-    x = {i: gen(f"x{i}") for i in (27647, 27648, 27649, 28671, 28672, 32767, 32768, 40000)}
-    p = from_words(names, (
-        x[27648] * x[28671] * x[27648].inv() * x[28671].inv(),
-        x[27647] * x[27648] * x[32768],
-        x[40000] * x[27649] * x[40000] * x[28672].inv(),
-        x[32767] ** 3 * x[28671] ** -2,
-        x[28672] * x[32767] * x[28672].inv()))
-    assert tietze_simplify(p) == reference.tietze_simplify(p)
+    # generators past 32767 with code points past U+FFFF.  In the second
+    # input one-letter relators make x1..x1000 trivial, and the engine, which
+    # numbers only the union-find's survivors, writes x(i + 1000) as x(i) was
+    # written in the first, across both ranges.
+    for shift in (0, 1000):
+        names = tuple(f"x{i}" for i in range(1, 40001 + shift))
+        x = {i: gen(f"x{i + shift}")
+             for i in (27647, 27648, 27649, 28671, 28672, 32767, 32768, 40000)}
+        t = gen(f"x{shift}") if shift else Word()    # trivial in the second input
+        p = from_words(names, (
+            *(gen(f"x{i}") for i in range(1, shift + 1)),
+            x[27648] * x[28671] * x[27648].inv() * x[28671].inv(),
+            x[27647] * x[27648] * x[32768],
+            x[40000] * x[27649] * x[40000] * x[28672].inv(),
+            x[32767] ** 3 * t * x[28671] ** -2,
+            x[28672] * x[32767] * x[28672].inv()))
+        assert tietze_simplify(p) == reference.tietze_simplify(p)
 
 
 def test_refuses_past_the_encoding_cap(monkeypatch):
