@@ -164,17 +164,15 @@ def _signed_unit(u: int, n: int) -> int:
     return -1 if n > 2 and u == n - 1 else u
 
 
-def _lift_data(quotient: Presentation, exponents: list[int],
-               evaluations: dict[int, Relator | str],
-               names: list[str] | None = None) -> LiftData:
-    """Lifts G1, G2, ... (or names) of the quotient generators; G F G^-1 = F^e."""
+def _lift_data(exponents: list[int], evaluations: tuple[Relator | str, ...],
+               names: tuple[str, ...] | None = None) -> LiftData:
+    """Lifts G1, G2, ... (or names) of the quotient generators, in order, with
+    G F G^-1 = F^e for their exponents e in order."""
     if names is None:
-        names = [f"G{i}" for i in range(1, len(quotient.generators) + 1)]
-    return LiftData(
-        lifts=dict(zip(quotient.generators, names)),
-        conjugation={(g, "F"): (1 if e > 0 else -1,) * abs(e)
-                     for g, e in zip(quotient.generators, exponents)},
-        evaluations=evaluations)
+        names = tuple(f"G{i}" for i in range(1, len(exponents) + 1))
+    return LiftData(lifts=names,
+                    conjugation=tuple(((1 if e > 0 else -1,) * abs(e),) for e in exponents),
+                    evaluations=evaluations)
 
 
 def _extension_spec(n: int, quotient: Presentation, data: LiftData, provenance: str,
@@ -186,9 +184,8 @@ def _extension_spec(n: int, quotient: Presentation, data: LiftData, provenance: 
     since G F G^-1 = F^e would then collapse F."""
     pres = extension_presentation(Presentation(("F",), ((1,) * n,)), quotient, data)
     exponents = {}
-    for g in quotient.generators:
-        lift = data.lifts[g]
-        e = sum(data.conjugation[(g, "F")]) % n
+    for lift, (word,) in zip(data.lifts, data.conjugation):
+        e = sum(word) % n
         if gcd(e, n) != 1:
             raise ValueError(f"conjugation exponent {e} of lift {lift} is not a unit mod {n}")
         exponents[lift] = _signed_unit(e, n)
@@ -206,8 +203,7 @@ def _descriptor_spec(desc: GroupDescriptor, notes: tuple[str, ...] = ()) -> Norm
         exponents = [_signed_unit(desc.twist or 1, desc.n)]
     else:
         raise ValueError(f"no presentation route for descriptor {desc}")
-    data = _lift_data(quotient, exponents, dict.fromkeys(range(len(quotient.relators)), ()),
-                      names=list(quotient.generators))
+    data = _lift_data(exponents, ((),) * len(quotient.relators), names=quotient.generators)
     return _extension_spec(desc.n, quotient, data, "built_in", desc, notes)
 
 
@@ -231,12 +227,10 @@ def _doubled_builtin(rep: AnalysisReport) -> tuple[NormalizerSpec, NormalizerSpe
     psi, one = psi_images(4), identity_perm(4)
     notes = ("lift data built in for the order-2g+2 glued-rotation family",)
     norm = _extension_spec(n, lmod_q, _lift_data(
-        lmod_q, _exponents(rep, (psi[0], psi[2], one)),
-        {0: (), 1: (), 2: (1,) * (g + 2), 3: (1,) * (g + 1)},
-        names=["G1", "G3", "G2"]), "built_in", notes=notes)
+        _exponents(rep, (psi[0], psi[2], one)), ((), (), (1,) * (g + 2), (1,) * (g + 1)),
+        names=("G1", "G3", "G2")), "built_in", notes=notes)
     cent = _extension_spec(n, clmod_q, _lift_data(
-        clmod_q, _exponents(rep, (psi[0], one)), {0: (1,) * (g + 2)}),
-        "built_in", notes=notes)
+        _exponents(rep, (psi[0], one)), ((1,) * (g + 2),)), "built_in", notes=notes)
     return norm, cent
 
 
@@ -253,8 +247,8 @@ def _generic_spec(rep: AnalysisReport, quotient: Presentation,
     evaluations carried as parameters unless the quotient is free."""
     n = rep.dataset.n
     exponents = _exponents(rep, images)
-    evaluations = {i: f"e{i + 1}" for i in range(len(quotient.relators))}
-    data = _lift_data(quotient, exponents, evaluations)
+    evaluations = tuple(f"e{i}" for i in range(1, len(quotient.relators) + 1))
+    data = _lift_data(exponents, evaluations)
     if evaluations:
         return _extension_spec(n, quotient, data, "symbolic", notes=(
             "relator evaluations undetermined; carried as F^e_i parameters",))

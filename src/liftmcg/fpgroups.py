@@ -38,12 +38,11 @@ from __future__ import annotations
 import sys
 from collections import defaultdict
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache, wraps
 from heapq import heappop, heappush
 from itertools import chain, combinations, groupby
 from operator import itemgetter
-from types import MappingProxyType
 
 from .arith_perm import (
     MAX_MATERIALIZED,
@@ -677,16 +676,19 @@ def tietze_simplify(p: Presentation) -> Presentation:
     return _tietze_engine(p.generators, *_identify_short_generators(n, p.relators))
 
 
-def _tietze_engine(names: Sequence[str], relators: Iterable[Relator], gone=()) -> Presentation:
+def _tietze_engine(names: Sequence[str], relators: list[Relator], gone=()) -> Presentation:
     """The engine on relators over generators 1..len(names) that hold no letter
     in gone: tietze_simplify's second phase, and tests/tietze_reference.py's
     counterpart.  Only the m generators not in gone are encoded, numbered
-    1..m in declaration order, and empty relators are not entered."""
+    1..m in declaration order, and empty relators are not entered.  The
+    engine takes the list over and empties it once encoded, so the caller's
+    relators are not held through the elimination."""
     kept = [i for i in range(1, len(names) + 1) if i not in gone]
     code = {}    # signed int -> code point
     for j, i in enumerate(kept, start=1):
         code[i], code[-i] = chr(2 * j), chr(2 * j + 1)
     engine = _TietzeEngine(len(kept), ["".join(map(code.__getitem__, r)) for r in relators if r])
+    relators.clear()
     out = {*iter(engine.eliminate, None)}
     kept = [i for j, i in enumerate(kept, start=1) if j not in out]
     # survivors are renumbered, with one shared int per signed letter
@@ -804,30 +806,39 @@ def abelianization(p: Presentation) -> tuple[tuple[int, ...], int]:
 
 @dataclass(frozen=True)
 class LiftData:
-    """Lifting data for assembling a presentation of a group extension; a
+    """Lifting data for a presentation of a group extension, by position; a
     kernel word is a freely reduced tuple of signed ints over the kernel's
     generators, numbered as in its presentation.
 
-    lifts: quotient generator name -> lift name (disjoint from kernel names).
-    conjugation: (quotient gen, kernel gen) -> the kernel word equal to
-        lift * kernel_gen * lift^-1.
-    evaluations: quotient relator index -> its value in the kernel, either a
-        kernel word or a parameter name (undetermined exponent of the kernel
-        generator; cyclic kernels only).
-    Each is kept as a read-only copy of the mapping given; anything else is
-    refused (TypeError).  extension_presentation checks the contents.
+    lifts: a lift name per quotient generator (not a kernel name).
+    conjugation: a row per quotient generator, holding per kernel generator
+        k the kernel word equal to lift * k * lift^-1.
+    evaluations: a value per quotient relator: a kernel word or a parameter
+        name (an undetermined exponent of the kernel generator; cyclic
+        kernels only).
+    Each, in order, is kept as a tuple, the rows too; a mapping or a str,
+    which would be read as its keys or characters, and anything not
+    iterable are refused (TypeError).  extension_presentation checks the
+    counts and the contents.
     """
 
-    lifts: Mapping[str, str]
-    conjugation: Mapping[tuple[str, str], Relator]
-    evaluations: Mapping[int, Relator | str] = field(default_factory=dict)
+    lifts: tuple[str, ...]
+    conjugation: tuple[tuple[Relator, ...], ...]
+    evaluations: tuple[Relator | str, ...] = ()
 
     def __post_init__(self):
-        for name in ("lifts", "conjugation", "evaluations"):
-            value = getattr(self, name)
-            if not isinstance(value, Mapping):
-                raise TypeError(f"LiftData's {name} is a mapping, got {type(value).__name__}")
-            object.__setattr__(self, name, MappingProxyType(dict(value)))
+        object.__setattr__(self, "lifts", _positional(self.lifts, "lifts"))
+        object.__setattr__(self, "conjugation", tuple(
+            _positional(row, f"conjugation row {i}")
+            for i, row in enumerate(_positional(self.conjugation, "conjugation"))))
+        object.__setattr__(self, "evaluations", _positional(self.evaluations, "evaluations"))
+
+
+def _positional(value, what: str) -> tuple:
+    """value as a tuple, refused (TypeError) if a mapping, a str or not iterable."""
+    if isinstance(value, (Mapping, str)) or not isinstance(value, Iterable):
+        raise TypeError(f"LiftData's {what} is a sequence in order, got {type(value).__name__}")
+    return tuple(value)
 
 
 def _kernel_word(w, kernel: Presentation, what: str) -> Relator:
@@ -840,53 +851,40 @@ def _kernel_word(w, kernel: Presentation, what: str) -> Relator:
 
 def extension_presentation(kernel: Presentation, quotient: Presentation,
                            data: LiftData) -> Presentation:
-    """Presentation of an extension of the kernel by the quotient:
-    kernel relators + lifted relators (set to their kernel values) +
-    conjugation relators.  TypeError for a kernel or quotient that is not a
-    Presentation, data that is not a LiftData, a key that is not a str pair,
-    a word that is not a tuple of ints (a bool is not an int) or an
-    evaluation neither word nor str; ValueError for a key that names no
-    quotient generator, kernel generator or quotient relator, or a word with
-    a letter past the kernel's generators or not freely reduced."""
+    """Presentation of an extension of the kernel by the quotient, on the
+    kernel's generators then the lifts: kernel relators + lifted relators
+    (set to their kernel values) + conjugation relators.  TypeError for a
+    kernel or quotient that is not a Presentation, data that is not a
+    LiftData, a word that is not a tuple of ints (a bool is not an int) or
+    an evaluation neither word nor str; ValueError for a count of lifts,
+    rows or evaluations other than the quotient's generators or relators,
+    or of a row's words other than the kernel's generators, lift names not
+    fresh and distinct, a word with a letter past the kernel's generators
+    or not freely reduced, or a parameter over a kernel that is not cyclic."""
     _require_presentation(kernel, "the kernel")
     _require_presentation(quotient, "the quotient")
     if not isinstance(data, LiftData):
         raise TypeError(f"lift data is a LiftData, got {type(data).__name__}")
     if quotient.symbolic_relators or kernel.symbolic_relators:
         raise ValueError("nested symbolic relators are not supported")
-    missing = [g for g in quotient.generators if g not in data.lifts]
-    if missing:
-        raise ValueError(f"missing lifts for quotient generators {missing}")
-    for g in data.lifts:
-        if g not in quotient.generators:
-            raise ValueError(f"lift for {g!r}, which is not a quotient generator")
-    for key, w in data.conjugation.items():
-        if not (isinstance(key, tuple) and len(key) == 2 and all(isinstance(x, str) for x in key)):
-            raise TypeError(f"conjugation key must be a tuple of two str, got {key!r}")
-        qg, kg = key
-        if qg not in quotient.generators or kg not in kernel.generators:
-            raise ValueError(f"conjugation word for ({qg!r}, {kg!r}), which is not a "
-                             f"(quotient generator, kernel generator) pair")
-        _kernel_word(w, kernel, f"conjugation word for ({qg!r}, {kg!r})")
-    for idx in data.evaluations:
-        if idx not in range(len(quotient.relators)):
-            raise ValueError(f"evaluation for relator {idx!r}, but the quotient "
-                             f"has {len(quotient.relators)} relators")
-    lift_names = [data.lifts[g] for g in quotient.generators]
-    clash = set(lift_names) & set(kernel.generators)
-    if clash or len(set(lift_names)) != len(lift_names):
-        raise ValueError(f"lift names must be fresh and distinct, got {lift_names}")
+    counts = [("lifts", data.lifts, quotient.generators, "quotient generators"),
+              ("conjugation rows", data.conjugation, quotient.generators, "quotient generators"),
+              ("evaluations", data.evaluations, quotient.relators, "quotient relators"),
+              *((f"words in conjugation row {i}", row, kernel.generators, "kernel generators")
+                for i, row in enumerate(data.conjugation))]
+    for what, got, want, of in counts:
+        if len(got) != len(want):
+            raise ValueError(f"{len(got)} {what} for {len(want)} {of}")
+    if set(data.lifts) & set(kernel.generators) or len(set(data.lifts)) != len(data.lifts):
+        raise ValueError(f"lift names must be fresh and distinct, got {list(data.lifts)}")
     shift = len(kernel.generators)
 
     relators: list[Relator] = list(kernel.relators)
     symbolic: list[SymbolicRelator] = []
-    for idx, r in enumerate(quotient.relators):
-        if idx not in data.evaluations:
-            raise ValueError(f"missing evaluation for quotient relator {idx}")
+    for idx, (r, ev) in enumerate(zip(quotient.relators, data.evaluations)):
         lifted = tuple(x + shift if x > 0 else x - shift for x in r)
-        ev = data.evaluations[idx]
         if isinstance(ev, str):
-            if len(kernel.generators) != 1:
+            if shift != 1:
                 raise ValueError("symbolic evaluations need a cyclic kernel")
             symbolic.append(SymbolicRelator(lifted, 1, ev))
         elif isinstance(ev, tuple):
@@ -895,10 +893,9 @@ def extension_presentation(kernel: Presentation, quotient: Presentation,
         else:
             raise TypeError(f"evaluation for quotient relator {idx} is a kernel word or "
                             f"a parameter name (str), got {ev!r}")
-    for lift, qg in enumerate(quotient.generators, start=shift + 1):
-        for kg, name in enumerate(kernel.generators, start=1):
-            if (qg, name) not in data.conjugation:
-                raise ValueError(f"missing conjugation word for ({qg}, {name})")
-            relators.append((lift, kg, -lift) + _inverted(data.conjugation[(qg, name)]))
+    for lift, (qg, row) in enumerate(zip(quotient.generators, data.conjugation), start=shift + 1):
+        for kg, (name, w) in enumerate(zip(kernel.generators, row), start=1):
+            what = f"conjugation word for ({qg!r}, {name!r})"
+            relators.append((lift, kg, -lift) + _inverted(_kernel_word(w, kernel, what)))
 
-    return Presentation((*kernel.generators, *lift_names), tuple(relators), tuple(symbolic))
+    return Presentation((*kernel.generators, *data.lifts), tuple(relators), tuple(symbolic))

@@ -401,7 +401,8 @@ _DESCRIPTORS = {"trivial": ((), "1"), "cyclic": (("n",), "Z{n}"),
 class GroupDescriptor:
     """One of: trivial, cyclic(n), direct_product(Z_n x Z_m),
     semidirect(Z_n x|_twist Z_m); the fields a kind uses are ints >= 1 and
-    the others None."""
+    the others None.  A semidirect twist is in 2..n-1, with twist^m = 1 mod
+    n: 1 or n + 1 would be a direct product, and n + 2 is twist 2 again."""
 
     kind: str
     n: int | None = None
@@ -417,9 +418,10 @@ class GroupDescriptor:
             if not ((type(value) is int and value >= 1) if name in used else value is None):
                 raise ValueError(f"{self.kind} descriptor: {name} must be "
                                  f"{'an int >= 1' if name in used else 'None'}, got {value!r}")
-        if self.kind == "semidirect" and (self.twist == 1 or pow(self.twist, self.m, self.n) != 1):
-            raise ValueError(
-                f"semidirect twist must satisfy twist^{self.m} = 1 != twist mod {self.n}")
+        if self.kind == "semidirect" and (self.twist not in range(2, self.n)
+                                          or pow(self.twist, self.m, self.n) != 1):
+            raise ValueError(f"semidirect twist must be in 2..{self.n - 1} "
+                             f"with twist^{self.m} = 1 mod {self.n}")
 
     def render(self) -> str:
         return _DESCRIPTORS[self.kind][1].format(n=self.n, m=self.m, twist=self.twist)

@@ -681,14 +681,14 @@ def test_normalizer_user_lift_data():
     rep = analyze(ds)
     q = rep.lmod_presentation
     data = LiftData(
-        lifts={g: f"L{i}" for i, g in enumerate(q.generators, start=1)},
-        conjugation={(g, "F"): (1, 1) for g in q.generators},
-        evaluations={i: () for i in range(len(q.relators))})
+        lifts=tuple(f"L{i}" for i in range(1, len(q.generators) + 1)),
+        conjugation=(((1, 1),),) * len(q.generators),
+        evaluations=((),) * len(q.relators))
     norm, cent = normalizer_centralizer(ds, lifts=data, central_lifts=None)
     assert norm.provenance == "user_supplied"
     assert set(norm.conjugation_exponents.values()) == {2}
     # lift names must be strs
-    numbered = LiftData(lifts={g: i for i, g in enumerate(q.generators, start=1)},
+    numbered = LiftData(lifts=tuple(range(1, len(q.generators) + 1)),
                         conjugation=data.conjugation, evaluations=data.evaluations)
     with pytest.raises(TypeError):
         normalizer_centralizer(ds, lifts=numbered)
@@ -702,9 +702,9 @@ def test_user_lift_exponents_are_units():
 
     def lift_data(e):
         return LiftData(
-            lifts={g: f"L{i}" for i, g in enumerate(q.generators, start=1)},
-            conjugation={(g, "F"): (1 if e > 0 else -1,) * abs(e) for g in q.generators},
-            evaluations={i: () for i in range(len(q.relators))})
+            lifts=tuple(f"L{i}" for i in range(1, len(q.generators) + 1)),
+            conjugation=(((1 if e > 0 else -1,) * abs(e),),) * len(q.generators),
+            evaluations=((),) * len(q.relators))
 
     for e, reported in ((6, -1), (-6, 1), (9, 2), (-1, -1)):
         norm, _ = normalizer_centralizer(ds, lifts=lift_data(e))
@@ -718,29 +718,30 @@ def test_user_lift_exponents_are_units():
         normalizer_centralizer(ds, central_lifts=lift_data(3))
 
 
-def test_user_lift_data_with_unknown_keys_is_refused():
-    # a key naming no quotient generator, kernel generator or quotient
-    # relator is refused by name instead of being ignored
+def test_user_lift_data_with_wrong_counts_is_refused():
+    # an entry past the quotient's generators or relators, or a word past
+    # the kernel's one generator, is refused with both counts instead of
+    # being ignored, and so is a missing one
     ds = parse_dataset("(3,0;(1,3),(1,3),(2,3),(2,3))")
     q = analyze(ds).clmod_presentation
     data = _user_lift_data(q, ds.n)
     assert normalizer_centralizer(ds, central_lifts=data)[1].provenance == "user_supplied"
-    first, count = q.generators[0], len(q.relators)
-    past = {i: () for i in range(count, count + 3)}
+    ngens, count = len(q.generators), len(q.relators)
     cases = [
-        (LiftData({**data.lifts, "bogus": "B"}, data.conjugation, {**data.evaluations, **past}),
-         "lift for 'bogus'"),
-        (LiftData(data.lifts, {**data.conjugation, ("bogus", "F"): ()}, data.evaluations),
-         r"\('bogus', 'F'\)"),
-        (LiftData(data.lifts, {**data.conjugation, (first, "K"): ()}, data.evaluations),
-         rf"\('{first}', 'K'\)"),
-        (LiftData(data.lifts, data.conjugation, {**data.evaluations, **past}),
-         f"evaluation for relator {count},"),
-        (LiftData(data.lifts, data.conjugation, {**data.evaluations, -1: ()}),
-         "evaluation for relator -1,"),
+        (LiftData((*data.lifts, "B"), data.conjugation, data.evaluations),
+         f"^{ngens + 1} lifts for {ngens} quotient generators$"),
+        (LiftData(data.lifts, (*data.conjugation, ((),)), data.evaluations),
+         f"^{ngens + 1} conjugation rows for {ngens} quotient generators$"),
+        (LiftData(data.lifts, ((*data.conjugation[0], ()), *data.conjugation[1:]),
+                  data.evaluations),
+         "^2 words in conjugation row 0 for 1 kernel generators$"),
+        (LiftData(data.lifts, data.conjugation, (*data.evaluations, (), (), ())),
+         f"^{count + 3} evaluations for {count} quotient relators$"),
+        (LiftData(data.lifts, data.conjugation, data.evaluations[:-1]),
+         f"^{count - 1} evaluations for {count} quotient relators$"),
     ]
-    for bad, key in cases:
-        with pytest.raises(ValueError, match=key):
+    for bad, message in cases:
+        with pytest.raises(ValueError, match=message):
             normalizer_centralizer(ds, central_lifts=bad)
 
 
@@ -760,12 +761,12 @@ def _user_lift_data(q, n):
     relator evaluations."""
     units = units_mod(n)
     return LiftData(
-        lifts={g: f"L{i}" for i, g in enumerate(q.generators, start=1)},
-        conjugation={(g, "F"): (1,) * units[i % len(units)] if i % 2
-                     else (-1,) * (n - units[i % len(units)])
-                     for i, g in enumerate(q.generators)},
-        evaluations={i: ((), (1,) * (i + 1), f"p{i}")[i % 3]
-                     for i in range(len(q.relators))})
+        lifts=tuple(f"L{i}" for i in range(1, len(q.generators) + 1)),
+        conjugation=tuple(((1,) * units[i % len(units)] if i % 2
+                           else (-1,) * (n - units[i % len(units)]),)
+                          for i in range(len(q.generators))),
+        evaluations=tuple(((), (1,) * (i + 1), f"p{i}")[i % 3]
+                          for i in range(len(q.relators))))
 
 
 # sha256 of the exact bytes, exit code then stdout, of `present` and
@@ -830,6 +831,37 @@ def test_one_sided_lift_data_keeps_the_other_route():
         ds, central_lifts=_user_lift_data(analyze(ds).clmod_presentation, ds.n))
     assert norm.provenance == "built_in" and norm.descriptor is None
     assert norm.presentation.generators == ("F", "G1", "G3", "G2")
+
+
+def _restated(spec):
+    """Lift data that restates a generic-route spec: its lifts in order, the
+    power of F each conjugates F to, and its relator parameters in order."""
+    lifts = spec.presentation.generators[1:]
+    return LiftData(
+        lifts,
+        tuple(((1 if e > 0 else -1,) * abs(e),)
+              for e in map(spec.conjugation_exponents.__getitem__, lifts)),
+        tuple(r.param for r in spec.presentation.symbolic_relators))
+
+
+def test_user_lift_data_restating_the_generic_route_gives_its_presentation():
+    # the rows of the caller's lift data line up with the generators of LMod
+    # and CLMod as analyze presents them, on every class the generic
+    # extension serves
+    count = 0
+    for genus in range(2, 7):
+        for ds in enumerate_spherical(genus):
+            rep = analyze(ds)
+            if rep.classification is not None or analysis_module._is_doubled_builtin(rep):
+                continue
+            default = normalizer_centralizer(ds)
+            user = normalizer_centralizer(ds, *map(_restated, default))
+            for got, want in zip(user, default):
+                assert got.provenance == "user_supplied", ds
+                assert got.presentation == want.presentation, ds
+                assert got.conjugation_exponents == want.conjugation_exponents, ds
+            count += 1
+    assert count == 66, count
 
 
 # ---------------------------------------------------------------------------

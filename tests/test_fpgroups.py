@@ -1,6 +1,5 @@
 import hashlib
 import random
-import re
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -801,7 +800,7 @@ class _OrderNotIndex:
 
 _KERNEL = Presentation(("t",), ((1, 1),))
 _QUOTIENT = Presentation(("a",), ((1, 1),))
-_LIFTS = LiftData({"a": "A"}, {("a", "t"): (1,)}, {0: ()})
+_LIFTS = LiftData(("A",), (((1,),),), ((),))
 _DATA_SET = "a data set must be a DataSet (parse_dataset reads one from text), got str"
 _DS = parse_dataset("(7,0;(1,7),(2,7),(4,7))")
 
@@ -820,11 +819,11 @@ _DS = parse_dataset("(7,0;(1,7),(2,7),(4,7))")
      "the kernel must be a Presentation, got NoneType"),
     (lambda: extension_presentation(_KERNEL, None, _LIFTS),
      "the quotient must be a Presentation, got NoneType"),
-    (lambda: LiftData(None, {}, {}), "LiftData's lifts is a mapping, got NoneType"),
-    (lambda: LiftData({"a": "G"}, [(("a", "F"), (1,))], {0: ()}),
-     "LiftData's conjugation is a mapping, got list"),
-    (lambda: LiftData({"a": "G"}, {("a", "F"): (1,)}, [()]),
-     "LiftData's evaluations is a mapping, got list"),
+    (lambda: LiftData(None, (), ()), "LiftData's lifts is a sequence in order, got NoneType"),
+    (lambda: LiftData(("G",), {("a", "F"): (1,)}, ((),)),
+     "LiftData's conjugation is a sequence in order, got dict"),
+    (lambda: LiftData(("G",), (((1,),),), {0: ()}),
+     "LiftData's evaluations is a sequence in order, got dict"),
     (lambda: validate("x"), _DATA_SET),
     (lambda: doubled("x"), _DATA_SET),
     (lambda: canonical_form("x"), _DATA_SET),
@@ -1092,8 +1091,7 @@ def _f(e: int) -> tuple[int, ...]:
 
 def test_extension_trivial_kernel():
     q = from_words(("x", "y"), (gen("x") ** 2, commutator(gen("x"), gen("y"))))
-    data = LiftData(lifts={"x": "X", "y": "Y"}, conjugation={},
-                    evaluations={0: (), 1: ()})
+    data = LiftData(lifts=("X", "Y"), conjugation=((), ()), evaluations=((), ()))
     out = extension_presentation(Presentation((), ()), q, data)
     assert same_relator_sets(rename_presentation(q, {"x": "X", "y": "Y"}), out)
 
@@ -1101,7 +1099,7 @@ def test_extension_trivial_kernel():
 def test_extension_trivial_quotient():
     n = from_words(("F",), (gen("F") ** 5,))
     out = extension_presentation(n, Presentation((), ()),
-                                 LiftData(lifts={}, conjugation={}))
+                                 LiftData(lifts=(), conjugation=()))
     assert out == n
 
 
@@ -1116,10 +1114,8 @@ def test_extension_direct_product_abelianization():
         q = from_words(("x", "y"), relators)
         n = rng.randrange(2, 9)
         kernel = from_words(("F",), (gen("F") ** n,))
-        data = LiftData(
-            lifts={"x": "X", "y": "Y"},
-            conjugation={("x", "F"): (1,), ("y", "F"): (1,)},
-            evaluations={i: () for i in range(len(relators))})
+        data = LiftData(lifts=("X", "Y"), conjugation=(((1,),), ((1,),)),
+                        evaluations=((),) * len(relators))
         out = extension_presentation(kernel, q, data)
         # Z/n x Q^ab: the relation matrix of <F, x, y | F^n, relators of q>
         expect = from_words(("F", "x", "y"), (gen("F") ** n, *relators))
@@ -1129,8 +1125,7 @@ def test_extension_direct_product_abelianization():
 def test_extension_symbolic_and_errors():
     kernel = Presentation(("F",), (_f(6),))
     q = Presentation(("x",), (_f(2),))
-    data = LiftData(lifts={"x": "G"}, conjugation={("x", "F"): (1,)},
-                    evaluations={0: "e1"})
+    data = LiftData(lifts=("G",), conjugation=(((1,),),), evaluations=("e1",))
     out = extension_presentation(kernel, q, data)
     assert len(out.symbolic_relators) == 1
     assert out.symbolic_relators[0].param == "e1"
@@ -1140,45 +1135,37 @@ def test_extension_symbolic_and_errors():
         tietze_simplify(out)
     with pytest.raises(ValueError, match="nested symbolic relators"):
         extension_presentation(out, q, data)
-    with pytest.raises(ValueError, match=r"missing lifts for quotient generators \['x'\]"):
-        extension_presentation(kernel, q, LiftData({}, {("x", "F"): (1,)}, {0: ()}))
-    with pytest.raises(ValueError):
-        extension_presentation(kernel, q, LiftData({"x": "G"}, {}, {0: ()}))
-    with pytest.raises(ValueError):
-        extension_presentation(kernel, q,
-                               LiftData({"x": "G"}, {("x", "F"): (1,)}, {}))
-    with pytest.raises(ValueError):
-        extension_presentation(kernel, q,
-                               LiftData({"x": "F"}, {("x", "F"): (1,)},
-                                        {0: ()}))
+    # every count is checked against the quotient's and the kernel's
+    for bad, message in (
+            (LiftData((), (((1,),),), ((),)), "^0 lifts for 1 quotient generators$"),
+            (LiftData(("G",), (), ((),)), "^0 conjugation rows for 1 quotient generators$"),
+            (LiftData(("G",), (((1,),),), ()), "^0 evaluations for 1 quotient relators$"),
+            (LiftData(("G",), (((1,), (1,)),), ((),)),
+             "^2 words in conjugation row 0 for 1 kernel generators$")):
+        with pytest.raises(ValueError, match=message):
+            extension_presentation(kernel, q, bad)
+    with pytest.raises(ValueError, match="fresh and distinct"):
+        extension_presentation(kernel, q, LiftData(("F",), (((1,),),), ((),)))
     # an evaluation is a kernel word or a parameter name, never an exponent
     # (a bool neither)
     cube = Presentation(("F",), (_f(3),))
     for value in (2, True, None, (("F", 1),)):
         with pytest.raises(TypeError, match="quotient relator 0"):
             extension_presentation(cube, Presentation(("G",), (_f(2),)),
-                                   LiftData({"G": "G1"}, {("G", "F"): (1,)}, {0: value}))
+                                   LiftData(("G1",), (((1,),),), (value,)))
     # a conjugation value is a kernel word, not a name
     with pytest.raises(TypeError, match=r"\('x', 'F'\)"):
-        extension_presentation(kernel, q, LiftData({"x": "G"}, {("x", "F"): "F"}, {0: ()}))
-    # a conjugation key is a tuple of two names, never unpacked into one
-    for key in ("xF", ("x", "F", "y"), 3, ("x", 1)):
-        with pytest.raises(TypeError, match="conjugation key .* got " + re.escape(repr(key))):
-            extension_presentation(kernel, q, LiftData({"x": "G"}, {key: (1,)}, {0: ()}))
+        extension_presentation(kernel, q, LiftData(("G",), ((("F",),),), ((),)))
     two_gen_kernel = Presentation(("F", "K"), ())
-    with pytest.raises(ValueError):
-        extension_presentation(
-            two_gen_kernel, q,
-            LiftData({"x": "G"},
-                     {("x", "F"): (1,), ("x", "K"): (2,)},
-                     {0: "e1"}))
+    with pytest.raises(ValueError, match="symbolic evaluations need a cyclic kernel"):
+        extension_presentation(two_gen_kernel, q, LiftData(("G",), (((1,), (2,)),), ("e1",)))
 
 
 def _one_word(kernel_word=(1,), evaluation=()):
     """Kernel <F | F^6>, quotient <x | x^2>, and lift data whose conjugation
     word and evaluation are the given ones."""
     return (Presentation(("F",), (_f(6),)), Presentation(("x",), (_f(2),)),
-            LiftData({"x": "G"}, {("x", "F"): kernel_word}, {0: evaluation}))
+            LiftData(("G",), ((kernel_word,),), (evaluation,)))
 
 
 def test_extension_refuses_a_kernel_word_that_is_not_a_tuple_of_ints():
@@ -1208,14 +1195,25 @@ def test_extension_refuses_a_letter_outside_the_kernel_or_an_unreduced_word():
 
 
 def test_lift_data_keeps_read_only_copies():
-    lifts, conjugation, evaluations = {"x": "G"}, {("x", "F"): (1,)}, {0: ()}
-    data = LiftData(lifts, conjugation, evaluations)
-    lifts["y"], conjugation["y", "F"], evaluations[1] = "H", (1,), ()
-    assert data == LiftData({"x": "G"}, {("x", "F"): (1,)}, {0: ()})
-    for field_name in ("lifts", "conjugation", "evaluations"):
-        with pytest.raises(TypeError):
-            getattr(data, field_name)["y"] = "H"
-    assert LiftData({}, {}).evaluations == {}
+    # each field is copied into a tuple, the rows of conjugation too, so a
+    # later edit of a list given changes nothing
+    lifts, row, evaluations = ["G"], [(1,)], [()]
+    data = LiftData(lifts, [row], evaluations)
+    lifts.append("H")
+    row.append((1,))
+    evaluations.append(())
+    assert data == LiftData(("G",), (((1,),),), ((),))
+    assert type(data.lifts) is type(data.conjugation[0]) is type(data.evaluations) is tuple
+    assert LiftData((), ()).evaluations == ()
+    # a mapping would be read as its keys and a str as its characters
+    for fields, message in (
+            (({"x": "G"}, (((1,),),), ((),)), "lifts is a sequence in order, got dict"),
+            ((("G",), ({"F": (1,)},), ((),)), "conjugation row 0 is a sequence in order, got dict"),
+            ((("G",), (1,), ((),)), "conjugation row 0 is a sequence in order, got int"),
+            ((("G",), (((1,),),), "e1"), "evaluations is a sequence in order, got str"),
+            (("G", (((1,),),), ((),)), "lifts is a sequence in order, got str")):
+        with pytest.raises(TypeError, match=f"^LiftData's {message}$"):
+            LiftData(*fields)
 
 
 def test_extension_refuses_data_that_is_not_lift_data():
@@ -1258,12 +1256,11 @@ def test_extension_modulo_the_kernel_has_the_quotients_abelianization(case):
     # E = <F, lifts | F^n, lifted relators = F^v, X F X^-1 = F^e> and
     # E / <<F>> = Q, whatever n, e and v are
     q, n, exponents, values = case
-    lifts = {g: g.upper() for g in q.generators}
-    data = LiftData(lifts=lifts,
-                    conjugation={(g, "F"): _f(e) for g, e in zip(q.generators, exponents)},
-                    evaluations={i: _f(v) for i, v in enumerate(values)})
+    lifts = tuple(g.upper() for g in q.generators)
+    data = LiftData(lifts=lifts, conjugation=tuple((_f(e),) for e in exponents),
+                    evaluations=tuple(map(_f, values)))
     out = extension_presentation(Presentation(("F",), ((1,) * n,)), q, data)
-    assert out.generators == ("F", *lifts.values())
+    assert out.generators == ("F", *lifts)
     killed = [_freely_reduced(x - 1 if x > 0 else x + 1 for x in r if abs(x) != 1)
               for r in out.relators]
     assert abelianization(Presentation(out.generators[1:], killed)) == abelianization(q)

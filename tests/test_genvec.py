@@ -543,6 +543,12 @@ def test_group_descriptor_validation():
         semidirect(7, 3, 1)  # twist 1 is not a semidirect twist
     with pytest.raises(ValueError):
         semidirect(7, 2, 2)  # 2^2 != 1 mod 7
+    # a twist past n - 1 is the residue of one below n: 8 is the direct
+    # product Z7 x Z3, and 9 the group of twist 2
+    message = r"^semidirect twist must be in 2\.\.6 with twist\^3 = 1 mod 7$"
+    for twist in (8, 9, 7, 14):
+        with pytest.raises(ValueError, match=message):
+            semidirect(7, 3, twist)
     assert GroupDescriptor("semidirect", n=7, m=3, twist=2).render() == "Z7 x|_2 Z3"
     # each kind needs its own fields as ints >= 1 and no other field
     for kind, fields in (

@@ -173,7 +173,7 @@ ROUNDS = (
 # <a | a^2 = 1>, not <a | >.
 @example(from_words(NAMES[:2], (a * b.inv(), a * b)))
 def test_equal_on_generated_presentations(p):
-    assert _tietze_engine(p.generators, p.relators) == reference.tietze_simplify(p)
+    assert _tietze_engine(p.generators, list(p.relators)) == reference.tietze_simplify(p)
 
 
 def test_rounds_before_the_engine():
@@ -181,7 +181,7 @@ def test_rounds_before_the_engine():
     engine = ["<a, b | b^-1*a^-1*b*a*b = 1>", "<c | c^2 = 1, c^3 = 1>", "<a, d | a^2 = 1>"]
     public = ["<a | >", "<1>", "<a, d | a^6 = 1, a^2 = 1>"]
     for p, alone, whole in zip(ROUNDS, engine, public):
-        assert str(_tietze_engine(p.generators, p.relators)) == alone
+        assert str(_tietze_engine(p.generators, list(p.relators))) == alone
         assert str(reference.tietze_simplify(p)) == alone
         assert str(tietze_simplify(p)) == whole
         assert abelianization(tietze_simplify(p)) == abelianization(p)
